@@ -28,7 +28,6 @@ from .basic import (
     sequence_basic,
 )
 from .extended import (
-    DEFAULT_TOL,
     GeometricExpectation,
     SystemConfig,
     aoi_conditional,
@@ -85,7 +84,7 @@ __all__ = [
     "progressions_basic", "distribution_basic", "expected_exact_basic",
     "expected_approx_basic", "rel_error_bound_basic", "max_bound_basic",
     # extended model
-    "SystemConfig", "GeometricExpectation", "DEFAULT_TOL", "aoi_conditional",
+    "SystemConfig", "GeometricExpectation", "aoi_conditional",
     "sequence_conditional", "c_extended", "progressions_conditional",
     "distribution_conditional", "freshness_offset_K", "expected_approx_extended",
     "expected_exact_extended", "rel_error_bound_extended", "max_bound_prob",

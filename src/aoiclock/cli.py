@@ -25,7 +25,6 @@ from .basic import (
     sequence_basic,
 )
 from .extended import (
-    DEFAULT_TOL,
     SystemConfig,
     aoi_conditional,
     distribution_conditional,
@@ -129,7 +128,7 @@ def cmd_analyze(args) -> int:
     else:
         dist = distribution_conditional(cfg, 0)
         band = expected_approx_extended(cfg)
-        exact = expected_exact_extended(cfg, args.tol)
+        exact = expected_exact_extended(cfg)
         bound = rel_error_bound_extended(cfg)
         report["freshness_offset"] = freshness_offset_K(cfg)
         report["distribution"] = _distribution_block(dist, {"conditioned_on_l": 0})
@@ -139,7 +138,6 @@ def cmd_analyze(args) -> int:
             "tail_bound": _rat(exact.tail_bound),
             "tail_bound_float": float(exact.tail_bound),
             "terms_used": exact.terms_used,
-            "tol": _rat(args.tol),
         }
         report["band"] = {
             "center": _rat(band.center), "center_float": float(band.center),
@@ -238,12 +236,10 @@ def _verify_extended(args, failures: list[str]) -> None:
             detail = f"l={l}, first mismatch at sorted position {k}: closed={closed[k]} direct={direct[k]}"
         _check(failures, f"progression_family_multiset_l{l}", closed == direct, detail)
 
-    exact = expected_exact_extended(cfg, args.tol)
+    exact = expected_exact_extended(cfg).value
     band = expected_approx_extended(cfg)
-    inside = exact.value <= band.high and exact.value + exact.tail_bound >= band.low
-    _check(failures, "band_membership", inside,
-           f"certified=[{exact.value}, {exact.value + exact.tail_bound}] "
-           f"band=[{band.low}, {band.high}]")
+    _check(failures, "band_membership", band.contains(exact),
+           f"exact={exact} band=[{band.low}, {band.high}]")
 
     cycles = args.cycles or 3 * period + 50
     trace = simulate_extended(cfg, cycles, RngSpec(args.seed if args.seed is not None else 0))
@@ -292,7 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = SweepGrid.from_json(args.grid)
-    result = run_sweep(grid, tol=args.tol, bin_width=args.bin_width, jobs=args.jobs)
+    result = run_sweep(grid, bin_width=args.bin_width, jobs=args.jobs)
     paths = write_outputs(result, args.out)
     skips = ", ".join(f"{k}={v}" for k, v in sorted(result.skip_counts.items())) or "none"
     print(f"candidates={result.n_candidates} evaluated={result.n_configs} skipped: {skips}")
@@ -313,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(an)
     an.add_argument("--sigma", type=_fraction, default=None,
                     help="confidence for the probabilistic max bound (extended)")
-    an.add_argument("--tol", type=_fraction, default=DEFAULT_TOL,
-                    help="truncation tolerance for the exact expectation")
     an.set_defaults(func=cmd_analyze)
 
     sim = subs.add_parser("simulate", help="run the slot-exact simulator, write a trace CSV")
@@ -329,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--l-max", type=int, default=3, help="check conditional families up to this l")
     ver.add_argument("--cycles", type=int, default=None, help="simulated reads (default: 3 hyperperiods)")
     ver.add_argument("--seed", type=int, default=None, help="rng seed for the trace check")
-    ver.add_argument("--tol", type=_fraction, default=DEFAULT_TOL)
     ver.set_defaults(func=cmd_verify)
 
     sw = subs.add_parser("sweep", help="grid sweep of approximation error")
     sw.add_argument("--grid", required=True, help="JSON grid file")
     sw.add_argument("--out", required=True, help="output directory")
     sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
-    sw.add_argument("--tol", type=_fraction, default=DEFAULT_TOL)
     sw.add_argument("--jobs", type=int, default=1)
     sw.set_defaults(func=cmd_sweep)
 
@@ -344,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an exact expectation at p = u/v has a denominator of about b*log10(v)
+    # digits, past the default int<->str conversion limit (Python 3.11+)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

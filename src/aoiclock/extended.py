@@ -11,8 +11,11 @@ Conditioning on l, the number of transmission slots since the last success,
 the age at the k-th read is again a closed form in floored moduli, and for
 each fixed l the hyperperiod multiset decomposes into arithmetic progressions
 exactly as in the lossless model, shifted up by 2 + l*n_period and rephased
-by the deltas.  Marginalizing over the geometric distribution of l gives the
-exact expectation as a certified truncated series.
+by the deltas.  The failures enter a hyperperiod only through
+l*n_period mod a*b = a*(l*N*n mod b), and gcd(b, N*n) == 1, so the
+conditional mean is l*n_period plus a part periodic in l with period b.
+Marginalizing over the geometric distribution of l is therefore an exact
+finite sum of b terms.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ __all__ = [
     "max_bound_prob",
 ]
 
-# Truncating the geometric series past this many terms means the requested
-# tolerance is unreachable in reasonable time; refuse instead of spinning.
+# The exact expectation sums b conditional hyperperiods and carries b-term
+# big-integer powers; past this many terms refuse instead of spinning.
 _MAX_TERMS = 10**6
 _MAX_PROB_SCAN = 10**7
-
-DEFAULT_TOL = Fraction(1, 2**40)
 
 
 def _as_probability(p) -> Fraction:
@@ -89,10 +90,11 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class GeometricExpectation:
-    """A truncated geometric-series expectation with a certified remainder.
+    """The exact expectation over the geometric failure count.
 
-    The true expectation lies in [value, value + tail_bound]; terms_used is
-    the number of series terms summed.
+    value is exact, so tail_bound is always 0 and the interval
+    [value, value + tail_bound] holds trivially; terms_used is the number of
+    conditional hyperperiod sums the closed form needed (b).
     """
 
     value: Fraction
@@ -179,53 +181,40 @@ def expected_approx_extended(cfg: SystemConfig) -> BandedValue:
     return BandedValue(center, Fraction(d.a * d.b, 2))
 
 
-def expected_exact_extended(cfg: SystemConfig, tol: Fraction = DEFAULT_TOL) -> GeometricExpectation:
-    """Expectation of the age, marginalized over the geometric failure count.
+def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
+    """Exact expectation of the age, marginalized over the geometric failure count.
 
-    Sums p*(1-p)^l * mean_k(conditional age at l) term by term, stopping at
-    the first L whose analytic tail bound
-    (1-p)^L * (B' + N' + n_period*(L + (1-p)/p)) drops below ``tol``.  All
-    arithmetic is exact; the result brackets the true expectation in
-    [value, value + tail_bound].
+    The conditional hyperperiod mean is m(l) = l*N' + m0(l mod b), so with
+    p = u/v, w = v - u and S(r) the age sum of the conditional hyperperiod
+    at r failures,
+
+        E = w*N'/u + sum_{r<b} u*w^r*v^(b-1-r) * (S(r) - r*N'*period)
+                     / (period * (v^b - w^b)).
+
+    Costs O(b*period) kernel work plus O(b^2) big-integer work, since the
+    denominator has about b*log2(v) bits.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     d = cfg.d
+    if d.b > _MAX_TERMS:
+        raise ValueError(f"b = {d.b} needs more than {_MAX_TERMS} conditional period sums")
     u, v = cfg.p.numerator, cfg.p.denominator
     w = v - u  # (1-p) = w/v
-    c0 = d.b_period + d.n_period
-
-    # smallest L >= 1 with w^L * (u*(c0 + N'*L) + w*N') * tol.den < tol.num * u * v^L
-    tnum, tden = tol.numerator, tol.denominator
-    wpow = w
-    vpow = v
-    L = 1
-    while wpow * (u * (c0 + d.n_period * L) + w * d.n_period) * tden >= tnum * u * vpow:
-        L += 1
-        wpow *= w
-        vpow *= v
-        if L > _MAX_TERMS:
-            raise ValueError(
-                f"tolerance {tol} needs more than {_MAX_TERMS} series terms; "
-                f"loosen tol or raise p"
-            )
-    tail_bound = Fraction(wpow * (u * (c0 + d.n_period * L) + w * d.n_period), u * vpow)
-
     period = d.period
     kernels.check_period_sums_args(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, L, period
+        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
     )
     sums = kernels.period_sums_conditional(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, L, period
+        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
     )
 
     acc = 0
-    wl = 1
-    for l in range(L):
-        acc = acc * v + u * wl * int(sums[l])
-        wl *= w
-    return GeometricExpectation(Fraction(acc, v**L * period), tail_bound, L)
+    wr = 1
+    for r in range(d.b):
+        acc = acc * v + wr * (int(sums[r]) - r * d.n_period * period)
+        wr *= w
+    den = period * (v**d.b - wr)  # wr == w^b here
+    value = Fraction(w * d.n_period * den + u * u * acc, u * den)
+    return GeometricExpectation(value, Fraction(0), d.b)
 
 
 def rel_error_bound_extended(cfg: SystemConfig) -> Fraction:

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .basic import ConfigError, decompose
 from .extended import (
-    DEFAULT_TOL,
     SystemConfig,
     _as_probability,
     expected_approx_extended,
@@ -184,13 +183,9 @@ def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
     return configs
 
 
-def relative_error(cfg: SystemConfig, tol: Fraction = DEFAULT_TOL) -> Fraction:
-    """Signed relative error (exact - band center) / exact of the approximation.
-
-    The exact mean is the certified truncation, so the result is itself exact
-    up to tol / exact.
-    """
-    exact = expected_exact_extended(cfg, tol).value
+def relative_error(cfg: SystemConfig) -> Fraction:
+    """Signed relative error (exact - band center) / exact of the approximation."""
+    exact = expected_exact_extended(cfg).value
     center = expected_approx_extended(cfg).center
     return (exact - center) / exact
 
@@ -228,7 +223,6 @@ class SliceStat:
 @dataclass(frozen=True)
 class SweepResult:
     grid: SweepGrid
-    tol: Fraction
     bin_width: Fraction
     n_candidates: int
     n_configs: int
@@ -249,24 +243,12 @@ def _nearest_rank(sorted_xs: list[float], q: float) -> float:
 
 
 def _eval_chunk(payload):
-    configs, tol, bin_width = payload
+    configs, bin_width = payload
     out = []
     for cfg in configs:
         try:
-            ge = expected_exact_extended(cfg, tol)
-            center = expected_approx_extended(cfg).center
-            err = (ge.value - center) / ge.value
-            # The true mean lies in [value, value + tail_bound]; count a
-            # bound violation only when no point of that interval satisfies
-            # it, otherwise tight configs trip on truncation dust.
-            bound = rel_error_bound_extended(cfg)
-            lo, hi = ge.value, ge.value + ge.tail_bound
-            if center < lo:
-                ok = lo - center <= bound * lo
-            elif center > hi:
-                ok = center - hi <= bound * hi
-            else:
-                ok = True
+            err = relative_error(cfg)
+            ok = abs(err) <= rel_error_bound_extended(cfg)
             out.append((math.floor(err / bin_width), float(err), ok, None))
         except Exception as exc:  # per-config failures become skip counters
             out.append((0, 0.0, True, type(exc).__name__))
@@ -282,7 +264,6 @@ def _slice_values(values) -> list:
 
 def run_sweep(
     grid: SweepGrid,
-    tol: Fraction = DEFAULT_TOL,
     bin_width: Fraction = Fraction(1, 100),
     jobs: int = 1,
 ) -> SweepResult:
@@ -298,11 +279,11 @@ def run_sweep(
         raise EmptyGridError("no grid candidate passes the factor constraints")
 
     if jobs == 1:
-        evals = _eval_chunk((configs, tol, bin_width))
+        evals = _eval_chunk((configs, bin_width))
     else:
         chunk = max(1, math.ceil(len(configs) / (jobs * 4)))
         payloads = [
-            (configs[i : i + chunk], tol, bin_width) for i in range(0, len(configs), chunk)
+            (configs[i : i + chunk], bin_width) for i in range(0, len(configs), chunk)
         ]
         with Pool(jobs) as pool:
             evals = [row for batch in pool.map(_eval_chunk, payloads) for row in batch]
@@ -362,7 +343,6 @@ def run_sweep(
 
     return SweepResult(
         grid=grid,
-        tol=tol,
         bin_width=bin_width,
         n_candidates=len(candidates),
         n_configs=len(float_errors),

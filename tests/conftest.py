@@ -2,13 +2,18 @@
 
 The naive simulators below intentionally avoid the package's kernels and any
 closed form: they step through slot events with plain integers, so they can
-arbitrate between the analytic formulas and the optimized simulators.
+arbitrate between the analytic formulas and the optimized simulators.  The
+series oracle for the extended expectation avoids the kernels and the finite
+closed form: it sums conditional progression-family means term by term.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import settings
+
+from aoiclock.extended import distribution_conditional
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -111,3 +116,29 @@ def coprime_triples(limit, lo=1):
 @pytest.fixture(scope="session")
 def triples_12():
     return coprime_triples(12)
+
+
+def series_tail_ref(cfg, L):
+    """Bound on sum_{l>=L} p(1-p)^l E[age | l], from E[age | l] <= B' + N' + l*N'."""
+    d = cfg.d
+    q = 1 - cfg.p
+    return q**L * (d.b_period + d.n_period + d.n_period * (L + q / cfg.p))
+
+
+def series_expectation_ref(cfg, tol):
+    """Truncated geometric mixture of the conditional hyperperiod means.
+
+    Sums p(1-p)^l * E[age | l] for l < L, with L the first depth whose
+    analytic tail bound drops below tol.  Returns (value, tail): the true
+    expectation lies in [value, value + tail].
+    """
+    tol = Fraction(tol)
+    p, q = cfg.p, 1 - cfg.p
+    value = Fraction(0)
+    L = 0
+    while True:
+        value += p * q**L * distribution_conditional(cfg, L).mean()
+        L += 1
+        tail = series_tail_ref(cfg, L)
+        if tail < tol:
+            return value, tail

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,19 @@ class TestAnalyze:
         assert report["config"]["p"] == "1/2"
         assert report["max_bound_prob"] == 78
         assert "max_bound" not in report  # no hard max under loss
+
+    def test_extended_value_past_int_str_limit(self, capsys):
+        # b = 10^4 at p = 1/10: the exact value has about 10^4 digits
+        periods = ["--a-period", "30000", "--b-period", "70000", "--n-period", "11"]
+        code, out, _ = run(capsys, "analyze", *periods, "--model", "extended", "--p", "1/10")
+        assert code == 0
+        report = json.loads(out)
+        cfg = aoiclock.extended.SystemConfig(
+            aoiclock.basic.decompose(30000, 70000, 11), p=Fraction(1, 10)
+        )
+        assert Fraction(report["expectation"]["value"]) == (
+            aoiclock.extended.expected_exact_extended(cfg).value
+        )
 
     def test_common_divisor_rejected(self, capsys):
         code, _, err = run(

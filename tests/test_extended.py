@@ -3,12 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aoiclock.basic import ConfigError, decompose
 from aoiclock.extended import (
-    DEFAULT_TOL,
     SystemConfig,
     aoi_conditional,
     c_extended,
@@ -21,6 +20,8 @@ from aoiclock.extended import (
     rel_error_bound_extended,
     sequence_conditional,
 )
+
+from conftest import series_expectation_ref, series_tail_ref
 
 REFERENCE = decompose(34, 7, 10)
 REF_CFG = SystemConfig(REFERENCE)
@@ -180,36 +181,40 @@ class TestExpectedExact:
     def test_half_loss_brackets_band(self):
         cfg = SystemConfig(REFERENCE, p="1/2")
         ge = expected_exact_extended(cfg)
-        assert ge.tail_bound < DEFAULT_TOL
-        # The true value lies in [value, value + tail_bound]; the band must
-        # intersect that interval (pointwise containment can miss by the
-        # truncation remainder).
-        band = expected_approx_extended(cfg)
-        assert ge.value <= band.high
-        assert ge.value + ge.tail_bound >= band.low
-
-    def test_tolerances_nest(self):
-        cfg = SystemConfig(REFERENCE, p="1/3", delta_b=2, delta_n=5)
-        wide = expected_exact_extended(cfg, tol=Fraction(1, 100))
-        tight = expected_exact_extended(cfg, tol=Fraction(1, 10**9))
-        assert tight.terms_used >= wide.terms_used
-        assert wide.value <= tight.value <= tight.value + tight.tail_bound
-        assert tight.value + tight.tail_bound <= wide.value + wide.tail_bound
+        assert ge.tail_bound == 0
+        assert expected_approx_extended(cfg).contains(ge.value)
 
     def test_value_is_weighted_conditional_mean(self):
-        # Cross-check the recurrence against a direct finite sum of
+        # Cross-check the closed form against a direct finite sum of
         # P(l) * E[age | l] with an independently bounded remainder.
         cfg = SystemConfig(decompose(3, 4, 5), p="2/3", delta_b=1, delta_n=2)
-        ge = expected_exact_extended(cfg, tol=Fraction(1, 2**60))
+        ge = expected_exact_extended(cfg)
         p, q = cfg.p, 1 - cfg.p
         direct = Fraction(0)
         for l in range(200):
             direct += p * q**l * distribution_conditional(cfg, l).mean()
-        assert ge.value <= direct <= ge.value + ge.tail_bound
+        assert 0 <= ge.value - direct <= series_tail_ref(cfg, 200)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            expected_exact_extended(REF_CFG, tol=Fraction(0))
+    @given(cfg_strategy(12, 10), st.sampled_from(["1/2", "2/3", "1/10"]))
+    @example(SystemConfig(decompose(6, 4, 5), delta_b=3), "1/10")  # b = 2
+    @example(SystemConfig(decompose(12, 9, 5), delta_n=7), "2/3")  # b = 3
+    @example(SystemConfig(decompose(10, 15, 7), delta_b=1, delta_n=4), "1/2")  # b = 5
+    def test_inside_series_interval(self, cfg, p):
+        cfg = SystemConfig(cfg.d, cfg.delta_b, cfg.delta_n, p)
+        ge = expected_exact_extended(cfg)
+        assert ge.tail_bound == 0
+        assert ge.terms_used == cfg.d.b
+        value, tail = series_expectation_ref(cfg, Fraction(1, 2**20))
+        assert value <= ge.value <= value + tail
+
+    @given(cfg_strategy(12, 10))
+    @example(SystemConfig(decompose(12, 9, 5), delta_b=2, delta_n=7))  # b = 3
+    def test_conditional_mean_periodic_in_b(self, cfg):
+        # the closed form rests on m(l) - l*N' depending only on l mod b
+        d = cfg.d
+        base = [distribution_conditional(cfg, r).mean() - r * d.n_period for r in range(d.b)]
+        for l in range(3 * d.b + 1):
+            assert distribution_conditional(cfg, l).mean() - l * d.n_period == base[l % d.b]
 
 
 class TestRelErrorBound:
@@ -222,11 +227,9 @@ class TestRelErrorBound:
 
     @given(cfg_strategy(10, 10))
     def test_bound_holds_against_exact(self, cfg):
-        ge = expected_exact_extended(cfg)
+        exact = expected_exact_extended(cfg).value
         center = expected_approx_extended(cfg).center
-        hi = ge.value + ge.tail_bound
-        err = max(abs(ge.value - center), abs(hi - center)) / ge.value
-        assert err <= rel_error_bound_extended(cfg) + DEFAULT_TOL
+        assert abs(exact - center) / exact <= rel_error_bound_extended(cfg)
 
 
 class TestMaxBound:

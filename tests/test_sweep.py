@@ -139,6 +139,14 @@ class TestRelativeError:
         cfg = SystemConfig(decompose(34, 7, 10))
         assert relative_error(cfg) < 0
 
+    def test_zero_error_lands_in_bin_zero(self):
+        # periods (3, 4, 10) at p = 1/2: the exact mean 37/2 is the band center,
+        # so the error is exactly 0 and belongs in [0, bin_width)
+        grid = SweepGrid.from_dict(
+            {"A": [3], "B": [2], "N": [5], "a": [2], "b": [1], "n": [1], "p": ["1/2"]}
+        )
+        assert run_sweep(grid).global_hist.counts == {0: 1}
+
 
 @pytest.fixture(scope="module")
 def grid():
