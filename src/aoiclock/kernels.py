@@ -12,6 +12,12 @@ kernels themselves assume the guards have run.
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
 (seed, m), so traces are reproducible across backends and chunk sizes.
+The loop simulator draws every transmission in order.  The numpy one reads
+the stream at random: each read owns the transmissions since the previous
+read, and a backward scan of that window stops at its newest success, so a
+read costs min(A'/N', ~1/p) draws.  It works through the reads in chunks of
+``_CHUNK``, carrying the newest success between chunks, so its memory is
+O(cycles + chunk) however many transmissions fall between reads.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ _MIX2 = 0x94D049BB133111EB
 # Inputs are capped so every intermediate (slot numbers, k*A', sums over one
 # period) stays well inside int64.
 _SLOT_LIMIT = 1 << 62
+
+# The numpy extended simulator handles reads in chunks of _CHUNK.  The size
+# bounds its working memory; it never changes a trace.
+_CHUNK = 1 << 16
 
 
 def backend() -> str:
@@ -117,32 +127,66 @@ def _splitmix64_np(seed, counters):
     return z ^ (z >> np.uint64(31))
 
 
-def _sim_extended_np(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
-    ages = np.full(cycles, -1, dtype=np.int64)
-    fails = np.full(cycles, -1, dtype=np.int64)
-    t_last = (cycles - 1) * a_period
-    n_tx = 0 if t_last - 1 < delta_n else (t_last - 1 - delta_n) // n_period + 1
-    if n_tx > 0:
-        m = np.arange(n_tx, dtype=np.uint64)
-        u53 = _splitmix64_np(np.uint64(seed), m) >> np.uint64(11)
-        success = u53 < np.uint64(threshold)
-        tau = delta_n + np.arange(n_tx, dtype=np.int64) * n_period
-        # newest source completion strictly before each transmission slot
-        buf = delta_b + ((tau - 1 - delta_b) // b_period) * b_period
-        buf[tau - 1 < delta_b] = -1
-        deliver = success & (buf >= 0)
-        d_tau = tau[deliver]
-        d_ts = buf[deliver]
-        succ_m = np.nonzero(success)[0].astype(np.int64)
-        succ_tau = tau[success]
+def _window_successes(seed, threshold, lo, hi):
+    """Newest success index of each window (lo, hi], as input to a running max.
 
-        t = np.arange(cycles, dtype=np.int64) * a_period
-        di = np.searchsorted(d_tau, t, side="left") - 1
-        si = np.searchsorted(succ_tau, t, side="left") - 1
-        tx_before = np.where(t - 1 < delta_n, 0, (t - 1 - delta_n) // n_period + 1)
-        ok = di >= 0
-        ages[ok] = t[ok] - d_ts[di[ok]]
-        fails[ok] = tx_before[ok] - 1 - succ_m[si[ok]]
+    A window without a success gets -1 or a success index <= lo, so the
+    running max over consecutive windows is the newest success <= hi.  All
+    windows are scanned backwards at once, ``width`` indices of each open
+    window per step; a window closes at its first success or at its start,
+    so it costs about min(hi - lo, 2/p) draws.
+    """
+    found = np.full(len(hi), -1, dtype=np.int64)
+    idx = np.nonzero(hi > lo)[0]
+    top, lo = hi[idx], lo[idx]
+    span = int((top - lo).max()) if len(idx) else 0
+    width = 0
+    while len(idx):
+        # the width doubles from 1, so a long failure run takes few steps,
+        # and a step draws at most _CHUNK variates
+        width = max(1, min(span, 2 * width, _CHUNK // len(idx)))
+        # row r tests indices top[r], top[r] - 1, ..., top[r] - width + 1
+        m = (top[:, None] - np.arange(width, dtype=np.int64)).ravel()
+        hit = (_splitmix64_np(seed, m.astype(np.uint64)) >> np.uint64(11)) < threshold
+        at = np.flatnonzero(hit)
+        rows = at // width
+        # the newest hit of a row wins; a hit before its window's start is a
+        # success the previous window already holds, or a wrapped negative m
+        np.maximum.at(found, idx[rows], m[at])
+        keep = top - width > lo
+        keep[rows] = False
+        sel = np.flatnonzero(keep)
+        idx, top, lo = idx[sel], top[sel] - width, lo[sel]
+    return found
+
+
+def _sim_extended_np(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
+    # Window scan.  Transmission m leaves at tau_m = delta_n + m*N'; read k
+    # at t = k*A' sees those with tau_m <= t - 1, the last being j_k.  Read k
+    # owns the window (j_{k-1}, j_k], and the newest success L_k <= j_k is
+    # the running max of the windows' newest successes.  Reads go in chunks
+    # of _CHUNK with the running max carried across, so memory is
+    # O(cycles + chunk), and only the draws that decide a read are made:
+    # min(A'/N', ~1/p) of them.  Then age = t - buf(L_k), where buf is the
+    # newest source completion before tau_L, and fails = j_k - L_k.
+    threshold = np.uint64(threshold)
+    ages = np.empty(cycles, dtype=np.int64)
+    fails = np.empty(cycles, dtype=np.int64)
+    carry = -1
+    for k0 in range(0, cycles, _CHUNK):
+        k1 = min(k0 + _CHUNK, cycles)
+        # j for reads k0-1 .. k1-1; read -1 (t = -A') has j = -1
+        j = np.maximum((np.arange(k0 - 1, k1, dtype=np.int64) * a_period - 1 - delta_n) // n_period, -1)
+        last = np.maximum.accumulate(_window_successes(seed, threshold, j[:-1], j[1:]))
+        np.maximum(last, carry, out=last)
+        carry = int(last[-1])
+        j = j[1:]
+        t = np.arange(k0, k1, dtype=np.int64) * a_period
+        tau = delta_n + last * n_period
+        buf = delta_b + (tau - 1 - delta_b) // b_period * b_period
+        ok = (last >= 0) & (tau - 1 >= delta_b)
+        ages[k0:k1] = np.where(ok, t - buf, -1)
+        fails[k0:k1] = np.where(ok, j - last, -1)
     return ages, fails
 
 

@@ -8,10 +8,13 @@ number of transmission slots since the last success; reads before the first
 delivery have no age and are marked undefined (the warm-up prefix).
 
 Randomness is counter-based: the Bernoulli variate for transmission slot
-index m is splitmix64(seed, m), so a trace is a pure function of
-(config, cycles, seed) on every backend.  A success is declared when the top
-53 bits of the mix fall below round(p * 2^53); the quantization error on p
-is at most 2^-54.
+index m is splitmix64(seed, m), whether or not a simulator evaluates it, so
+a trace is a pure function of (config, cycles, seed) on every backend, and a
+run of n reads is the first n reads of any longer run.  The numpy backend
+evaluates only the draws that decide a read, in memory O(cycles) however
+many transmissions fall between reads (see ``kernels``).  A success is
+declared when the top 53 bits of the mix fall below round(p * 2^53); the
+quantization error on p is at most 2^-54.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Both kernel backends must agree bit-for-bit with each other, with the
 scalar formulas, and with the naive slot-stepping oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from aoiclock import kernels
 from aoiclock.basic import aoi_basic, decompose
-from aoiclock.extended import SystemConfig, aoi_conditional
+from aoiclock.extended import SystemConfig, aoi_conditional, expected_exact_extended
 from aoiclock.simulate import bernoulli_threshold
 
 from conftest import naive_basic_ages, naive_extended, splitmix64_ref
@@ -98,6 +99,47 @@ class TestSimulatorKernels:
                     ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 12345, 400)
                     assert list(ages) == ref_ages, (t, db, dn, p)
                     assert list(fails) == ref_fails, (t, db, dn, p)
+
+
+class TestNumpyExtendedChunks:
+    """The numpy simulator scans reads in chunks of ``_CHUNK``; shrinking the
+    chunk moves every boundary and must not change a trace."""
+
+    # (A', B', N'): A'/N' >= 13, windows wider than a chunk; A' < N', empty
+    # windows; A'/N' = 3.4, windows of two widths
+    CASES = [(13, 7, 1), (40, 3, 3), (5, 3, 13), (1, 9, 8), (6, 10, 15), (34, 7, 10)]
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("cycles", [100, 103])
+    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles):
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        fn = kernels.IMPLS["numpy"]["sim_extended"]
+        for t in self.CASES:
+            # (60, 45): a warm-up prefix that spans several chunks
+            for db, dn in [(0, 0), (3, 5), (60, 45)]:
+                for p in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+                    thr = bernoulli_threshold(p)
+                    ages, fails = fn(*t, db, dn, thr, 2024, cycles)
+                    ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 2024, cycles)
+                    assert list(ages) == ref_ages, (t, db, dn, p)
+                    assert list(fails) == ref_fails, (t, db, dn, p)
+
+    def test_memory_bounded_by_reads_not_transmissions(self):
+        # 3.3e8 transmissions fall between these 10^5 reads; drawing them all
+        # would take gigabytes, the scan draws about two per read
+        cycles = 10**5
+        cfg = SystemConfig(decompose(10007, 5, 3), p=Fraction(1, 2))
+        fn = kernels.IMPLS["numpy"]["sim_extended"]
+        tracemalloc.start()
+        try:
+            ages, fails = fn(10007, 5, 3, 0, 0, bernoulli_threshold(cfg.p), 31337, cycles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cycles + 32 * 2**20
+        assert (ages[1:] >= 0).all() and ages[0] == -1
+        mean = ages[1:].mean()
+        assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba is not installed")

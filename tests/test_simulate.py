@@ -118,6 +118,17 @@ class TestSimulateExtended:
         assert (a.ages == b.ages).all() and (a.fails == b.fails).all()
         assert (a.ages != c.ages).any()
 
+    def test_shorter_run_is_prefix_of_longer(self):
+        # a run of n reads is the first n reads of any longer run under the
+        # same seed, also across the numpy kernel's 2^16-read chunks
+        for t, p in [((34, 7, 10), "1/3"), ((13, 7, 1), "1/10")]:
+            cfg = SystemConfig(decompose(*t), delta_b=4, delta_n=9, p=p)
+            n, m = 50_001, 2**16 + 4_321
+            short = simulate_extended(cfg, n, RngSpec(2024))
+            long = simulate_extended(cfg, m, RngSpec(2024))
+            assert (short.ages == long.ages[:n]).all(), t
+            assert (short.fails == long.fails[:n]).all(), t
+
     def test_seed_above_int63_accepted(self):
         cfg = SystemConfig(REFERENCE, p="1/2")
         tr = simulate_extended(cfg, 50, RngSpec(2**64 - 1))
