@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -151,25 +153,35 @@ class BandedValue:
 
 @dataclass(frozen=True)
 class AoiDistribution:
-    """Multiset of age values over one hyperperiod of ``period`` reads."""
+    """Multiset of age values over ``period`` reads, as a progression family.
 
-    values: Multiset
+    The multiset is the union of ``progressions``.  ``min``, ``max`` and
+    ``mean`` follow from the family in O(len(progressions)), a*N for one
+    hyperperiod, however long the hyperperiod is.  ``values`` (value ->
+    multiplicity) expands the family on first access, in O(period) time and
+    memory, and is cached from then on.
+    """
+
+    progressions: tuple[ArithmeticProgression, ...]
     period: int
-    progressions: tuple[ArithmeticProgression, ...] | None = None
 
     def __post_init__(self):
-        total = sum(self.values.values())
+        total = sum(pr.count for pr in self.progressions)
         if total != self.period:
-            raise ValueError(f"multiset holds {total} values, period says {self.period}")
+            raise ValueError(f"progressions hold {total} values, period says {self.period}")
+
+    @cached_property
+    def values(self) -> Multiset:
+        return Multiset(chain.from_iterable(pr.elements() for pr in self.progressions))
 
     def min(self) -> int:
-        return min(self.values)
+        return min(pr.start for pr in self.progressions)
 
     def max(self) -> int:
-        return max(self.values)
+        return max(pr.last() for pr in self.progressions)
 
     def mean(self) -> Fraction:
-        return Fraction(sum(v * c for v, c in self.values.items()), self.period)
+        return Fraction(sum(pr.sum() for pr in self.progressions), self.period)
 
     def to_sorted_array(self) -> np.ndarray:
         out = np.empty(self.period, dtype=np.int64)
@@ -225,11 +237,7 @@ def progressions_basic(d: PeriodDecomposition) -> tuple[ArithmeticProgression, .
 
 def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:
     """Exact age distribution over one hyperperiod, from the progression family."""
-    progs = progressions_basic(d)
-    values: Multiset = Multiset()
-    for pr in progs:
-        values.update(pr.elements())
-    return AoiDistribution(values, d.period, progs)
+    return AoiDistribution(progressions_basic(d), d.period)
 
 
 def expected_exact_basic(d: PeriodDecomposition) -> Fraction:

@@ -20,14 +20,17 @@ finite sum of b terms.
 
 from __future__ import annotations
 
+import decimal
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
 from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition
-from .modmath import ArithmeticProgression, Multiset, ceil_div, comp_mod, floor_mod
+from .modmath import ArithmeticProgression, ceil_div, comp_mod, floor_mod
 
 __all__ = [
     "SystemConfig",
@@ -44,10 +47,20 @@ __all__ = [
     "max_bound_prob",
 ]
 
-# The exact expectation sums b conditional hyperperiods and carries b-term
-# big-integer powers; past this many terms refuse instead of spinning.
-_MAX_TERMS = 10**6
-_MAX_PROB_SCAN = 10**7
+# The exact expectation sums b conditional hyperperiods and runs a b-step
+# Horner loop over a denominator of about b*log2(v) bits, so its big-integer
+# work grows as b^2: about 1.5 s at b = 10^5 on a 2-core Xeon host.
+_MAX_TERMS = 10**5
+# max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
+# m*log10(v) digits; 10^7 digits take about 1.5 s on the same host.
+_MAX_POWER_DIGITS = 10**7
+# Integer arithmetic in this context is exact or raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+)
 
 
 def _as_probability(p) -> Fraction:
@@ -158,11 +171,7 @@ def progressions_conditional(cfg: SystemConfig, l: int) -> tuple[ArithmeticProgr
 
 def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
     """Exact conditional age distribution over one hyperperiod for fixed l."""
-    progs = progressions_conditional(cfg, l)
-    values: Multiset = Multiset()
-    for pr in progs:
-        values.update(pr.elements())
-    return AoiDistribution(values, cfg.d.period, progs)
+    return AoiDistribution(progressions_conditional(cfg, l), cfg.d.period)
 
 
 def freshness_offset_K(cfg: SystemConfig) -> int:
@@ -196,7 +205,11 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     """
     d = cfg.d
     if d.b > _MAX_TERMS:
-        raise ValueError(f"b = {d.b} needs more than {_MAX_TERMS} conditional period sums")
+        raise ValueError(
+            f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
+            f"expectation needs b conditional hyperperiod sums and big-integer work that "
+            f"grows as b^2 (about 1.5 s at b = {_MAX_TERMS})"
+        )
     u, v = cfg.p.numerator, cfg.p.denominator
     w = v - u  # (1-p) = w/v
     period = d.period
@@ -229,27 +242,54 @@ def rel_error_bound_extended(cfg: SystemConfig) -> Fraction:
     return Fraction(d.a * d.b) / denom
 
 
+def _neg_log1m(x: Fraction) -> float:
+    """-log(1 - x) for 0 < x < 1 as a float, without cancellation at either end."""
+    if 2 * x <= 1:
+        return -math.log1p(-float(x))
+    return math.log(x.denominator) - math.log(x.denominator - x.numerator)
+
+
 def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     """Age bound holding per read with probability at least sigma.
 
     Returns B' + N' - n + K + n_period * m with m the smallest integer such
     that (1-p)^(m+1) <= 1 - sigma, decided by exact rational comparison.
+    m + 1 is estimated as log(1 - sigma) / log(1 - p) and then confirmed (or
+    stepped) by exact integer powers, so the cost grows with the digits of
+    (1-p)^(m+1), not with m steps.
     """
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must be in (0, 1), got {sigma}")
     d = cfg.d
-    u, v = cfg.p.numerator, cfg.p.denominator
+    base = d.b_period + d.n_period - d.n + freshness_offset_K(cfg)
+    p = cfg.p
+    if p >= sigma:  # one transmission already leaves 1 - p <= 1 - sigma; p == 1 too
+        return base
+    u, v = p.numerator, p.denominator
     w = v - u
     rn, rd = (1 - sigma).numerator, (1 - sigma).denominator
-    # (w/v)^(m+1) <= rn/rd
-    m = 0
-    wpow = w
-    vpow = v
-    while wpow * rd > rn * vpow:
-        m += 1
-        wpow *= w
-        vpow *= v
-        if m > _MAX_PROB_SCAN:
-            raise ValueError("sigma too close to 1 for this p")
-    return d.b_period + d.n_period - d.n + freshness_offset_K(cfg) + d.n_period * m
+    # k = m + 1; a p below float range estimates k by sigma/p, its small-p limit
+    neg_log_q = _neg_log1m(p)
+    if neg_log_q:
+        est = _neg_log1m(sigma) / neg_log_q
+    else:
+        est = float(sigma / p) if sigma < p * _MAX_POWER_DIGITS else math.inf
+    digits = est * math.log10(v)
+    if not digits <= _MAX_POWER_DIGITS:
+        raise ValueError(
+            f"sigma = {sigma} at p = {p} needs a run of about {est:.3g} failed "
+            f"transmissions; deciding it exactly takes integers of about {digits:.3g} "
+            f"digits, over the cap of {_MAX_POWER_DIGITS} (about 1.5 s)"
+        )
+    k = max(2, math.ceil(est))
+    with decimal.localcontext(_EXACT):
+        # decimal multiplies huge integers far faster than int does
+        wk, vk = Decimal(w) ** k, Decimal(v) ** k
+        while wk * rd > rn * vk:  # (1-p)^k > 1 - sigma: step up
+            k += 1
+            wk, vk = wk * w, vk * v
+        while k > 2 and wk * rd * v <= rn * vk * w:  # (1-p)^(k-1) fits too: step down
+            k -= 1
+            wk, vk = wk // w, vk // v
+    return base + d.n_period * (k - 1)

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .basic import AoiDistribution, PeriodDecomposition
 from .extended import SystemConfig
-from .modmath import Multiset
+from .modmath import ArithmeticProgression
 
 __all__ = [
     "RngSpec",
@@ -141,13 +141,17 @@ def _check_window(trace: Trace, from_cycle: int, window: int):
 
 
 def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> AoiDistribution:
-    """Observed age multiset over a fully defined window of the trace."""
+    """Observed age multiset over a fully defined window of the trace.
+
+    A value observed c times enters the family as c one-element progressions
+    <v, 1, 1>, so the family has one entry per read of the window.
+    """
     _check_window(trace, from_cycle, window)
     chunk = trace.ages[from_cycle : from_cycle + window]
-    values: Multiset = Multiset()
+    progs: list[ArithmeticProgression] = []
     for v, c in zip(*np.unique(chunk, return_counts=True)):
-        values[int(v)] = int(c)
-    return AoiDistribution(values, window)
+        progs += [ArithmeticProgression(int(v), 1, 1)] * int(c)
+    return AoiDistribution(tuple(progs), window)
 
 
 def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import settings
 
-from aoiclock.extended import distribution_conditional
+from aoiclock.extended import distribution_conditional, freshness_offset_K
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -142,3 +142,22 @@ def series_expectation_ref(cfg, tol):
         tail = series_tail_ref(cfg, L)
         if tail < tol:
             return value, tail
+
+
+def max_bound_prob_ref(cfg, sigma):
+    """The probabilistic max bound by a linear scan over m.
+
+    Finds the smallest m with (1-p)^(m+1) <= 1 - sigma by stepping m up one
+    at a time with exact integer powers; O(m) big-integer steps.
+    """
+    d = cfg.d
+    u, v = cfg.p.numerator, cfg.p.denominator
+    w = v - u
+    rn, rd = (1 - sigma).numerator, (1 - sigma).denominator
+    m = 0
+    wpow, vpow = w, v
+    while wpow * rd > rn * vpow:
+        m += 1
+        wpow *= w
+        vpow *= v
+    return d.b_period + d.n_period - d.n + freshness_offset_K(cfg) + d.n_period * m

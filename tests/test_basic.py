@@ -143,6 +143,10 @@ class TestProgressionFamily:
             dist = distribution_basic(d)
             seq = sequence_basic(d, 1, d.period)
             assert dist.values == Counter(int(v) for v in seq), t
+            assert dist.min() == min(dist.values), t
+            assert dist.max() == max(dist.values), t
+            mean = Fraction(sum(v * c for v, c in dist.values.items()), d.period)
+            assert dist.mean() == mean, t
 
     @given(triple_strategy())
     def test_progression_count_and_step(self, t):

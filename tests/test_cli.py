@@ -1,13 +1,16 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import aoiclock.basic
 import aoiclock.extended
 from aoiclock.cli import main
+from aoiclock.modmath import ArithmeticProgression
 
 FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -59,6 +62,33 @@ class TestAnalyze:
         assert report["config"]["p"] == "1/2"
         assert report["max_bound_prob"] == 78
         assert "max_bound" not in report  # no hard max under loss
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("analyze_basic.json", ["--model", "basic"]),
+        ("analyze_extended.json", ["--model", "extended", "--sigma", "99/100"]),
+        ("analyze_extended_lossy.json", ["--model", "extended", "--p", "1/2", "--sigma", "0.99"]),
+    ])
+    def test_stdout_matches_golden(self, capsys, golden, argv):
+        # the reports are pinned byte for byte: a faster summary may not
+        # change a digit, a key or the key order
+        code, out, _ = run(capsys, "analyze", *FIG, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("argv,reads", [
+        (["--a-period", "7", "--b-period", "31607", "--n-period", "31627",
+          "--model", "basic"], 31607 * 31627),
+        (["--a-period", "7", "--b-period", "311", "--n-period", "317", "--model", "extended",
+          "--delta-b", "4", "--delta-n", "9", "--sigma", "99/100"], 311 * 317),
+    ])
+    def test_summary_never_expands_the_hyperperiod(self, capsys, monkeypatch, argv, reads):
+        def expanded(self):
+            raise AssertionError("a progression was expanded")
+
+        monkeypatch.setattr(ArithmeticProgression, "elements", expanded)
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 0, err
+        assert json.loads(out)["distribution"]["hyperperiod_reads"] == reads
 
     def test_extended_value_past_int_str_limit(self, capsys):
         # b = 10^4 at p = 1/10: the exact value has about 10^4 digits

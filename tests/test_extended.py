@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aoiclock import extended
 from aoiclock.basic import ConfigError, decompose
 from aoiclock.extended import (
     SystemConfig,
@@ -21,7 +22,7 @@ from aoiclock.extended import (
     sequence_conditional,
 )
 
-from conftest import series_expectation_ref, series_tail_ref
+from conftest import max_bound_prob_ref, series_expectation_ref, series_tail_ref
 
 REFERENCE = decompose(34, 7, 10)
 REF_CFG = SystemConfig(REFERENCE)
@@ -127,6 +128,9 @@ class TestProgressionFamilyConditional:
         dist = distribution_conditional(cfg, l)
         seq = sequence_conditional(cfg, l, 1, d.period)
         assert dist.values == Counter(int(v) for v in seq)
+        assert dist.min() == min(dist.values)
+        assert dist.max() == max(dist.values)
+        assert dist.mean() == Fraction(sum(v * c for v, c in dist.values.items()), d.period)
 
     @given(cfg_strategy(12, 15), st.integers(0, 4))
     def test_offset_block_shift(self, cfg, l):
@@ -207,6 +211,18 @@ class TestExpectedExact:
         value, tail = series_expectation_ref(cfg, Fraction(1, 2**20))
         assert value <= ge.value <= value + tail
 
+    def test_b_over_cap_rejected_before_any_kernel_call(self, monkeypatch):
+        def kernel_called(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(extended.kernels, "check_period_sums_args", kernel_called)
+        monkeypatch.setattr(extended.kernels, "period_sums_conditional", kernel_called)
+        b = 10**5 + 1  # one over the cap; odd, so coprime to the link period 2
+        cfg = SystemConfig(decompose(3 * b, 7 * b, 2), p="1/2")
+        assert cfg.d.b == b
+        with pytest.raises(ValueError, match="grows as b\\^2"):
+            expected_exact_extended(cfg)
+
     @given(cfg_strategy(12, 10))
     @example(SystemConfig(decompose(12, 9, 5), delta_b=2, delta_n=7))  # b = 3
     def test_conditional_mean_periodic_in_b(self, cfg):
@@ -246,6 +262,40 @@ class TestMaxBound:
         # sigma = 15/16 is hit exactly at m = 3 and must not round up.
         cfg = SystemConfig(REFERENCE, p="1/2")
         assert max_bound_prob(cfg, Fraction(15, 16)) == 18 + 3 * 10
+
+    @given(
+        cfg_strategy(10, 10),
+        st.integers(2, 200).flatmap(lambda v: st.tuples(st.integers(1, v), st.just(v))),
+        st.one_of(
+            st.fractions(0, 1, max_denominator=10**6).filter(lambda s: 0 < s < 1),
+            st.integers(1, 40).map(lambda k: -k),
+        ),
+    )
+    @example(REF_CFG, (1, 2), Fraction(15, 16))
+    @example(REF_CFG, (1, 2), -1)  # sigma == p
+    @example(REF_CFG, (1, 2), -4)
+    @example(REF_CFG, (1, 3), -5)
+    @example(REF_CFG, (9, 10), -3)
+    @example(REF_CFG, (7, 7), Fraction(99, 100))
+    def test_matches_linear_scan(self, cfg, uv, sigma):
+        # a negative sigma draw -k stands for 1 - (1-p)^k, the threshold hit
+        # exactly at m = k - 1
+        u, v = uv
+        cfg = SystemConfig(cfg.d, cfg.delta_b, cfg.delta_n, Fraction(u, v))
+        if isinstance(sigma, int):
+            sigma = 1 - (1 - cfg.p) ** -sigma
+            if sigma == 1:
+                return
+        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma)
+
+    def test_exact_powers_over_cap_rejected_up_front(self, monkeypatch):
+        def powers_built(*args):
+            raise AssertionError("exact powers built")
+
+        monkeypatch.setattr(extended, "Decimal", powers_built)
+        cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**6))
+        with pytest.raises(ValueError, match="digits, over the cap"):
+            max_bound_prob(cfg, Fraction(99, 100))
 
     def test_sigma_range(self):
         with pytest.raises(ValueError):
