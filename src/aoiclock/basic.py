@@ -159,7 +159,10 @@ class AoiDistribution:
     ``mean`` follow from the family in O(len(progressions)), a*N for one
     hyperperiod, however long the hyperperiod is.  ``values`` (value ->
     multiplicity) expands the family on first access, in O(period) time and
-    memory, and is cached from then on.
+    memory, and is cached from then on.  An entry needs only ``start``,
+    ``count``, ``last()``, ``sum()`` and ``elements()``: an observed
+    distribution (``simulate.empirical_distribution``) holds one repeated
+    value per entry.
     """
 
     progressions: tuple[ArithmeticProgression, ...]

@@ -20,10 +20,8 @@ finite sum of b terms.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -52,15 +50,9 @@ __all__ = [
 # work grows as b^2: about 1.5 s at b = 10^5 on a 2-core Xeon host.
 _MAX_TERMS = 10**5
 # max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
-# m*log10(v) digits; 10^7 digits take about 1.5 s on the same host.
-_MAX_POWER_DIGITS = 10**7
-# Integer arithmetic in this context is exact or raises.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
-)
+# m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s
+# on the same host (0.3 s at p = 1/30000, sigma = 99/100: 6.2*10^5 digits).
+_MAX_POWER_DIGITS = 10**6
 
 
 def _as_probability(p) -> Fraction:
@@ -280,16 +272,14 @@ def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
         raise ValueError(
             f"sigma = {sigma} at p = {p} needs a run of about {est:.3g} failed "
             f"transmissions; deciding it exactly takes integers of about {digits:.3g} "
-            f"digits, over the cap of {_MAX_POWER_DIGITS} (about 1.5 s)"
+            f"digits, over the cap of {_MAX_POWER_DIGITS} (about 0.65 s)"
         )
     k = max(2, math.ceil(est))
-    with decimal.localcontext(_EXACT):
-        # decimal multiplies huge integers far faster than int does
-        wk, vk = Decimal(w) ** k, Decimal(v) ** k
-        while wk * rd > rn * vk:  # (1-p)^k > 1 - sigma: step up
-            k += 1
-            wk, vk = wk * w, vk * v
-        while k > 2 and wk * rd * v <= rn * vk * w:  # (1-p)^(k-1) fits too: step down
-            k -= 1
-            wk, vk = wk // w, vk // v
+    wk, vk = pow(w, k), pow(v, k)
+    while wk * rd > rn * vk:  # (1-p)^k > 1 - sigma: step up
+        k += 1
+        wk, vk = wk * w, vk * v
+    while k > 2 and wk * rd * v <= rn * vk * w:  # (1-p)^(k-1) fits too: step down
+        k -= 1
+        wk, vk = wk // w, vk // v
     return base + d.n_period * (k - 1)

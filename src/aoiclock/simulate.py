@@ -22,13 +22,14 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from . import kernels
 from .basic import AoiDistribution, PeriodDecomposition
 from .extended import SystemConfig
-from .modmath import ArithmeticProgression
+from .modmath import Multiset
 
 __all__ = [
     "RngSpec",
@@ -140,18 +141,39 @@ def _check_window(trace: Trace, from_cycle: int, window: int):
         )
 
 
+@dataclass(frozen=True)
+class _Repeated:
+    """One value ``start`` taken ``count`` times: an observed age and its
+    multiplicity, read by AoiDistribution as it reads a progression."""
+
+    start: int
+    count: int
+
+    def elements(self) -> repeat:
+        return repeat(self.start, self.count)
+
+    def last(self) -> int:
+        return self.start
+
+    def sum(self) -> int:
+        return self.start * self.count
+
+
 def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> AoiDistribution:
     """Observed age multiset over a fully defined window of the trace.
 
-    A value observed c times enters the family as c one-element progressions
-    <v, 1, 1>, so the family has one entry per read of the window.
+    The family holds one entry per distinct observed value, so building it
+    and its summary cost O(distinct values) past the count of the window;
+    ``values`` is the observed count itself, not re-expanded.
     """
     _check_window(trace, from_cycle, window)
     chunk = trace.ages[from_cycle : from_cycle + window]
-    progs: list[ArithmeticProgression] = []
-    for v, c in zip(*np.unique(chunk, return_counts=True)):
-        progs += [ArithmeticProgression(int(v), 1, 1)] * int(c)
-    return AoiDistribution(tuple(progs), window)
+    counts = Multiset({int(v): int(c) for v, c in zip(*np.unique(chunk, return_counts=True))})
+    dist = AoiDistribution(tuple(_Repeated(v, c) for v, c in counts.items()), window)
+    # cached_property keeps its value in the instance dict, which a frozen
+    # dataclass leaves writable through object.__setattr__
+    object.__setattr__(dist, "values", counts)
+    return dist
 
 
 def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:

@@ -10,6 +10,8 @@ from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
 
 FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
+# a call of the analyze benchmark workload, whose periods share factors
+SHARED = ["--a-period", "10", "--b-period", "12", "--n-period", "15"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -64,14 +66,19 @@ class TestAnalyze:
         assert "max_bound" not in report  # no hard max under loss
 
     @pytest.mark.parametrize("golden,argv", [
-        ("analyze_basic.json", ["--model", "basic"]),
-        ("analyze_extended.json", ["--model", "extended", "--sigma", "99/100"]),
-        ("analyze_extended_lossy.json", ["--model", "extended", "--p", "1/2", "--sigma", "0.99"]),
+        ("analyze_basic.json", [*FIG, "--model", "basic"]),
+        ("analyze_extended.json", [*FIG, "--model", "extended", "--sigma", "99/100"]),
+        ("analyze_extended_lossy.json",
+         [*FIG, "--model", "extended", "--p", "1/2", "--sigma", "0.99"]),
+        # a = 3, b = 2: three progressions of step a*b = 6, one per i
+        ("analyze_basic_shared_factors.json", [*SHARED, "--model", "basic"]),
+        ("analyze_extended_workload.json", [*SHARED, "--model", "extended", "--delta-b", "5",
+                                            "--delta-n", "2", "--p", "1/21", "--sigma", "99/100"]),
     ])
     def test_stdout_matches_golden(self, capsys, golden, argv):
         # the reports are pinned byte for byte: a faster summary may not
         # change a digit, a key or the key order
-        code, out, _ = run(capsys, "analyze", *FIG, *argv)
+        code, out, _ = run(capsys, "analyze", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 

@@ -292,7 +292,8 @@ class TestMaxBound:
         def powers_built(*args):
             raise AssertionError("exact powers built")
 
-        monkeypatch.setattr(extended, "Decimal", powers_built)
+        # the module's pow() resolves through its globals before the builtins
+        monkeypatch.setattr(extended, "pow", powers_built, raising=False)
         cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**6))
         with pytest.raises(ValueError, match="digits, over the cap"):
             max_bound_prob(cfg, Fraction(99, 100))

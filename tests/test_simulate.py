@@ -5,6 +5,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+from aoiclock import simulate
 from aoiclock.basic import decompose, distribution_basic
 from aoiclock.extended import SystemConfig, aoi_conditional, distribution_conditional
 from aoiclock.simulate import (
@@ -180,6 +181,24 @@ class TestWindows:
         two = empirical_distribution(tr, d.period // 2, 2 * d.period)
         assert two.values == {v: 2 * c for v, c in one.values.items()}
         assert two.period == 2 * d.period
+
+    def test_large_window_summarized_per_distinct_value(self, monkeypatch):
+        cfg = SystemConfig(REFERENCE, delta_b=3, delta_n=5, p=Fraction(1, 2))
+        window = 200_000
+        tr = simulate_extended(cfg, window + 100, RngSpec(1))
+        ages = tr.ages[100 : 100 + window]
+        seen, counts = np.unique(ages, return_counts=True)
+
+        def expanded(self):
+            raise AssertionError("observed values re-expanded")
+
+        monkeypatch.setattr(simulate._Repeated, "elements", expanded)
+        emp = empirical_distribution(tr, 100, window)
+        assert len(emp.progressions) == len(seen)
+        assert (emp.min(), emp.max()) == (ages.min(), ages.max())
+        assert emp.mean() == Fraction(int(ages.sum()), window)
+        assert emp.values == dict(zip(seen.tolist(), counts.tolist()))
+        assert (emp.to_sorted_array() == np.sort(ages)).all()
 
 
 class TestTraceCsv:
