@@ -1,8 +1,10 @@
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from aoiclock import sweep
 from aoiclock.basic import decompose
 from aoiclock.extended import SystemConfig
 from aoiclock.sweep import (
@@ -15,6 +17,21 @@ from aoiclock.sweep import (
 )
 
 FIG_GRID = {"A": 17, "B": 7, "N": 5, "a": 1, "b": 1, "n": 2}
+
+# Every skip reason (A = B = N = a = b = n = 1 gives equal periods), four
+# delta_b values of which three are sliced, and two each of delta_n and p.
+SMALL_GRID = {
+    "A": [1, 2, 3, 5],
+    "B": [1, 2, 3, 7],
+    "N": [1, 2, 5],
+    "a": [1, 2, 3],
+    "b": [1, 2, 3],
+    "n": [1, 2, 3],
+    "delta_b": [0, 3, 5, 9],
+    "delta_n": [0, 2],
+    "p": ["1/3", "1"],
+}
+GOLDEN = Path(__file__).parent / "golden" / "sweep_small"
 
 
 class TestGridParsing:
@@ -239,3 +256,45 @@ class TestWriteOutputs:
         assert [f.name for f in f1] == [f.name for f in f2]
         for a, b in zip(f1, f2):
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestSmallGridGolden:
+    """SMALL_GRID's outputs, pinned byte for byte at jobs 1 and 2."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outputs_match_golden(self, tmp_path, jobs):
+        result = run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=jobs)
+        assert result.n_candidates == 20_736
+        assert result.skip_counts == {
+            "common_factor": 13_664, "factor_mismatch": 1_920, "equal_periods": 16,
+        }
+        files = write_outputs(result, tmp_path)
+        assert sorted(f.name for f in files) == sorted(
+            f.name for f in GOLDEN.iterdir()
+        )
+        for f in files:
+            assert f.read_bytes() == (GOLDEN / f.name).read_bytes(), f.name
+
+
+class TestPerConfigErrors:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_configs_are_counted_in_every_slice(self, monkeypatch, jobs):
+        real = sweep.relative_error
+
+        def flaky(cfg):
+            if cfg.p == Fraction(1, 3):
+                raise ArithmeticError("injected")
+            return real(cfg)
+
+        monkeypatch.setattr(sweep, "relative_error", flaky)
+        grid = SweepGrid.from_dict(SMALL_GRID)
+        result = run_sweep(grid, jobs=jobs)
+        # half the 5,136 valid configs hold p = 1/3
+        assert result.skip_counts["error:ArithmeticError"] == 2_568
+        assert result.n_configs == 2_568
+        assert result.n_configs + sum(result.skip_counts.values()) == result.n_candidates
+        for sl in result.slices:
+            holding = result.n_candidates // len(grid.values_of(sl.parameter))
+            assert sl.n_configs + sl.n_skipped == holding, (sl.parameter, sl.value)
+        p_third = next(sl for sl in result.slices if sl.parameter == "p" and sl.value == "1/3")
+        assert p_third.n_configs == 0
