@@ -38,6 +38,12 @@ from .extended import (
 from .simulate import RngSpec, empirical_mean, simulate_basic, simulate_extended, write_trace_csv
 from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
 
+# verify expands whole hyperperiods and simulates three of them, keeping
+# about 270 bytes per read: at 1.97*10^6 reads, periods (7, 1399, 1409), the
+# basic checks peak at 375 MB in 1.8 s and the extended ones at 535 MB in
+# 15 s on a 2-core Xeon host.
+_MAX_VERIFY_READS = 2 * 10**6
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -184,8 +190,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_basic(args, failures: list[str]) -> None:
-    d = decompose(args.a_period, args.b_period, args.n_period)
+def _verify_basic(d, args, failures: list[str]) -> None:
     period = d.period
 
     dist = distribution_basic(d)
@@ -274,9 +279,15 @@ def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:
 
 
 def cmd_verify(args) -> int:
+    d = decompose(args.a_period, args.b_period, args.n_period)
+    if d.period > _MAX_VERIFY_READS:
+        raise ConfigError(
+            f"hyperperiod of {d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
+            f"verify expands whole hyperperiods, in memory that grows with them"
+        )
     failures: list[str] = []
     if args.model == "basic":
-        _verify_basic(args, failures)
+        _verify_basic(d, args, failures)
     else:
         _verify_extended(args, failures)
     if failures:

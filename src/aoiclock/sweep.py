@@ -1,9 +1,10 @@
 """Grid sweeps comparing the banded approximation against the exact mean.
 
 A grid file lists candidate factor tuples (A, B, N, a, b, n), phase shifts
-and loss probabilities.  Each candidate is rebuilt into concrete periods
+and loss probabilities.  Each factor tuple is rebuilt into concrete periods
 (a_period = A*b*n and so on) and kept only when the periods decompose back
-into exactly those factors; everything else is counted and skipped.  For
+into exactly those factors; the verdict holds for every (delta_b, delta_n,
+p) combination of the tuple, and skipped candidates are counted.  For
 each surviving config the sweep computes the exact expectation and the band
 center, bins the signed relative error (exact - center) / exact, and writes
 deterministic CSV outputs: a global histogram, per-parameter slice
@@ -20,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -44,8 +46,10 @@ __all__ = [
     "write_outputs",
 ]
 
-_INT_FIELDS = ("A", "B", "N", "a", "b", "n", "delta_b", "delta_n")
-PARAMETERS = _INT_FIELDS + ("p",)
+_FACTORS = ("A", "B", "N", "a", "b", "n")
+_COMBO_FIELDS = ("delta_b", "delta_n", "p")
+PARAMETERS = _FACTORS + _COMBO_FIELDS
+_INT_FIELDS = PARAMETERS[:-1]
 
 _DEFAULTS = {
     "A": "2..21",
@@ -61,7 +65,7 @@ _DEFAULTS = {
 
 
 class EmptyGridError(ValueError):
-    """Raised when no grid candidate survives validation."""
+    """Raised when no grid candidate survives validation, or none evaluates."""
 
 
 def _parse_int_field(name, raw) -> tuple[int, ...]:
@@ -140,44 +144,42 @@ class SweepGrid:
 
 
 def _iter_candidates(grid: SweepGrid):
-    """Yield (params dict, config-or-None, skip reason) in enumeration order."""
-    for A in grid.A:
-        for B in grid.B:
-            for N in grid.N:
-                for a in grid.a:
-                    for b in grid.b:
-                        for n in grid.n:
-                            ap, bp, np_ = A * b * n, B * b * a, N * n * a
-                            try:
-                                d = decompose(ap, bp, np_)
-                            except ConfigError:
-                                d, reason = None, "common_factor"
-                            else:
-                                if (d.A, d.B, d.N, d.a, d.b, d.n) != (A, B, N, a, b, n):
-                                    d, reason = None, "factor_mismatch"
-                                elif ap == bp == np_:
-                                    d, reason = None, "equal_periods"
-                                else:
-                                    reason = None
-                            for delta_b in grid.delta_b:
-                                for delta_n in grid.delta_n:
-                                    for p in grid.p:
-                                        params = {
-                                            "A": A, "B": B, "N": N,
-                                            "a": a, "b": b, "n": n,
-                                            "delta_b": delta_b, "delta_n": delta_n,
-                                            "p": p,
-                                        }
-                                        if d is None:
-                                            yield params, None, reason
-                                        else:
-                                            cfg = SystemConfig(d, delta_b, delta_n, p)
-                                            yield params, cfg, None
+    """Yield (factors, decomposition-or-None, skip reason) per factor tuple.
+
+    ``factors`` is (A, B, N, a, b, n).  The tuple alone decides whether its
+    candidates are kept: every (delta_b, delta_n, p) combination of a kept
+    tuple is a config, and every combination of a skipped one is skipped.
+    """
+    for factors in product(grid.A, grid.B, grid.N, grid.a, grid.b, grid.n):
+        A, B, N, a, b, n = factors
+        ap, bp, np_ = A * b * n, B * b * a, N * n * a
+        try:
+            d = decompose(ap, bp, np_)
+        except ConfigError:
+            yield factors, None, "common_factor"
+            continue
+        if (d.A, d.B, d.N, d.a, d.b, d.n) != factors:
+            yield factors, None, "factor_mismatch"
+        elif ap == bp == np_:
+            yield factors, None, "equal_periods"
+        else:
+            yield factors, d, None
+
+
+def _combos(grid: SweepGrid) -> list[tuple]:
+    """The (delta_b, delta_n, p) combinations, in enumeration order."""
+    return list(product(grid.delta_b, grid.delta_n, grid.p))
 
 
 def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
     """All valid configs of the grid, in deterministic enumeration order."""
-    configs = [cfg for _, cfg, _ in _iter_candidates(grid) if cfg is not None]
+    combos = _combos(grid)
+    configs = [
+        SystemConfig(d, *combo)
+        for _, d, _ in _iter_candidates(grid)
+        if d is not None
+        for combo in combos
+    ]
     if not configs:
         raise EmptyGridError("no grid candidate passes the factor constraints")
     return configs
@@ -243,15 +245,18 @@ def _nearest_rank(sorted_xs: list[float], q: float) -> float:
 
 
 def _eval_chunk(payload):
-    configs, bin_width = payload
+    """Evaluate every combination of each decomposition, in enumeration order."""
+    decomps, combos, bin_width = payload
     out = []
-    for cfg in configs:
-        try:
-            err = relative_error(cfg)
-            ok = abs(err) <= rel_error_bound_extended(cfg)
-            out.append((math.floor(err / bin_width), float(err), ok, None))
-        except Exception as exc:  # per-config failures become skip counters
-            out.append((0, 0.0, True, type(exc).__name__))
+    for d in decomps:
+        for combo in combos:
+            try:
+                cfg = SystemConfig(d, *combo)
+                err = relative_error(cfg)
+                ok = abs(err) <= rel_error_bound_extended(cfg)
+                out.append((math.floor(err / bin_width), float(err), ok, None))
+            except Exception as exc:  # per-config failures become skip counters
+                out.append((0, 0.0, True, type(exc).__name__))
     return out
 
 
@@ -273,78 +278,94 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    candidates = list(_iter_candidates(grid))
-    configs = [cfg for _, cfg, _ in candidates if cfg is not None]
-    if not configs:
+    tuples = list(_iter_candidates(grid))
+    decomps = [d for _, d, _ in tuples if d is not None]
+    combos = _combos(grid)
+    if not decomps or not combos:
         raise EmptyGridError("no grid candidate passes the factor constraints")
 
     if jobs == 1:
-        evals = _eval_chunk((configs, bin_width))
+        evals = _eval_chunk((decomps, combos, bin_width))
     else:
-        chunk = max(1, math.ceil(len(configs) / (jobs * 4)))
+        chunk = max(1, math.ceil(len(decomps) / (jobs * 4)))
         payloads = [
-            (configs[i : i + chunk], bin_width) for i in range(0, len(configs), chunk)
+            (decomps[i : i + chunk], combos, bin_width)
+            for i in range(0, len(decomps), chunk)
         ]
         with Pool(jobs) as pool:
             evals = [row for batch in pool.map(_eval_chunk, payloads) for row in batch]
 
-    # stitch evaluation results back onto the candidate stream, in order
+    # Stitch the results back onto the tuples, in enumeration order.  Each
+    # slice is a position in slice_plan; a config counts in the slices of
+    # its factor values and in those of its (delta_b, delta_n, p) values.
+    slice_plan = [(f, v) for f in PARAMETERS for v in _slice_values(grid.values_of(f))]
+    position = {key: i for i, key in enumerate(slice_plan)}
+    combo_slots = [
+        [position[key] for key in zip(_COMBO_FIELDS, combo) if key in position]
+        for combo in combos
+    ]
+    counts: list[dict[int, int]] = [{} for _ in slice_plan]
+    errors: list[list[float]] = [[] for _ in slice_plan]
+    skipped = [0] * len(slice_plan)
+    skipped_tuples = 0
     skip_counts: dict[str, int] = {}
     global_counts: dict[int, int] = {}
     float_errors: list[float] = []
-    by_param: dict[tuple[str, object], dict] = {}
-    slice_plan = [(f, v) for f in PARAMETERS for v in _slice_values(grid.values_of(f))]
-    for key in slice_plan:
-        by_param[key] = {"counts": {}, "errors": [], "skipped": 0}
     bound_violations = 0
 
-    it = iter(evals)
-    for params, cfg, reason in candidates:
-        if cfg is not None:
-            bin_idx, err_f, ok, fail = next(it)
-            if fail is not None:
-                reason = f"error:{fail}"
-        if reason is not None:
-            skip_counts[reason] = skip_counts.get(reason, 0) + 1
-            for f in PARAMETERS:
-                key = (f, params[f])
-                if key in by_param:
-                    by_param[key]["skipped"] += 1
+    rows = iter(evals)
+    for factors, d, reason in tuples:
+        slots = [position[key] for key in zip(_FACTORS, factors) if key in position]
+        if d is None:
+            skip_counts[reason] = skip_counts.get(reason, 0) + len(combos)
+            skipped_tuples += 1
+            for i in slots:
+                skipped[i] += len(combos)
             continue
-        if not ok:
-            bound_violations += 1
-        global_counts[bin_idx] = global_counts.get(bin_idx, 0) + 1
-        float_errors.append(err_f)
-        for f in PARAMETERS:
-            key = (f, params[f])
-            if key in by_param:
-                sl = by_param[key]
-                sl["counts"][bin_idx] = sl["counts"].get(bin_idx, 0) + 1
-                sl["errors"].append(err_f)
+        for cslots in combo_slots:
+            bin_idx, err_f, ok, fail = next(rows)
+            if fail is not None:
+                key = f"error:{fail}"
+                skip_counts[key] = skip_counts.get(key, 0) + 1
+                for i in slots + cslots:
+                    skipped[i] += 1
+                continue
+            if not ok:
+                bound_violations += 1
+            global_counts[bin_idx] = global_counts.get(bin_idx, 0) + 1
+            float_errors.append(err_f)
+            for i in slots + cslots:
+                counts[i][bin_idx] = counts[i].get(bin_idx, 0) + 1
+                errors[i].append(err_f)
+    # each combination of a skipped tuple is skipped in its own slices
+    for cslots in combo_slots:
+        for i in cslots:
+            skipped[i] += skipped_tuples
+    if not float_errors:
+        reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
+        raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
     slices = []
-    for f, v in slice_plan:
-        sl = by_param[(f, v)]
-        errs = sl["errors"]
+    for (f, v), errs, hist, n_skipped in zip(slice_plan, errors, counts, skipped):
         srt = sorted(errs)
         slices.append(
             SliceStat(
                 parameter=f,
                 value=str(v),
-                histogram=Histogram(bin_width, sl["counts"]),
+                histogram=Histogram(bin_width, hist),
                 mean=sum(errs) / len(errs) if errs else float("nan"),
                 q01=_nearest_rank(srt, 0.01) if errs else float("nan"),
                 q50=_nearest_rank(srt, 0.50) if errs else float("nan"),
                 q99=_nearest_rank(srt, 0.99) if errs else float("nan"),
                 n_configs=len(errs),
-                n_skipped=sl["skipped"],
+                n_skipped=n_skipped,
             )
         )
 
     return SweepResult(
         grid=grid,
         bin_width=bin_width,
-        n_candidates=len(candidates),
+        n_candidates=grid.n_candidates(),
         n_configs=len(float_errors),
         skip_counts=skip_counts,
         bound_violations=bound_violations,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import aoiclock.basic
+import aoiclock.cli
 import aoiclock.extended
 from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
@@ -218,6 +219,42 @@ class TestVerify:
         assert "check progression_family_multiset_l0: PASS" in out
         assert "check progression_family_multiset_l1: FAIL" in out
 
+    @pytest.fixture
+    def no_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran a check past its hyperperiod cap")
+
+        for name in (
+            "distribution_basic", "sequence_basic", "simulate_basic",
+            "distribution_conditional", "sequence_conditional", "simulate_extended",
+            "expected_exact_extended",
+        ):
+            monkeypatch.setattr(aoiclock.cli, name, refuse)
+
+    @pytest.mark.parametrize("model", ["basic", "extended"])
+    def test_oversized_hyperperiod_refused_up_front(self, capsys, no_kernels, model):
+        # a hyperperiod of 999,634,589 reads
+        code, out, err = run(
+            capsys, "verify", "--a-period", "7", "--b-period", "31607",
+            "--n-period", "31627", "--model", model,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: hyperperiod of 999634589 reads is over verify's cap of 2000000: "
+            "verify expands whole hyperperiods, in memory that grows with them\n"
+        )
+
+    def test_cap_admits_its_own_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
+        code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
+        assert code == 0
+        assert "all checks passed" in out
+        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 34)
+        code, _, err = run(capsys, "verify", *FIG, "--model", "basic")
+        assert code == 2
+        assert "hyperperiod of 35 reads is over verify's cap of 34" in err
+
 
 class TestSweep:
     def test_end_to_end(self, capsys, tmp_path):
@@ -239,6 +276,18 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "no grid candidate" in err
+
+    def test_no_config_evaluates_exits_2(self, capsys, tmp_path):
+        # b = 100001 is over the exact expectation's term cap, so the one
+        # valid config raises ValueError inside the evaluation
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"A": 2, "B": 3, "N": 5, "b": [100001]}')
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert code == 2
+        assert err == "error: no grid config could be evaluated (skipped: error:ValueError=1)\n"
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_missing_grid_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(
