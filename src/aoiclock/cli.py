@@ -12,7 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+import numpy as np
+
+from . import __version__, kernels
 from .basic import (
     ConfigError,
     NullSequenceError,
@@ -26,7 +28,6 @@ from .basic import (
 )
 from .extended import (
     SystemConfig,
-    aoi_conditional,
     distribution_conditional,
     expected_approx_extended,
     expected_exact_extended,
@@ -248,18 +249,22 @@ def _verify_extended(args, failures: list[str]) -> None:
 
     cycles = args.cycles or 3 * period + 50
     trace = simulate_extended(cfg, cycles, RngSpec(args.seed if args.seed is not None else 0))
-    ok = True
+    warm = trace.warmup_cycles
+    fails = trace.fails[warm:]
+    d = cfg.d
+    shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
+    kernels.check_sequence_args(*shape, int(fails.max(initial=0)), warm, len(fails))
+    # the sequence kernel takes a failure count per read as it takes one for
+    # all, so the whole trace costs one pass however many counts occur
+    want = kernels.seq_conditional(*shape, fails, warm, len(fails))
+    bad = np.flatnonzero(trace.ages[warm:] != want)
     detail = ""
-    for k in range(trace.warmup_cycles, trace.cycles):
-        want = aoi_conditional(cfg, k, int(trace.fails[k]))
-        if int(trace.ages[k]) != want:
-            ok = False
-            detail = f"k={k} l={int(trace.fails[k])}: simulated={int(trace.ages[k])} formula={want}"
-            break
-    _check(failures, "trace_bridge_identity", ok, detail)
+    if len(bad):
+        i = bad[0]
+        detail = f"k={warm + i} l={fails[i]}: simulated={trace.ages[warm + i]} formula={want[i]}"
+    _check(failures, "trace_bridge_identity", not len(bad), detail)
 
     if cfg.p == 1:
-        warm = trace.warmup_cycles
         model = sequence_conditional(cfg, 0, warm, trace.cycles - warm)
         same = bool((trace.ages[warm:] == model).all())
         detail = ""

@@ -9,10 +9,10 @@ delivery have no age and are marked undefined (the warm-up prefix).
 
 Randomness is counter-based: the Bernoulli variate for transmission slot
 index m is splitmix64(seed, m), whether or not a simulator evaluates it, so
-a trace is a pure function of (config, cycles, seed) on every backend, and a
-run of n reads is the first n reads of any longer run.  The numpy backend
-evaluates only the draws that decide a read, in memory O(cycles) however
-many transmissions fall between reads (see ``kernels``).  A success is
+a trace is a pure function of (config, cycles, seed), and a run of n reads
+is the first n reads of any longer run.  The extended simulator evaluates
+only the draws that decide a read, in memory O(cycles) however many
+transmissions fall between reads (see ``kernels``).  A success is
 declared when the top 53 bits of the mix fall below round(p * 2^53); the
 quantization error on p is at most 2^-54.
 """
@@ -120,8 +120,7 @@ def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
         cfg.delta_b,
         cfg.delta_n,
         bernoulli_threshold(cfg.p),
-        # plain ints >= 2^63 would not fit the jit backend's signed argument
-        np.uint64(rng.seed),
+        rng.seed,
         cycles,
     )
     return Trace(d.a_period, "extended", ages, fails, rng)

@@ -68,6 +68,18 @@ class EmptyGridError(ValueError):
     """Raised when no grid candidate survives validation, or none evaluates."""
 
 
+def _check_nonempty(name, raw: list) -> None:
+    if not raw:
+        raise ValueError(f"grid field {name}: empty list")
+
+
+def _int_entry(name, v) -> int:
+    # int() would truncate 2.5 and turn True into 1
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"grid field {name}: {v!r} is not an integer")
+    return int(v)
+
+
 def _parse_int_field(name, raw) -> tuple[int, ...]:
     if isinstance(raw, bool):
         raise ValueError(f"grid field {name}: expected integers")
@@ -85,7 +97,8 @@ def _parse_int_field(name, raw) -> tuple[int, ...]:
             raise ValueError(f"grid field {name}: bad range {raw!r}")
         vals = list(range(lo, hi + 1, step))
     elif isinstance(raw, list):
-        vals = [int(v) for v in raw]
+        _check_nonempty(name, raw)
+        vals = [_int_entry(name, v) for v in raw]
     else:
         raise ValueError(f"grid field {name}: expected int, list or range string")
     floor = 0 if name.startswith("delta") else 1
@@ -98,6 +111,7 @@ def _parse_int_field(name, raw) -> tuple[int, ...]:
 def _parse_p_field(raw) -> tuple[Fraction, ...]:
     if not isinstance(raw, list):
         raw = [raw]
+    _check_nonempty("p", raw)
     return tuple(sorted({_as_probability(v) for v in raw}))
 
 

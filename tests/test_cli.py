@@ -7,8 +7,10 @@ import pytest
 import aoiclock.basic
 import aoiclock.cli
 import aoiclock.extended
+from aoiclock.basic import decompose
 from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
+from aoiclock.simulate import RngSpec
 
 FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
 # a call of the analyze benchmark workload, whose periods share factors
@@ -218,6 +220,33 @@ class TestVerify:
         assert code == 1
         assert "check progression_family_multiset_l0: PASS" in out
         assert "check progression_family_multiset_l1: FAIL" in out
+
+    def test_corrupted_trace_fails_bridge_at_first_mismatch(self, capsys, monkeypatch):
+        # verify's default run: 3 hyperperiods of 35 reads plus 50
+        cfg = aoiclock.extended.SystemConfig(decompose(34, 7, 10), 2, 5, Fraction(1, 2))
+        real = aoiclock.cli.simulate_extended
+        trace = real(cfg, 3 * 35 + 50, RngSpec(3))
+        k = trace.warmup_cycles + 4
+        l = int(trace.fails[k])
+        want = aoiclock.extended.aoi_conditional(cfg, k, l)
+
+        def corrupted(*args):
+            bad = real(*args)
+            bad.ages[k] += 1
+            bad.ages[k + 9] += 1
+            return bad
+
+        monkeypatch.setattr(aoiclock.cli, "simulate_extended", corrupted)
+        code, out, _ = run(
+            capsys, "verify", *FIG, "--model", "extended",
+            "--p", "1/2", "--seed", "3", "--delta-b", "2", "--delta-n", "5",
+        )
+        assert code == 1
+        assert (
+            f"check trace_bridge_identity: FAIL (k={k} l={l}: simulated={want + 1} formula={want})"
+            in out.splitlines()
+        )
+        assert out.endswith("1 check(s) failed: trace_bridge_identity\n")
 
     @pytest.fixture
     def no_kernels(self, monkeypatch):

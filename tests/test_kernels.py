@@ -1,5 +1,5 @@
-"""Both kernel backends must agree bit-for-bit with each other, with the
-scalar formulas, and with the naive slot-stepping oracles."""
+"""The kernels must agree bit-for-bit with the scalar formulas and with the
+naive slot-stepping oracles."""
 
 import tracemalloc
 from fractions import Fraction
@@ -14,8 +14,6 @@ from aoiclock.simulate import bernoulli_threshold
 
 from conftest import naive_basic_ages, naive_extended, splitmix64_ref
 
-BACKENDS = sorted(kernels.IMPLS)
-
 TRIPLES = [(34, 7, 10), (6, 10, 15), (1, 1, 1), (5, 1, 1), (1, 9, 8), (12, 35, 25)]
 SHIFTS = [(0, 0), (3, 5), (20, 11)]
 
@@ -27,82 +25,61 @@ def test_active_backend_is_registered():
         assert getattr(kernels, name) is kernels.IMPLS[kernels.backend()][name]
 
 
-def test_numba_backend_present_here():
-    # numba is optional: wherever it imports, the kernels module must register
-    # it, or half the parametrized matrix below silently goes missing; where
-    # it does not import, the registry must not name it and numpy must run.
-    # The probe is the program's own (an ImportError means numpy), not
-    # find_spec, since an installed but broken numba falls back to numpy.
-    try:
-        from numba import njit  # noqa: F401
-
-        importable = True
-    except ImportError:
-        importable = False
-    assert kernels.HAVE_NUMBA is importable
-    assert ("numba" in kernels.IMPLS) is importable
-    assert BACKENDS == sorted(kernels.IMPLS)
-    if not importable:
-        assert kernels.backend() == "numpy"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSequenceKernels:
-    def test_seq_basic_matches_scalar(self, backend):
-        fn = kernels.IMPLS[backend]["seq_basic"]
+    def test_seq_basic_matches_scalar(self):
         for t in TRIPLES:
             d = decompose(*t)
-            got = fn(*t, 3, 50)
+            got = kernels.seq_basic(*t, 3, 50)
             want = [aoi_basic(d, k) for k in range(3, 53)]
             assert got.dtype == np.int64
             assert list(got) == want, t
 
-    def test_seq_conditional_matches_scalar(self, backend):
-        fn = kernels.IMPLS[backend]["seq_conditional"]
+    def test_seq_conditional_matches_scalar(self):
         for t in TRIPLES:
             d = decompose(*t)
             for db, dn in SHIFTS:
                 cfg = SystemConfig(d, delta_b=db, delta_n=dn)
                 for l in (0, 1, 4):
-                    got = fn(*t, db, dn, l, 2, 40)
+                    got = kernels.seq_conditional(*t, db, dn, l, 2, 40)
                     want = [aoi_conditional(cfg, k, l) for k in range(2, 42)]
                     assert list(got) == want, (t, db, dn, l)
+                # one failure count per read, as verify passes a trace's
+                ls = np.arange(40, dtype=np.int64) % 7
+                got = kernels.seq_conditional(*t, db, dn, ls, 2, 40)
+                want = [aoi_conditional(cfg, k, int(l)) for k, l in zip(range(2, 42), ls)]
+                assert list(got) == want, (t, db, dn)
 
-    def test_period_sums_match_summed_sequences(self, backend):
-        impl = kernels.IMPLS[backend]
+    def test_period_sums_match_summed_sequences(self):
         for t in TRIPLES:
             d = decompose(*t)
             for db, dn in SHIFTS:
-                sums = impl["period_sums_conditional"](*t, db, dn, 6, d.period)
+                sums = kernels.period_sums_conditional(*t, db, dn, 6, d.period)
                 assert sums.shape == (6,)
                 for l in range(6):
-                    seq = impl["seq_conditional"](*t, db, dn, l, 1, d.period)
+                    seq = kernels.seq_conditional(*t, db, dn, l, 1, d.period)
                     assert int(sums[l]) == int(seq.sum()), (t, db, dn, l)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSimulatorKernels:
-    def test_sim_basic_matches_naive(self, backend):
-        fn = kernels.IMPLS[backend]["sim_basic"]
+    def test_sim_basic_matches_naive(self):
         for t in TRIPLES:
             cycles = 3 * decompose(*t).period + 1
-            got = fn(*t, cycles)
+            got = kernels.sim_basic(*t, cycles)
             assert list(got) == naive_basic_ages(*t, cycles), t
 
-    def test_sim_extended_matches_naive(self, backend):
-        fn = kernels.IMPLS[backend]["sim_extended"]
+    def test_sim_extended_matches_naive(self):
         for t in TRIPLES:
             for db, dn in SHIFTS:
                 for p in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
                     thr = bernoulli_threshold(p)
-                    ages, fails = fn(*t, db, dn, thr, 12345, 400)
+                    ages, fails = kernels.sim_extended(*t, db, dn, thr, 12345, 400)
                     ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 12345, 400)
                     assert list(ages) == ref_ages, (t, db, dn, p)
                     assert list(fails) == ref_fails, (t, db, dn, p)
 
 
 class TestNumpyExtendedChunks:
-    """The numpy simulator scans reads in chunks of ``_CHUNK``; shrinking the
+    """The extended simulator scans reads in chunks of ``_CHUNK``; shrinking the
     chunk moves every boundary and must not change a trace."""
 
     # (A', B', N'): A'/N' >= 13, windows wider than a chunk; A' < N', empty
@@ -113,13 +90,12 @@ class TestNumpyExtendedChunks:
     @pytest.mark.parametrize("cycles", [100, 103])
     def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles):
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
-        fn = kernels.IMPLS["numpy"]["sim_extended"]
         for t in self.CASES:
             # (60, 45): a warm-up prefix that spans several chunks
             for db, dn in [(0, 0), (3, 5), (60, 45)]:
                 for p in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
                     thr = bernoulli_threshold(p)
-                    ages, fails = fn(*t, db, dn, thr, 2024, cycles)
+                    ages, fails = kernels.sim_extended(*t, db, dn, thr, 2024, cycles)
                     ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 2024, cycles)
                     assert list(ages) == ref_ages, (t, db, dn, p)
                     assert list(fails) == ref_fails, (t, db, dn, p)
@@ -129,10 +105,9 @@ class TestNumpyExtendedChunks:
         # would take gigabytes, the scan draws about two per read
         cycles = 10**5
         cfg = SystemConfig(decompose(10007, 5, 3), p=Fraction(1, 2))
-        fn = kernels.IMPLS["numpy"]["sim_extended"]
         tracemalloc.start()
         try:
-            ages, fails = fn(10007, 5, 3, 0, 0, bernoulli_threshold(cfg.p), 31337, cycles)
+            ages, fails = kernels.sim_extended(10007, 5, 3, 0, 0, bernoulli_threshold(cfg.p), 31337, cycles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -140,27 +115,6 @@ class TestNumpyExtendedChunks:
         assert (ages[1:] >= 0).all() and ages[0] == -1
         mean = ages[1:].mean()
         assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba is not installed")
-class TestBackendEquivalence:
-    def test_sequences_identical(self):
-        a, b = (kernels.IMPLS[k] for k in BACKENDS[:2])
-        for t in TRIPLES:
-            assert (a["seq_basic"](*t, 0, 300) == b["seq_basic"](*t, 0, 300)).all()
-            assert (
-                a["seq_conditional"](*t, 2, 7, 3, 0, 300)
-                == b["seq_conditional"](*t, 2, 7, 3, 0, 300)
-            ).all()
-
-    def test_extended_sim_bit_identical(self):
-        a, b = (kernels.IMPLS[k] for k in BACKENDS[:2])
-        thr = bernoulli_threshold(Fraction(1, 3))
-        for t in TRIPLES:
-            ages_a, fails_a = a["sim_extended"](*t, 4, 9, thr, 999, 2000)
-            ages_b, fails_b = b["sim_extended"](*t, 4, 9, thr, 999, 2000)
-            assert (ages_a == ages_b).all()
-            assert (fails_a == fails_b).all()
 
 
 class TestSplitmix64:

@@ -70,6 +70,15 @@ class TestGridParsing:
             SweepGrid.from_dict({"B": "7"})
         with pytest.raises(ValueError):
             SweepGrid.from_dict({"A": True})
+        for field, raw in [("p", []), ("A", []), ("delta_n", [])]:
+            with pytest.raises(ValueError, match=f"^grid field {field}: empty list$"):
+                SweepGrid.from_dict({field: raw})
+        # list entries that int() would truncate or coerce
+        for field, raw in [("A", [2.5, 3]), ("B", [True]), ("delta_b", [0.9]), ("n", [1, False])]:
+            with pytest.raises(ValueError, match=f"^grid field {field}: .* is not an integer$"):
+                SweepGrid.from_dict({field: raw})
+        # an integral float entry is still an integer
+        assert SweepGrid.from_dict({"A": [2.0, 3]}).A == (2, 3)
 
     def test_delta_zero_allowed(self):
         assert SweepGrid.from_dict({"delta_n": "0..2"}).delta_n == (0, 1, 2)
