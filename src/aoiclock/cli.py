@@ -40,9 +40,9 @@ from .simulate import RngSpec, empirical_mean, simulate_basic, simulate_extended
 from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
 
 # verify expands whole hyperperiods and simulates three of them, keeping
-# about 270 bytes per read: at 1.97*10^6 reads, periods (7, 1399, 1409), the
-# basic checks peak at 375 MB in 1.8 s and the extended ones at 535 MB in
-# 15 s on a 2-core Xeon host.
+# about 130 (basic) to 220 (extended) bytes per read: at 1.97*10^6 reads,
+# periods (7, 1399, 1409), the basic checks peak at 272 MB in 0.8 s and the
+# extended ones at 443 MB in 2.5 s on a 2-core Xeon host.
 _MAX_VERIFY_READS = 2 * 10**6
 
 
@@ -58,21 +58,27 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _add_config_flags(sub, with_model=True):
+def _add_config_flags(sub):
     sub.add_argument("--a-period", type=int, required=True, help="reader period in slots")
     sub.add_argument("--b-period", type=int, required=True, help="source period in slots")
     sub.add_argument("--n-period", type=int, required=True, help="link period in slots")
-    if with_model:
-        sub.add_argument("--model", choices=("basic", "extended"), default="basic")
-        sub.add_argument("--delta-b", type=int, default=0, help="source phase shift (extended)")
-        sub.add_argument("--delta-n", type=int, default=0, help="link phase shift (extended)")
-        sub.add_argument("--p", type=_fraction, default=Fraction(1),
-                         help="transmission success probability, exact rational (extended)")
+    sub.add_argument("--model", choices=("basic", "extended"), default="basic")
+    sub.add_argument("--delta-b", type=int, default=0, help="source phase shift (extended)")
+    sub.add_argument("--delta-n", type=int, default=0, help="link phase shift (extended)")
+    sub.add_argument("--p", type=_fraction, default=Fraction(1),
+                     help="transmission success probability, exact rational (extended)")
 
 
 def _config_from_args(args) -> SystemConfig:
+    """The config the flags describe; ``--model basic`` admits only the lossless one."""
     d = decompose(args.a_period, args.b_period, args.n_period)
-    return SystemConfig(d, args.delta_b, args.delta_n, args.p, args.model)
+    cfg = SystemConfig(d, args.delta_b, args.delta_n, args.p)
+    if args.model == "basic":
+        if cfg.delta_b or cfg.delta_n or cfg.p != 1:
+            raise ConfigError("the lossless model has no phase shifts and p == 1")
+        if getattr(args, "seed", None) is not None:
+            raise ConfigError("the basic model is deterministic; --seed does not apply")
+    return cfg
 
 
 def _distribution_block(dist, extra=None):
@@ -100,7 +106,7 @@ def cmd_analyze(args) -> int:
             "a_period": d.a_period,
             "b_period": d.b_period,
             "n_period": d.n_period,
-            "model": cfg.model,
+            "model": args.model,
             "delta_b": cfg.delta_b,
             "delta_n": cfg.delta_n,
             "p": _rat(cfg.p),
@@ -111,7 +117,7 @@ def cmd_analyze(args) -> int:
             "hyperperiod_reads": d.period,
         },
     }
-    if cfg.model == "basic":
+    if args.model == "basic":
         dist = distribution_basic(d)
         exact = expected_exact_basic(d)
         band = expected_approx_basic(d)
@@ -165,9 +171,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.model == "basic":
-        if args.seed is not None:
-            raise ConfigError("the basic model is deterministic; --seed does not apply")
+    if args.model == "basic":
         trace = simulate_basic(cfg.d, args.cycles)
     else:
         if args.seed is None:
@@ -191,18 +195,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_family(failures: list[str], name: str, dist, seq, where: str = "") -> None:
+    """The closed-form family and the directly evaluated reads as multisets."""
+    closed = dist.to_sorted_array()
+    direct = np.sort(seq)
+    bad = np.flatnonzero(closed != direct)
+    detail = ""
+    if len(bad):
+        k = bad[0]
+        detail = f"{where}first mismatch at sorted position {k}: closed={closed[k]} direct={direct[k]}"
+    _check(failures, name, not len(bad), detail)
+
+
 def _verify_basic(d, args, failures: list[str]) -> None:
     period = d.period
 
-    dist = distribution_basic(d)
     seq = sequence_basic(d, 1, period)
-    closed = sorted(dist.values.elements())
-    direct = sorted(int(v) for v in seq)
-    detail = ""
-    if closed != direct:
-        k = next(i for i, (x, y) in enumerate(zip(closed, direct)) if x != y)
-        detail = f"first mismatch at sorted position {k}: closed={closed[k]} direct={direct[k]}"
-    _check(failures, "progression_family_multiset", closed == direct, detail)
+    _check_family(failures, "progression_family_multiset", distribution_basic(d), seq)
 
     exact = expected_exact_basic(d)
     mean = Fraction(int(seq.sum()), period)
@@ -227,20 +236,14 @@ def _verify_basic(d, args, failures: list[str]) -> None:
     _check(failures, "simulator_matches_formula", same, detail)
 
 
-def _verify_extended(args, failures: list[str]) -> None:
-    cfg = _config_from_args(args)
+def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
     period = cfg.d.period
 
     for l in range(args.l_max + 1):
-        dist = distribution_conditional(cfg, l)
-        seq = sequence_conditional(cfg, l, 1, period)
-        closed = sorted(dist.values.elements())
-        direct = sorted(int(v) for v in seq)
-        detail = ""
-        if closed != direct:
-            k = next(i for i, (x, y) in enumerate(zip(closed, direct)) if x != y)
-            detail = f"l={l}, first mismatch at sorted position {k}: closed={closed[k]} direct={direct[k]}"
-        _check(failures, f"progression_family_multiset_l{l}", closed == direct, detail)
+        _check_family(
+            failures, f"progression_family_multiset_l{l}", distribution_conditional(cfg, l),
+            sequence_conditional(cfg, l, 1, period), f"l={l}, ",
+        )
 
     exact = expected_exact_extended(cfg).value
     band = expected_approx_extended(cfg)
@@ -284,17 +287,21 @@ def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:
 
 
 def cmd_verify(args) -> int:
-    d = decompose(args.a_period, args.b_period, args.n_period)
-    if d.period > _MAX_VERIFY_READS:
+    cfg = _config_from_args(args)
+    if args.l_max < 0:
+        raise ConfigError("--l-max must be >= 0")
+    if args.cycles is not None and args.cycles < 1:
+        raise ConfigError("--cycles must be >= 1")
+    if cfg.d.period > _MAX_VERIFY_READS:
         raise ConfigError(
-            f"hyperperiod of {d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
+            f"hyperperiod of {cfg.d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
             f"verify expands whole hyperperiods, in memory that grows with them"
         )
     failures: list[str] = []
     if args.model == "basic":
-        _verify_basic(d, args, failures)
+        _verify_basic(cfg.d, args, failures)
     else:
-        _verify_extended(args, failures)
+        _verify_extended(cfg, args, failures)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1
@@ -360,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EmptyGridError, ValueError) as exc:
+    except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

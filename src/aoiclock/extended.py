@@ -56,9 +56,9 @@ _MAX_POWER_DIGITS = 10**6
 
 
 def _as_probability(p) -> Fraction:
-    if isinstance(p, float):
+    if isinstance(p, (float, bool)):
         raise ConfigError(
-            "p must be an exact rational (Fraction, int or string), not float"
+            f"p must be an exact rational (Fraction, int or string), not {type(p).__name__}"
         )
     try:
         p = Fraction(p)
@@ -71,26 +71,17 @@ def _as_probability(p) -> Fraction:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A full system description: periods, phase shifts, loss, model flavor.
-
-    ``model`` selects which semantics the simulator and the report use;
-    the lossless model forces delta_b == delta_n == 0 and p == 1.
-    """
+    """A full system description: periods, phase shifts and loss."""
 
     d: PeriodDecomposition
     delta_b: int = 0
     delta_n: int = 0
     p: Fraction = Fraction(1)
-    model: str = "extended"
 
     def __post_init__(self):
-        if self.model not in ("basic", "extended"):
-            raise ConfigError(f"model must be 'basic' or 'extended', got {self.model!r}")
         if self.delta_b < 0 or self.delta_n < 0:
             raise ConfigError("phase shifts must be >= 0")
         object.__setattr__(self, "p", _as_probability(self.p))
-        if self.model == "basic" and (self.delta_b or self.delta_n or self.p != 1):
-            raise ConfigError("the lossless model has no phase shifts and p == 1")
 
 
 @dataclass(frozen=True)

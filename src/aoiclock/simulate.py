@@ -45,16 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus algorithm tag; only counter-based splitmix64 is supported."""
+    """Seed of the counter-based splitmix64 stream."""
 
     seed: int
-    algorithm: str = "splitmix64"
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in uint64")
-        if self.algorithm != "splitmix64":
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
 
 
 def bernoulli_threshold(p: Fraction) -> int:
@@ -75,10 +72,8 @@ class Trace:
     """
 
     a_period: int
-    model: str
     ages: np.ndarray
     fails: np.ndarray
-    rng: RngSpec | None = None
 
     @property
     def cycles(self) -> int:
@@ -104,7 +99,7 @@ def simulate_basic(d: PeriodDecomposition, cycles: int) -> Trace:
     """Replay the lossless instantaneous model for the given read count."""
     kernels.check_simulate_args(d.a_period, d.b_period, d.n_period, 0, 0, cycles)
     ages = kernels.sim_basic(d.a_period, d.b_period, d.n_period, cycles)
-    return Trace(d.a_period, "basic", ages, np.zeros(cycles, dtype=np.int64))
+    return Trace(d.a_period, ages, np.zeros(cycles, dtype=np.int64))
 
 
 def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
@@ -123,7 +118,7 @@ def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
         rng.seed,
         cycles,
     )
-    return Trace(d.a_period, "extended", ages, fails, rng)
+    return Trace(d.a_period, ages, fails)
 
 
 def _check_window(trace: Trace, from_cycle: int, window: int):

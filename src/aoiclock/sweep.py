@@ -238,7 +238,6 @@ class SliceStat:
 
 @dataclass(frozen=True)
 class SweepResult:
-    grid: SweepGrid
     bin_width: Fraction
     n_candidates: int
     n_configs: int
@@ -377,7 +376,6 @@ def run_sweep(
         )
 
     return SweepResult(
-        grid=grid,
         bin_width=bin_width,
         n_candidates=grid.n_candidates(),
         n_configs=len(float_errors),

@@ -1,0 +1,48 @@
+"""The names the benchmark harness in ``bench/`` reads from the package.
+
+``bench/layers.py`` wraps public functions and a few private sweep stages by
+attribute, and times the kernels it finds in ``kernels.IMPLS``; a rename in
+``src/`` that drops one of those names breaks the harness.  These tests fail
+on such a rename without running a benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(BENCH))
+    return layers
+
+
+def _holders(layers, fn) -> list[str]:
+    return [
+        f"{mod.__name__}.{attr}"
+        for mod in layers._MODULES
+        for attr, val in vars(mod).items()
+        if val is fn
+    ]
+
+
+def test_tracer_swaps_and_restores_every_traced_function(layers):
+    originals = [orig for orig, _ in layers.Tracer()._replacements()]
+    assert all(_holders(layers, fn) for fn in originals)
+    with layers.Tracer().installed():
+        assert [h for fn in originals for h in _holders(layers, fn)] == []
+    assert all(_holders(layers, fn) for fn in originals)
+
+
+def test_kernel_shapes_name_registered_kernels(layers):
+    from aoiclock import kernels
+
+    impls = kernels.IMPLS[kernels.backend()]
+    assert [name for _, name, _ in layers.KERNEL_SHAPES if name not in impls] == []

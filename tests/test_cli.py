@@ -24,6 +24,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _flag_id(flag):
+    return f"{flag[0][2:]}={flag[1]}"
+
+
 class TestAnalyze:
     def test_basic_reference_report(self, capsys):
         code, out, _ = run(capsys, "analyze", *FIG, "--model", "basic")
@@ -274,6 +278,16 @@ class TestVerify:
             "verify expands whole hyperperiods, in memory that grows with them\n"
         )
 
+    @pytest.mark.parametrize("model", ["basic", "extended"])
+    @pytest.mark.parametrize(
+        "flag", [["--l-max", "-1"], ["--cycles", "-3"], ["--cycles", "0"]], ids=_flag_id
+    )
+    def test_bad_counts_refused_before_any_check(self, capsys, model, flag):
+        code, out, err = run(capsys, "verify", *FIG, "--model", model, *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag[0]} must be >= ")
+
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
@@ -325,6 +339,41 @@ class TestSweep:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize(
+        "flag", [["--p", "1/2"], ["--delta-b", "1"], ["--delta-n", "1"]], ids=_flag_id
+    )
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["simulate", "--cycles", "10"], ["verify"]], ids=lambda c: c[0]
+    )
+    def test_basic_model_forces_trivial_extras(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, *FIG, "--model", "basic", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the lossless model has no phase shifts and p == 1\n"
+
+    def test_verify_rejects_seed_as_simulate_does(self, capsys):
+        code, out, err = run(capsys, "verify", *FIG, "--model", "basic", "--seed", "5")
+        assert (code, out) == (2, "")
+        _, _, want = run(capsys, "simulate", *FIG, "--cycles", "10", "--seed", "5")
+        assert err == want == "error: the basic model is deterministic; --seed does not apply\n"
+
+
+class TestOverflowGuards:
+    # periods whose slot numbers do not fit the 64-bit kernels
+    HUGE = ["--a-period", "4611686018427387905", "--b-period", "2", "--n-period", "3"]
+
+    @pytest.mark.parametrize("command, message", [
+        (["verify"], "inputs too large for 64-bit kernels"),
+        (["simulate", "--cycles", "5"], "slot numbers would overflow int64"),
+    ], ids=["verify", "simulate"])
+    def test_exits_2_with_the_guard_message(self, capsys, command, message):
+        code, out, err = run(capsys, *command, *self.HUGE)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParser:

@@ -44,6 +44,8 @@ class TestSystemConfig:
     def test_float_p_rejected(self):
         with pytest.raises(ConfigError, match="float"):
             SystemConfig(REFERENCE, p=0.5)
+        with pytest.raises(ConfigError, match="bool"):
+            SystemConfig(REFERENCE, p=True)
 
     def test_p_parsed_from_string(self):
         assert SystemConfig(REFERENCE, p="1/3").p == Fraction(1, 3)
@@ -57,17 +59,6 @@ class TestSystemConfig:
     def test_negative_shift_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(REFERENCE, delta_b=-1)
-
-    def test_basic_model_forces_trivial_extras(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(REFERENCE, delta_b=1, model="basic")
-        with pytest.raises(ConfigError):
-            SystemConfig(REFERENCE, p="1/2", model="basic")
-        SystemConfig(REFERENCE, model="basic")
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(REFERENCE, model="lossy")
 
 
 class TestAoiConditional:

@@ -43,7 +43,7 @@ class TestBernoulliThreshold:
 
 class TestRngSpec:
     def test_valid(self):
-        assert RngSpec(0).algorithm == "splitmix64"
+        RngSpec(0)
         RngSpec(2**64 - 1)
 
     def test_invalid(self):
@@ -51,8 +51,6 @@ class TestRngSpec:
             RngSpec(-1)
         with pytest.raises(ValueError):
             RngSpec(2**64)
-        with pytest.raises(ValueError):
-            RngSpec(0, algorithm="pcg64")
 
 
 class TestSimulateBasic:
@@ -61,7 +59,6 @@ class TestSimulateBasic:
         assert tr.warmup_cycles == 0
         assert tr.ages[0] == 0
         assert (tr.fails == 0).all()
-        assert tr.model == "basic"
 
     def test_slots_property(self):
         tr = simulate_basic(REFERENCE, 5)

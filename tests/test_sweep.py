@@ -58,6 +58,8 @@ class TestGridParsing:
     def test_float_p_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid.from_dict({"p": [0.5]})
+        with pytest.raises(ValueError, match="bool"):
+            SweepGrid.from_dict({"p": [True]})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
