@@ -78,6 +78,9 @@ def _config_from_args(args) -> SystemConfig:
             raise ConfigError("the lossless model has no phase shifts and p == 1")
         if getattr(args, "seed", None) is not None:
             raise ConfigError("the basic model is deterministic; --seed does not apply")
+        for dest, flag in (("sigma", "--sigma"), ("l_max", "--l-max")):
+            if getattr(args, dest, None) is not None:
+                raise ConfigError(f"the basic model is lossless; {flag} does not apply")
     return cfg
 
 
@@ -239,7 +242,8 @@ def _verify_basic(d, args, failures: list[str]) -> None:
 def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
     period = cfg.d.period
 
-    for l in range(args.l_max + 1):
+    l_max = 3 if args.l_max is None else args.l_max
+    for l in range(l_max + 1):
         _check_family(
             failures, f"progression_family_multiset_l{l}", distribution_conditional(cfg, l),
             sequence_conditional(cfg, l, 1, period), f"l={l}, ",
@@ -287,11 +291,11 @@ def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    if args.l_max < 0:
+    if args.l_max is not None and args.l_max < 0:
         raise ConfigError("--l-max must be >= 0")
     if args.cycles is not None and args.cycles < 1:
         raise ConfigError("--cycles must be >= 1")
+    cfg = _config_from_args(args)
     if cfg.d.period > _MAX_VERIFY_READS:
         raise ConfigError(
             f"hyperperiod of {cfg.d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
@@ -343,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="cross-check closed forms against direct evaluation")
     _add_config_flags(ver)
-    ver.add_argument("--l-max", type=int, default=3, help="check conditional families up to this l")
+    ver.add_argument("--l-max", type=int, default=None,
+                     help="check conditional families up to this l (extended, default 3)")
     ver.add_argument("--cycles", type=int, default=None, help="simulated reads (default: 3 hyperperiods)")
     ver.add_argument("--seed", type=int, default=None, help="rng seed for the trace check")
     ver.set_defaults(func=cmd_verify)

@@ -42,6 +42,10 @@ __all__ = [
     "write_trace_csv",
 ]
 
+# Trace CSVs are formatted and written _CSV_ROWS rows at a time, one write
+# per block.  The size bounds a block's memory; it never changes a byte.
+_CSV_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -192,11 +196,19 @@ def write_trace_csv(trace: Trace, dest) -> None:
 
 def _write_rows(trace: Trace, fh: io.TextIOBase) -> None:
     fh.write("k,t,age,l\n")
-    ages = trace.ages
-    fails = trace.fails
-    a_period = trace.a_period
-    for k in range(trace.cycles):
-        if ages[k] >= 0:
-            fh.write(f"{k},{k * a_period},{ages[k]},{fails[k]}\n")
+    defined = trace.defined
+    # starts of the maximal runs of defined and of undefined rows; the
+    # prepended opposite of row 0 makes row 0 a start (and no row at all none)
+    starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
+    # slot numbers past int64 stay exact as python ints
+    dtype = np.int64 if trace.cycles * trace.a_period < 2**63 else object
+    for lo, hi in zip(starts, starts[1:] + [trace.cycles]):
+        if defined[lo]:
+            row, cols = "%d,%d,%d,%d\n", (trace.ages, trace.fails)
         else:
-            fh.write(f"{k},{k * a_period},,\n")
+            row, cols = "%d,%d,,\n", ()
+        for i in range(lo, hi, _CSV_ROWS):
+            j = min(i + _CSV_ROWS, hi)
+            k = np.arange(i, j, dtype=dtype)
+            block = np.stack([k, k * trace.a_period, *(c[i:j] for c in cols)], axis=1)
+            fh.write(row * (j - i) % tuple(block.ravel().tolist()))

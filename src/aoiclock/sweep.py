@@ -112,7 +112,10 @@ def _parse_p_field(raw) -> tuple[Fraction, ...]:
     if not isinstance(raw, list):
         raw = [raw]
     _check_nonempty("p", raw)
-    return tuple(sorted({_as_probability(v) for v in raw}))
+    try:
+        return tuple(sorted({_as_probability(v) for v in raw}))
+    except ConfigError as exc:
+        raise ConfigError(f"grid field p: {exc}") from None
 
 
 @dataclass(frozen=True)

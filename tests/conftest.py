@@ -5,6 +5,7 @@ closed form: they step through slot events with plain integers, so they can
 arbitrate between the analytic formulas and the optimized simulators.  The
 series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
+The trace CSV oracle formats one row at a time with f-strings.
 """
 
 from fractions import Fraction
@@ -99,6 +100,18 @@ def naive_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, se
             ages.append(-1)
             fails.append(-1)
     return ages, fails
+
+
+def naive_trace_csv(trace) -> str:
+    """The trace CSV built row by row: header ``k,t,age,l``, warm-up rows
+    with age and l empty, slot numbers as exact python ints."""
+    out = ["k,t,age,l\n"]
+    for k in range(trace.cycles):
+        if trace.ages[k] >= 0:
+            out.append(f"{k},{k * trace.a_period},{trace.ages[k]},{trace.fails[k]}\n")
+        else:
+            out.append(f"{k},{k * trace.a_period},,\n")
+    return "".join(out)
 
 
 def coprime_triples(limit, lo=1):

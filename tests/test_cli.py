@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,9 @@ FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
 # a call of the analyze benchmark workload, whose periods share factors
 SHARED = ["--a-period", "10", "--b-period", "12", "--n-period", "15"]
 GOLDEN = Path(__file__).parent / "golden"
+# sha256 of the trace CSV that each argv writes, recorded from the row-by-row
+# writer: a trace is a pure function of (config, cycles, seed), to the byte
+TRACE_DIGESTS = json.loads((GOLDEN / "trace_csv_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -173,6 +177,24 @@ class TestSimulate:
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_text().splitlines()[0] == "k,t,age,l"
 
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_trace_bytes_match_golden_digest(self, capsys, tmp_path, name):
+        case = TRACE_DIGESTS[name]
+        path = tmp_path / "trace.csv"
+        assert main([*case["argv"].split(), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == case["sha256"]
+
+    def test_stdout_and_file_get_the_same_bytes(self, capsys, tmp_path):
+        # a warm-up of 71 rows, then defined rows over two blocks
+        argv = TRACE_DIGESTS["extended_p1_5_warmup"]["argv"].split()
+        path = tmp_path / "trace.csv"
+        code, out, _ = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        assert main([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert out.encode() == path.read_bytes()
+
 
 class TestVerify:
     def test_basic_reference_passes(self, capsys):
@@ -193,6 +215,7 @@ class TestVerify:
         assert "check trace_bridge_identity: PASS" in out
         assert "check progression_family_multiset_l0: PASS" in out
         assert "check progression_family_multiset_l3: PASS" in out
+        assert "_l4" not in out
         # no lossless trace check under loss
         assert "lossless_trace_matches_formula" not in out
 
@@ -353,6 +376,16 @@ class TestModelFlags:
         assert code == 2
         assert out == ""
         assert err == "error: the lossless model has no phase shifts and p == 1\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        (["analyze"], ["--sigma", "99/100"]),
+        (["verify"], ["--l-max", "5"]),
+        (["verify"], ["--l-max", "0"]),
+    ], ids=["analyze-sigma=99/100", "verify-l-max=5", "verify-l-max=0"])
+    def test_basic_model_rejects_loss_flags(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, *FIG, "--model", "basic", *flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: the basic model is lossless; {flag[0]} does not apply\n"
 
     def test_verify_rejects_seed_as_simulate_does(self, capsys):
         code, out, err = run(capsys, "verify", *FIG, "--model", "basic", "--seed", "5")

@@ -1,9 +1,12 @@
 import io
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aoiclock import simulate
 from aoiclock.basic import decompose, distribution_basic
@@ -18,6 +21,8 @@ from aoiclock.simulate import (
     simulate_extended,
     write_trace_csv,
 )
+
+from conftest import naive_trace_csv
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -226,3 +231,73 @@ class TestTraceCsv:
         write_trace_csv(simulate_extended(cfg, 123, RngSpec(77)), str(p1))
         write_trace_csv(simulate_extended(cfg, 123, RngSpec(77)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _csv(trace) -> str:
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    return buf.getvalue()
+
+
+# (defined age, l) or None for an undefined row, in any order
+_ROWS = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.integers(0, 99))), max_size=40
+)
+_A_PERIODS = st.one_of(st.integers(1, 100), st.integers(2**40, 2**70))
+_LOSSY = st.builds(
+    lambda t, db, dn, p: SystemConfig(decompose(*t), db, dn, p),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)).filter(
+        lambda t: gcd(*t) == 1
+    ),
+    st.integers(0, 60),
+    st.integers(0, 60),
+    st.sampled_from(["1/5", "1/2", "4/5", "1"]),
+)
+# A trace whose first delivery is at slot 50001: 50,001 warm-up rows, over
+# four blocks, then defined rows.
+_LONG_WARMUP = SystemConfig(decompose(1, 1, 1), delta_n=50000)
+
+
+class TestTraceCsvOracle:
+    """``write_trace_csv`` against the row-by-row oracle, byte for byte."""
+
+    @given(_ROWS, _A_PERIODS, st.integers(1, 5))
+    def test_hand_built_traces_with_holes(self, rows, a_period, block):
+        ages = np.array([-1 if r is None else r[0] for r in rows], dtype=np.int64)
+        fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
+        trace = Trace(a_period, ages, fails)
+        with mock.patch.object(simulate, "_CSV_ROWS", block):
+            assert _csv(trace) == naive_trace_csv(trace)
+
+    @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64))
+    def test_simulator_traces(self, cfg, seed, cycles, block):
+        trace = simulate_extended(cfg, cycles, RngSpec(seed))
+        with mock.patch.object(simulate, "_CSV_ROWS", block):
+            assert _csv(trace) == naive_trace_csv(trace)
+
+    @pytest.mark.parametrize("cycles", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
+    def test_block_edges(self, cycles):
+        assert simulate._CSV_ROWS == 1 << 14
+        cfg = SystemConfig(decompose(1, 9, 8), 30, 30, "1/5")
+        lossy = simulate_extended(cfg, cycles, RngSpec(9))
+        for trace in (lossy, simulate_basic(REFERENCE, cycles)):
+            assert _csv(trace) == naive_trace_csv(trace)
+
+    def test_warmup_longer_than_a_block(self):
+        trace = simulate_extended(_LONG_WARMUP, 50_010, RngSpec(1))
+        assert trace.warmup_cycles == 50_001
+        assert _csv(trace) == naive_trace_csv(trace)
+
+    @pytest.mark.parametrize("cycles", [1, 20])
+    def test_all_warmup(self, cycles):
+        trace = simulate_extended(_LONG_WARMUP, cycles, RngSpec(1))
+        assert trace.warmup_cycles == cycles
+        text = _csv(trace)
+        assert text == naive_trace_csv(trace)
+        assert text.count(",,\n") == cycles
+
+    @pytest.mark.parametrize("a_period", [2**40 + 1, 10**12 + 1, 2**50 + 3])
+    def test_slots_past_2_40(self, a_period):
+        trace = simulate_basic(decompose(a_period, 2, 3), 2_000)
+        assert int(trace.slots[-1]) > 2**40
+        assert _csv(trace) == naive_trace_csv(trace)

@@ -61,6 +61,17 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="bool"):
             SweepGrid.from_dict({"p": [True]})
 
+    @pytest.mark.parametrize("raw, rest", [
+        ([0.5], "p must be an exact rational (Fraction, int or string), not float"),
+        ([True], "p must be an exact rational (Fraction, int or string), not bool"),
+        (["1/2", "half"], "cannot parse probability 'half'"),
+        ("3/2", "p must be in (0, 1], got 3/2"),
+    ], ids=["float", "bool", "unparsable", "out-of-range"])
+    def test_p_errors_name_the_field(self, raw, rest):
+        with pytest.raises(ValueError) as exc:
+            SweepGrid.from_dict({"p": raw})
+        assert str(exc.value) == f"grid field p: {rest}"
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid.from_dict({"A": 0})
