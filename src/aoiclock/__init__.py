@@ -36,6 +36,7 @@ from .extended import (
     expected_approx_extended,
     expected_exact_extended,
     freshness_offset_K,
+    max_bound_lossless,
     max_bound_prob,
     progressions_conditional,
     rel_error_bound_extended,
@@ -55,6 +56,7 @@ from .modmath import (
 from .simulate import (
     RngSpec,
     Trace,
+    bernoulli_threshold,
     empirical_distribution,
     empirical_mean,
     simulate_basic,
@@ -64,6 +66,7 @@ from .simulate import (
 from .sweep import (
     EmptyGridError,
     Histogram,
+    SliceStat,
     SweepGrid,
     SweepResult,
     enumerate_configs,
@@ -84,14 +87,14 @@ __all__ = [
     "progressions_basic", "distribution_basic", "expected_exact_basic",
     "expected_approx_basic", "rel_error_bound_basic", "max_bound_basic",
     # extended model
-    "SystemConfig", "GeometricExpectation", "aoi_conditional",
-    "sequence_conditional", "c_extended", "progressions_conditional",
-    "distribution_conditional", "freshness_offset_K", "expected_approx_extended",
-    "expected_exact_extended", "rel_error_bound_extended", "max_bound_prob",
+    "SystemConfig", "GeometricExpectation", "aoi_conditional", "sequence_conditional",
+    "c_extended", "progressions_conditional", "distribution_conditional",
+    "freshness_offset_K", "expected_approx_extended", "expected_exact_extended",
+    "rel_error_bound_extended", "max_bound_lossless", "max_bound_prob",
     # simulation
-    "RngSpec", "Trace", "simulate_basic", "simulate_extended",
+    "RngSpec", "Trace", "bernoulli_threshold", "simulate_basic", "simulate_extended",
     "empirical_distribution", "empirical_mean", "write_trace_csv",
     # sweep
-    "EmptyGridError", "SweepGrid", "Histogram", "SweepResult",
+    "EmptyGridError", "SweepGrid", "Histogram", "SliceStat", "SweepResult",
     "enumerate_configs", "relative_error", "run_sweep", "write_outputs",
 ]

@@ -159,10 +159,7 @@ class AoiDistribution:
     ``mean`` follow from the family in O(len(progressions)), a*N for one
     hyperperiod, however long the hyperperiod is.  ``values`` (value ->
     multiplicity) expands the family on first access, in O(period) time and
-    memory, and is cached from then on.  An entry needs only ``start``,
-    ``count``, ``last()``, ``sum()`` and ``elements()``: an observed
-    distribution (``simulate.empirical_distribution``) holds one repeated
-    value per entry.
+    memory, and is cached from then on.
     """
 
     progressions: tuple[ArithmeticProgression, ...]
@@ -187,12 +184,15 @@ class AoiDistribution:
         return Fraction(sum(pr.sum() for pr in self.progressions), self.period)
 
     def to_sorted_array(self) -> np.ndarray:
-        out = np.empty(self.period, dtype=np.int64)
-        pos = 0
-        for v in sorted(self.values):
-            c = self.values[v]
-            out[pos : pos + c] = v
-            pos += c
+        """The multiset as a sorted int64 array, built in place from the progressions."""
+        start, step, count = np.array(
+            [(pr.start, pr.step, pr.count) for pr in self.progressions], dtype=np.int64
+        ).reshape(-1, 3).T
+        out = np.arange(self.period, dtype=np.int64)
+        out -= np.repeat(np.cumsum(count) - count, count)
+        out *= np.repeat(step, count)
+        out += np.repeat(start, count)
+        out.sort()
         return out
 
 

@@ -32,6 +32,7 @@ from .extended import (
     expected_approx_extended,
     expected_exact_extended,
     freshness_offset_K,
+    max_bound_lossless,
     max_bound_prob,
     rel_error_bound_extended,
     sequence_conditional,
@@ -164,7 +165,7 @@ def cmd_analyze(args) -> int:
         if cfg.p == 1:
             # with lossless delivery the probabilistic machinery degenerates
             # to a hard bound
-            report["max_bound"] = d.b_period + d.n_period - d.n + freshness_offset_K(cfg)
+            report["max_bound"] = max_bound_lossless(cfg)
         if args.sigma is not None:
             report["sigma"] = _rat(args.sigma)
             report["max_bound_prob"] = max_bound_prob(cfg, args.sigma)
@@ -198,16 +199,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_equal(failures: list[str], name: str, got, want, describe) -> None:
+    """Two arrays element by element; ``describe(i)`` details the first index that differs."""
+    bad = np.flatnonzero(got != want)
+    _check(failures, name, not len(bad), describe(bad[0]) if len(bad) else "")
+
+
 def _check_family(failures: list[str], name: str, dist, seq, where: str = "") -> None:
     """The closed-form family and the directly evaluated reads as multisets."""
-    closed = dist.to_sorted_array()
-    direct = np.sort(seq)
-    bad = np.flatnonzero(closed != direct)
-    detail = ""
-    if len(bad):
-        k = bad[0]
-        detail = f"{where}first mismatch at sorted position {k}: closed={closed[k]} direct={direct[k]}"
-    _check(failures, name, not len(bad), detail)
+    closed, direct = dist.to_sorted_array(), np.sort(seq)
+    _check_equal(failures, name, closed, direct, lambda k: f"{where}first mismatch at sorted "
+                 f"position {k}: closed={closed[k]} direct={direct[k]}")
 
 
 def _verify_basic(d, args, failures: list[str]) -> None:
@@ -231,12 +233,8 @@ def _verify_basic(d, args, failures: list[str]) -> None:
     cycles = args.cycles or 3 * period + 1
     trace = simulate_basic(d, cycles)
     model = sequence_basic(d, 0, cycles)
-    same = bool((trace.ages == model).all())
-    detail = ""
-    if not same:
-        k = int((trace.ages != model).argmax())
-        detail = f"first mismatch at k={k}: simulated={trace.ages[k]} formula={model[k]}"
-    _check(failures, "simulator_matches_formula", same, detail)
+    _check_equal(failures, "simulator_matches_formula", trace.ages, model, lambda k:
+                 f"first mismatch at k={k}: simulated={trace.ages[k]} formula={model[k]}")
 
 
 def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
@@ -257,28 +255,20 @@ def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
     cycles = args.cycles or 3 * period + 50
     trace = simulate_extended(cfg, cycles, RngSpec(args.seed if args.seed is not None else 0))
     warm = trace.warmup_cycles
-    fails = trace.fails[warm:]
+    ages, fails = trace.ages[warm:], trace.fails[warm:]
     d = cfg.d
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     kernels.check_sequence_args(*shape, int(fails.max(initial=0)), warm, len(fails))
     # the sequence kernel takes a failure count per read as it takes one for
     # all, so the whole trace costs one pass however many counts occur
     want = kernels.seq_conditional(*shape, fails, warm, len(fails))
-    bad = np.flatnonzero(trace.ages[warm:] != want)
-    detail = ""
-    if len(bad):
-        i = bad[0]
-        detail = f"k={warm + i} l={fails[i]}: simulated={trace.ages[warm + i]} formula={want[i]}"
-    _check(failures, "trace_bridge_identity", not len(bad), detail)
+    _check_equal(failures, "trace_bridge_identity", ages, want, lambda i:
+                 f"k={warm + i} l={fails[i]}: simulated={ages[i]} formula={want[i]}")
 
     if cfg.p == 1:
-        model = sequence_conditional(cfg, 0, warm, trace.cycles - warm)
-        same = bool((trace.ages[warm:] == model).all())
-        detail = ""
-        if not same:
-            k = int((trace.ages[warm:] != model).argmax()) + warm
-            detail = f"first mismatch at k={k}"
-        _check(failures, "lossless_trace_matches_formula", same, detail)
+        model = sequence_conditional(cfg, 0, warm, len(ages))
+        _check_equal(failures, "lossless_trace_matches_formula", ages, model,
+                     lambda i: f"first mismatch at k={warm + i}")
 
 
 def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:

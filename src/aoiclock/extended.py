@@ -42,6 +42,7 @@ __all__ = [
     "expected_approx_extended",
     "expected_exact_extended",
     "rel_error_bound_extended",
+    "max_bound_lossless",
     "max_bound_prob",
 ]
 
@@ -225,6 +226,12 @@ def rel_error_bound_extended(cfg: SystemConfig) -> Fraction:
     return Fraction(d.a * d.b) / denom
 
 
+def max_bound_lossless(cfg: SystemConfig) -> int:
+    """Hard bound B' + N' - n + K on every age at l = 0, so on all ages when p == 1."""
+    d = cfg.d
+    return d.b_period + d.n_period - d.n + freshness_offset_K(cfg)
+
+
 def _neg_log1m(x: Fraction) -> float:
     """-log(1 - x) for 0 < x < 1 as a float, without cancellation at either end."""
     if 2 * x <= 1:
@@ -245,7 +252,7 @@ def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must be in (0, 1), got {sigma}")
     d = cfg.d
-    base = d.b_period + d.n_period - d.n + freshness_offset_K(cfg)
+    base = max_bound_lossless(cfg)
     p = cfg.p
     if p >= sigma:  # one transmission already leaves 1 - p <= 1 - sigma; p == 1 too
         return base

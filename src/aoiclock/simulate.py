@@ -22,12 +22,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
 from . import kernels
-from .basic import AoiDistribution, PeriodDecomposition
+from .basic import PeriodDecomposition
 from .extended import SystemConfig
 from .modmath import Multiset
 
@@ -84,8 +83,14 @@ class Trace:
         return len(self.ages)
 
     @property
+    def _slot_dtype(self) -> type:
+        # slot numbers past int64 stay exact as python ints; a_period itself
+        # must fit to scale even an empty int64 range
+        return np.int64 if max(self.cycles, 1) * self.a_period < 2**63 else object
+
+    @property
     def slots(self) -> np.ndarray:
-        return np.arange(self.cycles, dtype=np.int64) * self.a_period
+        return np.arange(self.cycles, dtype=self._slot_dtype) * self.a_period
 
     @property
     def defined(self) -> np.ndarray:
@@ -139,39 +144,11 @@ def _check_window(trace: Trace, from_cycle: int, window: int):
         )
 
 
-@dataclass(frozen=True)
-class _Repeated:
-    """One value ``start`` taken ``count`` times: an observed age and its
-    multiplicity, read by AoiDistribution as it reads a progression."""
-
-    start: int
-    count: int
-
-    def elements(self) -> repeat:
-        return repeat(self.start, self.count)
-
-    def last(self) -> int:
-        return self.start
-
-    def sum(self) -> int:
-        return self.start * self.count
-
-
-def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> AoiDistribution:
-    """Observed age multiset over a fully defined window of the trace.
-
-    The family holds one entry per distinct observed value, so building it
-    and its summary cost O(distinct values) past the count of the window;
-    ``values`` is the observed count itself, not re-expanded.
-    """
+def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> Multiset:
+    """Observed age multiset (value -> count) over a fully defined window of the trace."""
     _check_window(trace, from_cycle, window)
-    chunk = trace.ages[from_cycle : from_cycle + window]
-    counts = Multiset({int(v): int(c) for v, c in zip(*np.unique(chunk, return_counts=True))})
-    dist = AoiDistribution(tuple(_Repeated(v, c) for v, c in counts.items()), window)
-    # cached_property keeps its value in the instance dict, which a frozen
-    # dataclass leaves writable through object.__setattr__
-    object.__setattr__(dist, "values", counts)
-    return dist
+    seen, counts = np.unique(trace.ages[from_cycle : from_cycle + window], return_counts=True)
+    return Multiset(dict(zip(seen.tolist(), counts.tolist())))
 
 
 def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
@@ -200,8 +177,6 @@ def _write_rows(trace: Trace, fh: io.TextIOBase) -> None:
     # starts of the maximal runs of defined and of undefined rows; the
     # prepended opposite of row 0 makes row 0 a start (and no row at all none)
     starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
-    # slot numbers past int64 stay exact as python ints
-    dtype = np.int64 if trace.cycles * trace.a_period < 2**63 else object
     for lo, hi in zip(starts, starts[1:] + [trace.cycles]):
         if defined[lo]:
             row, cols = "%d,%d,%d,%d\n", (trace.ages, trace.fails)
@@ -209,6 +184,6 @@ def _write_rows(trace: Trace, fh: io.TextIOBase) -> None:
             row, cols = "%d,%d,,\n", ()
         for i in range(lo, hi, _CSV_ROWS):
             j = min(i + _CSV_ROWS, hi)
-            k = np.arange(i, j, dtype=dtype)
+            k = np.arange(i, j, dtype=trace._slot_dtype)
             block = np.stack([k, k * trace.a_period, *(c[i:j] for c in cols)], axis=1)
             fh.write(row * (j - i) % tuple(block.ravel().tolist()))

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aoiclock.basic import (
+    AoiDistribution,
     ConfigError,
     NullSequenceError,
     PeriodDecomposition,
@@ -22,6 +24,7 @@ from aoiclock.basic import (
     rel_error_bound_basic,
     sequence_basic,
 )
+from aoiclock.modmath import ArithmeticProgression
 
 from conftest import coprime_triples, naive_basic_ages
 
@@ -154,6 +157,35 @@ class TestProgressionFamily:
         progs = progressions_basic(d)
         assert len(progs) == d.a * d.N
         assert all(pr.step == d.a * d.b and pr.count == d.B for pr in progs)
+
+
+# hand-built families: mixed steps, starts far past any hyperperiod, and the
+# empty family
+_FAMILIES = st.lists(
+    st.builds(
+        ArithmeticProgression,
+        st.integers(0, 10**12),
+        st.integers(1, 10**6),
+        st.integers(1, 40),
+    ),
+    max_size=12,
+)
+
+
+class TestSortedArray:
+    @given(_FAMILIES)
+    def test_equals_sorted_elements(self, progs):
+        dist = AoiDistribution(tuple(progs), sum(pr.count for pr in progs))
+        want = np.sort(np.fromiter(chain.from_iterable(pr.elements() for pr in progs), np.int64))
+        got = dist.to_sorted_array()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        # built from the progressions, not from the expanded multiset
+        assert "values" not in vars(dist)
+
+    def test_empty_family(self):
+        got = AoiDistribution((), 0).to_sorted_array()
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestAInvariance:

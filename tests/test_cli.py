@@ -275,6 +275,16 @@ class TestVerify:
         )
         assert out.endswith("1 check(s) failed: trace_bridge_identity\n")
 
+    @pytest.mark.parametrize("model", ["basic", "extended"])
+    def test_families_compared_without_expanding_values(self, capsys, monkeypatch, model):
+        def expanded(self):
+            raise AssertionError("a family was expanded into its values")
+
+        monkeypatch.setattr(aoiclock.basic.AoiDistribution, "values", property(expanded))
+        code, out, err = run(capsys, "verify", *FIG, "--model", model)
+        assert code == 0, out + err
+        assert "all checks passed" in out
+
     @pytest.fixture
     def no_kernels(self, monkeypatch):
         def refuse(*args, **kwargs):
