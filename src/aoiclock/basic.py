@@ -10,7 +10,8 @@ The age seen at the k-th read has a closed form built from floored moduli,
 and over one hyperperiod its multiset of values decomposes into a small
 family of arithmetic progressions.  That family gives the exact expectation,
 a two-sided band around it, and a hard upper bound without enumerating
-anything.
+anything.  The age formula and the family take a shift triple (s_b, s_n,
+base), zero here, which ``extended`` sets for its buffered, lossy model.
 """
 
 from __future__ import annotations
@@ -196,13 +197,43 @@ class AoiDistribution:
         return out
 
 
+def _age(d: PeriodDecomposition, k: int, shifts=(0, 0, 0)) -> int:
+    """Age at the k-th read for the shift triple (s_b, s_n, base) of both models."""
+    s_b, s_n, base = shifts
+    t = k * d.a_period
+    e = floor_mod(t - s_n, d.n_period)
+    return base + e + floor_mod(floor_mod(t - s_b, d.b_period) - e, d.b_period)
+
+
+def _start(d: PeriodDecomposition, i: int, j: int, shifts=(0, 0, 0)) -> int:
+    """Start of progression (i, j) of the family for the shift triple (s_b, s_n, base)."""
+    if not 0 <= i < d.a:
+        raise ValueError(f"i must be in [0, {d.a}), got {i}")
+    if not 0 <= j < d.N:
+        raise ValueError(f"j must be in [0, {d.N}), got {j}")
+    s_b, s_n, base = shifts
+    ab = d.a * d.b
+    an = d.a * d.n
+    r_ab = floor_mod(i * d.a_period - s_b, ab)
+    r_an = floor_mod(i * d.a_period - s_n, an)
+    return base + r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
+
+
+def _progressions(d: PeriodDecomposition, shifts=(0, 0, 0)) -> tuple[ArithmeticProgression, ...]:
+    """The a*N progressions <_start(d, i, j), a*b, B> of one hyperperiod of ages."""
+    ab = d.a * d.b
+    return tuple(
+        ArithmeticProgression(_start(d, i, j, shifts), ab, d.B)
+        for i in range(d.a)
+        for j in range(d.N)
+    )
+
+
 def aoi_basic(d: PeriodDecomposition, k: int) -> int:
     """Age at the k-th read: kA' mod N' + (kA' mod B' - kA' mod N') mod B'."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    t = k * d.a_period
-    e = floor_mod(t, d.n_period)
-    return e + floor_mod(floor_mod(t, d.b_period) - e, d.b_period)
+    return _age(d, k)
 
 
 def sequence_basic(d: PeriodDecomposition, start_cycle: int, count: int) -> np.ndarray:
@@ -217,25 +248,12 @@ def c_basic(d: PeriodDecomposition, i: int, j: int) -> int:
     Index ranges: 0 <= i < a, 0 <= j < N.  The (i, j) progression is
     <c_basic(d, i, j), a*b, B>.
     """
-    if not 0 <= i < d.a:
-        raise ValueError(f"i must be in [0, {d.a}), got {i}")
-    if not 0 <= j < d.N:
-        raise ValueError(f"j must be in [0, {d.N}), got {j}")
-    ab = d.a * d.b
-    an = d.a * d.n
-    r_ab = floor_mod(i * d.a_period, ab)
-    r_an = floor_mod(i * d.a_period, an)
-    return r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
+    return _start(d, i, j)
 
 
 def progressions_basic(d: PeriodDecomposition) -> tuple[ArithmeticProgression, ...]:
     """The a*N progressions whose union is one hyperperiod of ages."""
-    ab = d.a * d.b
-    return tuple(
-        ArithmeticProgression(c_basic(d, i, j), ab, d.B)
-        for i in range(d.a)
-        for j in range(d.N)
-    )
+    return _progressions(d)
 
 
 def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:
@@ -260,12 +278,22 @@ def expected_exact_basic(d: PeriodDecomposition) -> Fraction:
     return Fraction(d.b_period + d.n_period - n + a * b, 2) - Fraction(b, N) * correction
 
 
+def _band(d: PeriodDecomposition, offset=0) -> BandedValue:
+    """Band (B' + N' - n)/2 + offset +- a*b/2."""
+    return BandedValue(Fraction(max_bound_basic(d), 2) + offset, Fraction(d.a * d.b, 2))
+
+
+def _rel_error_bound(d: PeriodDecomposition, offset=0) -> Fraction:
+    """a*b/2 over the low end (B-1)*a*b/2 + n*(a*N - 1)/2 + offset of ``_band(d, offset)``."""
+    denom = max_bound_basic(d) - d.a * d.b + 2 * offset
+    if denom == 0:
+        raise NullSequenceError("age sequence is identically zero; relative error is unbounded")
+    return Fraction(d.a * d.b) / denom
+
+
 def expected_approx_basic(d: PeriodDecomposition) -> BandedValue:
     """Two-sided band (B' + N' - n)/2 +- a*b/2 around the exact mean."""
-    return BandedValue(
-        Fraction(d.b_period + d.n_period - d.n, 2),
-        Fraction(d.a * d.b, 2),
-    )
+    return _band(d)
 
 
 def rel_error_bound_basic(d: PeriodDecomposition) -> Fraction:
@@ -274,12 +302,7 @@ def rel_error_bound_basic(d: PeriodDecomposition) -> Fraction:
     Undefined when the age is identically zero (B == 1 and a*N == 1), the
     only case where the exact mean vanishes.
     """
-    denom = (d.B - 1) * d.a * d.b + d.n * (d.a * d.N - 1)
-    if denom == 0:
-        raise NullSequenceError(
-            "age sequence is identically zero; relative error is unbounded"
-        )
-    return Fraction(d.a * d.b, denom)
+    return _rel_error_bound(d)
 
 
 def max_bound_basic(d: PeriodDecomposition) -> int:

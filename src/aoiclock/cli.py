@@ -40,10 +40,11 @@ from .extended import (
 from .simulate import RngSpec, empirical_mean, simulate_basic, simulate_extended, write_trace_csv
 from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
 
-# verify expands whole hyperperiods and simulates three of them, keeping
-# about 130 (basic) to 220 (extended) bytes per read: at 1.97*10^6 reads,
-# periods (7, 1399, 1409), the basic checks peak at 272 MB in 0.8 s and the
-# extended ones at 443 MB in 2.5 s on a 2-core Xeon host.
+# verify expands whole hyperperiods and simulates three of them, about 140
+# (basic) to 200 (extended) bytes per read: at 1.97*10^6 reads, periods
+# (7, 1399, 1409), the basic checks peak at 272 MB in 0.7 s and the extended
+# ones (p = 1/2, seed 1) at 398 MB in 1.25 s on a 2-core Xeon host (the
+# child's peak RSS from rusage; median wall time including start-up).
 _MAX_VERIFY_READS = 2 * 10**6
 
 

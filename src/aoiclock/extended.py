@@ -27,8 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition
-from .modmath import ArithmeticProgression, ceil_div, comp_mod, floor_mod
+from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition, max_bound_basic
+from .basic import _age, _band, _progressions, _rel_error_bound, _start
+from .modmath import ArithmeticProgression, comp_mod
 
 __all__ = [
     "SystemConfig",
@@ -105,52 +106,38 @@ class GeometricExpectation:
             raise ValueError("tail_bound must be >= 0")
 
 
+def _shifts(n_period: int, delta_b: int, delta_n: int, l):
+    """Shift triple (s_b, s_n, base) of the age formula at l failures, l an int or int64 array."""
+    lag = 2 + l * n_period
+    return delta_b + lag, delta_n + 1, lag
+
+
 def aoi_conditional(cfg: SystemConfig, k: int, l: int) -> int:
     """Age at the k-th read given l transmission slots since the last success."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be >= 0")
-    d = cfg.d
-    t = k * d.a_period
-    e = floor_mod(t - cfg.delta_n - 1, d.n_period)
-    s = floor_mod(t - cfg.delta_b - 2 - l * d.n_period, d.b_period)
-    return 2 + l * d.n_period + e + floor_mod(s - e, d.b_period)
+    return _age(cfg.d, k, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
 
 
 def sequence_conditional(cfg: SystemConfig, l: int, start_cycle: int, count: int) -> np.ndarray:
     """Conditional ages at reads start_cycle, ..., start_cycle + count - 1."""
     d = cfg.d
-    kernels.check_sequence_args(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, l, start_cycle, count
-    )
-    return kernels.seq_conditional(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, l, start_cycle, count
-    )
+    args = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, l, start_cycle, count)
+    kernels.check_sequence_args(*args)
+    return kernels.seq_conditional(*args)
 
 
 def c_extended(cfg: SystemConfig, i: int, j: int, l: int) -> int:
     """Starting offset of progression (i, j) of the conditional hyperperiod."""
-    d = cfg.d
-    if not 0 <= i < d.a:
-        raise ValueError(f"i must be in [0, {d.a}), got {i}")
-    if not 0 <= j < d.N:
-        raise ValueError(f"j must be in [0, {d.N}), got {j}")
     if l < 0:
         raise ValueError("l must be >= 0")
-    ab = d.a * d.b
-    an = d.a * d.n
-    r_ab = floor_mod(i * d.a_period - cfg.delta_b - 2 - l * d.n_period, ab)
-    r_an = floor_mod(i * d.a_period - cfg.delta_n - 1, an)
-    return 2 + l * d.n_period + r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
+    return _start(cfg.d, i, j, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
 
 
 def progressions_conditional(cfg: SystemConfig, l: int) -> tuple[ArithmeticProgression, ...]:
-    d = cfg.d
-    ab = d.a * d.b
-    return tuple(
-        ArithmeticProgression(c_extended(cfg, i, j, l), ab, d.B)
-        for i in range(d.a)
-        for j in range(d.N)
-    )
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    return _progressions(cfg.d, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
 
 
 def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
@@ -163,15 +150,14 @@ def freshness_offset_K(cfg: SystemConfig) -> int:
     return 2 + comp_mod(cfg.delta_n + 1, cfg.d.n)
 
 
+def _offset(cfg: SystemConfig) -> Fraction:
+    """What buffering, phase and loss add to the basic band: K + (1-p)/p * N'."""
+    return freshness_offset_K(cfg) + (1 - cfg.p) / cfg.p * cfg.d.n_period
+
+
 def expected_approx_extended(cfg: SystemConfig) -> BandedValue:
     """Band (B' + N' - n)/2 + K + (1-p)/p * N' +- a*b/2 around the expectation."""
-    d = cfg.d
-    center = (
-        Fraction(d.b_period + d.n_period - d.n, 2)
-        + freshness_offset_K(cfg)
-        + (1 - cfg.p) / cfg.p * d.n_period
-    )
-    return BandedValue(center, Fraction(d.a * d.b, 2))
+    return _band(cfg.d, _offset(cfg))
 
 
 def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
@@ -197,12 +183,9 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     u, v = cfg.p.numerator, cfg.p.denominator
     w = v - u  # (1-p) = w/v
     period = d.period
-    kernels.check_period_sums_args(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
-    )
-    sums = kernels.period_sums_conditional(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
-    )
+    args = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period)
+    kernels.check_period_sums_args(*args)
+    sums = kernels.period_sums_conditional(*args)
 
     acc = 0
     wr = 1
@@ -216,20 +199,12 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
 
 def rel_error_bound_extended(cfg: SystemConfig) -> Fraction:
     """Worst-case relative error of the extended band center, always finite."""
-    d = cfg.d
-    k_off = freshness_offset_K(cfg)
-    denom = (
-        (d.B - 1) * d.a * d.b
-        + d.n * (d.a * d.N - 1)
-        + 2 * (k_off + (1 - cfg.p) / cfg.p * d.n_period)
-    )
-    return Fraction(d.a * d.b) / denom
+    return _rel_error_bound(cfg.d, _offset(cfg))
 
 
 def max_bound_lossless(cfg: SystemConfig) -> int:
     """Hard bound B' + N' - n + K on every age at l = 0, so on all ages when p == 1."""
-    d = cfg.d
-    return d.b_period + d.n_period - d.n + freshness_offset_K(cfg)
+    return max_bound_basic(cfg.d) + freshness_offset_K(cfg)
 
 
 def _neg_log1m(x: Fraction) -> float:

@@ -71,18 +71,22 @@ def check_simulate_args(a_period, b_period, n_period, delta_b, delta_n, cycles):
 # ---------------------------------------------------------------------------
 # kernels
 
-def seq_basic(a_period, b_period, n_period, k0, count):
+# the age of both models, for the shift triple (s_b, s_n, base) of basic._age
+def _seq(a_period, b_period, n_period, k0, count, shifts=(0, 0, 0)):
+    s_b, s_n, base = shifts
     t = np.arange(k0, k0 + count, dtype=np.int64) * a_period
-    e = t % n_period
-    return e + ((t % b_period) - e) % b_period
+    e = (t - s_n) % n_period
+    return ((t - s_b) % b_period - e) % b_period + e + base
+
+
+def seq_basic(a_period, b_period, n_period, k0, count):
+    return _seq(a_period, b_period, n_period, k0, count)
 
 
 # l is one failure count for every read, or an int64 array of one per read
 def seq_conditional(a_period, b_period, n_period, delta_b, delta_n, l, k0, count):
-    t = np.arange(k0, k0 + count, dtype=np.int64) * a_period
-    e = (t - delta_n - 1) % n_period
-    s = (t - delta_b - 2 - l * n_period) % b_period
-    return 2 + l * n_period + e + (s - e) % b_period
+    from .extended import _shifts  # extended imports this module
+    return _seq(a_period, b_period, n_period, k0, count, _shifts(n_period, delta_b, delta_n, l))
 
 
 def period_sums_conditional(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):

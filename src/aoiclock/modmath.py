@@ -79,12 +79,6 @@ class ArithmeticProgression:
     def mean(self) -> Fraction:
         return Fraction(self.sum(), self.count)
 
-    def as_multiset(self) -> Multiset:
-        return Counter(self.elements())
-
-    def __len__(self) -> int:
-        return self.count
-
 
 def residue_orbit(x: int, y: int) -> Multiset:
     """Multiset {k*x mod y : 1 <= k <= y} for coprime x, y.

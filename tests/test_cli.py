@@ -225,9 +225,11 @@ class TestVerify:
         assert "check lossless_trace_matches_formula: PASS" in out
 
     def test_corrupted_offsets_surface_counterexample(self, capsys, monkeypatch):
-        real = aoiclock.basic.c_basic
+        real = aoiclock.basic._start
         monkeypatch.setattr(
-            aoiclock.basic, "c_basic", lambda d, i, j: real(d, i, j) + (i + j == 0)
+            aoiclock.basic,
+            "_start",
+            lambda d, i, j, shifts=(0, 0, 0): real(d, i, j, shifts) + (i + j == 0),
         )
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
         assert code == 1
@@ -237,16 +239,19 @@ class TestVerify:
         assert "1 check(s) failed" in out
 
     def test_corrupted_extended_offsets_fail(self, capsys, monkeypatch):
-        real = aoiclock.extended.c_extended
+        # both models build their families through one start formula; the
+        # shift triple's base is 2 + l*N', so this corrupts l == 1 only
+        real = aoiclock.basic._start
         monkeypatch.setattr(
-            aoiclock.extended,
-            "c_extended",
-            lambda cfg, i, j, l: real(cfg, i, j, l) + (l == 1),
+            aoiclock.basic,
+            "_start",
+            lambda d, i, j, shifts: real(d, i, j, shifts) + (shifts[2] == 2 + d.n_period),
         )
         code, out, _ = run(capsys, "verify", *FIG, "--model", "extended")
         assert code == 1
         assert "check progression_family_multiset_l0: PASS" in out
         assert "check progression_family_multiset_l1: FAIL" in out
+        assert "(l=1, first mismatch at sorted position" in out
 
     def test_corrupted_trace_fails_bridge_at_first_mismatch(self, capsys, monkeypatch):
         # verify's default run: 3 hyperperiods of 35 reads plus 50

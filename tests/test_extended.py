@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -106,6 +107,8 @@ class TestProgressionFamilyConditional:
             c_extended(REF_CFG, 0, 5, 0)
         with pytest.raises(ValueError):
             c_extended(REF_CFG, 0, 0, -1)
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            progressions_conditional(REF_CFG, -1)
 
     def test_reference_distribution_l0(self):
         dist = distribution_conditional(REF_CFG, 0)
@@ -217,11 +220,18 @@ class TestExpectedExact:
     @given(cfg_strategy(12, 10))
     @example(SystemConfig(decompose(12, 9, 5), delta_b=2, delta_n=7))  # b = 3
     def test_conditional_mean_periodic_in_b(self, cfg):
-        # the closed form rests on m(l) - l*N' depending only on l mod b
+        # the closed form rests on m(l) - l*N' depending only on l mod b, and
+        # that on the family at l being the family at l mod b raised by
+        # (l - l mod b)*N', progression by progression
         d = cfg.d
         base = [distribution_conditional(cfg, r).mean() - r * d.n_period for r in range(d.b)]
         for l in range(3 * d.b + 1):
             assert distribution_conditional(cfg, l).mean() - l * d.n_period == base[l % d.b]
+            r = l % d.b
+            assert progressions_conditional(cfg, l) == tuple(
+                replace(pr, start=pr.start + (l - r) * d.n_period)
+                for pr in progressions_conditional(cfg, r)
+            )
 
 
 class TestRelErrorBound:
