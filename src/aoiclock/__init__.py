@@ -50,6 +50,7 @@ from .modmath import (
     ceil_div,
     comp_mod,
     floor_mod,
+    floor_sum,
     pairing_classes,
     residue_orbit,
 )
@@ -79,7 +80,7 @@ __all__ = [
     "__version__",
     "backend",
     # modmath
-    "floor_mod", "comp_mod", "ceil_div", "ArithmeticProgression", "Multiset",
+    "floor_mod", "comp_mod", "ceil_div", "floor_sum", "ArithmeticProgression", "Multiset",
     "residue_orbit", "ap_reduce_mod", "pairing_classes",
     # basic model
     "ConfigError", "NullSequenceError", "PeriodDecomposition", "AoiDistribution",

@@ -47,9 +47,11 @@ __all__ = [
     "max_bound_prob",
 ]
 
-# The exact expectation sums b conditional hyperperiods and runs a b-step
-# Horner loop over a denominator of about b*log2(v) bits, so its big-integer
-# work grows as b^2: about 1.5 s at b = 10^5 on a 2-core Xeon host.
+# The exact expectation takes b conditional hyperperiod sums (a floor sum
+# each) and runs a b-step Horner loop over a denominator of about b*log2(v)
+# bits, so its big-integer work grows as b^2: about 0.5 s at b = 10^5,
+# periods (3b, 7b, 11) and p = 1/2, on a 2-core Xeon host (0.15 s of it the
+# sums).
 _MAX_TERMS = 10**5
 # max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
 # m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s
@@ -170,22 +172,22 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
         E = w*N'/u + sum_{r<b} u*w^r*v^(b-1-r) * (S(r) - r*N'*period)
                      / (period * (v^b - w^b)).
 
-    Costs O(b*period) kernel work plus O(b^2) big-integer work, since the
-    denominator has about b*log2(v) bits.
+    Costs O(a*b*log) integer work for the b sums plus O(b^2) big-integer
+    work, since the denominator has about b*log2(v) bits.
     """
     d = cfg.d
     if d.b > _MAX_TERMS:
         raise ValueError(
             f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
             f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (about 1.5 s at b = {_MAX_TERMS})"
+            f"grows as b^2 (about 0.5 s at b = {_MAX_TERMS})"
         )
     u, v = cfg.p.numerator, cfg.p.denominator
     w = v - u  # (1-p) = w/v
     period = d.period
-    args = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period)
-    kernels.check_period_sums_args(*args)
-    sums = kernels.period_sums_conditional(*args)
+    sums = kernels.period_sums_conditional(
+        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
+    )
 
     acc = 0
     wr = 1

@@ -1,8 +1,9 @@
-"""Vectorized numpy kernels: age sequences, period sums and simulators.
+"""Kernels: vectorized numpy age sequences and simulators, and exact period sums.
 
-All kernels work in int64.  Callers go through the ``check_*`` guards, which
-reject inputs whose intermediate values could leave the int64 range; the
-kernels themselves assume the guards have run.
+The sequence kernels and the simulators work in int64.  Callers go through
+the ``check_*`` guards, which reject inputs whose intermediate values could
+leave the int64 range; the kernels themselves assume the guards have run.
+The period sums are closed forms in Python ints, so they need no guard.
 
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
@@ -16,15 +17,19 @@ memory is O(cycles + chunk) however many transmissions fall between reads.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
+
+from .modmath import floor_sum
 
 # splitmix64 constants
 _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Inputs are capped so every intermediate (slot numbers, k*A', sums over one
-# period) stays well inside int64.
+# Inputs are capped so every intermediate (slot numbers, k*A') stays well
+# inside int64.
 _SLOT_LIMIT = 1 << 62
 
 # The extended simulator handles reads in chunks of _CHUNK.  The size
@@ -48,13 +53,6 @@ def check_sequence_args(a_period, b_period, n_period, delta_b, delta_n, l, k0, c
     top = (k0 + count) * a_period + delta_b + delta_n + (l + 2) * n_period + 2
     if top >= _SLOT_LIMIT:
         raise OverflowError("inputs too large for 64-bit kernels")
-
-
-def check_period_sums_args(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):
-    check_sequence_args(a_period, b_period, n_period, delta_b, delta_n, max(n_terms - 1, 0), period, 1)
-    # one period's sum of conditional ages, worst case
-    if period * (2 + b_period + (n_terms + 1) * n_period) >= _SLOT_LIMIT:
-        raise OverflowError("period sums would overflow int64")
 
 
 def check_simulate_args(a_period, b_period, n_period, delta_b, delta_n, cycles):
@@ -90,14 +88,29 @@ def seq_conditional(a_period, b_period, n_period, delta_b, delta_n, l, k0, count
 
 
 def period_sums_conditional(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):
-    t = np.arange(1, period + 1, dtype=np.int64) * a_period
-    e = (t - delta_n - 1) % n_period
-    e_sum = int(e.sum())
-    base = t - delta_b - 2
-    out = np.empty(n_terms, dtype=np.int64)
-    for l in range(n_terms):
-        s = (base - l * n_period) % b_period
-        out[l] = (2 + l * n_period) * period + e_sum + int(((s - e) % b_period).sum())
+    """Age sums S(r) of one conditional hyperperiod for r < n_terms, as exact ints.
+
+    S(r) sums the family at r failures: the a*N progressions <c, a*b, B>
+    with c = base + r_ab + ceil((r_an - r_ab + j*a*n)/(a*b))*a*b.  Summed
+    over j < N, the ceilings are one floor sum per i, so the cost is
+    O(n_terms*a*log) whatever the hyperperiod.  ``period`` must be that
+    hyperperiod, a*B*N reads, for periods that ``basic.decompose`` accepts.
+    """
+    from .extended import _shifts  # extended imports this module
+    a, b, n = gcd(b_period, n_period), gcd(a_period, b_period), gcd(a_period, n_period)
+    ab, an = a * b, a * n
+    B, N = b_period // ab, n_period // an
+    if a * B * N != period:
+        raise ValueError(f"period must be the hyperperiod a*B*N = {a * B * N}, got {period}")
+    out = []
+    for r in range(n_terms):
+        s_b, s_n, base = _shifts(n_period, delta_b, delta_n, r)
+        acc = 0
+        for i in range(a):
+            r_ab = (i * a_period - s_b) % ab
+            r_an = (i * a_period - s_n) % an
+            acc += N * (base + r_ab) + ab * floor_sum(N, ab, an, r_an - r_ab + ab - 1)
+        out.append(B * acc + a * N * ab * (B * (B - 1) // 2))
     return out
 
 

@@ -5,12 +5,14 @@ closed form: they step through slot events with plain integers, so they can
 arbitrate between the analytic formulas and the optimized simulators.  The
 series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
-The trace CSV oracle formats one row at a time with f-strings.
+The trace CSV oracle formats one row at a time with f-strings.  The period
+sum oracle reads every age of the hyperperiod with int64 numpy arrays.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -112,6 +114,20 @@ def naive_trace_csv(trace) -> str:
         else:
             out.append(f"{k},{k * trace.a_period},,\n")
     return "".join(out)
+
+
+def naive_period_sums(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):
+    """Conditional hyperperiod age sums for l < n_terms, every read of reads
+    1..period evaluated in int64; O(n_terms * period) time, O(period) memory."""
+    t = np.arange(1, period + 1, dtype=np.int64) * a_period
+    e = (t - delta_n - 1) % n_period
+    e_sum = int(e.sum())
+    base = t - delta_b - 2
+    out = np.empty(n_terms, dtype=np.int64)
+    for l in range(n_terms):
+        s = (base - l * n_period) % b_period
+        out[l] = (2 + l * n_period) * period + e_sum + int(((s - e) % b_period).sum())
+    return out
 
 
 def coprime_triples(limit, lo=1):

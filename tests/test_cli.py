@@ -108,6 +108,25 @@ class TestAnalyze:
         assert code == 0, err
         assert json.loads(out)["distribution"]["hyperperiod_reads"] == reads
 
+    def test_extended_at_a_billion_reads(self, capsys, monkeypatch):
+        # the hyperperiod age sums once took 7.45 GiB of int64 reads here
+        def expanded(self):
+            raise AssertionError("a progression was expanded")
+
+        monkeypatch.setattr(ArithmeticProgression, "elements", expanded)
+        code, out, err = run(capsys, "analyze", "--model", "extended", "--a-period", "7",
+                             "--b-period", "31607", "--n-period", "31627", "--p", "1/3",
+                             "--sigma", "99/100")
+        assert code == 0, err
+        report = json.loads(out)
+        cfg = aoiclock.extended.SystemConfig(decompose(7, 31607, 31627), p=Fraction(1, 3))
+        assert cfg.d.b == 1 and cfg.d.period == 31607 * 31627
+        # at b == 1 the failures only add l*N', so E = m(0) + E[l]*N'
+        assert Fraction(report["expectation"]["value"]) == (
+            aoiclock.extended.distribution_conditional(cfg, 0).mean()
+            + (1 - cfg.p) / cfg.p * cfg.d.n_period
+        )
+
     def test_extended_value_past_int_str_limit(self, capsys):
         # b = 10^4 at p = 1/10: the exact value has about 10^4 digits
         periods = ["--a-period", "30000", "--b-period", "70000", "--n-period", "11"]

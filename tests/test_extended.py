@@ -209,7 +209,6 @@ class TestExpectedExact:
         def kernel_called(*args):
             raise AssertionError("kernel called")
 
-        monkeypatch.setattr(extended.kernels, "check_period_sums_args", kernel_called)
         monkeypatch.setattr(extended.kernels, "period_sums_conditional", kernel_called)
         b = 10**5 + 1  # one over the cap; odd, so coprime to the link period 2
         cfg = SystemConfig(decompose(3 * b, 7 * b, 2), p="1/2")

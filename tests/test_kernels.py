@@ -3,16 +3,24 @@ naive slot-stepping oracles."""
 
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aoiclock import kernels
 from aoiclock.basic import aoi_basic, decompose
-from aoiclock.extended import SystemConfig, aoi_conditional, expected_exact_extended
+from aoiclock.extended import (
+    SystemConfig,
+    aoi_conditional,
+    expected_exact_extended,
+    progressions_conditional,
+)
 from aoiclock.simulate import bernoulli_threshold
 
-from conftest import naive_basic_ages, naive_extended, splitmix64_ref
+from conftest import naive_basic_ages, naive_extended, naive_period_sums, splitmix64_ref
 
 TRIPLES = [(34, 7, 10), (6, 10, 15), (1, 1, 1), (5, 1, 1), (1, 9, 8), (12, 35, 25)]
 SHIFTS = [(0, 0), (3, 5), (20, 11)]
@@ -54,10 +62,51 @@ class TestSequenceKernels:
             d = decompose(*t)
             for db, dn in SHIFTS:
                 sums = kernels.period_sums_conditional(*t, db, dn, 6, d.period)
-                assert sums.shape == (6,)
+                assert len(sums) == 6
                 for l in range(6):
                     seq = kernels.seq_conditional(*t, db, dn, l, 1, d.period)
                     assert int(sums[l]) == int(seq.sum()), (t, db, dn, l)
+
+    # a > 1 and b > 1 need periods sharing factors pairwise: (6, 10, 15) has
+    # a = 5, b = 2, n = 3; n_terms runs to b + 2, past the b sums the expectation takes
+    @given(
+        st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)).filter(
+            lambda t: gcd(gcd(t[0], t[1]), t[2]) == 1
+        ),
+        st.integers(0, 50),
+        st.integers(0, 50),
+        st.integers(0, 2),
+    )
+    @example((6, 10, 15), 7, 3, 2)
+    @example((12, 9, 5), 0, 50, 1)
+    @example((20, 28, 35), 50, 0, 2)  # a = 7, b = 4, n = 5
+    @example((1, 1, 1), 0, 0, 0)
+    def test_period_sums_match_naive(self, t, db, dn, extra):
+        d = decompose(*t)
+        n_terms = d.b + extra
+        got = kernels.period_sums_conditional(*t, db, dn, n_terms, d.period)
+        want = naive_period_sums(*t, db, dn, n_terms, d.period)
+        assert got == [int(x) for x in want]
+        assert all(type(x) is int for x in got)
+
+    # hyperperiods of 7*10^6 to 10^9 reads, checked without reading them
+    @pytest.mark.parametrize("t", [
+        (7, 31607, 31627),  # a = b = n = 1
+        (20, 28252, 35455),  # a = 7, b = 4, n = 5
+        (132, 840308, 63021),  # a = 7, b = 4, n = 3
+        (6, 999910, 14955),  # a = 5, b = 2, n = 3
+    ])
+    def test_period_sums_equal_family_sums_at_large_periods(self, t):
+        d = decompose(*t)
+        assert 10**5 <= d.period <= 10**9
+        cfg = SystemConfig(d, delta_b=13, delta_n=29)
+        sums = kernels.period_sums_conditional(*t, 13, 29, d.b + 1, d.period)
+        for r, s in enumerate(sums):
+            assert s == sum(pr.sum() for pr in progressions_conditional(cfg, r)), (t, r)
+
+    def test_period_must_be_the_hyperperiod(self):
+        with pytest.raises(ValueError, match="hyperperiod a\\*B\\*N = 35"):
+            kernels.period_sums_conditional(34, 7, 10, 0, 0, 3, 70)
 
 
 class TestSimulatorKernels:
@@ -146,8 +195,3 @@ class TestGuards:
             kernels.check_simulate_args(1, 1, 1, 0, 0, 0)
         with pytest.raises(OverflowError):
             kernels.check_simulate_args(2**40, 1, 1, 0, 0, 2**23)
-
-    def test_period_sums_args(self):
-        with pytest.raises(OverflowError):
-            kernels.check_period_sums_args(2**34, 2**34, 1, 0, 0, 10, 2**34)
-        kernels.check_period_sums_args(34, 7, 10, 0, 0, 50, 35)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aoiclock.modmath import (
@@ -13,6 +13,7 @@ from aoiclock.modmath import (
     ceil_div,
     comp_mod,
     floor_mod,
+    floor_sum,
     pairing_classes,
     residue_orbit,
 )
@@ -55,6 +56,39 @@ class TestCompMod:
 @given(st.integers(-(10**12), 10**12), st.integers(1, 10**9))
 def test_ceil_div_matches_fraction_ceiling(x, y):
     assert ceil_div(x, y) == math.ceil(Fraction(x, y))
+
+
+class TestFloorSum:
+    def test_examples(self):
+        assert floor_sum(0, 5, 3, 7) == 0
+        assert floor_sum(4, 3, 2, 1) == 0 + 1 + 1 + 2
+        assert floor_sum(3, 4, -5, -2) == -1 - 2 - 3
+        assert floor_sum(1, 1, 10**30, 10**30) == 10**30
+
+    @pytest.mark.parametrize("n,m", [(-1, 3), (2, 0), (2, -4)])
+    def test_rejects_bad_count_or_modulus(self, n, m):
+        with pytest.raises(ValueError):
+            floor_sum(n, m, 1, 1)
+
+    # alpha and beta range over negatives and past m, where the reduction
+    # takes its divmod steps
+    @given(
+        st.integers(0, 60),
+        st.integers(1, 60),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+    )
+    @example(0, 7, -3, -11)
+    @example(17, 5, 23, 41)
+    @example(30, 13, -27, -40)
+    def test_matches_brute_force(self, n, m, alpha, beta):
+        assert floor_sum(n, m, alpha, beta) == sum((alpha * j + beta) // m for j in range(n))
+
+    @given(st.integers(0, 300), st.integers(1, 10**12), st.integers(-(10**15), 10**15),
+           st.integers(-(10**15), 10**15))
+    def test_matches_fraction_floors_at_large_moduli(self, n, m, alpha, beta):
+        want = sum(math.floor(Fraction(alpha * j + beta, m)) for j in range(n))
+        assert floor_sum(n, m, alpha, beta) == want
 
 
 class TestArithmeticProgression:
