@@ -87,20 +87,38 @@ def _config_from_args(args) -> SystemConfig:
 
 
 def _distribution_block(dist, extra=None):
+    """The report's distribution block; ``_report_json`` fills in the empty
+    ``progressions`` list."""
+    mean = dist.mean()
     block = {
         "min": dist.min(),
         "max": dist.max(),
-        "mean": _rat(dist.mean()),
-        "mean_float": float(dist.mean()),
+        "mean": _rat(mean),
+        "mean_float": float(mean),
         "hyperperiod_reads": dist.period,
-        "progressions": [
-            {"start": pr.start, "step": pr.step, "count": pr.count}
-            for pr in dist.progressions
-        ],
+        "progressions": [],
     }
     if extra:
         block.update(extra)
     return block
+
+
+# one start/step/count object of report["distribution"]["progressions"], as
+# json.dumps(indent=2) writes it at that depth
+_PROGRESSION = '      {\n        "start": %d,\n        "step": %d,\n        "count": %d\n      }'
+
+
+def _report_json(report, progressions) -> str:
+    """``json.dumps(report, indent=2)`` with ``progressions`` in place of the
+    distribution block's empty list, byte for byte.
+
+    The a*N progressions go through one %-format over a flat tuple instead of
+    one dict each through the pure-Python encoder that ``indent`` selects.
+    """
+    head, _, tail = json.dumps(report, indent=2).partition('"progressions": []')
+    flat = tuple(x for pr in progressions for x in (pr.start, pr.step, pr.count))
+    items = ",\n".join([_PROGRESSION] * len(progressions)) % flat
+    return f'{head}"progressions": [\n{items}\n    ]{tail}'
 
 
 def cmd_analyze(args) -> int:
@@ -170,7 +188,7 @@ def cmd_analyze(args) -> int:
         if args.sigma is not None:
             report["sigma"] = _rat(args.sigma)
             report["max_bound_prob"] = max_bound_prob(cfg, args.sigma)
-    print(json.dumps(report, indent=2))
+    print(_report_json(report, dist.progressions))
     return 0
 
 
@@ -356,19 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # an exact expectation at p = u/v has a denominator of about b*log10(v)
-    # digits, past the default int<->str conversion limit (Python 3.11+)
-    if hasattr(sys, "set_int_max_str_digits"):
+    # digits, past the default int<->str conversion limit (Python 3.11+); the
+    # limit is lifted for this call only, so a program that calls main keeps
+    # its own guard against huge-int conversions
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

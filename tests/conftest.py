@@ -6,9 +6,12 @@ arbitrate between the analytic formulas and the optimized simulators.  The
 series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
 The trace CSV oracle formats one row at a time with f-strings.  The period
-sum oracle reads every age of the hyperperiod with int64 numpy arrays.
+sum oracle reads every age of the hyperperiod with int64 numpy arrays.  The
+analyze report oracle writes each progression as a dict through
+``json.dumps(indent=2)``.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -114,6 +117,20 @@ def naive_trace_csv(trace) -> str:
         else:
             out.append(f"{k},{k * trace.a_period},,\n")
     return "".join(out)
+
+
+def naive_report_json(report) -> str:
+    """The analyze report as ``json.dumps(report, indent=2)``, with the
+    progressions of ``report["distribution"]["progressions"]`` written as
+    start/step/count dicts."""
+    dist = report["distribution"]
+    progressions = [
+        {"start": pr.start, "step": pr.step, "count": pr.count}
+        for pr in dist["progressions"]
+    ]
+    return json.dumps(
+        {**report, "distribution": {**dist, "progressions": progressions}}, indent=2
+    )
 
 
 def naive_period_sums(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):

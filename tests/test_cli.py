@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import naive_report_json
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import aoiclock.basic
 import aoiclock.cli
 import aoiclock.extended
-from aoiclock.basic import decompose
+from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
 from aoiclock.simulate import RngSpec
@@ -20,6 +27,14 @@ GOLDEN = Path(__file__).parent / "golden"
 # sha256 of the trace CSV that each argv writes, recorded from the row-by-row
 # writer: a trace is a pure function of (config, cycles, seed), to the byte
 TRACE_DIGESTS = json.loads((GOLDEN / "trace_csv_sha256.json").read_text())
+# sha256 of the analyze reports (stdout) at a family of 31,627 progressions,
+# recorded from the dict-per-progression json.dumps writer
+ANALYZE_DIGESTS = json.loads((GOLDEN / "analyze_sha256.json").read_text())
+# starts and steps past 2^63, counts past 2^31
+_PROGRESSIONS = st.builds(
+    ArithmeticProgression,
+    start=st.integers(0, 2**70), step=st.integers(1, 2**70), count=st.integers(1, 2**40),
+)
 
 
 def run(capsys, *argv):
@@ -30,6 +45,16 @@ def run(capsys, *argv):
 
 def _flag_id(flag):
     return f"{flag[0][2:]}={flag[1]}"
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestAnalyze:
@@ -136,9 +161,76 @@ class TestAnalyze:
         cfg = aoiclock.extended.SystemConfig(
             aoiclock.basic.decompose(30000, 70000, 11), p=Fraction(1, 10)
         )
-        assert Fraction(report["expectation"]["value"]) == (
-            aoiclock.extended.expected_exact_extended(cfg).value
-        )
+        with _no_int_str_limit():
+            assert Fraction(report["expectation"]["value"]) == (
+                aoiclock.extended.expected_exact_extended(cfg).value
+            )
+
+    @pytest.mark.parametrize("name", sorted(ANALYZE_DIGESTS))
+    def test_large_report_bytes_match_golden_digest(self, capsys, name):
+        case = ANALYZE_DIGESTS[name]
+        code, out, err = run(capsys, *case["argv"].split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+    @given(family=st.lists(_PROGRESSIONS, min_size=1, max_size=50),
+           extended=st.booleans(), null=st.booleans())
+    def test_writer_matches_json_dumps_per_family(self, family, extended, null):
+        dist = AoiDistribution(tuple(family), sum(pr.count for pr in family))
+        report = {
+            "config": {"a_period": 3, "p": "1/1", "p_float": 1.0},
+            "distribution": aoiclock.cli._distribution_block(
+                dist, {"conditioned_on_l": 0} if extended else None
+            ),
+            "rel_error_bound": None if null else "1/14",
+            "max_bound": 2**64,
+        }
+        got = aoiclock.cli._report_json(report, dist.progressions)
+        report["distribution"]["progressions"] = dist.progressions
+        assert got == naive_report_json(report)
+
+    @given(periods=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
+           model=st.sampled_from(["basic", "extended"]))
+    # the null config; a = 3 with shifts and loss; a = 5, b = 3
+    @example(periods=(1, 1, 1), model="basic")
+    @example(periods=(10, 12, 15), model="extended")
+    @example(periods=(6, 15, 10), model="basic")
+    def test_writer_matches_json_dumps_per_report(self, periods, model):
+        assume(gcd(*periods) == 1)
+        written = []
+        writer = aoiclock.cli._report_json
+
+        def spy(report, progressions):
+            written.append((report, progressions))
+            return writer(report, progressions)
+
+        argv = ["analyze", *(f"--{k}-period={v}" for k, v in zip("abn", periods)),
+                "--model", model]
+        if model == "extended":
+            argv += ["--delta-b", "5", "--delta-n", "2", "--p", "1/3", "--sigma", "99/100"]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out):
+            m.setattr(aoiclock.cli, "_report_json", spy)
+            assert main(argv) == 0
+        [(report, progressions)] = written
+        report["distribution"]["progressions"] = progressions
+        assert out.getvalue() == naive_report_json(report) + "\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["analyze", "--a-period", "3", "--b-period", "4", "--n-period", "5"], 0),
+        (["analyze", "--a-period", "4", "--b-period", "6", "--n-period", "2"], 2),
+        (["analyze", *FIG, "--p", "zero"], 2),  # a usage error from parse_args
+    ])
+    def test_int_str_limit_restored(self, capsys, argv, code):
+        # main lifts the limit for its own call; the caller's guard stays
+        limit = sys.get_int_max_str_digits()
+        assert limit != 0
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert sys.get_int_max_str_digits() == limit
 
     def test_common_divisor_rejected(self, capsys):
         code, _, err = run(
