@@ -231,14 +231,14 @@ def _check_family(failures: list[str], name: str, dist, seq, where: str = "") ->
                  f"position {k}: closed={closed[k]} direct={direct[k]}")
 
 
-def _verify_basic(d, args, failures: list[str]) -> None:
+def _verify_basic(d, cycles: int, failures: list[str]) -> None:
     period = d.period
 
     seq = sequence_basic(d, 1, period)
     _check_family(failures, "progression_family_multiset", distribution_basic(d), seq)
 
     exact = expected_exact_basic(d)
-    mean = Fraction(int(seq.sum()), period)
+    mean = Fraction(kernels.exact_sum(seq), period)
     _check(failures, "closed_form_mean", exact == mean, f"closed={exact} direct={mean}")
 
     band = expected_approx_basic(d)
@@ -249,17 +249,15 @@ def _verify_basic(d, args, failures: list[str]) -> None:
     bound = max_bound_basic(d)
     _check(failures, "max_bound", peak <= bound, f"observed={peak} bound={bound}")
 
-    cycles = args.cycles or 3 * period + 1
     trace = simulate_basic(d, cycles)
     model = sequence_basic(d, 0, cycles)
     _check_equal(failures, "simulator_matches_formula", trace.ages, model, lambda k:
                  f"first mismatch at k={k}: simulated={trace.ages[k]} formula={model[k]}")
 
 
-def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
+def _verify_extended(cfg: SystemConfig, l_max: int, seed: int, cycles: int, failures: list[str]) -> None:
     period = cfg.d.period
 
-    l_max = 3 if args.l_max is None else args.l_max
     for l in range(l_max + 1):
         _check_family(
             failures, f"progression_family_multiset_l{l}", distribution_conditional(cfg, l),
@@ -271,8 +269,7 @@ def _verify_extended(cfg: SystemConfig, args, failures: list[str]) -> None:
     _check(failures, "band_membership", band.contains(exact),
            f"exact={exact} band=[{band.low}, {band.high}]")
 
-    cycles = args.cycles or 3 * period + 50
-    trace = simulate_extended(cfg, cycles, RngSpec(args.seed if args.seed is not None else 0))
+    trace = simulate_extended(cfg, cycles, RngSpec(seed))
     warm = trace.warmup_cycles
     ages, fails = trace.ages[warm:], trace.fails[warm:]
     d = cfg.d
@@ -310,11 +307,21 @@ def cmd_verify(args) -> int:
             f"hyperperiod of {cfg.d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
             f"verify expands whole hyperperiods, in memory that grows with them"
         )
+    d = cfg.d
+    basic = args.model == "basic"
+    cycles = args.cycles or 3 * d.period + (1 if basic else 50)
+    l_max = 0 if basic else 3 if args.l_max is None else args.l_max
+    # the guards of the hyperperiod sequences, of the simulation and of the
+    # formula over the simulated reads run before the first check prints
+    shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
+    kernels.check_sequence_args(*shape, l_max, 1, d.period)
+    kernels.check_simulate_args(*shape, cycles)
+    kernels.check_sequence_args(*shape, 0, 0, cycles)
     failures: list[str] = []
-    if args.model == "basic":
-        _verify_basic(cfg.d, args, failures)
+    if basic:
+        _verify_basic(d, cycles, failures)
     else:
-        _verify_extended(cfg, args, failures)
+        _verify_extended(cfg, l_max, 0 if args.seed is None else args.seed, cycles, failures)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1

@@ -154,8 +154,7 @@ def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> Multis
 def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
     """Exact mean age over a fully defined window of the trace."""
     _check_window(trace, from_cycle, window)
-    chunk = trace.ages[from_cycle : from_cycle + window]
-    return Fraction(int(chunk.sum()), window)
+    return Fraction(kernels.exact_sum(trace.ages[from_cycle : from_cycle + window]), window)
 
 
 def write_trace_csv(trace: Trace, dest) -> None:

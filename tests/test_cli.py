@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import aoiclock.basic
 import aoiclock.cli
 import aoiclock.extended
+import aoiclock.simulate
 from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
@@ -533,6 +534,36 @@ class TestOverflowGuards:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestSumsPastInt64:
+    # 12 reads of the basic model whose ages sum past 2^63
+    BIG = ["--a-period", "144115188075855872", "--b-period", "2882303761517117437", "--n-period", "1"]
+    # a hyperperiod of 13 reads whose ages sum past 2^63
+    WIDE = ["--a-period", str(2**57), "--b-period", str(13 * 2**57), "--n-period", "1"]
+
+    def test_simulate_prints_the_exact_mean(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--model", "basic", *self.BIG, "--cycles", "12",
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        trace = aoiclock.simulate.simulate_basic(decompose(144115188075855872, 2882303761517117437, 1), 12)
+        mean = Fraction(sum(int(a) for a in trace.ages), 12)
+        assert mean > 2**63 / 12
+        assert f" mean={float(mean):.6f} " in err
+
+    def test_verify_direct_mean_is_exact(self, capsys):
+        code, out, _ = run(capsys, "verify", "--model", "basic", *self.WIDE, "--cycles", "1")
+        assert code == 0
+        assert "check closed_form_mean: PASS" in out
+
+    @pytest.mark.parametrize("model", [["--model", "basic"], ["--model", "extended", "--p", "1/2"]],
+                             ids=["basic", "extended"])
+    def test_verify_refuses_an_overlong_simulation_before_any_check(self, capsys, model):
+        # the default 3 hyperperiods of reads pass 2^62 slots
+        code, out, err = run(capsys, "verify", *model, *self.WIDE)
+        assert code == 2
+        assert "check" not in out
+        assert err == "error: slot numbers would overflow int64\n"
 
 
 class TestParser:

@@ -128,17 +128,20 @@ class TestSimulatorKernels:
 
 
 class TestNumpyExtendedChunks:
-    """The extended simulator scans reads in chunks of ``_CHUNK``; shrinking the
-    chunk moves every boundary and must not change a trace."""
+    """The extended simulator scans reads in chunks of ``_CHUNK`` on ``_WORKERS``
+    threads; shrinking the chunk moves every boundary, and neither it nor the
+    thread count may change a trace."""
 
     # (A', B', N'): A'/N' >= 13, windows wider than a chunk; A' < N', empty
-    # windows; A'/N' = 3.4, windows of two widths
-    CASES = [(13, 7, 1), (40, 3, 3), (5, 3, 13), (1, 9, 8), (6, 10, 15), (34, 7, 10)]
+    # windows; A'/N' = 3.4 and 1.75, windows of two widths
+    CASES = [(13, 7, 1), (40, 3, 3), (5, 3, 13), (1, 9, 8), (6, 10, 15), (34, 7, 10), (7, 5, 4)]
 
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 5])
     @pytest.mark.parametrize("cycles", [100, 103])
-    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles):
+    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles, workers):
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
         for t in self.CASES:
             # (60, 45): a warm-up prefix that spans several chunks
             for db, dn in [(0, 0), (3, 5), (60, 45)]:
@@ -166,16 +169,43 @@ class TestNumpyExtendedChunks:
         assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
 
 
+def _draw(seed, counters):
+    n = len(counters)
+    return kernels._splitmix64_np(np.uint64(seed), counters, np.empty(n, np.uint64), np.empty(n, np.uint64))
+
+
 class TestSplitmix64:
     def test_frozen_reference_value(self):
         assert splitmix64_ref(42, 0) == 13679457532755275413
-        got = kernels._splitmix64_np(np.uint64(42), np.arange(1, dtype=np.uint64))
+        got = _draw(42, np.arange(1, dtype=np.uint64))
         assert int(got[0]) == 13679457532755275413
 
     def test_vector_matches_reference_stream(self):
         ctrs = np.arange(64, dtype=np.uint64)
-        got = kernels._splitmix64_np(np.uint64(2**64 - 1), ctrs)
+        got = _draw(2**64 - 1, ctrs)
         assert [int(v) for v in got] == [splitmix64_ref(2**64 - 1, c) for c in range(64)]
+
+    def test_negative_int64_counters_draw_at_their_uint64_wrap(self):
+        ctrs = np.array([-1, -2, -(2**63), 0, 2**63 - 1], dtype=np.int64)
+        for seed in (0, 42, 2**64 - 1):
+            got = _draw(seed, ctrs)
+            assert [int(v) for v in got] == [splitmix64_ref(seed, int(c) % 2**64) for c in ctrs]
+
+    def test_draws_in_place_into_the_given_buffer(self):
+        ctrs = np.arange(5, 13, dtype=np.int64)
+        out, tmp = np.empty(8, np.uint64), np.empty(8, np.uint64)
+        assert kernels._splitmix64_np(np.uint64(7), ctrs, out, tmp) is out
+        assert [int(v) for v in out] == [splitmix64_ref(7, c) for c in range(5, 13)]
+        assert list(ctrs) == list(range(5, 13))
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50))
+@example([])
+@example([2**62] * 13)
+@example([2**63 - 1] * 5 + [-(2**63)] * 2)
+@example([-1, 2**32 - 1, 2**32, -(2**32), 7])
+def test_exact_sum_matches_python_ints(values):
+    assert kernels.exact_sum(np.array(values, dtype=np.int64)) == sum(values)
 
 
 class TestGuards:

@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 from fractions import Fraction
 from math import ceil, gcd
 from unittest import mock
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoiclock import simulate
+from aoiclock import kernels, simulate
 from aoiclock.basic import decompose, distribution_basic
 from aoiclock.extended import SystemConfig, aoi_conditional, distribution_conditional
 from aoiclock.simulate import (
@@ -132,7 +134,7 @@ class TestSimulateExtended:
 
     def test_shorter_run_is_prefix_of_longer(self):
         # a run of n reads is the first n reads of any longer run under the
-        # same seed, also across the numpy kernel's 2^16-read chunks
+        # same seed, also across the kernel's chunks of reads
         for t, p in [((34, 7, 10), "1/3"), ((13, 7, 1), "1/10")]:
             cfg = SystemConfig(decompose(*t), delta_b=4, delta_n=9, p=p)
             n, m = 50_001, 2**16 + 4_321
@@ -140,6 +142,37 @@ class TestSimulateExtended:
             long = simulate_extended(cfg, m, RngSpec(2024))
             assert (short.ages == long.ages[:n]).all(), t
             assert (short.fails == long.fails[:n]).all(), t
+
+    def test_concurrent_calls_match_sequential_calls(self, monkeypatch):
+        # each call owns its buffers and its worker threads, so calls made at
+        # once from several threads, with more workers than cores, give the
+        # sequential traces
+        monkeypatch.setattr(kernels, "_CHUNK", 1 << 10)
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
+        runs = [
+            (SystemConfig(decompose(*t), delta_b=4, delta_n=9, p=p), RngSpec(seed))
+            for t, p, seed in [((34, 7, 10), "1/3", 1), ((13, 7, 1), "1/10", 2), ((5, 3, 13), "4/5", 3)]
+        ]
+        want = [simulate_extended(cfg, 20_000, rng) for cfg, rng in runs]
+        got = [None] * len(runs)
+
+        def run(i):
+            cfg, rng = runs[i]
+            got[i] = simulate_extended(cfg, 20_000, rng)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for w, g in zip(want, got):
+            assert (w.ages == g.ages).all() and (w.fails == g.fails).all()
 
     def test_seed_above_int63_accepted(self):
         cfg = SystemConfig(REFERENCE, p="1/2")
@@ -177,6 +210,11 @@ class TestWindows:
         w = trace.warmup_cycles
         m = empirical_mean(trace, w, 100)
         assert m == Fraction(int(trace.ages[w : w + 100].sum()), 100)
+
+    def test_mean_is_exact_past_int64(self):
+        ages = np.array([0, 2**62, 2**62 + 1, 2**62 + 3], dtype=np.int64)
+        tr = Trace(1, ages, np.zeros(4, dtype=np.int64))
+        assert empirical_mean(tr, 1, 3) == Fraction(3 * 2**62 + 4, 3)
 
     def test_period_window_matches_formula_lossless(self):
         cfg = SystemConfig(REFERENCE)
