@@ -262,20 +262,9 @@ def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:
 
 
 def expected_exact_basic(d: PeriodDecomposition) -> Fraction:
-    """Closed-form mean age over one hyperperiod, exact."""
-    a, b, n, B, N = d.a, d.b, d.n, d.B, d.N
-    r = N % b
-    tail = 0
-    for i in range(a):
-        base = (i * b) // a
-        for j in range(r):
-            tail += floor_mod((j - base) * n, b)
-    correction = (
-        Fraction(a * (b + 1), 2) * (N // b)
-        + ceil_div(r * a, b)
-        + Fraction(tail, b)
-    )
-    return Fraction(d.b_period + d.n_period - n + a * b, 2) - Fraction(b, N) * correction
+    """Exact mean age: one hyperperiod's age sum, a floor sum at zero shifts, over its reads."""
+    (total,) = kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, [(0, 0, 0)])
+    return Fraction(total, d.period)
 
 
 def _band(d: PeriodDecomposition, offset=0) -> BandedValue:

@@ -86,21 +86,25 @@ def _config_from_args(args) -> SystemConfig:
     return cfg
 
 
-def _distribution_block(dist, extra=None):
-    """The report's distribution block; ``_report_json`` fills in the empty
-    ``progressions`` list."""
-    mean = dist.mean()
-    block = {
+def _distribution_block(dist, mean, **extra):
+    """The report's distribution block, ``mean`` being ``dist.mean()``;
+    ``_report_json`` fills in the empty ``progressions`` list."""
+    return {
         "min": dist.min(),
         "max": dist.max(),
         "mean": _rat(mean),
         "mean_float": float(mean),
         "hyperperiod_reads": dist.period,
         "progressions": [],
+        **extra,
     }
-    if extra:
-        block.update(extra)
-    return block
+
+
+def _band_block(band):
+    return {
+        "center": _rat(band.center), "center_float": float(band.center),
+        "half_width": _rat(band.half_width), "half_width_float": float(band.half_width),
+    }
 
 
 # one start/step/count object of report["distribution"]["progressions"], as
@@ -143,14 +147,10 @@ def cmd_analyze(args) -> int:
     if args.model == "basic":
         dist = distribution_basic(d)
         exact = expected_exact_basic(d)
-        band = expected_approx_basic(d)
-        report["distribution"] = _distribution_block(dist)
+        report["distribution"] = _distribution_block(dist, exact)
         report["expected_exact"] = _rat(exact)
         report["expected_exact_float"] = float(exact)
-        report["band"] = {
-            "center": _rat(band.center), "center_float": float(band.center),
-            "half_width": _rat(band.half_width), "half_width_float": float(band.half_width),
-        }
+        report["band"] = _band_block(expected_approx_basic(d))
         try:
             bound = rel_error_bound_basic(d)
             report["rel_error_bound"] = _rat(bound)
@@ -163,11 +163,10 @@ def cmd_analyze(args) -> int:
         report["observed_max"] = dist.max()
     else:
         dist = distribution_conditional(cfg, 0)
-        band = expected_approx_extended(cfg)
         exact = expected_exact_extended(cfg)
         bound = rel_error_bound_extended(cfg)
         report["freshness_offset"] = freshness_offset_K(cfg)
-        report["distribution"] = _distribution_block(dist, {"conditioned_on_l": 0})
+        report["distribution"] = _distribution_block(dist, dist.mean(), conditioned_on_l=0)
         report["expectation"] = {
             "value": _rat(exact.value),
             "value_float": float(exact.value),
@@ -175,10 +174,7 @@ def cmd_analyze(args) -> int:
             "tail_bound_float": float(exact.tail_bound),
             "terms_used": exact.terms_used,
         }
-        report["band"] = {
-            "center": _rat(band.center), "center_float": float(band.center),
-            "half_width": _rat(band.half_width), "half_width_float": float(band.half_width),
-        }
+        report["band"] = _band_block(expected_approx_extended(cfg))
         report["rel_error_bound"] = _rat(bound)
         report["rel_error_bound_float"] = float(bound)
         if cfg.p == 1:

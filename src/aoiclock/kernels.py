@@ -1,10 +1,10 @@
-"""Kernels: vectorized numpy age sequences and simulators, and exact period sums.
+"""Kernels: vectorized numpy age sequences and simulators, and exact hyperperiod sums.
 
 The sequence kernels and the simulators work in int64.  Callers go through
 the ``check_*`` guards, which reject inputs whose intermediate values could
 leave the int64 range; the kernels themselves assume the guards have run.
-The period sums are closed forms in Python ints, so they need no guard, and
-``exact_sum`` sums an int64 array without wrapping.
+The hyperperiod age sums of both models are floor sums in Python ints, so
+they need no guard, and ``exact_sum`` sums an int64 array without wrapping.
 
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
@@ -93,6 +93,27 @@ def _seq(a_period, b_period, n_period, k0, count, shifts=(0, 0, 0)):
     return ((t - s_b) % b_period - e) % b_period + e + base
 
 
+# the hyperperiod age sum of both models for each shift triple of basic._age:
+# over the family's a*N progressions <c, a*b, B>, c = base + r_ab +
+# ceil((r_an - r_ab + j*a*n)/(a*b))*a*b, the ceilings summed over j < N are
+# one floor sum per i, so a sum costs O(a*log) whatever the hyperperiod
+def _period_sums(a_period, b_period, n_period, period, shifts):
+    a, b, n = gcd(b_period, n_period), gcd(a_period, b_period), gcd(a_period, n_period)
+    ab, an = a * b, a * n
+    B, N = b_period // ab, n_period // an
+    if a * B * N != period:
+        raise ValueError(f"period must be the hyperperiod a*B*N = {a * B * N}, got {period}")
+    out = []
+    for s_b, s_n, base in shifts:
+        acc = 0
+        for i in range(a):
+            r_ab = (i * a_period - s_b) % ab
+            r_an = (i * a_period - s_n) % an
+            acc += N * (base + r_ab) + ab * floor_sum(N, ab, an, r_an - r_ab + ab - 1)
+        out.append(B * acc + a * N * ab * (B * (B - 1) // 2))
+    return out
+
+
 def seq_basic(a_period, b_period, n_period, k0, count):
     return _seq(a_period, b_period, n_period, k0, count)
 
@@ -104,30 +125,15 @@ def seq_conditional(a_period, b_period, n_period, delta_b, delta_n, l, k0, count
 
 
 def period_sums_conditional(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):
-    """Age sums S(r) of one conditional hyperperiod for r < n_terms, as exact ints.
+    """Age sums S(r) of one extended hyperperiod at r < n_terms failures, as exact ints.
 
-    S(r) sums the family at r failures: the a*N progressions <c, a*b, B>
-    with c = base + r_ab + ceil((r_an - r_ab + j*a*n)/(a*b))*a*b.  Summed
-    over j < N, the ceilings are one floor sum per i, so the cost is
-    O(n_terms*a*log) whatever the hyperperiod.  ``period`` must be that
-    hyperperiod, a*B*N reads, for periods that ``basic.decompose`` accepts.
+    S(r) is ``_period_sums`` at the shift triple ``extended._shifts`` gives r
+    failures.  ``period`` must be the hyperperiod, a*B*N reads, for periods
+    that ``basic.decompose`` accepts; any other value raises ValueError.
     """
     from .extended import _shifts  # extended imports this module
-    a, b, n = gcd(b_period, n_period), gcd(a_period, b_period), gcd(a_period, n_period)
-    ab, an = a * b, a * n
-    B, N = b_period // ab, n_period // an
-    if a * B * N != period:
-        raise ValueError(f"period must be the hyperperiod a*B*N = {a * B * N}, got {period}")
-    out = []
-    for r in range(n_terms):
-        s_b, s_n, base = _shifts(n_period, delta_b, delta_n, r)
-        acc = 0
-        for i in range(a):
-            r_ab = (i * a_period - s_b) % ab
-            r_an = (i * a_period - s_n) % an
-            acc += N * (base + r_ab) + ab * floor_sum(N, ab, an, r_an - r_ab + ab - 1)
-        out.append(B * acc + a * N * ab * (B * (B - 1) // 2))
-    return out
+    shifts = (_shifts(n_period, delta_b, delta_n, r) for r in range(n_terms))
+    return _period_sums(a_period, b_period, n_period, period, shifts)
 
 
 def exact_sum(x):
@@ -216,18 +222,6 @@ def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed
     # decide a read are made: min(A'/N', ~1/p) of them.  Then
     # age = t - buf(L_k), where buf is the newest source completion before
     # tau_L, and fails = j_k - L_k.
-    #
-    # Reads go in chunks of _CHUNK, shared out among _WORKERS threads (the
-    # calling one included), in three phases:
-    #   1. newest(), per chunk in parallel: each window's newest success, and
-    #      their running max within the chunk, into the chunk's slice of fails;
-    #   2. in order: the running max carried across chunk ends;
-    #   3. finish(), per chunk in parallel: the carry applied, then ages and
-    #      fails computed in place in their slices.
-    # A window's newest success is a function of (seed, window) alone, and a
-    # running max is the same however its input is cut, so a trace depends
-    # on neither the worker count nor the chunking.  Memory is the output
-    # plus one _Scratch per worker: O(cycles + workers*chunk).
     threshold = int(threshold)
     ages = np.empty(cycles, dtype=np.int64)
     fails = np.empty(cycles, dtype=np.int64)

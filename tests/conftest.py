@@ -159,6 +159,16 @@ def coprime_triples(limit, lo=1):
     return out
 
 
+# hyperperiods of 7*10^6 to 10^9 reads, for checks that never list them;
+# their age sums are far past int64
+LARGE_TRIPLES = [
+    (7, 31607, 31627),  # a = b = n = 1
+    (20, 28252, 35455),  # a = 7, b = 4, n = 5
+    (132, 840308, 63021),  # a = 7, b = 4, n = 3
+    (6, 999910, 14955),  # a = 5, b = 2, n = 3
+]
+
+
 @pytest.fixture(scope="session")
 def triples_12():
     return coprime_triples(12)

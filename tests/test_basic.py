@@ -26,7 +26,7 @@ from aoiclock.basic import (
 )
 from aoiclock.modmath import ArithmeticProgression
 
-from conftest import coprime_triples, naive_basic_ages
+from conftest import LARGE_TRIPLES, coprime_triples, naive_basic_ages
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -210,7 +210,7 @@ class TestExpectedExact:
         assert expected_exact_basic(decompose(1, 1, 1)) == 0
 
     def test_equals_distribution_mean_small_grid(self, triples_12):
-        for t in triples_12:
+        for t in triples_12 + LARGE_TRIPLES:
             d = decompose(*t)
             assert expected_exact_basic(d) == distribution_basic(d).mean(), t
 

@@ -181,7 +181,7 @@ class TestAnalyze:
         report = {
             "config": {"a_period": 3, "p": "1/1", "p_float": 1.0},
             "distribution": aoiclock.cli._distribution_block(
-                dist, {"conditioned_on_l": 0} if extended else None
+                dist, dist.mean(), **({"conditioned_on_l": 0} if extended else {})
             ),
             "rel_error_bound": None if null else "1/14",
             "max_bound": 2**64,
@@ -469,6 +469,15 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "no grid candidate" in err
+
+    def test_oversized_grid_exits_2(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"A": "1..1000000000000"}')
+        out_dir = tmp_path / "o"
+        code, _, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: grid has {4 * 10**14} candidates, over the cap of ")
+        assert not out_dir.exists()
 
     def test_no_config_evaluates_exits_2(self, capsys, tmp_path):
         # b = 100001 is over the exact expectation's term cap, so the one

@@ -20,7 +20,13 @@ from aoiclock.extended import (
 )
 from aoiclock.simulate import bernoulli_threshold
 
-from conftest import naive_basic_ages, naive_extended, naive_period_sums, splitmix64_ref
+from conftest import (
+    LARGE_TRIPLES,
+    naive_basic_ages,
+    naive_extended,
+    naive_period_sums,
+    splitmix64_ref,
+)
 
 TRIPLES = [(34, 7, 10), (6, 10, 15), (1, 1, 1), (5, 1, 1), (1, 9, 8), (12, 35, 25)]
 SHIFTS = [(0, 0), (3, 5), (20, 11)]
@@ -89,13 +95,7 @@ class TestSequenceKernels:
         assert got == [int(x) for x in want]
         assert all(type(x) is int for x in got)
 
-    # hyperperiods of 7*10^6 to 10^9 reads, checked without reading them
-    @pytest.mark.parametrize("t", [
-        (7, 31607, 31627),  # a = b = n = 1
-        (20, 28252, 35455),  # a = 7, b = 4, n = 5
-        (132, 840308, 63021),  # a = 7, b = 4, n = 3
-        (6, 999910, 14955),  # a = 5, b = 2, n = 3
-    ])
+    @pytest.mark.parametrize("t", LARGE_TRIPLES)
     def test_period_sums_equal_family_sums_at_large_periods(self, t):
         d = decompose(*t)
         assert 10**5 <= d.period <= 10**9

@@ -1,4 +1,7 @@
+import json
+import tracemalloc
 from fractions import Fraction
+from importlib.resources import files
 from math import gcd
 from pathlib import Path
 
@@ -32,6 +35,7 @@ SMALL_GRID = {
     "p": ["1/3", "1"],
 }
 GOLDEN = Path(__file__).parent / "golden" / "sweep_small"
+BUNDLED_GRID = files("aoiclock") / "grids" / "default.json"
 
 
 class TestGridParsing:
@@ -92,6 +96,33 @@ class TestGridParsing:
                 SweepGrid.from_dict({field: raw})
         # an integral float entry is still an integer
         assert SweepGrid.from_dict({"A": [2.0, 3]}).A == (2, 3)
+
+    def test_oversized_grid_rejected_before_listing(self):
+        # 10^12 cofactors times the default 20 x 20: the grid is sized from
+        # its fields' lengths, so nothing of that size is ever built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                SweepGrid.from_dict({"A": "1..1000000000000"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(
+            f"grid has {4 * 10**14} candidates, over the cap of {sweep._MAX_CANDIDATES}: "
+        )
+        assert peak < 10**5
+        # past 2^63 values, where len() of a range overflows
+        with pytest.raises(ValueError, match=f"^grid has {4 * 10**21} candidates"):
+            SweepGrid.from_dict({"A": "1..100000000000000000000:10"})
+
+    def test_cap_admits_its_own_value(self, monkeypatch):
+        # the bundled grid's 157,464 candidates
+        bundled = json.loads(BUNDLED_GRID.read_text())
+        monkeypatch.setattr(sweep, "_MAX_CANDIDATES", 157464)
+        assert SweepGrid.from_dict(bundled).n_candidates() == 157464
+        monkeypatch.setattr(sweep, "_MAX_CANDIDATES", 157463)
+        with pytest.raises(ValueError, match="^grid has 157464 candidates, over the cap of 157463"):
+            SweepGrid.from_dict(bundled)
 
     def test_delta_zero_allowed(self):
         assert SweepGrid.from_dict({"delta_n": "0..2"}).delta_n == (0, 1, 2)
