@@ -147,9 +147,13 @@ def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
     return AoiDistribution(progressions_conditional(cfg, l), cfg.d.period)
 
 
+def _freshness_offset(n: int, delta_n: int) -> int:
+    return 2 + comp_mod(delta_n + 1, n)
+
+
 def freshness_offset_K(cfg: SystemConfig) -> int:
     """Constant age penalty of buffering and phase: 2 + comp_mod(delta_n + 1, n)."""
-    return 2 + comp_mod(cfg.delta_n + 1, cfg.d.n)
+    return _freshness_offset(cfg.d.n, cfg.delta_n)
 
 
 def _offset(cfg: SystemConfig) -> Fraction:
@@ -160,6 +164,37 @@ def _offset(cfg: SystemConfig) -> Fraction:
 def expected_approx_extended(cfg: SystemConfig) -> BandedValue:
     """Band (B' + N' - n)/2 + K + (1-p)/p * N' +- a*b/2 around the expectation."""
     return _band(cfg.d, _offset(cfg))
+
+
+def _mixture_terms(d: PeriodDecomposition, delta_b: int, delta_n: int, ps) -> list[tuple]:
+    """Integer parts (acc, den0) of the exact expectation, one pair per p in ``ps``.
+
+    With p = u/v and w = v - u, E = (w*N'*den0 + u^2*acc) / (u*den0), where
+    den0 = period*(v^b - w^b).  The b conditional hyperperiod sums depend on
+    the shifts alone, so one kernel call serves every p; b over the cap
+    raises ValueError before it.
+    """
+    if d.b > _MAX_TERMS:
+        raise ValueError(
+            f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
+            f"expectation needs b conditional hyperperiod sums and big-integer work that "
+            f"grows as b^2 (about 0.5 s at b = {_MAX_TERMS})"
+        )
+    period = d.period
+    sums = kernels.period_sums_conditional(
+        d.a_period, d.b_period, d.n_period, delta_b, delta_n, d.b, period
+    )
+    terms = [int(s) - r * d.n_period * period for r, s in enumerate(sums)]
+    out = []
+    for p in ps:
+        v, w = p.denominator, p.denominator - p.numerator
+        acc = 0
+        wr = 1
+        for t in terms:  # Horner in v, so acc = sum_r w^r * v^(b-1-r) * t_r
+            acc = acc * v + wr * t
+            wr *= w
+        out.append((acc, period * (v**d.b - wr)))  # wr == w^b here
+    return out
 
 
 def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
@@ -176,26 +211,9 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     work, since the denominator has about b*log2(v) bits.
     """
     d = cfg.d
-    if d.b > _MAX_TERMS:
-        raise ValueError(
-            f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
-            f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (about 0.5 s at b = {_MAX_TERMS})"
-        )
-    u, v = cfg.p.numerator, cfg.p.denominator
-    w = v - u  # (1-p) = w/v
-    period = d.period
-    sums = kernels.period_sums_conditional(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
-    )
-
-    acc = 0
-    wr = 1
-    for r in range(d.b):
-        acc = acc * v + wr * (int(sums[r]) - r * d.n_period * period)
-        wr *= w
-    den = period * (v**d.b - wr)  # wr == w^b here
-    value = Fraction(w * d.n_period * den + u * u * acc, u * den)
+    u, w = cfg.p.numerator, cfg.p.denominator - cfg.p.numerator
+    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [cfg.p])
+    value = Fraction(w * d.n_period * den0 + u * u * acc, u * den0)
     return GeometricExpectation(value, Fraction(0), d.b)
 
 

@@ -10,9 +10,13 @@ center, bins the signed relative error (exact - center) / exact, and writes
 deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
-Binning uses exact rational arithmetic and results are aggregated in
-enumeration order, so output files are bit-identical no matter how many
-worker processes run the evaluation.
+Evaluation runs one decomposition at a time.  Its b conditional hyperperiod
+sums depend on the (delta_b, delta_n) pair alone, so each pair's sums are
+computed once and shared by every p.  Each config's relative error is then
+an exact integer ratio num / den, binned by floor division and turned into
+a float by correctly rounded integer division; no ``Fraction`` is built.
+Results are aggregated in enumeration order, so output files are
+bit-identical no matter how many worker processes run the evaluation.
 """
 
 from __future__ import annotations
@@ -25,14 +29,8 @@ from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
 
-from .basic import ConfigError, decompose
-from .extended import (
-    SystemConfig,
-    _as_probability,
-    expected_approx_extended,
-    expected_exact_extended,
-    rel_error_bound_extended,
-)
+from .basic import ConfigError, PeriodDecomposition, decompose, max_bound_basic
+from .extended import SystemConfig, _as_probability, _freshness_offset, _mixture_terms
 
 __all__ = [
     "EmptyGridError",
@@ -65,8 +63,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 21 s at
-# 313 MB peak RSS with --jobs 2 on a 2-core Xeon host.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 11 s at
+# 315 MB peak RSS in the parent process (250 MB in a worker) with --jobs 2
+# on a 2-core Xeon host.
 _MAX_CANDIDATES = 10**6
 
 
@@ -157,7 +156,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 21 s and 313 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 11 s and 315 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -221,11 +220,33 @@ def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
     return configs
 
 
+def _config_error(
+    d: PeriodDecomposition, delta_n: int, p: Fraction, acc: int, den0: int
+) -> tuple[int, int, bool]:
+    """(num, den, ok): the relative error is num / den with den > 0, ok its bound verdict.
+
+    ``acc`` and ``den0`` are ``_mixture_terms`` at the config's shifts and
+    p = u/v, so E = P / (u*den0) with P = w*N'*den0 + u^2*acc.  The band
+    center is M/2 + K + w*N'/u with M = B' + N' - n, and its w*N'/u cancels
+    against E's: (E - center) / E = num / (2P) with
+    num = 2P - den0*(u*(M + 2K) + 2w*N').  The a priori bound is
+    a*b*u / (u*(M - a*b + 2K) + 2w*N'), whose denominator is positive since
+    K >= 2.
+    """
+    u, w = p.numerator, p.denominator - p.numerator
+    m2k = max_bound_basic(d) + 2 * _freshness_offset(d.n, delta_n)  # M + 2K
+    wn2 = 2 * w * d.n_period
+    ab = d.a * d.b
+    den = 2 * (w * d.n_period * den0 + u * u * acc)
+    num = den - den0 * (u * m2k + wn2)
+    return num, den, abs(num) * (u * (m2k - ab) + wn2) <= ab * u * den
+
+
 def relative_error(cfg: SystemConfig) -> Fraction:
     """Signed relative error (exact - band center) / exact of the approximation."""
-    exact = expected_exact_extended(cfg).value
-    center = expected_approx_extended(cfg).center
-    return (exact - center) / exact
+    [(acc, den0)] = _mixture_terms(cfg.d, cfg.delta_b, cfg.delta_n, [cfg.p])
+    num, den, _ = _config_error(cfg.d, cfg.delta_n, cfg.p, acc, den0)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -280,18 +301,33 @@ def _nearest_rank(sorted_xs: list[float], q: float) -> float:
 
 
 def _eval_chunk(payload):
-    """Evaluate every combination of each decomposition, in enumeration order."""
+    """Evaluate every combination of each decomposition, in enumeration order.
+
+    Rows are (bin index, float error, bound verdict, failure name or None).
+    The hyperperiod sums of a decomposition depend on its (delta_b, delta_n)
+    pair alone, so one ``_mixture_terms`` call serves all p of the pair.
+    """
     decomps, combos, bin_width = payload
+    bn, bd = bin_width.numerator, bin_width.denominator
+    ps: dict[tuple, list] = {}  # (delta_b, delta_n) -> its p values
+    slots = []  # per combo: its pair, p and the position of p in ps[pair]
+    for delta_b, delta_n, p in combos:
+        same = ps.setdefault((delta_b, delta_n), [])
+        slots.append(((delta_b, delta_n), p, len(same)))
+        same.append(p)
     out = []
     for d in decomps:
-        for combo in combos:
+        terms = {}  # (delta_b, delta_n) -> [(acc, den0) per p]
+        for pair, p, i in slots:
             try:
-                cfg = SystemConfig(d, *combo)
-                err = relative_error(cfg)
-                ok = abs(err) <= rel_error_bound_extended(cfg)
-                out.append((math.floor(err / bin_width), float(err), ok, None))
+                if pair not in terms:
+                    terms[pair] = _mixture_terms(d, *pair, ps[pair])
+                num, den, ok = _config_error(d, pair[1], p, *terms[pair][i])
             except Exception as exc:  # per-config failures become skip counters
                 out.append((0, 0.0, True, type(exc).__name__))
+                continue
+            # int true division rounds correctly, as Fraction.__float__ does
+            out.append(((num * bd) // (den * bn), num / den, ok, None))
     return out
 
 

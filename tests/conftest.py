@@ -5,21 +5,30 @@ closed form: they step through slot events with plain integers, so they can
 arbitrate between the analytic formulas and the optimized simulators.  The
 series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
-The trace CSV oracle formats one row at a time with f-strings.  The period
-sum oracle reads every age of the hyperperiod with int64 numpy arrays.  The
-analyze report oracle writes each progression as a dict through
-``json.dumps(indent=2)``.
+The sweep row oracle evaluates each config on its own with ``Fraction``
+operations: exact mean, band center, their relative error and the a priori
+bound.  The trace CSV oracle formats one row at a time with f-strings.  The
+period sum oracle reads every age of the hyperperiod with int64 numpy
+arrays.  The analyze report oracle writes each progression as a dict
+through ``json.dumps(indent=2)``.
 """
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from aoiclock.extended import distribution_conditional, freshness_offset_K
+from aoiclock.extended import (
+    SystemConfig,
+    distribution_conditional,
+    expected_approx_extended,
+    expected_exact_extended,
+    freshness_offset_K,
+    rel_error_bound_extended,
+)
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -105,6 +114,31 @@ def naive_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, se
             ages.append(-1)
             fails.append(-1)
     return ages, fails
+
+
+def relative_error_ref(cfg):
+    """(exact - band center) / exact, one ``Fraction`` operation at a time."""
+    exact = expected_exact_extended(cfg).value
+    center = expected_approx_extended(cfg).center
+    return (exact - center) / exact
+
+
+def eval_chunk_ref(payload):
+    """``sweep._eval_chunk`` config by config: a (bin index, float error,
+    bound verdict, failure name) row per (decomposition, combo), the error
+    binned with ``floor`` on its ``Fraction``."""
+    decomps, combos, bin_width = payload
+    out = []
+    for d in decomps:
+        for combo in combos:
+            try:
+                cfg = SystemConfig(d, *combo)
+                err = relative_error_ref(cfg)
+                ok = abs(err) <= rel_error_bound_extended(cfg)
+                out.append((floor(err / bin_width), float(err), ok, None))
+            except Exception as exc:
+                out.append((0, 0.0, True, type(exc).__name__))
+    return out
 
 
 def naive_trace_csv(trace) -> str:

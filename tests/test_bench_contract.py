@@ -46,3 +46,19 @@ def test_kernel_shapes_name_registered_kernels(layers):
 
     impls = kernels.IMPLS[kernels.backend()]
     assert [name for _, name, _ in layers.KERNEL_SHAPES if name not in impls] == []
+
+
+def test_eval_chunk_returns_one_row_per_config():
+    # the tracer counts sweep.eval_configs as the rows _eval_chunk returns
+    from fractions import Fraction
+
+    from aoiclock import sweep
+    from aoiclock.basic import decompose
+
+    b_over = 10**5 + 1  # one over the exact expectation's cap: every combo fails
+    decomps = [decompose(34, 7, 10), decompose(12, 9, 5), decompose(b_over, 2 * b_over, 1)]
+    combos = [(0, 0, Fraction(1)), (0, 0, Fraction(1, 3)), (3, 5, Fraction(1, 3))]
+    rows = sweep._eval_chunk((decomps, combos, Fraction(1, 100)))
+    assert len(rows) == len(decomps) * len(combos)
+    assert all(isinstance(row, tuple) and len(row) == 4 for row in rows)
+    assert [row[3] for row in rows[-3:]] == ["ValueError"] * 3

@@ -2,12 +2,15 @@ import json
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
+from itertools import product
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aoiclock import sweep
+from aoiclock import kernels, sweep
 from aoiclock.basic import decompose
 from aoiclock.extended import SystemConfig
 from aoiclock.sweep import (
@@ -18,6 +21,7 @@ from aoiclock.sweep import (
     run_sweep,
     write_outputs,
 )
+from conftest import eval_chunk_ref, relative_error_ref
 
 FIG_GRID = {"A": 17, "B": 7, "N": 5, "a": 1, "b": 1, "n": 2}
 
@@ -218,6 +222,65 @@ class TestRelativeError:
         assert run_sweep(grid).global_hist.counts == {0: 1}
 
 
+# factor tuples (A, B, N, a, b, n) a sweep keeps, with b up to 8: the
+# pairwise coprimality test of TestEnumeration, periods not all equal
+KEPT_FACTORS = [
+    (A, B, N, a, b, n)
+    for A, B, N, a, b, n in product(
+        range(1, 8), range(1, 8), range(1, 8), (1, 2, 3), range(1, 9), (1, 2, 3)
+    )
+    if gcd(B * b, N * n) == gcd(A * n, a * B) == gcd(A * b, a * N) == 1
+    and not A * b * n == B * b * a == N * n * a
+]
+decompositions = st.sampled_from(KEPT_FACTORS).map(
+    lambda f: decompose(f[0] * f[4] * f[5], f[1] * f[4] * f[3], f[2] * f[5] * f[3])
+)
+probabilities = st.integers(1, 60).flatmap(
+    lambda v: st.builds(Fraction, st.integers(1, v), st.just(v))
+)
+# any order, repeats allowed: the rows follow the combos as given
+combo_lists = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 30), probabilities), min_size=1, max_size=6
+)
+
+
+class TestEvalChunk:
+    """The integer evaluation against the per-config Fraction oracle."""
+
+    @given(
+        st.lists(decompositions, min_size=1, max_size=3),
+        combo_lists,
+        st.sampled_from([Fraction(1, 100), Fraction(3, 7), Fraction(1)]),
+    )
+    def test_rows_equal_fraction_oracle(self, decomps, combos, bin_width):
+        payload = (decomps, combos, bin_width)
+
+        def bits(rows):
+            return [(i, err.hex(), ok, fail) for i, err, ok, fail in rows]
+
+        assert bits(sweep._eval_chunk(payload)) == bits(eval_chunk_ref(payload))
+        for d in decomps:
+            for combo in combos:
+                cfg = SystemConfig(d, *combo)
+                assert relative_error(cfg) == relative_error_ref(cfg)
+
+    def test_sums_shared_across_p(self, monkeypatch):
+        calls = []
+        real = kernels.period_sums_conditional
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "period_sums_conditional", counted)
+        grid = SweepGrid.from_json(BUNDLED_GRID)
+        decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
+        rows = sweep._eval_chunk((decomps[:2], sweep._combos(grid), Fraction(1, 100)))
+        # 3 x 3 shift pairs, each serving the grid's 3 values of p
+        assert len(rows) == 2 * 27
+        assert len(calls) == 2 * 9
+
+
 @pytest.fixture(scope="module")
 def grid():
     return SweepGrid.from_dict(
@@ -332,14 +395,14 @@ class TestSmallGridGolden:
 class TestPerConfigErrors:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_configs_are_counted_in_every_slice(self, monkeypatch, jobs):
-        real = sweep.relative_error
+        real = sweep._config_error
 
-        def flaky(cfg):
-            if cfg.p == Fraction(1, 3):
+        def flaky(d, delta_n, p, acc, den0):
+            if p == Fraction(1, 3):
                 raise ArithmeticError("injected")
-            return real(cfg)
+            return real(d, delta_n, p, acc, den0)
 
-        monkeypatch.setattr(sweep, "relative_error", flaky)
+        monkeypatch.setattr(sweep, "_config_error", flaky)
         grid = SweepGrid.from_dict(SMALL_GRID)
         result = run_sweep(grid, jobs=jobs)
         # half the 5,136 valid configs hold p = 1/3
@@ -351,3 +414,21 @@ class TestPerConfigErrors:
             assert sl.n_configs + sl.n_skipped == holding, (sl.parameter, sl.value)
         p_third = next(sl for sl in result.slices if sl.parameter == "p" and sl.value == "1/3")
         assert p_third.n_configs == 0
+
+    def test_b_over_cap_fails_before_its_sums(self, monkeypatch):
+        b_over = 10**5 + 1
+        seen = []
+        real = kernels.period_sums_conditional
+
+        def counted(a_period, b_period, n_period, *rest):
+            seen.append((a_period, b_period, n_period))
+            return real(a_period, b_period, n_period, *rest)
+
+        monkeypatch.setattr(kernels, "period_sums_conditional", counted)
+        # (A, B, N) = (1, 2, 1) at b = 1 gives periods (1, 2, 1); at
+        # b = 100001, one over the cap, periods (100001, 200002, 1)
+        grid = SweepGrid.from_dict({"A": 1, "B": 2, "N": 1, "b": [1, b_over]})
+        result = run_sweep(grid)
+        assert result.skip_counts == {"error:ValueError": 1}
+        assert result.n_configs == 1
+        assert seen == [(1, 2, 1)]
