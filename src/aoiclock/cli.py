@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 for failed verification checks or I/O problems,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -190,16 +191,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    if args.model == "basic":
-        trace = simulate_basic(cfg.d, args.cycles)
-    else:
-        if args.seed is None:
-            raise ConfigError("the extended model is stochastic; --seed is required")
-        trace = simulate_extended(cfg, args.cycles, RngSpec(args.seed))
-    if args.out == "-":
-        write_trace_csv(trace, sys.stdout)
-    else:
-        write_trace_csv(trace, args.out)
+    d = cfg.d
+    basic = args.model == "basic"
+    if not basic and args.seed is None:
+        raise ConfigError("the extended model is stochastic; --seed is required")
+    rng = None if basic else RngSpec(args.seed)
+    kernels.check_simulate_args(
+        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, args.cycles
+    )
+    # --out is opened before the run, so that an unwritable path fails at
+    # once; held open, it keeps a named pipe's reader attached until the
+    # writer reopens it by path
+    with contextlib.nullcontext() if args.out == "-" else open(args.out, "ab"):
+        trace = (simulate_basic(d, args.cycles) if basic
+                 else simulate_extended(cfg, args.cycles, rng))
+        write_trace_csv(trace, sys.stdout if args.out == "-" else args.out)
     warm = trace.warmup_cycles
     if warm < trace.cycles:
         mean = empirical_mean(trace, warm, trace.cycles - warm)

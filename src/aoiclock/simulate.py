@@ -19,7 +19,6 @@ quantization error on p is at most 2^-54.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,8 +40,10 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# Trace CSVs are formatted and written _CSV_ROWS rows at a time, one write
-# per block.  The size bounds a block's memory; it never changes a byte.
+# Trace CSVs are encoded and written _CSV_ROWS rows at a time, one write per
+# block.  The size bounds a block's memory, a uint8 matrix and a keep mask of
+# one byte each per character (about 0.7 MB at 2^14 rows of 20 characters);
+# it never changes a byte.
 _CSV_ROWS = 1 << 14
 
 
@@ -161,28 +162,87 @@ def write_trace_csv(trace: Trace, dest) -> None:
     """Write the trace as CSV with header ``k,t,age,l``.
 
     Warm-up rows keep their slot but leave age and l empty.  ``dest`` may be
-    a path or a text file object.
+    a path, written in binary mode, or a text file object, which gets each
+    block decoded as ASCII.  The rows are encoded _CSV_ROWS at a time by
+    numpy digit arithmetic (see ``_encode_rows``), one write per block.  A
+    defined row with a negative l raises ValueError.
     """
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", newline="") as fh:
-            _write_rows(trace, fh)
+        with open(dest, "wb") as fh:
+            for block in _csv_blocks(trace):
+                fh.write(block)
     else:
-        _write_rows(trace, dest)
+        for block in _csv_blocks(trace):
+            dest.write(block.decode("ascii"))
 
 
-def _write_rows(trace: Trace, fh: io.TextIOBase) -> None:
-    fh.write("k,t,age,l\n")
+def _csv_blocks(trace: Trace):
+    """The CSV's header, then its rows as one bytes object per block."""
+    yield b"k,t,age,l\n"
     defined = trace.defined
     # starts of the maximal runs of defined and of undefined rows; the
     # prepended opposite of row 0 makes row 0 a start (and no row at all none)
     starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
     for lo, hi in zip(starts, starts[1:] + [trace.cycles]):
         if defined[lo]:
-            row, cols = "%d,%d,%d,%d\n", (trace.ages, trace.fails)
+            cols, seps = (trace.ages, trace.fails), (b",", b",", b",", b"\n")
         else:
-            row, cols = "%d,%d,,\n", ()
+            cols, seps = (), (b",", b",,\n")
         for i in range(lo, hi, _CSV_ROWS):
             j = min(i + _CSV_ROWS, hi)
-            k = np.arange(i, j, dtype=trace._slot_dtype)
-            block = np.stack([k, k * trace.a_period, *(c[i:j] for c in cols)], axis=1)
-            fh.write(row * (j - i) % tuple(block.ravel().tolist()))
+            k = np.arange(i, j, dtype=np.int64)
+            t = np.arange(i, j, dtype=trace._slot_dtype) * trace.a_period
+            yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
+
+
+# the ASCII digits of "00".."99": row r holds r's tens digit, then its units digit
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % r for r in range(100)), np.uint8).reshape(100, 2)
+
+
+def _encode_rows(cols, seps) -> bytes:
+    """CSV rows of the non-negative integer columns ``cols``, each value
+    followed by its column's separator in ``seps``, as ASCII bytes.
+
+    The rows are laid out in a fixed-width uint8 matrix, each column as wide
+    as its largest value, with the digits right-aligned and read off two at a
+    time (divide by 100, look the remainder up in ``_DIGIT_PAIRS``).  A keep
+    mask drops the leading zeros: a digit of weight 10^j (j >= 1) is kept
+    where the value is >= 10^j, and only positions past the column's
+    smallest value can be dropped.  Columns of python ints (slots past
+    int64) are rendered by ``str`` into the same matrix, left-aligned, with
+    their zero padding masked out.
+    """
+    n = len(cols[0])
+    texts = [
+        np.array([str(x) for x in col.tolist()], dtype=bytes) if col.dtype == object else None
+        for col in cols
+    ]
+    widths = [
+        len(str(int(col.max()))) if text is None else text.itemsize
+        for col, text in zip(cols, texts)
+    ]
+    mat = np.empty((n, sum(widths) + sum(map(len, seps))), np.uint8)
+    keep = np.ones(mat.shape, bool)
+    c = 0
+    for col, text, w, sep in zip(cols, texts, widths, seps):
+        if text is not None:
+            mat[:, c : c + w] = text.view(np.uint8).reshape(n, w)
+            np.not_equal(mat[:, c : c + w], 0, out=keep[:, c : c + w])
+        else:
+            low = int(col.min())
+            if low < 0:
+                raise ValueError(f"trace CSV values must be >= 0, got {low}")
+            x = col
+            for p in range(c + w - 2, c - 2, -2):
+                q = x // 100
+                r = x - 100 * q
+                x = q
+                mat[:, p + 1] = _DIGIT_PAIRS[:, 1].take(r)
+                if p >= c:
+                    mat[:, p] = _DIGIT_PAIRS[:, 0].take(r)
+            for p in range(c, c + w - len(str(low))):
+                np.greater_equal(col, 10 ** (c + w - 1 - p), out=keep[:, p])
+        c += w
+        mat[:, c : c + len(sep)] = np.frombuffer(sep, np.uint8)
+        c += len(sep)
+    return mat[keep].tobytes()

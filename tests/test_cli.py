@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import aoiclock.basic
 import aoiclock.cli
 import aoiclock.extended
+import aoiclock.kernels
 import aoiclock.simulate
 from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
@@ -25,8 +26,9 @@ FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
 # a call of the analyze benchmark workload, whose periods share factors
 SHARED = ["--a-period", "10", "--b-period", "12", "--n-period", "15"]
 GOLDEN = Path(__file__).parent / "golden"
-# sha256 of the trace CSV that each argv writes, recorded from the row-by-row
-# writer: a trace is a pure function of (config, cycles, seed), to the byte
+# sha256 of the trace CSV that each argv writes, each recorded before a change
+# of writer (the row-by-row one, then one %-format per block): a trace is a
+# pure function of (config, cycles, seed), to the byte
 TRACE_DIGESTS = json.loads((GOLDEN / "trace_csv_sha256.json").read_text())
 # sha256 of the analyze reports (stdout) at a family of 31,627 progressions,
 # recorded from the dict-per-progression json.dumps writer
@@ -278,6 +280,34 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", *FIG, "--cycles", "0")
         assert code == 2
         assert "cycles" in err
+
+    def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        sim = aoiclock.kernels.sim_extended
+        monkeypatch.setattr(aoiclock.kernels, "sim_extended", lambda *a: calls.append(a) or sim(*a))
+        argv = ["simulate", *FIG, "--model", "extended", "--p", "1/2", "--seed", "1"]
+        code, _, err = run(capsys, *argv, "--cycles", "3000000",
+                           "--out", str(tmp_path / "missing" / "trace.csv"))
+        assert (code, calls) == (1, [])
+        assert err.startswith("error:")
+        assert run(capsys, *argv, "--cycles", "10", "--out", str(tmp_path / "t.csv"))[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [
+        ["--cycles", "10"],
+        ["--cycles", "10", "--seed", str(2**64)],
+        ["--cycles", "0", "--seed", "1"],
+        ["--cycles", str(2**62), "--seed", "1"],
+    ], ids=["no-seed", "seed-past-uint64", "zero-cycles", "slot-overflow"])
+    def test_guard_failure_leaves_out_untouched(self, capsys, tmp_path, bad):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("k,t,age,l\n")
+        for out in (old, new):
+            code, _, err = run(capsys, "simulate", *FIG, "--model", "extended", *bad,
+                               "--out", str(out))
+            assert code == 2 and err.startswith("error:")
+        assert old.read_text() == "k,t,age,l\n"
+        assert not new.exists()
 
     def test_seeded_run_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

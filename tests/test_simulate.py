@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aoiclock import kernels, simulate
@@ -278,9 +278,10 @@ def _csv(trace) -> str:
 
 
 # (defined age, l) or None for an undefined row, in any order
-_ROWS = st.lists(
-    st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.integers(0, 99))), max_size=40
-)
+_INT64 = st.integers(0, 2**63 - 1)
+_ROWS = st.lists(st.one_of(st.none(), st.tuples(_INT64, _INT64)), max_size=40)
+# rows whose ages and l sit on both sides of every power of ten in int64
+_WIDTH_EDGES = [(10**k - 1, 10**k) for k in range(1, 19)] + [(2**63 - 1, 2**63 - 1)]
 _A_PERIODS = st.one_of(st.integers(1, 100), st.integers(2**40, 2**70))
 _LOSSY = st.builds(
     lambda t, db, dn, p: SystemConfig(decompose(*t), db, dn, p),
@@ -300,6 +301,9 @@ class TestTraceCsvOracle:
     """``write_trace_csv`` against the row-by-row oracle, byte for byte."""
 
     @given(_ROWS, _A_PERIODS, st.integers(1, 5))
+    @example(_WIDTH_EDGES, 1, 5)
+    @example([(b, a) for a, b in _WIDTH_EDGES], 2**70, 2)
+    @example([r for edge in _WIDTH_EDGES for r in (None, edge)], 10**17, 4)
     def test_hand_built_traces_with_holes(self, rows, a_period, block):
         ages = np.array([-1 if r is None else r[0] for r in rows], dtype=np.int64)
         fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
@@ -333,6 +337,26 @@ class TestTraceCsvOracle:
         text = _csv(trace)
         assert text == naive_trace_csv(trace)
         assert text.count(",,\n") == cycles
+
+    def test_slot_column_crosses_2_63_inside_a_block(self):
+        ages = np.array([3, -1, 10**18, 0, 99, 100, 2**63 - 1, 7], dtype=np.int64)
+        trace = Trace(2**61 + 3, ages, np.where(ages >= 0, ages % 1000, -1))
+        # rows 2..7 are one run of defined rows, so one block
+        slots = trace.slots.tolist()
+        assert slots[3] < 2**63 <= slots[4]
+        assert _csv(trace) == naive_trace_csv(trace)
+
+    def test_digit_widths_change_inside_a_block(self):
+        # in one block k passes 9, 99 and 999, t several widths, and age and
+        # l change width from row to row
+        k = np.arange(1200, dtype=np.int64)
+        trace = Trace(997, 10 ** (k % 19) - k % 2, (k * k) % 10**(k % 7 + 1))
+        assert _csv(trace) == naive_trace_csv(trace)
+
+    def test_negative_value_in_a_defined_row_rejected(self):
+        trace = Trace(1, np.array([0, 5], dtype=np.int64), np.array([0, -2], dtype=np.int64))
+        with pytest.raises(ValueError, match="must be >= 0, got -2"):
+            _csv(trace)
 
     @pytest.mark.parametrize("a_period", [2**40 + 1, 10**12 + 1, 2**50 + 3])
     def test_slots_past_2_40(self, a_period):
