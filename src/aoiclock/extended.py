@@ -166,8 +166,8 @@ def expected_approx_extended(cfg: SystemConfig) -> BandedValue:
     return _band(cfg.d, _offset(cfg))
 
 
-def _mixture_terms(d: PeriodDecomposition, delta_b: int, delta_n: int, ps) -> list[tuple]:
-    """Integer parts (acc, den0) of the exact expectation, one pair per p in ``ps``.
+def _mixture_terms(d: PeriodDecomposition, delta_b: int, delta_n: int, vws) -> list[tuple]:
+    """Integer parts (acc, den0) of the exact expectation, one pair per (v, w) in ``vws``.
 
     With p = u/v and w = v - u, E = (w*N'*den0 + u^2*acc) / (u*den0), where
     den0 = period*(v^b - w^b).  The b conditional hyperperiod sums depend on
@@ -186,8 +186,7 @@ def _mixture_terms(d: PeriodDecomposition, delta_b: int, delta_n: int, ps) -> li
     )
     terms = [int(s) - r * d.n_period * period for r, s in enumerate(sums)]
     out = []
-    for p in ps:
-        v, w = p.denominator, p.denominator - p.numerator
+    for v, w in vws:
         acc = 0
         wr = 1
         for t in terms:  # Horner in v, so acc = sum_r w^r * v^(b-1-r) * t_r
@@ -211,8 +210,9 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     work, since the denominator has about b*log2(v) bits.
     """
     d = cfg.d
-    u, w = cfg.p.numerator, cfg.p.denominator - cfg.p.numerator
-    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [cfg.p])
+    u, v = cfg.p.numerator, cfg.p.denominator
+    w = v - u
+    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [(v, w)])
     value = Fraction(w * d.n_period * den0 + u * u * acc, u * den0)
     return GeometricExpectation(value, Fraction(0), d.b)
 

@@ -10,24 +10,33 @@ center, bins the signed relative error (exact - center) / exact, and writes
 deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
-Evaluation runs one decomposition at a time.  Its b conditional hyperperiod
-sums depend on the (delta_b, delta_n) pair alone, so each pair's sums are
-computed once and shared by every p.  Each config's relative error is then
-an exact integer ratio num / den, binned by floor division and turned into
-a float by correctly rounded integer division; no ``Fraction`` is built.
-Results are aggregated in enumeration order, so output files are
-bit-identical no matter how many worker processes run the evaluation.
+The factor tuples are cut into blocks, one inline or a few per worker
+process.  A block classifies its tuples, evaluates the kept ones and returns
+compact columns: a skip code per tuple, and a bin index, float error and
+bound verdict per config.  Evaluation runs one decomposition at a time.  Its
+b conditional hyperperiod sums depend on the (delta_b, delta_n) pair alone,
+so each pair's sums are computed once and shared by every p.  Each config's
+relative error is then an exact integer ratio num / den, binned by floor
+division and turned into a float by correctly rounded integer division; no
+``Fraction`` is built.  The parent joins the blocks in enumeration order and
+folds them with numpy: each config's position in the grid gives its slices,
+and every mean is a left-to-right float sum in enumeration order.  So output
+files are bit-identical for any number of worker processes, and on every
+Python version.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from multiprocessing import Pool
 from pathlib import Path
+
+import numpy as np
 
 from .basic import ConfigError, PeriodDecomposition, decompose, max_bound_basic
 from .extended import SystemConfig, _as_probability, _freshness_offset, _mixture_terms
@@ -45,8 +54,7 @@ __all__ = [
 ]
 
 _FACTORS = ("A", "B", "N", "a", "b", "n")
-_COMBO_FIELDS = ("delta_b", "delta_n", "p")
-PARAMETERS = _FACTORS + _COMBO_FIELDS
+PARAMETERS = _FACTORS + ("delta_b", "delta_n", "p")
 _INT_FIELDS = PARAMETERS[:-1]
 
 _DEFAULTS = {
@@ -63,9 +71,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 11 s at
-# 315 MB peak RSS in the parent process (250 MB in a worker) with --jobs 2
-# on a 2-core Xeon host.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 5.6 s at
+# 71 MB peak RSS in the parent process (38 MB in a worker) with --jobs 2 on
+# a 2-core Xeon host.
 _MAX_CANDIDATES = 10**6
 
 
@@ -156,7 +164,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 11 s and 315 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 6 s and 71 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -178,14 +186,17 @@ class SweepGrid:
         return getattr(self, parameter)
 
 
-def _iter_candidates(grid: SweepGrid):
+def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     """Yield (factors, decomposition-or-None, skip reason) per factor tuple.
 
-    ``factors`` is (A, B, N, a, b, n).  The tuple alone decides whether its
-    candidates are kept: every (delta_b, delta_n, p) combination of a kept
-    tuple is a config, and every combination of a skipped one is skipped.
+    ``factors`` is (A, B, N, a, b, n); only the tuples at positions
+    [start, stop) of the enumeration are classified.  The tuple alone decides
+    whether its candidates are kept: every (delta_b, delta_n, p) combination
+    of a kept tuple is a config, and every combination of a skipped one is
+    skipped.
     """
-    for factors in product(grid.A, grid.B, grid.N, grid.a, grid.b, grid.n):
+    tuples = product(grid.A, grid.B, grid.N, grid.a, grid.b, grid.n)
+    for factors in islice(tuples, start, stop):
         A, B, N, a, b, n = factors
         ap, bp, np_ = A * b * n, B * b * a, N * n * a
         try:
@@ -221,31 +232,35 @@ def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
 
 
 def _config_error(
-    d: PeriodDecomposition, delta_n: int, p: Fraction, acc: int, den0: int
+    m2k: int, ab: int, n_period: int, u: int, w: int, acc: int, den0: int
 ) -> tuple[int, int, bool]:
     """(num, den, ok): the relative error is num / den with den > 0, ok its bound verdict.
 
-    ``acc`` and ``den0`` are ``_mixture_terms`` at the config's shifts and
-    p = u/v, so E = P / (u*den0) with P = w*N'*den0 + u^2*acc.  The band
-    center is M/2 + K + w*N'/u with M = B' + N' - n, and its w*N'/u cancels
-    against E's: (E - center) / E = num / (2P) with
+    The config has p = u/(u + w), M + 2K = ``m2k`` with M = B' + N' - n,
+    a*b = ``ab`` and N' = ``n_period``; ``acc`` and ``den0`` are
+    ``_mixture_terms`` at its shifts and p, so E = P / (u*den0) with
+    P = w*N'*den0 + u^2*acc.  The band center is M/2 + K + w*N'/u, and its
+    w*N'/u cancels against E's: (E - center) / E = num / (2P) with
     num = 2P - den0*(u*(M + 2K) + 2w*N').  The a priori bound is
     a*b*u / (u*(M - a*b + 2K) + 2w*N'), whose denominator is positive since
     K >= 2.
     """
-    u, w = p.numerator, p.denominator - p.numerator
-    m2k = max_bound_basic(d) + 2 * _freshness_offset(d.n, delta_n)  # M + 2K
-    wn2 = 2 * w * d.n_period
-    ab = d.a * d.b
-    den = 2 * (w * d.n_period * den0 + u * u * acc)
+    wn2 = 2 * w * n_period
+    den = 2 * (w * n_period * den0 + u * u * acc)
     num = den - den0 * (u * m2k + wn2)
     return num, den, abs(num) * (u * (m2k - ab) + wn2) <= ab * u * den
 
 
+def _m2k(d: PeriodDecomposition, delta_n: int) -> int:
+    """M + 2K of the band center, M = B' + N' - n and K the freshness offset."""
+    return max_bound_basic(d) + 2 * _freshness_offset(d.n, delta_n)
+
+
 def relative_error(cfg: SystemConfig) -> Fraction:
     """Signed relative error (exact - band center) / exact of the approximation."""
-    [(acc, den0)] = _mixture_terms(cfg.d, cfg.delta_b, cfg.delta_n, [cfg.p])
-    num, den, _ = _config_error(cfg.d, cfg.delta_n, cfg.p, acc, den0)
+    d, u, v = cfg.d, cfg.p.numerator, cfg.p.denominator
+    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [(v, v - u)])
+    num, den, _ = _config_error(_m2k(d, cfg.delta_n), d.a * d.b, d.n_period, u, v - u, acc, den0)
     return Fraction(num, den)
 
 
@@ -262,6 +277,18 @@ class Histogram:
     def to_rows(self):
         for idx in sorted(self.counts):
             yield float(idx * self.bin_width), float((idx + 1) * self.bin_width), self.counts[idx]
+
+
+def _sum(xs) -> float:
+    """The float sum of ``xs`` added left to right from 0.0.
+
+    Neither ``sum()``, which compensates since Python 3.12, nor numpy's
+    pairwise sum: a mean keeps its bits on every Python version.
+    """
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 @dataclass(frozen=True)
@@ -292,12 +319,12 @@ class SweepResult:
 
     @property
     def mean_error(self) -> float:
-        return sum(self.float_errors) / len(self.float_errors)
+        return _sum(self.float_errors) / len(self.float_errors)
 
 
-def _nearest_rank(sorted_xs: list[float], q: float) -> float:
+def _nearest_rank(sorted_xs, q: float) -> float:
     rank = max(0, math.ceil(q * len(sorted_xs)) - 1)
-    return sorted_xs[rank]
+    return float(sorted_xs[rank])
 
 
 def _eval_chunk(payload):
@@ -305,24 +332,28 @@ def _eval_chunk(payload):
 
     Rows are (bin index, float error, bound verdict, failure name or None).
     The hyperperiod sums of a decomposition depend on its (delta_b, delta_n)
-    pair alone, so one ``_mixture_terms`` call serves all p of the pair.
+    pair alone, so one ``_mixture_terms`` call serves all p of the pair; the
+    decomposition's and each p's constants are also computed once.
     """
     decomps, combos, bin_width = payload
     bn, bd = bin_width.numerator, bin_width.denominator
-    ps: dict[tuple, list] = {}  # (delta_b, delta_n) -> its p values
-    slots = []  # per combo: its pair, p and the position of p in ps[pair]
+    vws: dict[tuple, list] = {}  # (delta_b, delta_n) -> (v, w) of its p = (v - w)/v
+    slots = []  # per combo: its pair, the position of p in vws[pair], and p = u/(u + w)
     for delta_b, delta_n, p in combos:
-        same = ps.setdefault((delta_b, delta_n), [])
-        slots.append(((delta_b, delta_n), p, len(same)))
-        same.append(p)
+        u, v = p.numerator, p.denominator
+        same = vws.setdefault((delta_b, delta_n), [])
+        slots.append(((delta_b, delta_n), len(same), u, v - u))
+        same.append((v, v - u))
     out = []
     for d in decomps:
-        terms = {}  # (delta_b, delta_n) -> [(acc, den0) per p]
-        for pair, p, i in slots:
+        ab, n_period = d.a * d.b, d.n_period
+        terms = {}  # (delta_b, delta_n) -> (M + 2K, [(acc, den0) per p])
+        for pair, i, u, w in slots:
             try:
                 if pair not in terms:
-                    terms[pair] = _mixture_terms(d, *pair, ps[pair])
-                num, den, ok = _config_error(d, pair[1], p, *terms[pair][i])
+                    terms[pair] = _m2k(d, pair[1]), _mixture_terms(d, *pair, vws[pair])
+                m2k, pair_terms = terms[pair]
+                num, den, ok = _config_error(m2k, ab, n_period, u, w, *pair_terms[i])
             except Exception as exc:  # per-config failures become skip counters
                 out.append((0, 0.0, True, type(exc).__name__))
                 continue
@@ -331,11 +362,73 @@ def _eval_chunk(payload):
     return out
 
 
-def _slice_values(values) -> list:
-    vals = list(values)
-    if len(vals) <= 3:
-        return vals
-    return [vals[0], vals[len(vals) // 2], vals[-1]]
+# per factor tuple of a block: 0 if kept, else 1 + the index of its skip reason
+_SKIP_REASONS = ("common_factor", "factor_mismatch", "equal_periods")
+_SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
+
+
+def _block_size(n_tuples: int, jobs: int) -> int:
+    """Factor tuples per block: all of them inline, about four blocks per worker."""
+    return n_tuples if jobs == 1 else max(1, math.ceil(n_tuples / (jobs * 4)))
+
+
+def _bin_column(bins) -> np.ndarray:
+    """Bin indices as int64, or as python ints where a tiny bin width takes them past it."""
+    try:
+        return np.array(bins, dtype=np.int64)
+    except OverflowError:
+        return np.array(bins, dtype=object)
+
+
+def _run_block(payload):
+    """Classify and evaluate the factor tuples at positions [start, stop).
+
+    Returns the skip code of each tuple; the bin index, float error, bound
+    verdict and whether its evaluation raised, per config of the kept tuples
+    in enumeration order; and the failure names, in the same order.
+    """
+    grid, start, stop, bin_width = payload
+    codes, decomps = [], []
+    for _, d, reason in _iter_candidates(grid, start, stop):
+        codes.append(_SKIP_CODE[reason])
+        if d is not None:
+            decomps.append(d)
+    rows = _eval_chunk((decomps, _combos(grid), bin_width))
+    bins, errs, oks, fails = zip(*rows) if rows else ((),) * 4
+    return (
+        np.array(codes, dtype=np.uint8),
+        _bin_column(bins),
+        np.array(errs, dtype=np.float64),
+        np.array(oks, dtype=bool),
+        np.array([f is not None for f in fails], dtype=bool),
+        [f for f in fails if f is not None],
+    )
+
+
+def _slice_positions(n_values: int) -> list[int]:
+    """The sliced values of a field: all of up to three, else first, middle and last."""
+    return list(range(n_values)) if n_values <= 3 else [0, n_values // 2, n_values - 1]
+
+
+def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:
+    idx, counts = np.unique(bins, return_counts=True)
+    return Histogram(bin_width, dict(zip(idx.tolist(), counts.tolist())))
+
+
+def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
+    n = len(errs)
+    srt = np.sort(errs)
+    return SliceStat(
+        parameter=parameter,
+        value=str(value),
+        histogram=_histogram(bins, bin_width),
+        mean=_sum(errs.tolist()) / n if n else float("nan"),
+        q01=_nearest_rank(srt, 0.01) if n else float("nan"),
+        q50=_nearest_rank(srt, 0.50) if n else float("nan"),
+        q99=_nearest_rank(srt, 0.99) if n else float("nan"),
+        n_configs=n,
+        n_skipped=holding - n,
+    )
 
 
 def run_sweep(
@@ -349,98 +442,56 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    tuples = list(_iter_candidates(grid))
-    decomps = [d for _, d, _ in tuples if d is not None]
-    combos = _combos(grid)
-    if not decomps or not combos:
-        raise EmptyGridError("no grid candidate passes the factor constraints")
-
+    n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
+    size = _block_size(n_tuples, jobs)
+    payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
     if jobs == 1:
-        evals = _eval_chunk((decomps, combos, bin_width))
+        blocks = list(map(_run_block, payloads))
     else:
-        chunk = max(1, math.ceil(len(decomps) / (jobs * 4)))
-        payloads = [
-            (decomps[i : i + chunk], combos, bin_width)
-            for i in range(0, len(decomps), chunk)
-        ]
         with Pool(jobs) as pool:
-            evals = [row for batch in pool.map(_eval_chunk, payloads) for row in batch]
+            blocks = list(pool.imap(_run_block, payloads))
 
-    # Stitch the results back onto the tuples, in enumeration order.  Each
-    # slice is a position in slice_plan; a config counts in the slices of
-    # its factor values and in those of its (delta_b, delta_n, p) values.
-    slice_plan = [(f, v) for f in PARAMETERS for v in _slice_values(grid.values_of(f))]
-    position = {key: i for i, key in enumerate(slice_plan)}
-    combo_slots = [
-        [position[key] for key in zip(_COMBO_FIELDS, combo) if key in position]
-        for combo in combos
-    ]
-    counts: list[dict[int, int]] = [{} for _ in slice_plan]
-    errors: list[list[float]] = [[] for _ in slice_plan]
-    skipped = [0] * len(slice_plan)
-    skipped_tuples = 0
-    skip_counts: dict[str, int] = {}
-    global_counts: dict[int, int] = {}
-    float_errors: list[float] = []
-    bound_violations = 0
-
-    rows = iter(evals)
-    for factors, d, reason in tuples:
-        slots = [position[key] for key in zip(_FACTORS, factors) if key in position]
-        if d is None:
-            skip_counts[reason] = skip_counts.get(reason, 0) + len(combos)
-            skipped_tuples += 1
-            for i in slots:
-                skipped[i] += len(combos)
-            continue
-        for cslots in combo_slots:
-            bin_idx, err_f, ok, fail = next(rows)
-            if fail is not None:
-                key = f"error:{fail}"
-                skip_counts[key] = skip_counts.get(key, 0) + 1
-                for i in slots + cslots:
-                    skipped[i] += 1
-                continue
-            if not ok:
-                bound_violations += 1
-            global_counts[bin_idx] = global_counts.get(bin_idx, 0) + 1
-            float_errors.append(err_f)
-            for i in slots + cslots:
-                counts[i][bin_idx] = counts[i].get(bin_idx, 0) + 1
-                errors[i].append(err_f)
-    # each combination of a skipped tuple is skipped in its own slices
-    for cslots in combo_slots:
-        for i in cslots:
-            skipped[i] += skipped_tuples
-    if not float_errors:
+    columns = list(zip(*blocks))
+    codes, bins, errs, oks, failed = map(np.concatenate, columns[:5])
+    n_combos = len(_combos(grid))
+    skip_counts = {
+        reason: n * n_combos
+        for code, reason in enumerate(_SKIP_REASONS, 1)
+        if (n := int(np.count_nonzero(codes == code)))
+    }
+    skip_counts.update(Counter(f"error:{name}" for names in columns[5] for name in names))
+    kept = np.flatnonzero(codes == 0)
+    if not len(kept):
+        raise EmptyGridError("no grid candidate passes the factor constraints")
+    if failed.all():
         reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
         raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
+    # A config's position in the enumeration of all candidates, a mixed
+    # radix number over PARAMETERS, gives its value of every field.
+    position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
+    done = ~failed
+    position, bins, errs, oks = position[done], bins[done], errs[done], oks[done]
+    n_candidates = grid.n_candidates()
     slices = []
-    for (f, v), errs, hist, n_skipped in zip(slice_plan, errors, counts, skipped):
-        srt = sorted(errs)
-        slices.append(
-            SliceStat(
-                parameter=f,
-                value=str(v),
-                histogram=Histogram(bin_width, hist),
-                mean=sum(errs) / len(errs) if errs else float("nan"),
-                q01=_nearest_rank(srt, 0.01) if errs else float("nan"),
-                q50=_nearest_rank(srt, 0.50) if errs else float("nan"),
-                q99=_nearest_rank(srt, 0.99) if errs else float("nan"),
-                n_configs=len(errs),
-                n_skipped=n_skipped,
-            )
-        )
+    stride = n_candidates
+    for f in PARAMETERS:
+        values = grid.values_of(f)
+        stride //= len(values)
+        column = position // stride % len(values)
+        holding = n_candidates // len(values)  # candidates per value of f
+        for i in _slice_positions(len(values)):
+            mask = column == i
+            slices.append(_slice_stat(f, values[i], bins[mask], errs[mask], holding, bin_width))
 
     return SweepResult(
         bin_width=bin_width,
-        n_candidates=grid.n_candidates(),
-        n_configs=len(float_errors),
+        n_candidates=n_candidates,
+        n_configs=len(errs),
         skip_counts=skip_counts,
-        bound_violations=bound_violations,
-        global_hist=Histogram(bin_width, global_counts),
-        float_errors=float_errors,
+        bound_violations=int(np.count_nonzero(~oks)),
+        global_hist=_histogram(bins, bin_width),
+        float_errors=errs.tolist(),
         slices=tuple(slices),
     )
 

@@ -7,7 +7,9 @@ series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
 The sweep row oracle evaluates each config on its own with ``Fraction``
 operations: exact mean, band center, their relative error and the a priori
-bound.  The trace CSV oracle formats one row at a time with f-strings.  The
+bound.  The sweep fold oracle stitches ``sweep._eval_chunk`` rows onto the
+factor tuples in one Python loop and sums each mean left to right.  The
+trace CSV oracle formats one row at a time with f-strings.  The
 period sum oracle reads every age of the hyperperiod with int64 numpy
 arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.
@@ -15,12 +17,14 @@ through ``json.dumps(indent=2)``.
 
 import json
 from fractions import Fraction
-from math import floor, gcd
+from itertools import product
+from math import ceil, floor, gcd
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from aoiclock import sweep
 from aoiclock.extended import (
     SystemConfig,
     distribution_conditional,
@@ -29,6 +33,7 @@ from aoiclock.extended import (
     freshness_offset_K,
     rel_error_bound_extended,
 )
+from aoiclock.sweep import PARAMETERS, EmptyGridError, Histogram, SliceStat, SweepResult
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -139,6 +144,93 @@ def eval_chunk_ref(payload):
             except Exception as exc:
                 out.append((0, 0.0, True, type(exc).__name__))
     return out
+
+
+def _sum_ref(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
+    """``sweep.run_sweep`` as one Python loop over the factor tuples.
+
+    The tuples come from ``sweep._iter_candidates`` and the rows from one
+    ``sweep._eval_chunk`` call, so a failure injected into either reaches
+    the oracle too.  Each row is added to the global histogram and to the
+    slices of its nine values, and every mean is a left-to-right sum.
+    """
+    factors_of = ("A", "B", "N", "a", "b", "n")
+    combo_fields = ("delta_b", "delta_n", "p")
+
+    def sliced(values):
+        vals = list(values)
+        return vals if len(vals) <= 3 else [vals[0], vals[len(vals) // 2], vals[-1]]
+
+    def nearest_rank(srt, q):
+        return srt[max(0, ceil(q * len(srt)) - 1)]
+
+    tuples = list(sweep._iter_candidates(grid))
+    decomps = [d for _, d, _ in tuples if d is not None]
+    combos = list(product(grid.delta_b, grid.delta_n, grid.p))
+    if not decomps:
+        raise EmptyGridError("no grid candidate passes the factor constraints")
+    rows = iter(sweep._eval_chunk((decomps, combos, bin_width)))
+    slice_plan = [(f, v) for f in PARAMETERS for v in sliced(grid.values_of(f))]
+    position = {key: i for i, key in enumerate(slice_plan)}
+    counts = [{} for _ in slice_plan]
+    errors = [[] for _ in slice_plan]
+    skipped = [0] * len(slice_plan)
+    skip_counts, global_counts, float_errors, violations = {}, {}, [], 0
+    for factors, d, reason in tuples:
+        for combo in combos:
+            slots = [
+                position[key]
+                for key in zip(factors_of + combo_fields, factors + combo)
+                if key in position
+            ]
+            bin_idx, err, ok, fail = next(rows) if d is not None else (0, 0.0, True, None)
+            key = reason if d is None else fail and f"error:{fail}"
+            if key:
+                skip_counts[key] = skip_counts.get(key, 0) + 1
+                for i in slots:
+                    skipped[i] += 1
+                continue
+            violations += not ok
+            global_counts[bin_idx] = global_counts.get(bin_idx, 0) + 1
+            float_errors.append(err)
+            for i in slots:
+                counts[i][bin_idx] = counts[i].get(bin_idx, 0) + 1
+                errors[i].append(err)
+    if not float_errors:
+        reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
+        raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
+    nan = float("nan")
+    slices = tuple(
+        SliceStat(
+            parameter=f,
+            value=str(v),
+            histogram=Histogram(bin_width, hist),
+            mean=_sum_ref(errs) / len(errs) if errs else nan,
+            q01=nearest_rank(sorted(errs), 0.01) if errs else nan,
+            q50=nearest_rank(sorted(errs), 0.50) if errs else nan,
+            q99=nearest_rank(sorted(errs), 0.99) if errs else nan,
+            n_configs=len(errs),
+            n_skipped=n_skipped,
+        )
+        for (f, v), errs, hist, n_skipped in zip(slice_plan, errors, counts, skipped)
+    )
+    return SweepResult(
+        bin_width=bin_width,
+        n_candidates=grid.n_candidates(),
+        n_configs=len(float_errors),
+        skip_counts=skip_counts,
+        bound_violations=violations,
+        global_hist=Histogram(bin_width, global_counts),
+        float_errors=float_errors,
+        slices=slices,
+    )
 
 
 def naive_trace_csv(trace) -> str:

@@ -62,3 +62,29 @@ def test_eval_chunk_returns_one_row_per_config():
     assert len(rows) == len(decomps) * len(combos)
     assert all(isinstance(row, tuple) and len(row) == 4 for row in rows)
     assert [row[3] for row in rows[-3:]] == ["ValueError"] * 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_traced_sweep_records_every_stage(layers, jobs):
+    # per-layer sweep metrics come from these spans and counters; at jobs 2
+    # the workers keep their own, and only the pool's time reaches the parent
+    from aoiclock import sweep
+
+    # (A, B, N) = (1, 2, 1) at b = 100001 is over the exact expectation's
+    # cap, so each of its combos is an error skip
+    grid = sweep.SweepGrid.from_dict(
+        {"A": [1, 3], "B": [2, 5], "N": [1, 7], "b": [1, 10**5 + 1], "p": ["1/2", "1"]}
+    )
+    tracer = layers.Tracer()
+    with tracer.installed():
+        result = sweep.run_sweep(grid, jobs=jobs)
+    errors = sum(v for k, v in result.skip_counts.items() if k.startswith("error:"))
+    assert errors > 0
+    if jobs == 1:
+        for span in ("sweep.enumerate", "sweep.eval", "sweep.run_sweep"):
+            assert tracer.stats[span].calls, span
+        assert tracer.counts["sweep.candidates"] == 2 * 2 * 2 * 2
+        assert tracer.counts["sweep.eval_configs"] == result.n_configs + errors
+    else:
+        assert tracer.stats["sweep.pool"].calls == 1
+        assert tracer.stats["sweep.run_sweep"].calls == 1

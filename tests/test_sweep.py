@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
@@ -7,21 +11,22 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoiclock import kernels, sweep
+from aoiclock import cli, kernels, sweep
 from aoiclock.basic import decompose
 from aoiclock.extended import SystemConfig
 from aoiclock.sweep import (
     EmptyGridError,
     SweepGrid,
+    SweepResult,
     enumerate_configs,
     relative_error,
     run_sweep,
     write_outputs,
 )
-from conftest import eval_chunk_ref, relative_error_ref
+from conftest import eval_chunk_ref, relative_error_ref, run_sweep_ref
 
 FIG_GRID = {"A": 17, "B": 7, "N": 5, "a": 1, "b": 1, "n": 2}
 
@@ -39,6 +44,11 @@ SMALL_GRID = {
     "p": ["1/3", "1"],
 }
 GOLDEN = Path(__file__).parent / "golden" / "sweep_small"
+# sha256 of each output file of the bundled grid and of stdout, its out
+# directory removed; recorded before the sweep folded its blocks with numpy
+BUNDLED_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "sweep_bundled_sha256.json").read_text()
+)
 BUNDLED_GRID = files("aoiclock") / "grids" / "default.json"
 
 
@@ -279,6 +289,12 @@ class TestEvalChunk:
         # 3 x 3 shift pairs, each serving the grid's 3 values of p
         assert len(rows) == 2 * 27
         assert len(calls) == 2 * 9
+        # the same 9 per decomposition through a whole sweep, however it is cut
+        for size in (sweep._block_size, lambda n, jobs: 1, lambda n, jobs: 7):
+            monkeypatch.setattr(sweep, "_block_size", size)
+            calls.clear()
+            assert run_sweep(grid).n_configs == 27 * len(decomps)
+            assert len(calls) == 9 * len(decomps)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +364,105 @@ class TestRunSweep:
             run_sweep(SweepGrid.from_dict({"A": "2..4", "B": "2..4", "N": "2..4"}))
 
 
+class TestSum:
+    def test_left_to_right_from_zero(self):
+        # sum() compensates since Python 3.12 and gives 1.0 here
+        assert sweep._sum([1e16, 1.0, -1e16]) == 0.0
+        assert sweep._sum([]) == 0.0
+        assert sweep._sum([-0.0]) == 0.0 and str(sweep._sum([-0.0])) == "0.0"
+
+    def test_mean_error_uses_it(self):
+        result = SweepResult(
+            Fraction(1), 3, 3, {}, 0, sweep.Histogram(Fraction(1)), [1e16, 1.0, -1e16], ()
+        )
+        assert result.mean_error == 0.0
+
+
+# every skip reason, and b one over the exact expectation's cap
+EVERY_SKIP_GRID = SweepGrid.from_dict(
+    {"A": [1, 3], "B": [1, 3], "N": [1, 5], "a": [1, 2], "b": [1, 2, 10**5 + 1], "n": [1, 3],
+     "delta_b": [0, 5], "delta_n": [0, 2], "p": ["1/3", "1"]}
+)
+# small random grids, up to 768 factor tuples
+sweep_grids = st.fixed_dictionaries(
+    {
+        "A": st.lists(st.integers(1, 7), min_size=1, max_size=4),
+        "B": st.lists(st.integers(1, 7), min_size=1, max_size=4),
+        "N": st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        "a": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        "b": st.lists(st.sampled_from([1, 2, 3, 10**5 + 1]), min_size=1, max_size=2),
+        "n": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        "delta_b": st.lists(st.integers(0, 12), min_size=1, max_size=4),
+        "delta_n": st.lists(st.integers(0, 12), min_size=1, max_size=2),
+        "p": st.lists(st.sampled_from(["1", "1/2", "1/3", "2/3", "1/10"]), min_size=1, max_size=4),
+    }
+).map(SweepGrid.from_dict)
+
+
+class TestRunSweepOracle:
+    """run_sweep against the one-loop fold of conftest.run_sweep_ref."""
+
+    @staticmethod
+    def fields(result):
+        def hexed(x):
+            return float.hex(x) if isinstance(x, float) else x
+
+        slices = [
+            tuple(hexed(getattr(sl, f)) for f in sl.__dataclass_fields__) for sl in result.slices
+        ]
+        return (
+            result.bin_width, result.n_candidates, result.n_configs, result.skip_counts,
+            result.bound_violations, result.global_hist,
+            [x.hex() for x in result.float_errors], slices, result.mean_error.hex(),
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("block", ["default", 1, 7, "whole"])
+    @settings(max_examples=15)
+    @example(EVERY_SKIP_GRID, Fraction(1, 100), 2)
+    @given(
+        sweep_grids,
+        st.sampled_from([Fraction(1, 100), Fraction(3, 7), Fraction(1, 10**30)]),
+        st.sampled_from([None, 2, 3]),
+    )
+    def test_fields_equal_oracle(self, jobs, block, grid, bin_width, fail_every):
+        real = sweep._config_error
+
+        def flaky(m2k, ab, n_period, u, w, acc, den0):
+            if fail_every and (u + w + m2k + acc) % fail_every == 0:
+                raise ArithmeticError("injected")
+            return real(m2k, ab, n_period, u, w, acc, den0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_config_error", flaky)
+            if block != "default":
+                mp.setattr(sweep, "_block_size", lambda n, jobs: n if block == "whole" else block)
+            try:
+                expected = run_sweep_ref(grid, bin_width)
+            except EmptyGridError as exc:
+                with pytest.raises(EmptyGridError, match=f"^{re.escape(str(exc))}$"):
+                    run_sweep(grid, bin_width, jobs)
+                return
+            got = run_sweep(grid, bin_width, jobs)
+        assert self.fields(got) == self.fields(expected)
+
+
+class TestBundledGolden:
+    """The bundled grid's outputs and stdout, pinned by sha256 at jobs 1 and 2."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_digests(self, tmp_path, jobs):
+        out = tmp_path / "out"
+        buf = io.StringIO()
+        argv = ["sweep", "--grid", str(BUNDLED_GRID), "--out", str(out), "--jobs", str(jobs)]
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        stdout = buf.getvalue().replace(str(out), "").encode()
+        digests["stdout"] = hashlib.sha256(stdout).hexdigest()
+        assert digests == BUNDLED_DIGESTS
+
+
 class TestWriteOutputs:
     def test_file_set_and_headers(self, tmp_path):
         g = SweepGrid.from_dict(dict(FIG_GRID, p=["1", "1/2", "1/4", "1/8"]))
@@ -397,10 +512,10 @@ class TestPerConfigErrors:
     def test_failed_configs_are_counted_in_every_slice(self, monkeypatch, jobs):
         real = sweep._config_error
 
-        def flaky(d, delta_n, p, acc, den0):
-            if p == Fraction(1, 3):
+        def flaky(m2k, ab, n_period, u, w, acc, den0):
+            if Fraction(u, u + w) == Fraction(1, 3):
                 raise ArithmeticError("injected")
-            return real(d, delta_n, p, acc, den0)
+            return real(m2k, ab, n_period, u, w, acc, den0)
 
         monkeypatch.setattr(sweep, "_config_error", flaky)
         grid = SweepGrid.from_dict(SMALL_GRID)
