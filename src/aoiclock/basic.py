@@ -16,16 +16,16 @@ base), zero here, which ``extended`` sets for its buffered, lossy model.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 import numpy as np
 
 from . import kernels
-from .modmath import ArithmeticProgression, Multiset, ceil_div, floor_mod
+from .modmath import ArithmeticProgression, Multiset, floor_mod
 
 __all__ = [
     "ConfigError",
@@ -152,47 +152,70 @@ class BandedValue:
         return self.low <= x <= self.high
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AoiDistribution:
-    """Multiset of age values over ``period`` reads, as a progression family.
+    """Multiset of age values as a progression family of one step and count.
 
-    The multiset is the union of ``progressions``.  ``min``, ``max`` and
-    ``mean`` follow from the family in O(len(progressions)), a*N for one
-    hyperperiod, however long the hyperperiod is.  ``values`` (value ->
-    multiplicity) expands the family on first access, in O(period) time and
-    memory, and is cached from then on.
+    The multiset is the union of the progressions <s, ``step``, ``count``>,
+    one per entry s of ``starts``: every progression of a hyperperiod's
+    family has the step a*b and the count B, so its a*N starts describe it.
+    ``starts`` is an int64 array, or an object array of Python ints where
+    some start is past int64.  ``min``, ``max`` and ``mean`` follow from the
+    array in O(len(starts)), however long the hyperperiod is.  ``values``
+    (value -> multiplicity) expands the family on first access, in
+    O(period) time and memory, and ``progressions`` lists it as
+    ``ArithmeticProgression`` objects; both are cached from then on.
     """
 
-    progressions: tuple[ArithmeticProgression, ...]
-    period: int
+    starts: np.ndarray
+    step: int
+    count: int
 
     def __post_init__(self):
-        total = sum(pr.count for pr in self.progressions)
-        if total != self.period:
-            raise ValueError(f"progressions hold {total} values, period says {self.period}")
+        starts = np.asarray(self.starts)
+        if starts.dtype != np.int64:
+            starts = np.array([operator.index(s) for s in self.starts], dtype=object)
+        if len(starts) and starts.min() < 0:
+            raise ValueError(f"starts must be >= 0, got {starts.min()}")
+        if self.step < 1:
+            raise ValueError(f"step must be >= 1, got {self.step}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        starts = starts.view()
+        starts.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+
+    @property
+    def period(self) -> int:
+        """Number of values in the multiset: reads in one hyperperiod."""
+        return len(self.starts) * self.count
+
+    @cached_property
+    def progressions(self) -> tuple[ArithmeticProgression, ...]:
+        return tuple(ArithmeticProgression(s, self.step, self.count) for s in self.starts.tolist())
 
     @cached_property
     def values(self) -> Multiset:
-        return Multiset(chain.from_iterable(pr.elements() for pr in self.progressions))
+        values, counts = np.unique(self.to_sorted_array(), return_counts=True)
+        return Multiset(dict(zip(values.tolist(), counts.tolist())))
 
     def min(self) -> int:
-        return min(pr.start for pr in self.progressions)
+        return int(self.starts.min())
 
     def max(self) -> int:
-        return max(pr.last() for pr in self.progressions)
+        return int(self.starts.max()) + self.step * (self.count - 1)
 
     def mean(self) -> Fraction:
-        return Fraction(sum(pr.sum() for pr in self.progressions), self.period)
+        starts = self.starts
+        total = kernels.exact_sum(starts) if starts.dtype == np.int64 else sum(starts.tolist())
+        # each progression adds step * (0 + 1 + ... + count - 1) to count starts
+        offsets = len(starts) * (self.count * (self.count - 1) // 2)
+        return Fraction(self.count * total + self.step * offsets, self.period)
 
     def to_sorted_array(self) -> np.ndarray:
-        """The multiset as a sorted int64 array, built in place from the progressions."""
-        start, step, count = np.array(
-            [(pr.start, pr.step, pr.count) for pr in self.progressions], dtype=np.int64
-        ).reshape(-1, 3).T
-        out = np.arange(self.period, dtype=np.int64)
-        out -= np.repeat(np.cumsum(count) - count, count)
-        out *= np.repeat(step, count)
-        out += np.repeat(start, count)
+        """The multiset as a sorted int64 array, built from the starts array."""
+        out = np.arange(self.count, dtype=np.int64) * self.step
+        out = (self.starts.astype(np.int64)[:, None] + out).ravel()
         out.sort()
         return out
 
@@ -205,28 +228,39 @@ def _age(d: PeriodDecomposition, k: int, shifts=(0, 0, 0)) -> int:
     return base + e + floor_mod(floor_mod(t - s_b, d.b_period) - e, d.b_period)
 
 
-def _start(d: PeriodDecomposition, i: int, j: int, shifts=(0, 0, 0)) -> int:
-    """Start of progression (i, j) of the family for the shift triple (s_b, s_n, base)."""
+def _start(d: PeriodDecomposition, i, j, shifts=(0, 0, 0)):
+    """Start of progression (i, j) of the family for the shift triple (s_b, s_n, base).
+
+    base + r_ab + ceil((r_an - r_ab + j*a*n) / (a*b)) * a*b, the ceiling
+    written as a negated floor.  ``i`` and ``j`` are ints, or arrays that
+    broadcast together and hold every intermediate value (``_family``).
+    """
+    s_b, s_n, base = shifts
+    ab = d.a * d.b
+    an = d.a * d.n
+    r_ab = (i * d.a_period - s_b) % ab
+    r_an = (i * d.a_period - s_n) % an
+    return base + r_ab - (r_ab - r_an - j * an) // ab * ab
+
+
+def _check_index(d: PeriodDecomposition, i: int, j: int) -> None:
     if not 0 <= i < d.a:
         raise ValueError(f"i must be in [0, {d.a}), got {i}")
     if not 0 <= j < d.N:
         raise ValueError(f"j must be in [0, {d.N}), got {j}")
-    s_b, s_n, base = shifts
-    ab = d.a * d.b
-    an = d.a * d.n
-    r_ab = floor_mod(i * d.a_period - s_b, ab)
-    r_an = floor_mod(i * d.a_period - s_n, an)
-    return base + r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
 
 
-def _progressions(d: PeriodDecomposition, shifts=(0, 0, 0)) -> tuple[ArithmeticProgression, ...]:
-    """The a*N progressions <_start(d, i, j), a*b, B> of one hyperperiod of ages."""
+def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
+    """The a*N progressions <_start(d, i, j, shifts), a*b, B> of one hyperperiod
+    of ages, i-major, from one array evaluation of ``_start``."""
     ab = d.a * d.b
-    return tuple(
-        ArithmeticProgression(_start(d, i, j, shifts), ab, d.B)
-        for i in range(d.a)
-        for j in range(d.N)
-    )
+    # no intermediate of _start is larger in magnitude; past int64 the
+    # arithmetic runs on Python ints, as Trace._slot_dtype decides for slots
+    bound = d.a * d.a_period + sum(map(abs, shifts)) + 2 * ab + d.a * d.n + d.n_period
+    dtype = np.int64 if bound < 2**63 else object
+    i = np.arange(d.a, dtype=dtype)[:, None]
+    j = np.arange(d.N, dtype=dtype)
+    return AoiDistribution(_start(d, i, j, shifts).ravel(), ab, d.B)
 
 
 def aoi_basic(d: PeriodDecomposition, k: int) -> int:
@@ -248,17 +282,18 @@ def c_basic(d: PeriodDecomposition, i: int, j: int) -> int:
     Index ranges: 0 <= i < a, 0 <= j < N.  The (i, j) progression is
     <c_basic(d, i, j), a*b, B>.
     """
+    _check_index(d, i, j)
     return _start(d, i, j)
 
 
 def progressions_basic(d: PeriodDecomposition) -> tuple[ArithmeticProgression, ...]:
     """The a*N progressions whose union is one hyperperiod of ages."""
-    return _progressions(d)
+    return _family(d).progressions
 
 
 def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:
     """Exact age distribution over one hyperperiod, from the progression family."""
-    return AoiDistribution(progressions_basic(d), d.period)
+    return _family(d)
 
 
 def expected_exact_basic(d: PeriodDecomposition) -> Fraction:

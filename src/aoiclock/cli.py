@@ -109,20 +109,21 @@ def _band_block(band):
 
 
 # one start/step/count object of report["distribution"]["progressions"], as
-# json.dumps(indent=2) writes it at that depth
-_PROGRESSION = '      {\n        "start": %d,\n        "step": %d,\n        "count": %d\n      }'
+# json.dumps(indent=2) writes it at that depth; a family shares one step and
+# one count, so formatting them in leaves a template of the start alone
+_PROGRESSION = '      {\n        "start": %%d,\n        "step": %d,\n        "count": %d\n      }'
 
 
-def _report_json(report, progressions) -> str:
-    """``json.dumps(report, indent=2)`` with ``progressions`` in place of the
-    distribution block's empty list, byte for byte.
+def _report_json(report, dist) -> str:
+    """``json.dumps(report, indent=2)`` with the progressions of the family
+    ``dist`` in place of the distribution block's empty list, byte for byte.
 
-    The a*N progressions go through one %-format over a flat tuple instead of
-    one dict each through the pure-Python encoder that ``indent`` selects.
+    The a*N starts go through one %-format over their list instead of one
+    dict each through the pure-Python encoder that ``indent`` selects.
     """
     head, _, tail = json.dumps(report, indent=2).partition('"progressions": []')
-    flat = tuple(x for pr in progressions for x in (pr.start, pr.step, pr.count))
-    items = ",\n".join([_PROGRESSION] * len(progressions)) % flat
+    starts = dist.starts.tolist()
+    items = ",\n".join([_PROGRESSION % (dist.step, dist.count)] * len(starts)) % tuple(starts)
     return f'{head}"progressions": [\n{items}\n    ]{tail}'
 
 
@@ -185,7 +186,7 @@ def cmd_analyze(args) -> int:
         if args.sigma is not None:
             report["sigma"] = _rat(args.sigma)
             report["max_bound_prob"] = max_bound_prob(cfg, args.sigma)
-    print(_report_json(report, dist.progressions))
+    print(_report_json(report, dist))
     return 0
 
 
@@ -342,28 +343,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aoiclock",
-        description="Exact age-of-information analysis for clocked sender/receiver pairs",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    an = subs.add_parser("analyze", help="closed-form report for one config")
+def _analyze_flags(an):
     _add_config_flags(an)
     an.add_argument("--sigma", type=_fraction, default=None,
                     help="confidence for the probabilistic max bound (extended)")
     an.set_defaults(func=cmd_analyze)
 
-    sim = subs.add_parser("simulate", help="run the slot-exact simulator, write a trace CSV")
+
+def _simulate_flags(sim):
     _add_config_flags(sim)
     sim.add_argument("--cycles", type=int, required=True, help="number of reads to simulate")
     sim.add_argument("--seed", type=int, default=None, help="rng seed (extended model)")
     sim.add_argument("--out", default="-", help="trace file, '-' for stdout")
     sim.set_defaults(func=cmd_simulate)
 
-    ver = subs.add_parser("verify", help="cross-check closed forms against direct evaluation")
+
+def _verify_flags(ver):
     _add_config_flags(ver)
     ver.add_argument("--l-max", type=int, default=None,
                      help="check conditional families up to this l (extended, default 3)")
@@ -371,13 +366,41 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None, help="rng seed for the trace check")
     ver.set_defaults(func=cmd_verify)
 
-    sw = subs.add_parser("sweep", help="grid sweep of approximation error")
+
+def _sweep_flags(sw):
     sw.add_argument("--grid", required=True, help="JSON grid file")
     sw.add_argument("--out", required=True, help="output directory")
     sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
     sw.add_argument("--jobs", type=int, default=1)
     sw.set_defaults(func=cmd_sweep)
 
+
+# subcommand -> (its line in the top-level help, what adds its flags)
+_SUBCOMMANDS = {
+    "analyze": ("closed-form report for one config", _analyze_flags),
+    "simulate": ("run the slot-exact simulator, write a trace CSV", _simulate_flags),
+    "verify": ("cross-check closed forms against direct evaluation", _verify_flags),
+    "sweep": ("grid sweep of approximation error", _sweep_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of ``command`` only.
+
+    Every subcommand is listed, so the top-level help and an invalid choice
+    read the same whatever ``command`` is; the flags are added for the
+    subcommand named ``command``, or for all four when it is None.
+    """
+    parser = argparse.ArgumentParser(
+        prog="aoiclock",
+        description="Exact age-of-information analysis for clocked sender/receiver pairs",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_flags(sub)
     return parser
 
 
@@ -390,7 +413,10 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        # the parser only needs the flags of the subcommand being run
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         try:
             return args.func(args)
         except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:

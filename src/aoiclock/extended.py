@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition, max_bound_basic
-from .basic import _age, _band, _progressions, _rel_error_bound, _start
+from .basic import _age, _band, _check_index, _family, _rel_error_bound, _start
 from .modmath import ArithmeticProgression, comp_mod
 
 __all__ = [
@@ -129,22 +129,26 @@ def sequence_conditional(cfg: SystemConfig, l: int, start_cycle: int, count: int
     return kernels.seq_conditional(*args)
 
 
-def c_extended(cfg: SystemConfig, i: int, j: int, l: int) -> int:
-    """Starting offset of progression (i, j) of the conditional hyperperiod."""
+def _conditional_shifts(cfg: SystemConfig, l: int):
     if l < 0:
         raise ValueError("l must be >= 0")
-    return _start(cfg.d, i, j, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
+    return _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l)
+
+
+def c_extended(cfg: SystemConfig, i: int, j: int, l: int) -> int:
+    """Starting offset of progression (i, j) of the conditional hyperperiod."""
+    shifts = _conditional_shifts(cfg, l)
+    _check_index(cfg.d, i, j)
+    return _start(cfg.d, i, j, shifts)
 
 
 def progressions_conditional(cfg: SystemConfig, l: int) -> tuple[ArithmeticProgression, ...]:
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    return _progressions(cfg.d, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
+    return _family(cfg.d, _conditional_shifts(cfg, l)).progressions
 
 
 def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
     """Exact conditional age distribution over one hyperperiod for fixed l."""
-    return AoiDistribution(progressions_conditional(cfg, l), cfg.d.period)
+    return _family(cfg.d, _conditional_shifts(cfg, l))
 
 
 def _freshness_offset(n: int, delta_n: int) -> int:

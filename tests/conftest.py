@@ -12,7 +12,9 @@ factor tuples in one Python loop and sums each mean left to right.  The
 trace CSV oracle formats one row at a time with f-strings.  The
 period sum oracle reads every age of the hyperperiod with int64 numpy
 arrays.  The analyze report oracle writes each progression as a dict
-through ``json.dumps(indent=2)``.
+through ``json.dumps(indent=2)``.  The progression start oracle evaluates
+one (i, j) at a time with the floored modulus and ceiling division of
+``modmath`` on Python ints.
 """
 
 import json
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import settings
 
 from aoiclock import sweep
+from aoiclock.modmath import ceil_div, floor_mod
 from aoiclock.extended import (
     SystemConfig,
     distribution_conditional,
@@ -257,6 +260,20 @@ def naive_report_json(report) -> str:
     return json.dumps(
         {**report, "distribution": {**dist, "progressions": progressions}}, indent=2
     )
+
+
+def start_ref(d, i, j, shifts=(0, 0, 0)):
+    """Start of progression (i, j), 0 <= i < a and 0 <= j < N, of the family
+    for the shift triple (s_b, s_n, base), in Python ints:
+    base + r_ab + ceil((r_an - r_ab + j*a*n) / (a*b)) * a*b."""
+    if not (0 <= i < d.a and 0 <= j < d.N):
+        raise ValueError(f"(i, j) = ({i}, {j}) is outside [0, {d.a}) x [0, {d.N})")
+    s_b, s_n, base = shifts
+    ab = d.a * d.b
+    an = d.a * d.n
+    r_ab = floor_mod(i * d.a_period - s_b, ab)
+    r_an = floor_mod(i * d.a_period - s_n, an)
+    return base + r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
 
 
 def naive_period_sums(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):

@@ -5,9 +5,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aoiclock import basic
 from aoiclock.basic import (
     AoiDistribution,
     ConfigError,
@@ -26,7 +27,7 @@ from aoiclock.basic import (
 )
 from aoiclock.modmath import ArithmeticProgression
 
-from conftest import LARGE_TRIPLES, coprime_triples, naive_basic_ages
+from conftest import LARGE_TRIPLES, coprime_triples, naive_basic_ages, start_ref
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -158,25 +159,40 @@ class TestProgressionFamily:
         assert len(progs) == d.a * d.N
         assert all(pr.step == d.a * d.b and pr.count == d.B for pr in progs)
 
+    @given(triple_strategy(60), st.tuples(*[st.integers(0, 40)] * 3))
+    # a*a_period past 2^63 (a = 2), then shifts past it
+    @example((2**62 + 1, 10, 6), (0, 0, 0))
+    @example((7, 10, 6), (2**63, 2**64 + 3, 2**65))
+    def test_starts_match_scalar_oracle(self, t, shifts):
+        d = decompose(*t)
+        want = [start_ref(d, i, j, shifts) for i in range(d.a) for j in range(d.N)]
+        starts = basic._family(d, shifts).starts
+        assert starts.tolist() == want
+        # the family's arithmetic leaves int64 only where it could wrap
+        assert (starts.dtype == object) == (max(*t, *shifts) > 2**62)
+        # the array function serves scalar indices too
+        pairs = [(i, j) for i in range(d.a) for j in range(d.N)]
+        assert [basic._start(d, i, j, shifts) for i, j in pairs] == want
+        if shifts == (0, 0, 0):
+            assert [c_basic(d, i, j) for i, j in pairs] == want
 
-# hand-built families: mixed steps, starts far past any hyperperiod, and the
-# empty family
-_FAMILIES = st.lists(
-    st.builds(
-        ArithmeticProgression,
-        st.integers(0, 10**12),
-        st.integers(1, 10**6),
-        st.integers(1, 40),
-    ),
-    max_size=12,
+
+# hand-built families (starts, step, count): starts far past any
+# hyperperiod, and the empty family
+_FAMILIES = st.tuples(
+    st.lists(st.integers(0, 10**12), max_size=12),
+    st.integers(1, 10**6),
+    st.integers(1, 40),
 )
 
 
 class TestSortedArray:
     @given(_FAMILIES)
-    def test_equals_sorted_elements(self, progs):
-        dist = AoiDistribution(tuple(progs), sum(pr.count for pr in progs))
-        want = np.sort(np.fromiter(chain.from_iterable(pr.elements() for pr in progs), np.int64))
+    def test_equals_sorted_elements(self, family):
+        starts, step, count = family
+        dist = AoiDistribution(starts, step, count)
+        want = np.sort(np.fromiter(chain.from_iterable(
+            ArithmeticProgression(s, step, count).elements() for s in starts), np.int64))
         got = dist.to_sorted_array()
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -184,7 +200,7 @@ class TestSortedArray:
         assert "values" not in vars(dist)
 
     def test_empty_family(self):
-        got = AoiDistribution((), 0).to_sorted_array()
+        got = AoiDistribution([], 1, 1).to_sorted_array()
         assert got.dtype == np.int64 and got.shape == (0,)
 
 

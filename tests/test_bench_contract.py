@@ -88,3 +88,19 @@ def test_traced_sweep_records_every_stage(layers, jobs):
     else:
         assert tracer.stats["sweep.pool"].calls == 1
         assert tracer.stats["sweep.run_sweep"].calls == 1
+
+
+@pytest.mark.parametrize("model", ["basic", "extended"])
+def test_traced_analyze_counts_every_read_of_the_family(layers, capsys, model):
+    # basic.distribution.values and extended.distribution.values count the
+    # reads of the families the traced analyze calls build: one hyperperiod
+    from aoiclock import cli
+    from aoiclock.basic import decompose
+
+    argv = ["analyze", "--model", model, "--a-period", "7", "--b-period", "311",
+            "--n-period", "317"]
+    tracer = layers.Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tracer.counts[f"{model}.distribution.values"] == decompose(7, 311, 317).period

@@ -33,15 +33,30 @@ TRACE_DIGESTS = json.loads((GOLDEN / "trace_csv_sha256.json").read_text())
 # sha256 of the analyze reports (stdout) at a family of 31,627 progressions,
 # recorded from the dict-per-progression json.dumps writer
 ANALYZE_DIGESTS = json.loads((GOLDEN / "analyze_sha256.json").read_text())
-# starts and steps past 2^63, counts past 2^31
-_PROGRESSIONS = st.builds(
-    ArithmeticProgression,
-    start=st.integers(0, 2**70), step=st.integers(1, 2**70), count=st.integers(1, 2**40),
+# help, version and usage errors of main, each argv's exit code and output
+# at an 80-column terminal, recorded before the parser was built per subcommand
+USAGE = json.loads((GOLDEN / "cli_usage.json").read_text())
+# uniform families (starts, step, count): starts and step past 2^63, counts
+# past 2^31
+_FAMILIES = st.tuples(
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=50),
+    st.integers(1, 2**70),
+    st.integers(1, 2**40),
 )
 
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_usage(capsys, argv):
+    """``run`` for an argv that may end in argparse's SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -176,10 +191,9 @@ class TestAnalyze:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
-    @given(family=st.lists(_PROGRESSIONS, min_size=1, max_size=50),
-           extended=st.booleans(), null=st.booleans())
+    @given(family=_FAMILIES, extended=st.booleans(), null=st.booleans())
     def test_writer_matches_json_dumps_per_family(self, family, extended, null):
-        dist = AoiDistribution(tuple(family), sum(pr.count for pr in family))
+        dist = AoiDistribution(*family)
         report = {
             "config": {"a_period": 3, "p": "1/1", "p_float": 1.0},
             "distribution": aoiclock.cli._distribution_block(
@@ -188,7 +202,7 @@ class TestAnalyze:
             "rel_error_bound": None if null else "1/14",
             "max_bound": 2**64,
         }
-        got = aoiclock.cli._report_json(report, dist.progressions)
+        got = aoiclock.cli._report_json(report, dist)
         report["distribution"]["progressions"] = dist.progressions
         assert got == naive_report_json(report)
 
@@ -203,9 +217,9 @@ class TestAnalyze:
         written = []
         writer = aoiclock.cli._report_json
 
-        def spy(report, progressions):
-            written.append((report, progressions))
-            return writer(report, progressions)
+        def spy(report, dist):
+            written.append((report, dist))
+            return writer(report, dist)
 
         argv = ["analyze", *(f"--{k}-period={v}" for k, v in zip("abn", periods)),
                 "--model", model]
@@ -215,8 +229,8 @@ class TestAnalyze:
         with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out):
             m.setattr(aoiclock.cli, "_report_json", spy)
             assert main(argv) == 0
-        [(report, progressions)] = written
-        report["distribution"]["progressions"] = progressions
+        [(report, dist)] = written
+        report["distribution"]["progressions"] = dist.progressions
         assert out.getvalue() == naive_report_json(report) + "\n"
 
     @pytest.mark.parametrize("argv,code", [
@@ -241,6 +255,25 @@ class TestAnalyze:
         )
         assert code == 2
         assert "common divisor 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", *SHARED, "--model", "basic"],
+        ["analyze", *SHARED, "--model", "extended", "--p", "1/21", "--sigma", "99/100"],
+        ["verify", *SHARED, "--model", "basic"],
+        ["verify", *SHARED, "--model", "extended", "--p", "1/2", "--seed", "3"],
+    ], ids=["analyze-basic", "analyze-extended", "verify-basic", "verify-extended"])
+    def test_family_read_without_progression_objects(self, capsys, monkeypatch, argv):
+        # analyze and verify read the family's starts array, so they build
+        # no ArithmeticProgression, however many progressions it has
+        made = []
+        init = ArithmeticProgression.__post_init__
+        monkeypatch.setattr(ArithmeticProgression, "__post_init__",
+                            lambda self: made.append(self) or init(self))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, out + err
+        assert made == []
+        # the count sees the objects that the progressions tuple builds
+        assert len(aoiclock.basic.progressions_basic(decompose(10, 12, 15))) == len(made) == 3
 
     def test_null_config_reports_unbounded_rel_error(self, capsys):
         code, out, _ = run(
@@ -621,3 +654,19 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "aoiclock" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(USAGE))
+    def test_usage_bytes_match_golden(self, capsys, monkeypatch, name):
+        # the parser is built for the invoked subcommand only; help, version
+        # and every usage error must read as they did with the whole parser
+        monkeypatch.setenv("COLUMNS", "80")
+        case = USAGE[name]
+        assert run_usage(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+    def test_main_without_argv_dispatches_on_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        case = USAGE["sweep_help"]
+        monkeypatch.setattr(sys, "argv", ["aoiclock", *case["argv"]])
+        assert run_usage(capsys, None) == (0, case["stdout"], "")
+        monkeypatch.setattr(sys, "argv", ["aoiclock", "analyze", *FIG, "--model", "basic"])
+        assert run_usage(capsys, None) == (0, (GOLDEN / "analyze_basic.json").read_text(), "")
