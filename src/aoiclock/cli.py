@@ -371,7 +371,9 @@ def _sweep_flags(sw):
     sw.add_argument("--grid", required=True, help="JSON grid file")
     sw.add_argument("--out", required=True, help="output directory")
     sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="processes that evaluate the grid, this one included; at most one "
+                         "per CPU core and per block of factor tuples (default 1)")
     sw.set_defaults(func=cmd_sweep)
 
 

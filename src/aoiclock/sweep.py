@@ -10,19 +10,25 @@ center, bins the signed relative error (exact - center) / exact, and writes
 deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
-The factor tuples are cut into blocks, one inline or a few per worker
-process.  A block classifies its tuples, evaluates the kept ones and returns
-compact columns: a skip code per tuple, and a bin index, float error and
-bound verdict per config.  Evaluation runs one decomposition at a time.  Its
-b conditional hyperperiod sums depend on the (delta_b, delta_n) pair alone,
-so each pair's sums are computed once and shared by every p.  Each config's
-relative error is then an exact integer ratio num / den, binned by floor
-division and turned into a float by correctly rounded integer division; no
-``Fraction`` is built.  The parent joins the blocks in enumeration order and
-folds them with numpy: each config's position in the grid gives its slices,
-and every mean is a left-to-right float sum in enumeration order.  So output
-files are bit-identical for any number of worker processes, and on every
-Python version.
+The factor tuples are cut into blocks of at most ``_BLOCK`` tuples, an
+equal share per process, and the calling process evaluates its share of the
+blocks while a pool of ``jobs - 1`` workers evaluates the rest (one process
+per block and per core at most).  A block classifies its tuples with array
+gcds, evaluates the kept ones and returns compact columns: a skip code per
+tuple, and a bin index, float error and bound verdict per config.
+Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
+of a decomposition depend on the (delta_b, delta_n) pair alone, so each
+(decomposition, pair, r) sum is one row of a single floor-sum pass over the
+block, shared by every p; the Horner sum over r, each config's exact
+relative error num / den, its bin (floor division) and its bound verdict
+follow as columns, and num / den is turned into a float by correctly
+rounded division.  Each stage runs in int64 where a bound from the column
+maxima proves that its values fit, and otherwise the same expressions run
+on Python ints; no ``Fraction`` is built.  The parent joins the blocks in
+enumeration order and folds them with numpy: each config's position in the
+grid gives its slices, and every mean is a left-to-right float sum in
+enumeration order.  So output files are bit-identical for any number of
+worker processes, and on every Python version.
 """
 
 from __future__ import annotations
@@ -32,14 +38,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from multiprocessing import Pool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .basic import ConfigError, PeriodDecomposition, decompose, max_bound_basic
-from .extended import SystemConfig, _as_probability, _freshness_offset, _mixture_terms
+from . import kernels
+from .kernels import _dtype_for, _fit, _max_abs
+from .basic import ConfigError, PeriodDecomposition, max_bound_basic
+from .extended import SystemConfig, _as_probability, _check_terms, _freshness_offset, _mixture_terms
 
 __all__ = [
     "EmptyGridError",
@@ -71,9 +80,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 5.6 s at
-# 71 MB peak RSS in the parent process (38 MB in a worker) with --jobs 2 on
-# a 2-core Xeon host.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 2 s at
+# 68 MB peak RSS in the calling process (30 MB in the worker) with --jobs 2
+# on a 2-core Xeon host.
 _MAX_CANDIDATES = 10**6
 
 
@@ -164,7 +173,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 6 s and 71 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 2 s and 68 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -186,6 +195,18 @@ class SweepGrid:
         return getattr(self, parameter)
 
 
+def _int_array(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints on an object array where one is past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+# factor tuples per array pass of _iter_candidates: its working memory
+_CLASSIFY = 1024
+
+
 def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     """Yield (factors, decomposition-or-None, skip reason) per factor tuple.
 
@@ -193,23 +214,38 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     [start, stop) of the enumeration are classified.  The tuple alone decides
     whether its candidates are kept: every (delta_b, delta_n, p) combination
     of a kept tuple is a config, and every combination of a skipped one is
-    skipped.
+    skipped.  The tuples are classified ``_CLASSIFY`` at a time, with array
+    gcds of their periods, and a ``PeriodDecomposition`` is built for the
+    kept ones only.
     """
-    tuples = product(grid.A, grid.B, grid.N, grid.a, grid.b, grid.n)
-    for factors in islice(tuples, start, stop):
-        A, B, N, a, b, n = factors
+    fields = [grid.values_of(f) for f in _FACTORS]
+    n_tuples = math.prod(map(len, fields))
+    # no period A*b*n, B*b*a or N*n*a, nor a gcd of them, passes this
+    top = [values[-1] for values in fields]
+    big = max(top[0] * top[4] * top[5], top[1] * top[4] * top[3], top[2] * top[5] * top[3])
+    fields = _fit(big, *(_int_array(values) for values in fields))
+    stop = n_tuples if stop is None else min(stop, n_tuples)
+    reasons = (None, *_SKIP_REASONS)
+    for lo in range(start, stop, _CLASSIFY):
+        position = np.arange(lo, min(lo + _CLASSIFY, stop))
+        cols = []
+        stride = n_tuples
+        for values in fields:
+            stride //= len(values)
+            cols.append(values[position // stride % len(values)])
+        A, B, N, a, b, n = cols
         ap, bp, np_ = A * b * n, B * b * a, N * n * a
-        try:
-            d = decompose(ap, bp, np_)
-        except ConfigError:
-            yield factors, None, "common_factor"
-            continue
-        if (d.A, d.B, d.N, d.a, d.b, d.n) != factors:
-            yield factors, None, "factor_mismatch"
-        elif ap == bp == np_:
-            yield factors, None, "equal_periods"
-        else:
-            yield factors, d, None
+        ab, an, bn = np.gcd(ap, bp), np.gcd(ap, np_), np.gcd(bp, np_)
+        code = np.select(
+            [np.gcd(ab, np_) != 1, (bn != a) | (ab != b) | (an != n), (ap == bp) & (bp == np_)],
+            [1, 2, 3],
+        )
+        factors = list(zip(*(c.tolist() for c in cols)))
+        items = [(f, None, reasons[c]) for f, c in zip(factors, code.tolist())]
+        kept = np.flatnonzero(code == 0)
+        for i, *periods in zip(kept.tolist(), *(x[kept].tolist() for x in (ap, bp, np_))):
+            items[i] = factors[i], PeriodDecomposition(*periods, *factors[i]), None
+        yield from items
 
 
 def _combos(grid: SweepGrid) -> list[tuple]:
@@ -231,10 +267,11 @@ def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
     return configs
 
 
-def _config_error(
-    m2k: int, ab: int, n_period: int, u: int, w: int, acc: int, den0: int
-) -> tuple[int, int, bool]:
+def _config_error(m2k, ab, n_period, u, w, acc, den0):
     """(num, den, ok): the relative error is num / den with den > 0, ok its bound verdict.
+
+    The arguments are ints for one config, or int arrays of one entry per
+    config: ``relative_error`` and ``_eval_chunk`` share these expressions.
 
     The config has p = u/(u + w), M + 2K = ``m2k`` with M = B' + N' - n,
     a*b = ``ab`` and N' = ``n_period``; ``acc`` and ``den0`` are
@@ -251,16 +288,18 @@ def _config_error(
     return num, den, abs(num) * (u * (m2k - ab) + wn2) <= ab * u * den
 
 
-def _m2k(d: PeriodDecomposition, delta_n: int) -> int:
-    """M + 2K of the band center, M = B' + N' - n and K the freshness offset."""
-    return max_bound_basic(d) + 2 * _freshness_offset(d.n, delta_n)
+def _m2k(max_bound, n, delta_n):
+    """M + 2K of the band center, M = B' + N' - n = ``max_bound`` and K the freshness
+    offset; ints, or arrays that broadcast."""
+    return max_bound + 2 * _freshness_offset(n, delta_n)
 
 
 def relative_error(cfg: SystemConfig) -> Fraction:
     """Signed relative error (exact - band center) / exact of the approximation."""
     d, u, v = cfg.d, cfg.p.numerator, cfg.p.denominator
     [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [(v, v - u)])
-    num, den, _ = _config_error(_m2k(d, cfg.delta_n), d.a * d.b, d.n_period, u, v - u, acc, den0)
+    m2k = _m2k(max_bound_basic(d), d.n, cfg.delta_n)
+    num, den, _ = _config_error(m2k, d.a * d.b, d.n_period, u, v - u, acc, den0)
     return Fraction(num, den)
 
 
@@ -275,8 +314,10 @@ class Histogram:
         return sum(self.counts.values())
 
     def to_rows(self):
+        # int true division rounds correctly, as float(idx * bin_width) does
+        bn, bd = self.bin_width.numerator, self.bin_width.denominator
         for idx in sorted(self.counts):
-            yield float(idx * self.bin_width), float((idx + 1) * self.bin_width), self.counts[idx]
+            yield idx * bn / bd, (idx + 1) * bn / bd, self.counts[idx]
 
 
 def _sum(xs) -> float:
@@ -327,38 +368,162 @@ def _nearest_rank(sorted_xs, q: float) -> float:
     return float(sorted_xs[rank])
 
 
+class _Columns(NamedTuple):
+    """One entry per decomposition of ``_eval_chunk``, in the order of ``_constants``."""
+
+    a_period: np.ndarray
+    ab: np.ndarray
+    an: np.ndarray
+    big_n: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    big_b: np.ndarray
+    period: np.ndarray
+    n_period: np.ndarray
+    n: np.ndarray
+    max_bound: np.ndarray
+
+
+def _constants(d: PeriodDecomposition) -> tuple:
+    """A decomposition's entries of ``_Columns``; ValueError for b over the cap."""
+    _check_terms(d)
+    return (d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.b, d.B, d.period, d.n_period, d.n,
+            max_bound_basic(d))
+
+
+# rows of (decomposition, shift pair, r < b) per floor-sum pass of _accumulators
+_ROWS = 1 << 16
+
+
+def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
+    """``_mixture_terms``' acc per (decomposition, shift pair) unit, k-major, and per p.
+
+    The b hyperperiod sums of every unit are one ``kernels._row_sums`` pass,
+    at most ``_ROWS`` rows at a time.  Then t_r = S(r) - r*N'*period, and the
+    Horner sum over r runs as columns, for the units of each b at once.
+    """
+    b = c.b.astype(np.int64)
+    n_pairs = len(delta_b)
+    unit_b = np.repeat(b, n_pairs)
+    first = np.cumsum(unit_b) - unit_b  # each unit's first row
+    shift_bound = _max_abs(b) * _max_abs(c.n_period) + _max_abs(delta_b) + _max_abs(delta_n) + 3
+    big_period, big_b = _max_abs(c.period), _max_abs(c.big_b)
+    out = []
+    lo = 0
+    while lo < len(unit_b):
+        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _ROWS)))
+        units = np.repeat(np.arange(lo, hi), unit_b[lo:hi])
+        k, j = units // n_pairs, units % n_pairs
+        r = np.arange(len(units)) + first[lo] - first[units]
+        s_b, s_n, _ = kernels._shifts(*_fit(shift_bound, c.n_period[k], delta_b[j], delta_n[j], r))
+        sums = kernels._row_sums(c.a_period[k], c.ab[k], c.an[k], c.big_n[k], c.a[k], s_b, s_n)
+        # S(r) as kernels._period_sums sums it at base = 2 + r*N', less r*N'*period
+        period, big_b_k, a, big_n, ab = _fit(
+            big_period * (2 + _max_abs(c.ab) * big_b) + big_b * _max_abs(sums),
+            *(x[k] for x in (c.period, c.big_b, c.a, c.big_n, c.ab)),
+        )
+        t = 2 * period + big_b_k * sums + a * big_n * ab * (big_b_k * (big_b_k - 1) // 2)
+        parts = []
+        for bv in set(unit_b[lo:hi].tolist()):
+            sel = np.flatnonzero(unit_b[lo:hi] == bv)
+            # acc = sum_r w^r v^(b-1-r) t_r, and no partial sum passes max|t| times
+            # the largest sum_r w^r v^(b-1-r) = (v^b - w^b)/(v - w)
+            geometric = max((v**bv - w**bv) // (v - w) for v, w in zip(vs, ws))
+            rows, v, w = _fit(
+                _max_abs(t) * geometric + max(vs) ** bv,
+                t[(first[lo + sel] - first[lo])[:, None] + np.arange(bv)], vs, ws,
+            )
+            acc, wr = np.zeros((len(sel), len(vs)), dtype=v.dtype), np.ones_like(w)
+            for col in rows.T:
+                acc = acc * v + col[:, None] * wr
+                wr = wr * w
+            parts.append((sel, acc))
+        acc = np.empty((hi - lo, len(vs)), dtype=np.result_type(*(x.dtype for _, x in parts)))
+        for sel, x in parts:
+            acc[sel] = x
+        out.append(acc)
+        lo = hi
+    return np.concatenate(out)
+
+
+def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
+    """Bin index, float error and bound verdict per (decomposition, combo), as lists.
+
+    ``_config_error`` runs once, on columns: in int64 where a bound from the
+    column maxima proves that every intermediate fits and that num and den
+    are at most 2^53, so that num / den is the correctly rounded float; on
+    Python ints otherwise.
+    """
+    c = _Columns(*_int_array(consts).T)
+    pairs = list(dict.fromkeys((db, dn) for db, dn, _ in combos))
+    probs = list(dict.fromkeys(p for _, _, p in combos))
+    us = [p.numerator for p in probs]
+    vs = [p.denominator for p in probs]
+    ws = [v - u for u, v in zip(us, vs)]
+    delta_b, delta_n = _int_array(pairs).T
+    acc = _accumulators(c, delta_b, delta_n, vs, ws)
+    # den0 = period*(v^b - w^b) per decomposition and p
+    diffs = {bv: [v**bv - w**bv for v, w in zip(vs, ws)] for bv in set(c.b.tolist())}
+    bound = _max_abs(c.period) * max(max(x) for x in diffs.values())
+    den0 = np.empty((len(consts), len(probs)), dtype=_dtype_for(bound))
+    for bv, diff in diffs.items():
+        rows = c.b == bv
+        den0[rows] = c.period[rows, None] * np.array(diff, dtype=den0.dtype)
+
+    # config (k, combo): its decomposition k, shift pair j and p h
+    pair_of = {pair: j for j, pair in enumerate(pairs)}
+    p_of = {p: h for h, p in enumerate(probs)}
+    k = np.repeat(np.arange(len(consts)), len(combos))
+    j = np.tile([pair_of[db, dn] for db, dn, _ in combos], len(consts))
+    h = np.tile([p_of[p] for _, _, p in combos], len(consts))
+    acc, den0 = acc[k * len(pairs) + j, h], den0[k, h]
+    bound = _max_abs(c.max_bound) + 2 * _max_abs(c.n) + 2 * _max_abs(delta_n) + 8
+    m2k = _m2k(*_fit(bound, c.max_bound[k], c.n[k], delta_n[j]))
+
+    bn, bd = bin_width.numerator, bin_width.denominator
+    big_u, big_w, big_n_period, big_ab = max(us), max(ws), _max_abs(c.n_period), _max_abs(c.ab)
+    den_b = 2 * (big_w * big_n_period * _max_abs(den0) + big_u**2 * _max_abs(acc))
+    lin = big_u * (_max_abs(m2k) + big_ab) + 2 * big_w * big_n_period
+    num_b = den_b + _max_abs(den0) * lin
+    bound = max(num_b * lin, big_ab * big_u * den_b, num_b * bd, den_b * bn)
+    if max(num_b, den_b) > 2**53:  # an int64 num or den would round on its way to a float
+        bound = 2**63
+    num, den, ok = _config_error(*_fit(
+        bound, m2k, c.ab[k], c.n_period[k], _int_array(us)[h], _int_array(ws)[h], acc, den0
+    ))
+    # int true division rounds correctly, as Fraction.__float__ does
+    return (
+        ((num * bd) // (den * bn)).tolist(),
+        (num / den).astype(np.float64).tolist(),
+        ok.astype(bool).tolist(),
+    )
+
+
 def _eval_chunk(payload):
     """Evaluate every combination of each decomposition, in enumeration order.
 
     Rows are (bin index, float error, bound verdict, failure name or None).
-    The hyperperiod sums of a decomposition depend on its (delta_b, delta_n)
-    pair alone, so one ``_mixture_terms`` call serves all p of the pair; the
-    decomposition's and each p's constants are also computed once.
+    ``_constants`` reads each decomposition, and its failure is a failed row
+    for every combination.  The other decompositions are evaluated together,
+    as columns: their hyperperiod sums depend on the (delta_b, delta_n) pair
+    alone, so each (decomposition, pair, r) sum is computed once and serves
+    every p.
     """
     decomps, combos, bin_width = payload
-    bn, bd = bin_width.numerator, bin_width.denominator
-    vws: dict[tuple, list] = {}  # (delta_b, delta_n) -> (v, w) of its p = (v - w)/v
-    slots = []  # per combo: its pair, the position of p in vws[pair], and p = u/(u + w)
-    for delta_b, delta_n, p in combos:
-        u, v = p.numerator, p.denominator
-        same = vws.setdefault((delta_b, delta_n), [])
-        slots.append(((delta_b, delta_n), len(same), u, v - u))
-        same.append((v, v - u))
-    out = []
+    consts, failures = [], []
     for d in decomps:
-        ab, n_period = d.a * d.b, d.n_period
-        terms = {}  # (delta_b, delta_n) -> (M + 2K, [(acc, den0) per p])
-        for pair, i, u, w in slots:
-            try:
-                if pair not in terms:
-                    terms[pair] = _m2k(d, pair[1]), _mixture_terms(d, *pair, vws[pair])
-                m2k, pair_terms = terms[pair]
-                num, den, ok = _config_error(m2k, ab, n_period, u, w, *pair_terms[i])
-            except Exception as exc:  # per-config failures become skip counters
-                out.append((0, 0.0, True, type(exc).__name__))
-                continue
-            # int true division rounds correctly, as Fraction.__float__ does
-            out.append(((num * bd) // (den * bn), num / den, ok, None))
+        try:
+            consts.append(_constants(d))
+            failures.append(None)
+        except Exception as exc:  # per-decomposition failures become skip counters
+            failures.append(type(exc).__name__)
+    rows = zip(*_error_columns(consts, combos, bin_width), repeat(None)) if consts else iter(())
+    out = []
+    for name in failures:
+        if name is None:
+            out.extend(islice(rows, len(combos)))
+        else:
+            out.extend([(0, 0.0, True, name)] * len(combos))
     return out
 
 
@@ -367,17 +532,16 @@ _SKIP_REASONS = ("common_factor", "factor_mismatch", "equal_periods")
 _SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
 
 
-def _block_size(n_tuples: int, jobs: int) -> int:
-    """Factor tuples per block: all of them inline, about four blocks per worker."""
-    return n_tuples if jobs == 1 else max(1, math.ceil(n_tuples / (jobs * 4)))
+# Factor tuples per block, at most, so that a block's arrays stay small.  On
+# the 10^6-candidate grid at --jobs 2, caps of 1024 to 16384 ran alike (2 s,
+# 68-69 MB in the calling process) and the worker's peak grew from 28 to
+# 35 MB; at 65536 they were 71-72 MB and 55 MB.
+_BLOCK = 4096
 
 
-def _bin_column(bins) -> np.ndarray:
-    """Bin indices as int64, or as python ints where a tiny bin width takes them past it."""
-    try:
-        return np.array(bins, dtype=np.int64)
-    except OverflowError:
-        return np.array(bins, dtype=object)
+def _block_size(n_tuples: int, workers: int) -> int:
+    """Factor tuples per block: an equal share per process, at most ``_BLOCK``."""
+    return max(1, min(_BLOCK, math.ceil(n_tuples / workers)))
 
 
 def _run_block(payload):
@@ -388,16 +552,12 @@ def _run_block(payload):
     in enumeration order; and the failure names, in the same order.
     """
     grid, start, stop, bin_width = payload
-    codes, decomps = [], []
-    for _, d, reason in _iter_candidates(grid, start, stop):
-        codes.append(_SKIP_CODE[reason])
-        if d is not None:
-            decomps.append(d)
-    rows = _eval_chunk((decomps, _combos(grid), bin_width))
+    _, ds, reasons = zip(*_iter_candidates(grid, start, stop))
+    rows = _eval_chunk(([d for d in ds if d is not None], _combos(grid), bin_width))
     bins, errs, oks, fails = zip(*rows) if rows else ((),) * 4
     return (
-        np.array(codes, dtype=np.uint8),
-        _bin_column(bins),
+        np.array([_SKIP_CODE[r] for r in reasons], dtype=np.uint8),
+        _int_array(bins),
         np.array(errs, dtype=np.float64),
         np.array(oks, dtype=bool),
         np.array([f is not None for f in fails], dtype=bool),
@@ -415,6 +575,11 @@ def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:
     return Histogram(bin_width, dict(zip(idx.tolist(), counts.tolist())))
 
 
+def _chunks(errs: np.ndarray):
+    """``errs`` as lists of at most 2^16 floats, so a slice's mean never lists them all."""
+    return (errs[i : i + (1 << 16)].tolist() for i in range(0, len(errs), 1 << 16))
+
+
 def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
     n = len(errs)
     srt = np.sort(errs)
@@ -422,13 +587,54 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
         parameter=parameter,
         value=str(value),
         histogram=_histogram(bins, bin_width),
-        mean=_sum(errs.tolist()) / n if n else float("nan"),
+        mean=_sum(chain.from_iterable(_chunks(errs))) / n if n else float("nan"),
         q01=_nearest_rank(srt, 0.01) if n else float("nan"),
         q50=_nearest_rank(srt, 0.50) if n else float("nan"),
         q99=_nearest_rank(srt, 0.99) if n else float("nan"),
         n_configs=n,
         n_skipped=holding - n,
     )
+
+
+def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
+    """``_run_block``'s columns of the whole grid, each joined in enumeration order."""
+    n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
+    # one process per core at most, the parent included
+    workers = min(jobs, kernels._WORKERS)
+    size = _block_size(n_tuples, workers)
+    payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
+    workers = min(workers, len(payloads))
+    if workers == 1:
+        blocks = list(map(_run_block, payloads))
+    else:
+        # the parent evaluates every workers-th block while the pool runs the rest
+        with Pool(workers - 1) as pool:
+            theirs = pool.imap(_run_block, [p for i, p in enumerate(payloads) if i % workers])
+            blocks = [
+                next(theirs) if i % workers else _run_block(p) for i, p in enumerate(payloads)
+            ]
+    columns = list(zip(*blocks))
+    return (*map(np.concatenate, columns[:5]), [name for names in columns[5] for name in names])
+
+
+def _slices(grid: SweepGrid, position, bins, errs, bin_width) -> tuple[SliceStat, ...]:
+    """The stats of each sliced value of each field.
+
+    ``position`` is each config's index in the enumeration of all candidates,
+    a mixed radix number over PARAMETERS, which gives its value of every field.
+    """
+    n_candidates = grid.n_candidates()
+    slices = []
+    stride = n_candidates
+    for f in PARAMETERS:
+        values = grid.values_of(f)
+        stride //= len(values)
+        column = position // stride % len(values)
+        holding = n_candidates // len(values)  # candidates per value of f
+        for i in _slice_positions(len(values)):
+            mask = column == i
+            slices.append(_slice_stat(f, values[i], bins[mask], errs[mask], holding, bin_width))
+    return tuple(slices)
 
 
 def run_sweep(
@@ -442,24 +648,14 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
-    size = _block_size(n_tuples, jobs)
-    payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
-    if jobs == 1:
-        blocks = list(map(_run_block, payloads))
-    else:
-        with Pool(jobs) as pool:
-            blocks = list(pool.imap(_run_block, payloads))
-
-    columns = list(zip(*blocks))
-    codes, bins, errs, oks, failed = map(np.concatenate, columns[:5])
+    codes, bins, errs, oks, failed, names = _evaluate(grid, bin_width, jobs)
     n_combos = len(_combos(grid))
     skip_counts = {
         reason: n * n_combos
         for code, reason in enumerate(_SKIP_REASONS, 1)
         if (n := int(np.count_nonzero(codes == code)))
     }
-    skip_counts.update(Counter(f"error:{name}" for names in columns[5] for name in names))
+    skip_counts.update(Counter(f"error:{name}" for name in names))
     kept = np.flatnonzero(codes == 0)
     if not len(kept):
         raise EmptyGridError("no grid candidate passes the factor constraints")
@@ -467,32 +663,19 @@ def run_sweep(
         reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
         raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
-    # A config's position in the enumeration of all candidates, a mixed
-    # radix number over PARAMETERS, gives its value of every field.
     position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
     done = ~failed
-    position, bins, errs, oks = position[done], bins[done], errs[done], oks[done]
-    n_candidates = grid.n_candidates()
-    slices = []
-    stride = n_candidates
-    for f in PARAMETERS:
-        values = grid.values_of(f)
-        stride //= len(values)
-        column = position // stride % len(values)
-        holding = n_candidates // len(values)  # candidates per value of f
-        for i in _slice_positions(len(values)):
-            mask = column == i
-            slices.append(_slice_stat(f, values[i], bins[mask], errs[mask], holding, bin_width))
-
+    bins, errs, oks = bins[done], errs[done], oks[done]
+    slices = _slices(grid, position[done], bins, errs, bin_width)
     return SweepResult(
         bin_width=bin_width,
-        n_candidates=n_candidates,
+        n_candidates=grid.n_candidates(),
         n_configs=len(errs),
         skip_counts=skip_counts,
         bound_violations=int(np.count_nonzero(~oks)),
         global_hist=_histogram(bins, bin_width),
         float_errors=errs.tolist(),
-        slices=tuple(slices),
+        slices=slices,
     )
 
 

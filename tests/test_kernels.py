@@ -18,6 +18,7 @@ from aoiclock.extended import (
     expected_exact_extended,
     progressions_conditional,
 )
+from aoiclock.modmath import floor_sum
 from aoiclock.simulate import bernoulli_threshold
 
 from conftest import (
@@ -107,6 +108,93 @@ class TestSequenceKernels:
     def test_period_must_be_the_hyperperiod(self):
         with pytest.raises(ValueError, match="hyperperiod a\\*B\\*N = 35"):
             kernels.period_sums_conditional(34, 7, 10, 0, 0, 3, 70)
+
+
+# (n, m, alpha, beta) lanes of the scalar floor sum's full range of signs
+floor_sum_lanes = st.tuples(
+    st.integers(0, 80), st.integers(1, 10**4), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
+)
+
+
+def _alpha_at_bound(n, m, beta):
+    """The largest alpha whose lane floor_sums' guard keeps in int64:
+    (alpha + |beta| + m + 3)*(n + 1)^2 < 2^63."""
+    return (2**63 - 1) // (n + 1) ** 2 - abs(beta) - m - 3
+
+
+class TestFloorSums:
+    """The array floor sum against the scalar ``modmath.floor_sum``."""
+
+    @given(st.lists(floor_sum_lanes, min_size=1, max_size=40))
+    def test_lanes_equal_scalar(self, lanes):
+        got = kernels.floor_sums(*(np.array(col) for col in zip(*lanes)))
+        assert got.dtype == np.int64
+        assert got.tolist() == [floor_sum(*lane) for lane in lanes]
+
+    @given(st.integers(0, 2**20), st.integers(1, 2**20), st.integers(-(2**20), 2**20),
+           st.sampled_from([1, -1]))
+    @example(0, 1, 0, 1)
+    @example(2**20, 1, -(2**20), -1)
+    def test_lanes_at_the_int64_bound(self, n, m, beta, sign):
+        alpha = _alpha_at_bound(n, m, beta)
+        below, above = (n, m, sign * alpha, beta), (n, m, sign * (alpha + 1), beta)
+        # a lane just inside the bound runs in int64 and stays exact
+        got = kernels.floor_sums(*below)
+        assert got.dtype == np.int64 and got.tolist() == [floor_sum(*below)]
+        # one lane past it sends the whole call to the exact path
+        got = kernels.floor_sums(*(np.array(col) for col in zip(below, above)))
+        assert got.dtype == object
+        assert got.tolist() == [floor_sum(*below), floor_sum(*above)]
+
+    def test_bad_lanes_rejected(self):
+        with pytest.raises(ValueError, match="n >= 0 and m >= 1"):
+            kernels.floor_sums([3, 4], [5, 0], 1, 1)
+        with pytest.raises(ValueError, match="n >= 0 and m >= 1"):
+            kernels.floor_sums(-1, 5, 1, 1)
+        assert kernels.floor_sums([], [], [], []).tolist() == []
+
+
+class TestPeriodSumsPaths:
+    """``_period_sums``' array pass against its scalar loop."""
+
+    @given(
+        st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)).filter(
+            lambda t: gcd(gcd(t[0], t[1]), t[2]) == 1
+        ),
+        st.integers(0, 50),
+        st.integers(0, 50),
+        st.integers(1, 12),
+        st.sampled_from([1, 5, 1 << 16]),
+    )
+    @example((20, 28, 35), 50, 0, 9, 5)  # a = 7: rows cut across lane passes
+    # a = 16 lanes whose floor sums fit int64 but whose row sum does not
+    @example((3, 16, 5600000032), 0, 0, 1, 1 << 16)
+    def test_array_pass_equals_scalar_loop(self, t, db, dn, n_terms, lanes):
+        period = decompose(*t).period
+
+        def sums():
+            # the extended model's shifts, and the basic model's unshifted row
+            return (kernels.period_sums_conditional(*t, db, dn, n_terms, period)
+                    + kernels._period_sums(*t, period, 1))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_ARRAY_LANES", 10**9)
+            want = sums()
+            mp.setattr(kernels, "_ARRAY_LANES", 0)
+            mp.setattr(kernels, "_LANES", lanes)
+            got = sums()
+        assert got == want
+        assert all(type(x) is int for x in got)
+
+    def test_exact_path_past_int64(self):
+        # shifts near 2^63 take the lanes to Python ints; the result is exact
+        t, db = (6, 10, 15), 2**63
+        d = decompose(*t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_ARRAY_LANES", 0)
+            got = kernels.period_sums_conditional(*t, db, 3, 4, d.period)
+        cfg = SystemConfig(d, delta_b=db, delta_n=3)
+        assert got == [sum(pr.sum() for pr in progressions_conditional(cfg, r)) for r in range(4)]
 
 
 class TestSimulatorKernels:

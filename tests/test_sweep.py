@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import product
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -262,6 +264,12 @@ class TestEvalChunk:
         combo_lists,
         st.sampled_from([Fraction(1, 100), Fraction(3, 7), Fraction(1)]),
     )
+    # num and den past 2^53 while every intermediate fits int64: an int64
+    # ratio would round both before dividing, and lose the last bit
+    @example([decompose(62, 31, 2)], [(0, 0, Fraction(1, 3))], Fraction(1, 100))
+    @example([decompose(47, 47, 2)], [(0, 0, Fraction(1, 2))], Fraction(1, 100))
+    # each t_r fits int64, but the Horner sum over b = 30 terms of 2^r t_r does not
+    @example([decompose(30, 3000090, 1)], [(0, 0, Fraction(1, 2))], Fraction(1, 100))
     def test_rows_equal_fraction_oracle(self, decomps, combos, bin_width):
         payload = (decomps, combos, bin_width)
 
@@ -275,26 +283,54 @@ class TestEvalChunk:
                 assert relative_error(cfg) == relative_error_ref(cfg)
 
     def test_sums_shared_across_p(self, monkeypatch):
-        calls = []
-        real = kernels.period_sums_conditional
+        # each (decomposition, shift pair, r < b) hyperperiod sum is one row
+        # of the floor-sum pass, computed once and shared by every p
+        rows = []
+        real = kernels._row_sums
 
         def counted(*args):
-            calls.append(args)
+            rows.append(np.broadcast(*args).size)
             return real(*args)
 
-        monkeypatch.setattr(kernels, "period_sums_conditional", counted)
+        monkeypatch.setattr(kernels, "_row_sums", counted)
         grid = SweepGrid.from_json(BUNDLED_GRID)
         decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
-        rows = sweep._eval_chunk((decomps[:2], sweep._combos(grid), Fraction(1, 100)))
+        out = sweep._eval_chunk((decomps[:2], sweep._combos(grid), Fraction(1, 100)))
         # 3 x 3 shift pairs, each serving the grid's 3 values of p
-        assert len(rows) == 2 * 27
-        assert len(calls) == 2 * 9
-        # the same 9 per decomposition through a whole sweep, however it is cut
-        for size in (sweep._block_size, lambda n, jobs: 1, lambda n, jobs: 7):
+        assert len(out) == 2 * 27
+        assert rows == [9 * (decomps[0].b + decomps[1].b)]
+        # once per sum through a whole sweep, however it is cut into blocks
+        for size in (sweep._block_size, lambda n, workers: 1, lambda n, workers: 7):
             monkeypatch.setattr(sweep, "_block_size", size)
-            calls.clear()
+            rows.clear()
             assert run_sweep(grid).n_configs == 27 * len(decomps)
-            assert len(calls) == 9 * len(decomps)
+            assert sum(rows) == 9 * sum(d.b for d in decomps)
+
+    @pytest.mark.parametrize("rows, lanes", [(1, 3), (7, 1 << 16), (40, 5)])
+    def test_rows_do_not_depend_on_pass_sizes(self, monkeypatch, rows, lanes):
+        # the floor-sum pass cut into passes of a few rows and lanes
+        grid = SweepGrid.from_json(BUNDLED_GRID)
+        decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None][:60]
+        payload = (decomps, sweep._combos(grid), Fraction(1, 100))
+        want = sweep._eval_chunk(payload)
+        monkeypatch.setattr(sweep, "_ROWS", rows)
+        monkeypatch.setattr(kernels, "_LANES", lanes)
+        assert sweep._eval_chunk(payload) == want
+
+    def test_object_path_rows_equal_fraction_oracle(self):
+        # periods past 2^63 (A*b*n = 3*25*(10^18 + 9)), a shift of 2^62 and
+        # v^b = 10^25 force the exact path on every stage
+        grid = SweepGrid.from_dict(
+            {"A": [1, 3], "B": [2, 5], "N": [1, 7], "b": 25, "n": [1, 10**18 + 9],
+             "delta_b": [0, 2**62], "delta_n": [1], "p": ["1/10", "1"]}
+        )
+        decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
+        assert len(decomps) == 16 and max(d.a_period for d in decomps) > 2**63
+        payload = (decomps, sweep._combos(grid), Fraction(1, 100))
+        rows = sweep._eval_chunk(payload)
+        assert [(i, err.hex(), ok, fail) for i, err, ok, fail in rows] == [
+            (i, err.hex(), ok, fail) for i, err, ok, fail in eval_chunk_ref(payload)
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +400,66 @@ class TestRunSweep:
             run_sweep(SweepGrid.from_dict({"A": "2..4", "B": "2..4", "N": "2..4"}))
 
 
+class TestHistogramRows:
+    @given(
+        st.dictionaries(st.integers(-(10**30), 10**30), st.integers(1, 9), min_size=1, max_size=20),
+        st.fractions(min_value=Fraction(1, 10**25), max_value=10**6, max_denominator=10**25).filter(
+            lambda x: x > 0
+        ),
+    )
+    @example({-3: 1, -1: 2, 0: 3, 7: 4}, Fraction(1, 100))
+    @example({-(10**30): 1, 10**30: 1}, Fraction(3, 7))
+    def test_edges_equal_fraction_floats(self, counts, bin_width):
+        rows = list(sweep.Histogram(bin_width, counts).to_rows())
+        assert [(lo.hex(), hi.hex(), n) for lo, hi, n in rows] == [
+            (float(i * bin_width).hex(), float((i + 1) * bin_width).hex(), counts[i])
+            for i in sorted(counts)
+        ]
+
+
+class TestProcesses:
+    """run_sweep starts at most one process per block and per core, the parent included."""
+
+    @staticmethod
+    def stub_pool(asked):
+        class StubPool:
+            # records the process count it is asked for and starts none
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        return StubPool
+
+    @pytest.mark.parametrize("cores, grid, processes", [
+        (2, SMALL_GRID, [1]),
+        (64, SMALL_GRID, [61]),  # 1,296 tuples in 62 blocks of 21
+        (64, dict(FIG_GRID, A=[17, 19]), [1]),  # two factor tuples: two blocks
+        (64, FIG_GRID, []),  # one factor tuple: one block, evaluated inline
+        (1, SMALL_GRID, []),
+    ])
+    def test_huge_jobs_capped(self, monkeypatch, cores, grid, processes):
+        asked = []
+        monkeypatch.setattr(sweep, "Pool", self.stub_pool(asked))
+        monkeypatch.setattr(kernels, "_WORKERS", cores)
+        grid = SweepGrid.from_dict(grid)
+        want = run_sweep(grid, jobs=1)
+        assert asked == []
+        got = run_sweep(grid, jobs=100_000)
+        assert asked == processes
+        assert TestRunSweepOracle.fields(got) == TestRunSweepOracle.fields(want)
+
+    def test_cores_are_the_affinity_mask(self):
+        assert kernels._WORKERS == len(os.sched_getaffinity(0))
+
+
 class TestSum:
     def test_left_to_right_from_zero(self):
         # sum() compensates since Python 3.12 and gives 1.0 here
@@ -426,17 +522,17 @@ class TestRunSweepOracle:
         st.sampled_from([None, 2, 3]),
     )
     def test_fields_equal_oracle(self, jobs, block, grid, bin_width, fail_every):
-        real = sweep._config_error
+        real = sweep._constants
 
-        def flaky(m2k, ab, n_period, u, w, acc, den0):
-            if fail_every and (u + w + m2k + acc) % fail_every == 0:
+        def flaky(d):
+            if fail_every and (d.A + d.B + d.N + d.a + d.b + d.n) % fail_every == 0:
                 raise ArithmeticError("injected")
-            return real(m2k, ab, n_period, u, w, acc, den0)
+            return real(d)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweep, "_config_error", flaky)
+            mp.setattr(sweep, "_constants", flaky)
             if block != "default":
-                mp.setattr(sweep, "_block_size", lambda n, jobs: n if block == "whole" else block)
+                mp.setattr(sweep, "_block_size", lambda n, workers: n if block == "whole" else block)
             try:
                 expected = run_sweep_ref(grid, bin_width)
             except EmptyGridError as exc:
@@ -510,40 +606,40 @@ class TestSmallGridGolden:
 class TestPerConfigErrors:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_configs_are_counted_in_every_slice(self, monkeypatch, jobs):
-        real = sweep._config_error
+        real = sweep._constants
 
-        def flaky(m2k, ab, n_period, u, w, acc, den0):
-            if Fraction(u, u + w) == Fraction(1, 3):
+        def flaky(d):
+            if d.n == 3:
                 raise ArithmeticError("injected")
-            return real(m2k, ab, n_period, u, w, acc, den0)
+            return real(d)
 
-        monkeypatch.setattr(sweep, "_config_error", flaky)
+        monkeypatch.setattr(sweep, "_constants", flaky)
         grid = SweepGrid.from_dict(SMALL_GRID)
         result = run_sweep(grid, jobs=jobs)
-        # half the 5,136 valid configs hold p = 1/3
-        assert result.skip_counts["error:ArithmeticError"] == 2_568
-        assert result.n_configs == 2_568
+        # 1,040 of the 5,136 valid configs hold n = 3
+        assert result.skip_counts["error:ArithmeticError"] == 1_040
+        assert result.n_configs == 5_136 - 1_040
         assert result.n_configs + sum(result.skip_counts.values()) == result.n_candidates
         for sl in result.slices:
             holding = result.n_candidates // len(grid.values_of(sl.parameter))
             assert sl.n_configs + sl.n_skipped == holding, (sl.parameter, sl.value)
-        p_third = next(sl for sl in result.slices if sl.parameter == "p" and sl.value == "1/3")
-        assert p_third.n_configs == 0
+        n_three = next(sl for sl in result.slices if sl.parameter == "n" and sl.value == "3")
+        assert n_three.n_configs == 0
 
     def test_b_over_cap_fails_before_its_sums(self, monkeypatch):
         b_over = 10**5 + 1
         seen = []
-        real = kernels.period_sums_conditional
+        real = kernels._row_sums
 
-        def counted(a_period, b_period, n_period, *rest):
-            seen.append((a_period, b_period, n_period))
-            return real(a_period, b_period, n_period, *rest)
+        def counted(a_period, *rest):
+            seen.extend(np.broadcast_to(a_period, np.broadcast(a_period, *rest).shape).tolist())
+            return real(a_period, *rest)
 
-        monkeypatch.setattr(kernels, "period_sums_conditional", counted)
+        monkeypatch.setattr(kernels, "_row_sums", counted)
         # (A, B, N) = (1, 2, 1) at b = 1 gives periods (1, 2, 1); at
         # b = 100001, one over the cap, periods (100001, 200002, 1)
         grid = SweepGrid.from_dict({"A": 1, "B": 2, "N": 1, "b": [1, b_over]})
         result = run_sweep(grid)
         assert result.skip_counts == {"error:ValueError": 1}
         assert result.n_configs == 1
-        assert seen == [(1, 2, 1)]
+        assert seen == [1]
