@@ -298,7 +298,7 @@ def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:
 
 def expected_exact_basic(d: PeriodDecomposition) -> Fraction:
     """Exact mean age: one hyperperiod's age sum, a floor sum at zero shifts, over its reads."""
-    (total,) = kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, 1)
+    (total,) = kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, [(0, 0, 0)])
     return Fraction(total, d.period)
 
 

@@ -50,9 +50,9 @@ __all__ = [
 
 # The exact expectation takes b conditional hyperperiod sums (a floor sum
 # each) and runs a b-step Horner loop over a denominator of about b*log2(v)
-# bits, so its big-integer work grows as b^2: about 0.45 s at b = 10^5,
-# periods (3b, 7b, 11) and p = 1/2, on a 2-core Xeon host (0.04 s of it the
-# sums, one array pass).
+# bits, so its big-integer work grows as b^2: about 0.5 s at b = 10^5,
+# periods (3b, 7b, 11) and p = 1/2, on a 2-core Xeon host (0.15 s of it the
+# sums).
 _MAX_TERMS = 10**5
 # max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
 # m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s

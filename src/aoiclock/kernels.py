@@ -3,11 +3,13 @@
 The sequence kernels and the simulators work in int64.  Callers go through
 the ``check_*`` guards, which reject inputs whose intermediate values could
 leave the int64 range; the kernels themselves assume the guards have run.
-The hyperperiod age sums of both models are floor sums.  ``floor_sums``
-runs many of them as arrays: in int64 where a bound from the arguments'
-maxima proves that every intermediate fits, and otherwise as the same
-expressions on ``object`` arrays of Python ints, so the sums are always
-exact.  ``exact_sum`` sums an int64 array without wrapping.
+The hyperperiod age sums of both models are floor sums.  ``_period_sums``
+loops over them in Python ints for one decomposition.  ``_row_sums`` runs
+the sums of many decompositions and shifts at once through ``floor_sums``,
+as arrays: in int64 where a bound from the arguments' maxima proves that
+every intermediate fits, and otherwise as the same expressions on
+``object`` arrays of Python ints, so the sums are always exact.
+``exact_sum`` sums an int64 array without wrapping.
 
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
@@ -32,7 +34,6 @@ fall between reads.
 from __future__ import annotations
 
 import os
-from functools import partial
 from math import gcd
 
 import numpy as np
@@ -180,47 +181,25 @@ def _row_sums(a_period, ab, an, big_n, a, s_b, s_n):
     return out
 
 
-# Below this many (shift triple, i) lanes, _period_sums loops over scalar
-# floor sums: about 1.5 us a lane against the array pass's 0.3 ms fixed cost
-# and 0.5 us a lane, on a 2-core Xeon host.  A single analyze call on small
-# periods sits below it; b = 10^5 terms sit far above it.
-_ARRAY_LANES = 256
-
-
-def _unshifted(l):
-    return 0, 0, 0
-
-
-# the hyperperiod age sum of both models for the shift triple (s_b, s_n,
-# base) = shifts(l) of basic._age, for each row l < rows: over the family's
-# a*N progressions <c, a*b, B>, c = base + r_ab +
+# the hyperperiod age sum of both models for each shift triple of basic._age:
+# over the family's a*N progressions <c, a*b, B>, c = base + r_ab +
 # ceil((r_an - r_ab + j*a*n)/(a*b))*a*b, the ceilings summed over j < N are
-# one floor sum per i, so a sum costs O(a*log) whatever the hyperperiod.
-# shifts takes an int or an int array of rows, and is affine in l.
-def _period_sums(a_period, b_period, n_period, period, rows, shifts=_unshifted):
+# one floor sum per i, so a sum costs O(a*log) whatever the hyperperiod
+def _period_sums(a_period, b_period, n_period, period, shifts):
     a, b, n = gcd(b_period, n_period), gcd(a_period, b_period), gcd(a_period, n_period)
     ab, an = a * b, a * n
     B, N = b_period // ab, n_period // an
     if a * B * N != period:
         raise ValueError(f"period must be the hyperperiod a*B*N = {a * B * N}, got {period}")
-    const = a * N * ab * (B * (B - 1) // 2)
-    if a * rows < _ARRAY_LANES:
-        out = []
-        for l in range(rows):
-            s_b, s_n, base = shifts(l)
-            acc = a * N * base
-            for i in range(a):
-                r_ab = (i * a_period - s_b) % ab
-                r_an = (i * a_period - s_n) % an
-                acc += N * r_ab + ab * floor_sum(N, ab, an, r_an - r_ab + ab - 1)
-            out.append(B * acc + const)
-        return out
-    # an affine shift is largest in magnitude at the first or the last row
-    [l] = _fit(max(map(abs, (*shifts(0), *shifts(rows - 1)))), np.arange(rows))
-    _, s_b, s_n, base = np.broadcast_arrays(l, *shifts(l))
-    sums = _row_sums(a_period, ab, an, N, a, s_b, s_n)
-    base, sums = _fit(B * (a * N * _max_abs(base) + _max_abs(sums)) + const, base, sums)
-    return (B * (a * N * base + sums) + const).tolist()
+    out = []
+    for s_b, s_n, base in shifts:
+        acc = 0
+        for i in range(a):
+            r_ab = (i * a_period - s_b) % ab
+            r_an = (i * a_period - s_n) % an
+            acc += N * (base + r_ab) + ab * floor_sum(N, ab, an, r_an - r_ab + ab - 1)
+        out.append(B * acc + a * N * ab * (B * (B - 1) // 2))
+    return out
 
 
 def seq_basic(a_period, b_period, n_period, k0, count):
@@ -239,8 +218,8 @@ def period_sums_conditional(a_period, b_period, n_period, delta_b, delta_n, n_te
     failures.  ``period`` must be the hyperperiod, a*B*N reads, for periods
     that ``basic.decompose`` accepts; any other value raises ValueError.
     """
-    shifts = partial(_shifts, n_period, delta_b, delta_n)
-    return _period_sums(a_period, b_period, n_period, period, n_terms, shifts)
+    shifts = (_shifts(n_period, delta_b, delta_n, r) for r in range(n_terms))
+    return _period_sums(a_period, b_period, n_period, period, shifts)
 
 
 def exact_sum(x):

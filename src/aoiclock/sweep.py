@@ -80,9 +80,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), about 2 s at
-# 68 MB peak RSS in the calling process (30 MB in the worker) with --jobs 2
-# on a 2-core Xeon host.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 2-3 s at
+# 64-67 MB peak RSS in the calling process (27 MB in the worker) with
+# --jobs 2 on a 2-core Xeon host.
 _MAX_CANDIDATES = 10**6
 
 
@@ -173,7 +173,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 2 s and 68 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 3 s and 67 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -203,8 +203,12 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-# factor tuples per array pass of _iter_candidates: its working memory
-_CLASSIFY = 1024
+# Factor tuples per block, at most, so that a block's arrays stay small; a
+# block is classified in one array pass.  On the 10^6-candidate grid at
+# --jobs 2, caps of 1024 to 16384 ran alike (2 s, 68-69 MB in the calling
+# process) and the worker's peak grew from 28 to 35 MB; at 65536 they were
+# 71-72 MB and 55 MB.
+_BLOCK = 4096
 
 
 def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
@@ -214,7 +218,7 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     [start, stop) of the enumeration are classified.  The tuple alone decides
     whether its candidates are kept: every (delta_b, delta_n, p) combination
     of a kept tuple is a config, and every combination of a skipped one is
-    skipped.  The tuples are classified ``_CLASSIFY`` at a time, with array
+    skipped.  The tuples are classified ``_BLOCK`` at a time, with array
     gcds of their periods, and a ``PeriodDecomposition`` is built for the
     kept ones only.
     """
@@ -226,8 +230,8 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     fields = _fit(big, *(_int_array(values) for values in fields))
     stop = n_tuples if stop is None else min(stop, n_tuples)
     reasons = (None, *_SKIP_REASONS)
-    for lo in range(start, stop, _CLASSIFY):
-        position = np.arange(lo, min(lo + _CLASSIFY, stop))
+    for lo in range(start, stop, _BLOCK):
+        position = np.arange(lo, min(lo + _BLOCK, stop))
         cols = []
         stride = n_tuples
         for values in fields:
@@ -532,13 +536,6 @@ _SKIP_REASONS = ("common_factor", "factor_mismatch", "equal_periods")
 _SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
 
 
-# Factor tuples per block, at most, so that a block's arrays stay small.  On
-# the 10^6-candidate grid at --jobs 2, caps of 1024 to 16384 ran alike (2 s,
-# 68-69 MB in the calling process) and the worker's peak grew from 28 to
-# 35 MB; at 65536 they were 71-72 MB and 55 MB.
-_BLOCK = 4096
-
-
 def _block_size(n_tuples: int, workers: int) -> int:
     """Factor tuples per block: an equal share per process, at most ``_BLOCK``."""
     return max(1, min(_BLOCK, math.ceil(n_tuples / workers)))
@@ -576,7 +573,11 @@ def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:
 
 
 def _chunks(errs: np.ndarray):
-    """``errs`` as lists of at most 2^16 floats, so a slice's mean never lists them all."""
+    """``errs`` as lists of at most 2^16 floats, so a slice's mean never lists them all.
+
+    On the 10^6-candidate grid at --jobs 2 this holds the calling process's
+    peak RSS at 64-67 MB, against 73 MB for one list per slice.
+    """
     return (errs[i : i + (1 << 16)].tolist() for i in range(0, len(errs), 1 << 16))
 
 
@@ -597,7 +598,12 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
 
 
 def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
-    """``_run_block``'s columns of the whole grid, each joined in enumeration order."""
+    """``_run_block``'s columns of the whole grid, each joined in enumeration order.
+
+    The blocks are freed on return, before ``run_sweep`` folds the columns:
+    on the 10^6-candidate grid at --jobs 2 that keeps the calling process's
+    peak RSS at 64-67 MB, against 70 MB with the blocks held through the fold.
+    """
     n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
     # one process per core at most, the parent included
     workers = min(jobs, kernels._WORKERS)

@@ -154,49 +154,6 @@ class TestFloorSums:
         assert kernels.floor_sums([], [], [], []).tolist() == []
 
 
-class TestPeriodSumsPaths:
-    """``_period_sums``' array pass against its scalar loop."""
-
-    @given(
-        st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)).filter(
-            lambda t: gcd(gcd(t[0], t[1]), t[2]) == 1
-        ),
-        st.integers(0, 50),
-        st.integers(0, 50),
-        st.integers(1, 12),
-        st.sampled_from([1, 5, 1 << 16]),
-    )
-    @example((20, 28, 35), 50, 0, 9, 5)  # a = 7: rows cut across lane passes
-    # a = 16 lanes whose floor sums fit int64 but whose row sum does not
-    @example((3, 16, 5600000032), 0, 0, 1, 1 << 16)
-    def test_array_pass_equals_scalar_loop(self, t, db, dn, n_terms, lanes):
-        period = decompose(*t).period
-
-        def sums():
-            # the extended model's shifts, and the basic model's unshifted row
-            return (kernels.period_sums_conditional(*t, db, dn, n_terms, period)
-                    + kernels._period_sums(*t, period, 1))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_ARRAY_LANES", 10**9)
-            want = sums()
-            mp.setattr(kernels, "_ARRAY_LANES", 0)
-            mp.setattr(kernels, "_LANES", lanes)
-            got = sums()
-        assert got == want
-        assert all(type(x) is int for x in got)
-
-    def test_exact_path_past_int64(self):
-        # shifts near 2^63 take the lanes to Python ints; the result is exact
-        t, db = (6, 10, 15), 2**63
-        d = decompose(*t)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_ARRAY_LANES", 0)
-            got = kernels.period_sums_conditional(*t, db, 3, 4, d.period)
-        cfg = SystemConfig(d, delta_b=db, delta_n=3)
-        assert got == [sum(pr.sum() for pr in progressions_conditional(cfg, r)) for r in range(4)]
-
-
 class TestSimulatorKernels:
     def test_sim_basic_matches_naive(self):
         for t in TRIPLES:

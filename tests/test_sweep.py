@@ -7,7 +7,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoiclock import cli, kernels, sweep
-from aoiclock.basic import decompose
+from aoiclock.basic import ConfigError, decompose
 from aoiclock.extended import SystemConfig
 from aoiclock.sweep import (
     EmptyGridError,
@@ -157,6 +157,27 @@ class TestGridParsing:
             SweepGrid.from_json(path)
 
 
+# a factor field: small values, which often keep a tuple, or values up to 2^70
+factor_values = st.lists(
+    st.one_of(st.integers(1, 12), st.integers(1, 2**70)), min_size=1, max_size=3
+)
+
+
+def _classify_ref(factors):
+    """(decomposition, skip reason) of one factor tuple, by ``decompose``."""
+    A, B, N, a, b, n = factors
+    ap, bp, np_ = A * b * n, B * b * a, N * n * a
+    try:
+        d = decompose(ap, bp, np_)
+    except ConfigError:
+        return None, "common_factor"
+    if (d.A, d.B, d.N, d.a, d.b, d.n) != factors:
+        return None, "factor_mismatch"
+    if ap == bp == np_:
+        return None, "equal_periods"
+    return d, None
+
+
 class TestEnumeration:
     def test_small_cube_is_fully_excluded(self):
         # No triple from {2,3,4}^3 is pairwise coprime once a=b=n=1 forces
@@ -202,6 +223,33 @@ class TestEnumeration:
                                 if ok and not (ap == bp == np_):
                                     want.add((A, B, N, a, b, n))
         assert got == want
+
+    @given(
+        st.fixed_dictionaries({f: factor_values for f in sweep._FACTORS}),
+        st.integers(0, 800),
+        st.one_of(st.none(), st.integers(0, 800)),
+        st.sampled_from([1, 7, sweep._BLOCK]),
+    )
+    @example({f: [1, 2, 3, 5] for f in sweep._FACTORS}, 0, None, sweep._BLOCK)
+    # kept tuples whose periods pass 2^63: A*b*n = (2^61 - 1)*5*7
+    @example({"A": [2**61 - 1], "B": [1, 2], "N": [3], "a": [1], "b": [5], "n": [1, 7]},
+             0, None, sweep._BLOCK)
+    # factors past 2^63 themselves, in kept tuples and in each skip reason
+    @example({"A": [3, 2**64 + 1], "B": [1, 2**64], "N": [1, 2, 7], "a": [1, 2**64 + 1],
+              "b": [1, 2], "n": [1, 5]}, 3, None, 7)
+    def test_classification_equals_decompose(self, factors, start, stop, tile):
+        grid = SweepGrid.from_dict(factors)
+        want = [
+            (f, *_classify_ref(f))
+            for f in islice(product(*(grid.values_of(f) for f in sweep._FACTORS)), start, stop)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_BLOCK", tile)
+            got = list(sweep._iter_candidates(grid, start, stop))
+        assert got == want
+        for _, d, _ in got:
+            if d is not None:
+                assert all(type(getattr(d, f)) is int for f in d.__dataclass_fields__)
 
     def test_deltas_and_p_multiply_candidates(self):
         g = SweepGrid.from_dict(dict(FIG_GRID, delta_b=[0, 3], p=["1", "1/2"]))
