@@ -57,11 +57,14 @@ from .modmath import (
 from .simulate import (
     RngSpec,
     Trace,
+    TraceStream,
     bernoulli_threshold,
     empirical_distribution,
     empirical_mean,
     simulate_basic,
     simulate_extended,
+    stream_basic,
+    stream_extended,
     write_trace_csv,
 )
 from .sweep import (
@@ -93,8 +96,9 @@ __all__ = [
     "freshness_offset_K", "expected_approx_extended", "expected_exact_extended",
     "rel_error_bound_extended", "max_bound_lossless", "max_bound_prob",
     # simulation
-    "RngSpec", "Trace", "bernoulli_threshold", "simulate_basic", "simulate_extended",
-    "empirical_distribution", "empirical_mean", "write_trace_csv",
+    "RngSpec", "Trace", "TraceStream", "bernoulli_threshold", "simulate_basic",
+    "simulate_extended", "stream_basic", "stream_extended", "empirical_distribution",
+    "empirical_mean", "write_trace_csv",
     # sweep
     "EmptyGridError", "SweepGrid", "Histogram", "SliceStat", "SweepResult",
     "enumerate_configs", "relative_error", "run_sweep", "write_outputs",

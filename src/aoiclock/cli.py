@@ -38,7 +38,14 @@ from .extended import (
     rel_error_bound_extended,
     sequence_conditional,
 )
-from .simulate import RngSpec, empirical_mean, simulate_basic, simulate_extended, write_trace_csv
+from .simulate import (
+    RngSpec,
+    simulate_basic,
+    simulate_extended,
+    stream_basic,
+    stream_extended,
+    write_trace_csv,
+)
 from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
 
 # verify expands whole hyperperiods and simulates three of them, about 140
@@ -202,18 +209,18 @@ def cmd_simulate(args) -> int:
     )
     # --out is opened before the run, so that an unwritable path fails at
     # once; held open, it keeps a named pipe's reader attached until the
-    # writer reopens it by path
+    # writer reopens it by path.  The trace is written as the simulator
+    # yields its blocks, so memory follows the block, not the run
     with contextlib.nullcontext() if args.out == "-" else open(args.out, "ab"):
-        trace = (simulate_basic(d, args.cycles) if basic
-                 else simulate_extended(cfg, args.cycles, rng))
+        trace = (stream_basic(d, args.cycles) if basic
+                 else stream_extended(cfg, args.cycles, rng))
         write_trace_csv(trace, sys.stdout if args.out == "-" else args.out)
     warm = trace.warmup_cycles
     if warm < trace.cycles:
-        mean = empirical_mean(trace, warm, trace.cycles - warm)
-        peak = int(trace.ages[warm:].max())
+        mean = Fraction(trace.age_sum, trace.cycles - warm)
         print(
             f"cycles={trace.cycles} warmup={warm} "
-            f"mean={float(mean):.6f} max={peak}",
+            f"mean={float(mean):.6f} max={trace.age_max}",
             file=sys.stderr,
         )
     else:
@@ -258,7 +265,7 @@ def _verify_basic(d, cycles: int, failures: list[str]) -> None:
                  f"first mismatch at k={k}: simulated={trace.ages[k]} formula={model[k]}")
 
 
-def _verify_extended(cfg: SystemConfig, l_max: int, seed: int, cycles: int, failures: list[str]) -> None:
+def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, failures: list[str]) -> None:
     period = cfg.d.period
 
     for l in range(l_max + 1):
@@ -272,7 +279,7 @@ def _verify_extended(cfg: SystemConfig, l_max: int, seed: int, cycles: int, fail
     _check(failures, "band_membership", band.contains(exact),
            f"exact={exact} band=[{band.low}, {band.high}]")
 
-    trace = simulate_extended(cfg, cycles, RngSpec(seed))
+    trace = simulate_extended(cfg, cycles, rng)
     warm = trace.warmup_cycles
     ages, fails = trace.ages[warm:], trace.fails[warm:]
     d = cfg.d
@@ -304,6 +311,15 @@ def cmd_verify(args) -> int:
         raise ConfigError("--l-max must be >= 0")
     if args.cycles is not None and args.cycles < 1:
         raise ConfigError("--cycles must be >= 1")
+    # the trace checks hold the whole simulated trace and the formula's reads
+    # next to it, so --cycles is capped at the longest default run: three
+    # hyperperiods at the cap, and 50 reads of warm-up
+    max_cycles = 3 * _MAX_VERIFY_READS + 50
+    if args.cycles is not None and args.cycles > max_cycles:
+        raise ConfigError(
+            f"--cycles {args.cycles} is over verify's cap of {max_cycles} reads, its longest "
+            f"default run: the trace checks hold the whole simulated trace in memory"
+        )
     cfg = _config_from_args(args)
     if cfg.d.period > _MAX_VERIFY_READS:
         raise ConfigError(
@@ -314,17 +330,19 @@ def cmd_verify(args) -> int:
     basic = args.model == "basic"
     cycles = args.cycles or 3 * d.period + (1 if basic else 50)
     l_max = 0 if basic else 3 if args.l_max is None else args.l_max
-    # the guards of the hyperperiod sequences, of the simulation and of the
-    # formula over the simulated reads run before the first check prints
+    # the guards of the hyperperiod sequences, of the simulation, of its seed
+    # and of the formula over the simulated reads run before the first check
+    # prints
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     kernels.check_sequence_args(*shape, l_max, 1, d.period)
     kernels.check_simulate_args(*shape, cycles)
     kernels.check_sequence_args(*shape, 0, 0, cycles)
+    rng = None if basic else RngSpec(0 if args.seed is None else args.seed)
     failures: list[str] = []
     if basic:
         _verify_basic(d, cycles, failures)
     else:
-        _verify_extended(cfg, l_max, 0 if args.seed is None else args.seed, cycles, failures)
+        _verify_extended(cfg, l_max, rng, cycles, failures)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1

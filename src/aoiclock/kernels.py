@@ -16,24 +16,21 @@ generator: the variate for transmission slot index m depends only on
 (seed, m).  The extended simulator reads the stream at random: each read
 owns the transmissions since the previous read, and a backward scan of that
 window stops at its newest success, so a read costs min(A'/N', ~1/p) draws.
-It works through the reads in chunks of ``_CHUNK``, in three phases:
 
-1. per chunk, on ``_WORKERS`` threads: the newest success of each window,
-   and their running max within the chunk;
-2. in order: the running max carried from each chunk to the next;
-3. per chunk, on the threads again: the carry applied, then ages and
-   failure counts, written in place into the output.
-
-A window's newest success depends only on (seed, window), and a running max
-is the same wherever its input is cut, so a trace depends on neither the
-worker count nor the chunking.  Each worker reuses one set of chunk-sized
-buffers, so memory is O(cycles + workers*chunk) however many transmissions
-fall between reads.
+Both simulators run as generators of ``(k0, ages, fails)`` blocks of
+``_CHUNK`` reads, in one sequential pass.  The extended one carries the
+running max of the newest success from each block to the next.  A window's
+newest success depends only on (seed, window), and a running max is the
+same wherever its input is cut, so a trace never depends on the chunking.
+Given whole-run output arrays, a generator writes each block into them;
+otherwise every block reuses one chunk-sized pair of buffers, so a run of
+any length streams in O(chunk) memory however many transmissions fall
+between reads.  ``sim_basic`` and ``sim_extended`` drain the generators
+into whole-run arrays.
 """
 
 from __future__ import annotations
 
-import os
 from math import gcd
 
 import numpy as np
@@ -49,13 +46,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # inside int64.
 _SLOT_LIMIT = 1 << 62
 
-# The extended simulator handles reads in chunks of _CHUNK.  The size
-# bounds its working memory; it never changes a trace.
+# The simulators handle reads in blocks of _CHUNK.  The size bounds their
+# working memory; it never changes a trace.
 _CHUNK = 1 << 15
-
-# The extended simulator shares its chunks out among this many threads, one
-# per core it may run on.  The count never changes a trace.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # the benchmark reports this name with its machine facts
@@ -236,12 +229,38 @@ def exact_sum(x):
     return total
 
 
+def sim_basic_blocks(a_period, b_period, n_period, cycles, ages=None):
+    """``sim_basic``'s ages as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
+
+    fails is all zeros.  Given ``ages`` (int64, ``cycles`` long), each block
+    is written into it and yielded as views; otherwise every block reuses one
+    chunk-sized buffer, which the next block overwrites.
+    """
+    whole = ages is not None
+    if not whole:
+        ages = np.empty(min(_CHUNK, cycles), dtype=np.int64)
+    zeros = np.zeros(min(_CHUNK, cycles), dtype=np.int64)
+    t = np.empty(min(_CHUNK, cycles), dtype=np.int64)
+    for k0 in range(0, cycles, _CHUNK):
+        n = min(_CHUNK, cycles - k0)
+        at = k0 if whole else 0
+        age = ages[at : at + n]
+        # delivery at a link slot is usable the same slot; the freshest update
+        # at that slot is the newest source completion not after it
+        np.multiply(np.arange(k0, k0 + n, dtype=np.int64), a_period, out=t[:n])
+        np.floor_divide(t[:n], n_period, out=age)
+        age *= n_period
+        age //= b_period
+        age *= b_period
+        np.subtract(t[:n], age, out=age)
+        yield k0, age, zeros[:n]
+
+
 def sim_basic(a_period, b_period, n_period, cycles):
-    # delivery at a link slot is usable the same slot; the freshest update at
-    # that slot is the newest source completion not after it
-    t = np.arange(cycles, dtype=np.int64) * a_period
-    tau = (t // n_period) * n_period
-    return t - (tau // b_period) * b_period
+    ages = np.empty(cycles, dtype=np.int64)
+    for _ in sim_basic_blocks(a_period, b_period, n_period, cycles, ages):
+        pass
+    return ages
 
 
 def _splitmix64_np(seed, counters, out, tmp):
@@ -275,7 +294,7 @@ def _misses(seed, threshold, counters, out, tmp):
 
 
 class _Scratch:
-    """One worker's buffers, reused by every chunk it handles."""
+    """The extended simulator's chunk-sized working buffers, reused by every block."""
 
     def __init__(self):
         self.j = np.empty(_CHUNK + 1, dtype=np.int64)
@@ -285,22 +304,14 @@ class _Scratch:
         self.wide = np.empty(_CHUNK, dtype=bool)
 
 
-def _parallel(workers, task):
-    """task(w) for each w < workers, w = 0 on the calling thread."""
-    if workers == 1:
-        task(0)
-        return
-    # imported here, as only a run of several chunks on several cores needs it
-    from concurrent.futures import ThreadPoolExecutor
+def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles,
+                        ages=None, fails=None):
+    """``sim_extended``'s reads as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(task, w) for w in range(1, workers)]
-        task(0)
-        for f in futures:
-            f.result()
-
-
-def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
+    Given ``ages`` and ``fails`` (int64, ``cycles`` long), each block is
+    written into them and yielded as views; otherwise every block reuses one
+    chunk-sized pair of buffers, which the next block overwrites.
+    """
     # Window scan.  Transmission m leaves at tau_m = delta_n + m*N'; read k
     # at t = k*A' sees those with tau_m <= t - 1, the last being j_k.  Read k
     # owns the window (j_{k-1}, j_k], and the newest success L_k <= j_k is
@@ -309,69 +320,64 @@ def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed
     # age = t - buf(L_k), where buf is the newest source completion before
     # tau_L, and fails = j_k - L_k.
     threshold = int(threshold)
-    ages = np.empty(cycles, dtype=np.int64)
-    fails = np.empty(cycles, dtype=np.int64)
-    starts = range(0, cycles, _CHUNK)
-    workers = max(1, min(_WORKERS, len(starts)))
-    scratch = [_Scratch() for _ in range(workers)]
+    whole = ages is not None
+    if not whole:
+        ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
+    s = _Scratch()
     # slots[i] = i*A', the slot of read k0 + i less that of read k0
     slots = np.arange(min(_CHUNK, cycles) + 1, dtype=np.int64)
     slots *= a_period
     # a delivery needs a success L with a source completion before tau_L:
     # L >= 0 and delta_n + L*N' - 1 >= delta_b
     first = max(0, -((delta_n - 1 - delta_b) // n_period))
+    carry = -1  # L of the previous block's last read
+    for k0 in range(0, cycles, _CHUNK):
+        n = min(_CHUNK, cycles - k0)
+        at = k0 if whole else 0
+        age, last = ages[at : at + n], fails[at : at + n]
+        # j for reads k0-1 .. k0+n-1; j < 0 before the first transmission
+        j = np.add(slots[: n + 1], (k0 - 1) * a_period - 1 - delta_n, out=s.j[: n + 1])
+        j //= n_period
+        lo, hi = j[:-1], j[1:]
+        # every window's first draw is at its newest transmission j_k.
+        # A hit on an empty window, or at a negative j_k, is a success
+        # <= lo, which the running max absorbs
+        miss = _misses(seed, threshold, hi, s.out[:n], s.tmp[:n])
+        np.bitwise_or(hi, miss, out=last)
+        # a window holds at most ceil(A'/N') transmissions
+        if a_period > n_period:
+            rest = np.subtract(hi, lo, out=s.m[:n])
+            rest &= miss
+            idx = np.flatnonzero(np.greater(rest, 1, out=s.wide[:n]))
+            if len(idx):
+                _scan(s, seed, threshold, last, idx, hi[idx] - 1, lo[idx])
+        last[0] = max(last[0], carry)
+        np.maximum.accumulate(last, out=last)
+        carry = int(last[-1])
+        # L never decreases, so the reads without a delivery are a prefix
+        cut = int(np.searchsorted(last, first))
+        age[:cut] = -1
+        ok, age_ok = last[cut:], age[cut:]
+        # age holds tau_L - 1 - delta_b >= 0, then buf - delta_b, then t - buf
+        np.multiply(ok, n_period, out=age_ok)
+        age_ok += delta_n - 1 - delta_b
+        age_ok //= b_period
+        age_ok *= b_period
+        t = np.add(slots[cut:n], k0 * a_period - delta_b, out=s.m[cut:n])
+        np.subtract(t, age_ok, out=age_ok)
+        np.subtract(hi[cut:], ok, out=ok)
+        last[:cut] = -1
+        yield k0, age, last
 
-    def newest(w):
-        s = scratch[w]
-        for k0 in starts[w::workers]:
-            n = min(_CHUNK, cycles - k0)
-            # j for reads k0-1 .. k0+n-1; j < 0 before the first transmission
-            j = np.add(slots[: n + 1], (k0 - 1) * a_period - 1 - delta_n, out=s.j[: n + 1])
-            j //= n_period
-            lo, hi = j[:-1], j[1:]
-            # every window's first draw is at its newest transmission j_k.
-            # A hit on an empty window, or at a negative j_k, is a success
-            # <= lo, which the running max absorbs
-            miss = _misses(seed, threshold, hi, s.out[:n], s.tmp[:n])
-            found = np.bitwise_or(hi, miss, out=fails[k0 : k0 + n])
-            # a window holds at most ceil(A'/N') transmissions
-            if a_period > n_period:
-                rest = np.subtract(hi, lo, out=s.m[:n])
-                rest &= miss
-                idx = np.flatnonzero(np.greater(rest, 1, out=s.wide[:n]))
-                if len(idx):
-                    _scan(s, seed, threshold, found, idx, hi[idx] - 1, lo[idx])
-            np.maximum.accumulate(found, out=found)
 
-    def finish(w):
-        s = scratch[w]
-        for k0 in starts[w::workers]:
-            k1 = min(k0 + _CHUNK, cycles)
-            last = fails[k0:k1]
-            # L never decreases, so the reads the carry raises, and then the
-            # reads without a delivery, are prefixes
-            last[: np.searchsorted(last, carries[k0])] = carries[k0]
-            cut = k0 + int(np.searchsorted(last, first))
-            ages[k0:cut] = -1
-            fails[k0:cut] = -1
-            n = k1 - cut
-            last, age = fails[cut:k1], ages[cut:k1]
-            # age holds tau_L - 1 - delta_b >= 0, then buf - delta_b, then t - buf
-            np.multiply(last, n_period, out=age)
-            age += delta_n - 1 - delta_b
-            age //= b_period
-            age *= b_period
-            np.subtract(np.add(slots[:n], cut * a_period - delta_b, out=s.j[:n]), age, out=age)
-            j = np.add(slots[:n], cut * a_period - 1 - delta_n, out=s.j[:n])
-            j //= n_period
-            np.subtract(j, last, out=last)
-
-    _parallel(workers, newest)
-    carries, carry = {}, -1
-    for k0 in starts:
-        carries[k0] = carry
-        carry = max(carry, int(fails[min(k0 + _CHUNK, cycles) - 1]))
-    _parallel(workers, finish)
+def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
+    ages = np.empty(cycles, dtype=np.int64)
+    fails = np.empty(cycles, dtype=np.int64)
+    blocks = sim_extended_blocks(
+        a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles, ages, fails
+    )
+    for _ in blocks:
+        pass
     return ages, fails
 
 

@@ -11,10 +11,16 @@ Randomness is counter-based: the Bernoulli variate for transmission slot
 index m is splitmix64(seed, m), whether or not a simulator evaluates it, so
 a trace is a pure function of (config, cycles, seed), and a run of n reads
 is the first n reads of any longer run.  The extended simulator evaluates
-only the draws that decide a read, in memory O(cycles) however many
-transmissions fall between reads (see ``kernels``).  A success is
-declared when the top 53 bits of the mix fall below round(p * 2^53); the
-quantization error on p is at most 2^-54.
+only the draws that decide a read, however many transmissions fall between
+reads (see ``kernels``).  A success is declared when the top 53 bits of the
+mix fall below round(p * 2^53); the quantization error on p is at most
+2^-54.
+
+``simulate_basic`` and ``simulate_extended`` return a whole ``Trace``, in
+memory O(cycles).  ``stream_basic`` and ``stream_extended`` return a
+``TraceStream`` of the same reads, which yields them in the kernels'
+chunk-sized blocks and keeps the summary as they go by, so that
+``write_trace_csv`` writes a run of any length in memory O(chunk).
 """
 
 from __future__ import annotations
@@ -32,18 +38,21 @@ from .modmath import Multiset
 __all__ = [
     "RngSpec",
     "Trace",
+    "TraceStream",
     "bernoulli_threshold",
     "simulate_basic",
     "simulate_extended",
+    "stream_basic",
+    "stream_extended",
     "empirical_distribution",
     "empirical_mean",
     "write_trace_csv",
 ]
 
-# Trace CSVs are encoded and written _CSV_ROWS rows at a time, one write per
-# block.  The size bounds a block's memory, a uint8 matrix and a keep mask of
-# one byte each per character (about 0.7 MB at 2^14 rows of 20 characters);
-# it never changes a byte.
+# Trace CSVs are encoded and written at most _CSV_ROWS rows at a time, one
+# write per block.  The size bounds a block's memory, a uint8 matrix and a
+# keep mask of one byte each per character (about 0.7 MB at 2^14 rows of 20
+# characters); it never changes a byte.
 _CSV_ROWS = 1 << 14
 
 
@@ -84,14 +93,9 @@ class Trace:
         return len(self.ages)
 
     @property
-    def _slot_dtype(self) -> type:
-        # slot numbers past int64 stay exact as python ints; a_period itself
-        # must fit to scale even an empty int64 range
-        return np.int64 if max(self.cycles, 1) * self.a_period < 2**63 else object
-
-    @property
     def slots(self) -> np.ndarray:
-        return np.arange(self.cycles, dtype=self._slot_dtype) * self.a_period
+        dtype = _slot_dtype(self.a_period, self.cycles)
+        return np.arange(self.cycles, dtype=dtype) * self.a_period
 
     @property
     def defined(self) -> np.ndarray:
@@ -104,31 +108,83 @@ class Trace:
         # region is a suffix and its start is the warm-up length
         return int(np.argmax(d)) if d.any() else self.cycles
 
+    def blocks(self):
+        """The whole trace as one ``(k0, ages, fails)`` block, as ``TraceStream.blocks`` yields."""
+        yield 0, self.ages, self.fails
+
+
+def _slot_dtype(a_period: int, cycles: int) -> type:
+    # slot numbers past int64 stay exact as python ints; a_period itself
+    # must fit to scale even an empty int64 range
+    return np.int64 if max(cycles, 1) * a_period < 2**63 else object
+
+
+class TraceStream:
+    """The reads of one run as ``(k0, ages, fails)`` blocks, yielded once.
+
+    ``blocks()`` yields the blocks as the simulator kernel fills them, in
+    buffers that the next block overwrites, so a run of any length takes
+    memory O(chunk).  As the blocks go by, the stream keeps a whole trace's
+    summary: ``warmup_cycles``, and the exact sum and the max of the defined
+    ages (``age_sum`` and ``age_max``, the latter None while no read is
+    defined).  They are final once ``blocks()`` is exhausted.
+    """
+
+    def __init__(self, a_period: int, cycles: int, source):
+        self.a_period = a_period
+        self.cycles = cycles
+        self._source = source
+        self.warmup_cycles = cycles
+        self.age_sum = 0
+        self.age_max = None
+
+    def blocks(self):
+        for k0, ages, fails in self._source:
+            # the warm-up is a prefix, so only the block that ends it is cut
+            cut = 0 if self.age_max is not None else int(np.count_nonzero(ages < 0))
+            if cut < len(ages):
+                if self.age_max is None:
+                    self.warmup_cycles, self.age_max = k0 + cut, -1
+                defined = ages[cut:]
+                self.age_sum += kernels.exact_sum(defined)
+                self.age_max = max(self.age_max, int(defined.max()))
+            yield k0, ages, fails
+
+
+def _basic_args(d: PeriodDecomposition, cycles: int) -> tuple:
+    """The basic simulator kernels' arguments, once their guard has passed."""
+    kernels.check_simulate_args(d.a_period, d.b_period, d.n_period, 0, 0, cycles)
+    return d.a_period, d.b_period, d.n_period, cycles
+
+
+def _extended_args(cfg: SystemConfig, cycles: int, rng: RngSpec) -> tuple:
+    """The extended simulator kernels' arguments, once their guard has passed."""
+    d = cfg.d
+    shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
+    kernels.check_simulate_args(*shape, cycles)
+    return (*shape, bernoulli_threshold(cfg.p), rng.seed, cycles)
+
 
 def simulate_basic(d: PeriodDecomposition, cycles: int) -> Trace:
     """Replay the lossless instantaneous model for the given read count."""
-    kernels.check_simulate_args(d.a_period, d.b_period, d.n_period, 0, 0, cycles)
-    ages = kernels.sim_basic(d.a_period, d.b_period, d.n_period, cycles)
+    ages = kernels.sim_basic(*_basic_args(d, cycles))
     return Trace(d.a_period, ages, np.zeros(cycles, dtype=np.int64))
 
 
 def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
     """Replay the buffered lossy model under a counter-based seed."""
-    d = cfg.d
-    kernels.check_simulate_args(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, cycles
-    )
-    ages, fails = kernels.sim_extended(
-        d.a_period,
-        d.b_period,
-        d.n_period,
-        cfg.delta_b,
-        cfg.delta_n,
-        bernoulli_threshold(cfg.p),
-        rng.seed,
-        cycles,
-    )
-    return Trace(d.a_period, ages, fails)
+    return Trace(cfg.d.a_period, *kernels.sim_extended(*_extended_args(cfg, cycles, rng)))
+
+
+def stream_basic(d: PeriodDecomposition, cycles: int) -> TraceStream:
+    """``simulate_basic``'s reads as a ``TraceStream``."""
+    return TraceStream(d.a_period, cycles, kernels.sim_basic_blocks(*_basic_args(d, cycles)))
+
+
+def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream:
+    """``simulate_extended``'s reads as a ``TraceStream``."""
+    blocks = kernels.sim_extended_blocks(*_extended_args(cfg, cycles, rng))
+    return TraceStream(cfg.d.a_period, cycles, blocks)
 
 
 def _check_window(trace: Trace, from_cycle: int, window: int):
@@ -158,14 +214,15 @@ def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
     return Fraction(kernels.exact_sum(trace.ages[from_cycle : from_cycle + window]), window)
 
 
-def write_trace_csv(trace: Trace, dest) -> None:
+def write_trace_csv(trace: Trace | TraceStream, dest) -> None:
     """Write the trace as CSV with header ``k,t,age,l``.
 
     Warm-up rows keep their slot but leave age and l empty.  ``dest`` may be
     a path, written in binary mode, or a text file object, which gets each
-    block decoded as ASCII.  The rows are encoded _CSV_ROWS at a time by
-    numpy digit arithmetic (see ``_encode_rows``), one write per block.  A
-    defined row with a negative l raises ValueError.
+    block decoded as ASCII.  The rows are encoded at most _CSV_ROWS at a
+    time by numpy digit arithmetic (see ``_encode_rows``), one write per
+    block, so a ``TraceStream`` is written as it runs.  A defined row with a
+    negative l raises ValueError.
     """
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with open(dest, "wb") as fh:
@@ -176,23 +233,24 @@ def write_trace_csv(trace: Trace, dest) -> None:
             dest.write(block.decode("ascii"))
 
 
-def _csv_blocks(trace: Trace):
+def _csv_blocks(trace: Trace | TraceStream):
     """The CSV's header, then its rows as one bytes object per block."""
     yield b"k,t,age,l\n"
-    defined = trace.defined
-    # starts of the maximal runs of defined and of undefined rows; the
-    # prepended opposite of row 0 makes row 0 a start (and no row at all none)
-    starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
-    for lo, hi in zip(starts, starts[1:] + [trace.cycles]):
-        if defined[lo]:
-            cols, seps = (trace.ages, trace.fails), (b",", b",", b",", b"\n")
-        else:
-            cols, seps = (), (b",", b",,\n")
-        for i in range(lo, hi, _CSV_ROWS):
-            j = min(i + _CSV_ROWS, hi)
-            k = np.arange(i, j, dtype=np.int64)
-            t = np.arange(i, j, dtype=trace._slot_dtype) * trace.a_period
-            yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
+    for k0, ages, fails in trace.blocks():
+        defined = ages >= 0
+        # starts of the maximal runs of defined and of undefined rows; the
+        # prepended opposite of row 0 makes row 0 a start (and no row at all none)
+        starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(ages)]):
+            if defined[lo]:
+                cols, seps = (ages, fails), (b",", b",", b",", b"\n")
+            else:
+                cols, seps = (), (b",", b",,\n")
+            for i in range(lo, hi, _CSV_ROWS):
+                j = min(i + _CSV_ROWS, hi)
+                k = np.arange(k0 + i, k0 + j, dtype=np.int64)
+                t = k.astype(_slot_dtype(trace.a_period, k0 + j), copy=False) * trace.a_period
+                yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
 
 
 # the ASCII digits of "00".."99": row r holds r's tens digit, then its units digit

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -536,6 +537,10 @@ _SKIP_REASONS = ("common_factor", "factor_mismatch", "equal_periods")
 _SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
 
 
+# the cores this process may run on, which cap the sweep's processes
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _block_size(n_tuples: int, workers: int) -> int:
     """Factor tuples per block: an equal share per process, at most ``_BLOCK``."""
     return max(1, min(_BLOCK, math.ceil(n_tuples / workers)))
@@ -606,7 +611,7 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
     """
     n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
     # one process per core at most, the parent included
-    workers = min(jobs, kernels._WORKERS)
+    workers = min(jobs, _CORES)
     size = _block_size(n_tuples, workers)
     payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
     workers = min(workers, len(payloads))

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
@@ -20,7 +22,13 @@ import aoiclock.simulate
 from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
 from aoiclock.modmath import ArithmeticProgression
-from aoiclock.simulate import RngSpec
+from aoiclock.simulate import (
+    RngSpec,
+    empirical_mean,
+    simulate_basic,
+    simulate_extended,
+    write_trace_csv,
+)
 
 FIG = ["--a-period", "34", "--b-period", "7", "--n-period", "10"]
 # a call of the analyze benchmark workload, whose periods share factors
@@ -316,8 +324,9 @@ class TestSimulate:
 
     def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
         calls = []
-        sim = aoiclock.kernels.sim_extended
-        monkeypatch.setattr(aoiclock.kernels, "sim_extended", lambda *a: calls.append(a) or sim(*a))
+        sim = aoiclock.kernels.sim_extended_blocks
+        monkeypatch.setattr(aoiclock.kernels, "sim_extended_blocks",
+                            lambda *a: calls.append(a) or sim(*a))
         argv = ["simulate", *FIG, "--model", "extended", "--p", "1/2", "--seed", "1"]
         code, _, err = run(capsys, *argv, "--cycles", "3000000",
                            "--out", str(tmp_path / "missing" / "trace.csv"))
@@ -369,6 +378,110 @@ class TestSimulate:
         assert main([*argv, "--out", str(path)]) == 0
         capsys.readouterr()
         assert out.encode() == path.read_bytes()
+
+
+def _summary(trace) -> str:
+    """The stderr line of ``simulate``, from a whole trace."""
+    warm = trace.warmup_cycles
+    if warm == trace.cycles:
+        return f"cycles={trace.cycles} warmup={warm} (no delivery seen)\n"
+    mean = empirical_mean(trace, warm, trace.cycles - warm)
+    peak = int(trace.ages[warm:].max())
+    return f"cycles={trace.cycles} warmup={warm} mean={float(mean):.6f} max={peak}\n"
+
+
+class TestStreamedSimulate:
+    """``simulate`` writes the trace as the kernel yields its blocks, and keeps
+    its summary as they go by; the bytes and the stderr line are those of the
+    whole trace written by ``write_trace_csv``, at any block size."""
+
+    # name -> (argv, the whole trace of n reads)
+    CASES = {
+        "basic": (["--model", "basic", *FIG], lambda n: simulate_basic(decompose(34, 7, 10), n)),
+        "lossy": (
+            ["--model", "extended", *FIG, "--delta-b", "3", "--delta-n", "5", "--p", "1/2",
+             "--seed", "7"],
+            lambda n: simulate_extended(
+                aoiclock.extended.SystemConfig(decompose(34, 7, 10), 3, 5, Fraction(1, 2)), n,
+                RngSpec(7)),
+        ),
+        # a warm-up of 62 reads, over several blocks of 1 and of 5 reads
+        "warmup": (
+            ["--model", "extended", "--a-period", "1", "--b-period", "9", "--n-period", "8",
+             "--delta-b", "60", "--delta-n", "45", "--p", "1/5", "--seed", "9"],
+            lambda n: simulate_extended(
+                aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45, Fraction(1, 5)), n,
+                RngSpec(9)),
+        ),
+        # a warm-up of 50,001 reads, over two blocks of the default size
+        "long_warmup": (
+            ["--model", "extended", "--a-period", "1", "--b-period", "1", "--n-period", "1",
+             "--delta-n", "50000", "--p", "1/2", "--seed", "1"],
+            lambda n: simulate_extended(
+                aoiclock.extended.SystemConfig(decompose(1, 1, 1), 0, 50000, Fraction(1, 2)),
+                n, RngSpec(1)),
+        ),
+    }
+    # block size -> reads: every block size cuts the run in several places
+    CHUNKS = {1: 150, 5: 1_003, aoiclock.kernels._CHUNK: 2 * aoiclock.kernels._CHUNK + 7}
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_whole_trace(self, capsys, monkeypatch, tmp_path, name, chunk, out):
+        argv, whole = self.CASES[name]
+        cycles = self.CHUNKS[chunk]
+        trace = whole(cycles)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", chunk)
+        path = tmp_path / "trace.csv"
+        code, stdout, err = run(capsys, "simulate", *argv, "--cycles", str(cycles),
+                                "--out", str(path) if out == "file" else "-")
+        assert code == 0
+        assert (path.read_text() if out == "file" else stdout) == buf.getvalue()
+        assert err == _summary(trace)
+
+    def test_run_without_a_delivery(self, capsys):
+        argv, whole = self.CASES["long_warmup"]
+        code, out, err = run(capsys, "simulate", *argv, "--cycles", "20", "--out", "-")
+        assert code == 0
+        assert out.count(",,\n") == 20
+        assert err == _summary(whole(20)) == "cycles=20 warmup=20 (no delivery seen)\n"
+
+
+# Runs the command in argv[1:] and prints its peak RSS in KiB.  It imports
+# no numpy, so the command's peak is its own, not the RSS it forks from.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_simulate_memory_follows_the_block_not_the_run():
+    # a whole trace of 10^7 reads would take 160 MB for ages and fails alone
+    src = str(Path(aoiclock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    models = {"basic": ["--model", "basic"],
+              "extended": ["--model", "extended", "--p", "1/2", "--seed", "1"]}
+    procs = {
+        (model, cycles): subprocess.Popen(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "aoiclock.cli", "simulate",
+             *FIG, *flags, "--cycles", str(cycles), "--out", os.devnull],
+            env=env, stdout=subprocess.PIPE,
+        )
+        for model, flags in models.items()
+        for cycles in (10**4, 10**7)
+    }
+    peak_mb = {}
+    for key, proc in procs.items():
+        out, _ = proc.communicate()
+        assert proc.returncode == 0, key
+        peak_mb[key] = int(out) / 1024
+    for model in models:
+        assert peak_mb[model, 10**7] < peak_mb[model, 10**4] + 32, peak_mb
 
 
 class TestVerify:
@@ -500,6 +613,31 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag[0]} must be >= ")
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_bad_seed_refused_before_any_check(self, capsys, seed):
+        code, out, err = run(capsys, "verify", *FIG, "--model", "extended", "--p", "1/3",
+                             "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must fit in uint64\n"
+
+    @pytest.mark.parametrize("model", ["basic", "extended"])
+    def test_oversized_cycles_refused_up_front(self, capsys, no_kernels, model):
+        code, out, err = run(capsys, "verify", *FIG, "--model", model, "--cycles", "10000000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --cycles 10000000000 is over verify's cap of 6000050 reads, its longest "
+            "default run: the trace checks hold the whole simulated trace in memory\n"
+        )
+
+    def test_cycles_cap_admits_its_own_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
+        code, out, _ = run(capsys, "verify", *FIG, "--model", "extended", "--cycles", "155")
+        assert code == 0
+        assert "all checks passed" in out
+        code, out, err = run(capsys, "verify", *FIG, "--model", "extended", "--cycles", "156")
+        assert (code, out) == (2, "")
+        assert "over verify's cap of 155 reads" in err
 
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)

@@ -4,6 +4,7 @@ naive slot-stepping oracles."""
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,20 +174,17 @@ class TestSimulatorKernels:
 
 
 class TestNumpyExtendedChunks:
-    """The extended simulator scans reads in chunks of ``_CHUNK`` on ``_WORKERS``
-    threads; shrinking the chunk moves every boundary, and neither it nor the
-    thread count may change a trace."""
+    """The extended simulator scans reads in chunks of ``_CHUNK``; shrinking the
+    chunk moves every boundary, and it may not change a trace."""
 
     # (A', B', N'): A'/N' >= 13, windows wider than a chunk; A' < N', empty
     # windows; A'/N' = 3.4 and 1.75, windows of two widths
     CASES = [(13, 7, 1), (40, 3, 3), (5, 3, 13), (1, 9, 8), (6, 10, 15), (34, 7, 10), (7, 5, 4)]
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 5])
     @pytest.mark.parametrize("cycles", [100, 103])
-    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles, workers):
+    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles):
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
         for t in self.CASES:
             # (60, 45): a warm-up prefix that spans several chunks
             for db, dn in [(0, 0), (3, 5), (60, 45)]:
@@ -212,6 +210,50 @@ class TestNumpyExtendedChunks:
         assert (ages[1:] >= 0).all() and ages[0] == -1
         mean = ages[1:].mean()
         assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
+
+
+_PERIODS = st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(1, 12))
+
+
+def _joined(blocks):
+    """Blocks of one run, copied as they come (a buffer may be reused), then joined."""
+    starts, ages, fails = zip(*[(k0, a.copy(), f.copy()) for k0, a, f in blocks])
+    return list(starts), np.concatenate(ages), np.concatenate(fails)
+
+
+class TestSimulatorBlocks:
+    """Joined, the blocks of a run are the whole-run kernel's trace, at any
+    block size, in chunk-sized buffers or written into the caller's arrays."""
+
+    @given(_PERIODS, st.integers(0, 60), st.integers(0, 60),
+           st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(9, 10)]),
+           st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64))
+    @example((1, 9, 8), 60, 45, Fraction(1, 5), 9, 300, 5)  # a warm-up over several blocks
+    @example((13, 7, 1), 0, 0, Fraction(1, 10), 1, 64, 64)  # one block, exactly full
+    def test_extended_blocks_join_to_the_trace(self, t, db, dn, p, seed, cycles, chunk):
+        args = (*t, db, dn, bernoulli_threshold(p), np.uint64(seed), cycles)
+        ages, fails = kernels.sim_extended(*args)
+        out = np.full(cycles, -7, dtype=np.int64), np.full(cycles, -7, dtype=np.int64)
+        with mock.patch.object(kernels, "_CHUNK", chunk):
+            starts, got_ages, got_fails = _joined(kernels.sim_extended_blocks(*args))
+            into = list(kernels.sim_extended_blocks(*args, *out))
+        assert starts == list(range(0, cycles, chunk))
+        assert (got_ages == ages).all() and (got_fails == fails).all()
+        assert [k0 for k0, _, _ in into] == starts
+        assert all(np.shares_memory(a, out[0]) and np.shares_memory(f, out[1]) for _, a, f in into)
+        assert (out[0] == ages).all() and (out[1] == fails).all()
+
+    @given(_PERIODS, st.integers(1, 300), st.integers(1, 64))
+    def test_basic_blocks_join_to_the_trace(self, t, cycles, chunk):
+        ages = kernels.sim_basic(*t, cycles)
+        out = np.full(cycles, -7, dtype=np.int64)
+        with mock.patch.object(kernels, "_CHUNK", chunk):
+            starts, got_ages, got_fails = _joined(kernels.sim_basic_blocks(*t, cycles))
+            into = list(kernels.sim_basic_blocks(*t, cycles, out))
+        assert starts == list(range(0, cycles, chunk))
+        assert (got_ages == ages).all() and not got_fails.any()
+        assert all(np.shares_memory(a, out) for _, a, _ in into)
+        assert (out == ages).all()
 
 
 def _draw(seed, counters):

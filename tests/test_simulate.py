@@ -21,6 +21,8 @@ from aoiclock.simulate import (
     empirical_mean,
     simulate_basic,
     simulate_extended,
+    stream_basic,
+    stream_extended,
     write_trace_csv,
 )
 
@@ -144,11 +146,9 @@ class TestSimulateExtended:
             assert (short.fails == long.fails[:n]).all(), t
 
     def test_concurrent_calls_match_sequential_calls(self, monkeypatch):
-        # each call owns its buffers and its worker threads, so calls made at
-        # once from several threads, with more workers than cores, give the
-        # sequential traces
+        # each call owns its buffers, so calls made at once from several
+        # threads give the sequential traces
         monkeypatch.setattr(kernels, "_CHUNK", 1 << 10)
-        monkeypatch.setattr(kernels, "_WORKERS", 3)
         runs = [
             (SystemConfig(decompose(*t), delta_b=4, delta_n=9, p=p), RngSpec(seed))
             for t, p, seed in [((34, 7, 10), "1/3", 1), ((13, 7, 1), "1/10", 2), ((5, 3, 13), "4/5", 3)]
@@ -316,6 +316,30 @@ class TestTraceCsvOracle:
         trace = simulate_extended(cfg, cycles, RngSpec(seed))
         with mock.patch.object(simulate, "_CSV_ROWS", block):
             assert _csv(trace) == naive_trace_csv(trace)
+
+    @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64),
+           st.integers(1, 64))
+    @example(SystemConfig(decompose(1, 9, 8), 60, 45, "1/5"), 9, 300, 7, 5)
+    @example(_LONG_WARMUP, 1, 20, 3, 4)  # no delivery at all
+    def test_stream_writes_the_whole_trace(self, cfg, seed, cycles, block, chunk):
+        whole = simulate_extended(cfg, cycles, RngSpec(seed))
+        with mock.patch.object(simulate, "_CSV_ROWS", block), \
+                mock.patch.object(kernels, "_CHUNK", chunk):
+            stream = stream_extended(cfg, cycles, RngSpec(seed))
+            assert _csv(stream) == _csv(whole)
+        warm = whole.warmup_cycles
+        defined = whole.ages[warm:]
+        assert (stream.cycles, stream.warmup_cycles) == (whole.cycles, warm)
+        assert stream.age_sum == int(defined.sum())
+        assert stream.age_max == (int(defined.max()) if len(defined) else None)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 15])
+    def test_basic_stream_writes_the_whole_trace(self, chunk):
+        with mock.patch.object(kernels, "_CHUNK", chunk):
+            # 28 hyperperiods of 35 reads, whose ages average 7
+            stream = stream_basic(REFERENCE, 980)
+            assert _csv(stream) == _csv(simulate_basic(REFERENCE, 980))
+        assert (stream.warmup_cycles, stream.age_sum, stream.age_max) == (0, 7 * 980, 14)
 
     @pytest.mark.parametrize("cycles", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
     def test_block_edges(self, cycles):

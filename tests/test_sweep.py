@@ -496,7 +496,7 @@ class TestProcesses:
     def test_huge_jobs_capped(self, monkeypatch, cores, grid, processes):
         asked = []
         monkeypatch.setattr(sweep, "Pool", self.stub_pool(asked))
-        monkeypatch.setattr(kernels, "_WORKERS", cores)
+        monkeypatch.setattr(sweep, "_CORES", cores)
         grid = SweepGrid.from_dict(grid)
         want = run_sweep(grid, jobs=1)
         assert asked == []
@@ -505,7 +505,7 @@ class TestProcesses:
         assert TestRunSweepOracle.fields(got) == TestRunSweepOracle.fields(want)
 
     def test_cores_are_the_affinity_mask(self):
-        assert kernels._WORKERS == len(os.sched_getaffinity(0))
+        assert sweep._CORES == len(os.sched_getaffinity(0))
 
 
 class TestSum:
