@@ -174,26 +174,36 @@ class TestSimulatorKernels:
 
 
 class TestNumpyExtendedChunks:
-    """The extended simulator scans reads in chunks of ``_CHUNK``; shrinking the
-    chunk moves every boundary, and it may not change a trace."""
+    """The extended simulator yields reads in blocks of ``_CHUNK``; shrinking
+    the chunk moves every boundary, and neither it nor other runs stepped
+    alongside, each reusing its own chunk buffers, may change a trace."""
 
     # (A', B', N'): A'/N' >= 13, windows wider than a chunk; A' < N', empty
     # windows; A'/N' = 3.4 and 1.75, windows of two widths
     CASES = [(13, 7, 1), (40, 3, 3), (5, 3, 13), (1, 9, 8), (6, 10, 15), (34, 7, 10), (7, 5, 4)]
 
+    @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 5])
     @pytest.mark.parametrize("cycles", [100, 103])
-    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles):
+    def test_matches_naive_across_chunks(self, monkeypatch, chunk, cycles, runs):
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        seeds = [2024 + i for i in range(runs)]
         for t in self.CASES:
             # (60, 45): a warm-up prefix that spans several chunks
             for db, dn in [(0, 0), (3, 5), (60, 45)]:
                 for p in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
                     thr = bernoulli_threshold(p)
-                    ages, fails = kernels.sim_extended(*t, db, dn, thr, 2024, cycles)
-                    ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 2024, cycles)
-                    assert list(ages) == ref_ages, (t, db, dn, p)
-                    assert list(fails) == ref_fails, (t, db, dn, p)
+                    gens = [kernels.sim_extended_blocks(*t, db, dn, thr, s, cycles) for s in seeds]
+                    got = [([], []) for _ in seeds]
+                    # every run takes its next block before any block is read
+                    for blocks in zip(*gens):
+                        for (ages, fails), (_, a, f) in zip(got, blocks):
+                            ages += a.tolist()
+                            fails += f.tolist()
+                    for s, (ages, fails) in zip(seeds, got):
+                        ref_ages, ref_fails = naive_extended(*t, db, dn, thr, s, cycles)
+                        assert ages == ref_ages, (t, db, dn, p, s)
+                        assert fails == ref_fails, (t, db, dn, p, s)
 
     def test_memory_bounded_by_reads_not_transmissions(self):
         # 3.3e8 transmissions fall between these 10^5 reads; drawing them all
