@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -404,12 +405,13 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the flags of ``command`` only.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared by
+    every ``main`` call of the process, so callers must not change it.
 
-    Every subcommand is listed, so the top-level help and an invalid choice
-    read the same whatever ``command`` is; the flags are added for the
-    subcommand named ``command``, or for all four when it is None.
+    Sharing is safe: parsing does not mutate it, its defaults are immutable,
+    and help is laid out for ``COLUMNS`` when printed, not when built.
     """
     parser = argparse.ArgumentParser(
         prog="aoiclock",
@@ -418,9 +420,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_line)
-        if command is None or command == name:
-            add_flags(sub)
+        add_flags(subs.add_parser(name, help=help_line))
     return parser
 
 
@@ -435,8 +435,7 @@ def main(argv=None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
-        # the parser only needs the flags of the subcommand being run
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         try:
             return args.func(args)
         except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:

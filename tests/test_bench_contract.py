@@ -65,10 +65,15 @@ def test_eval_chunk_returns_one_row_per_config():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_traced_sweep_records_every_stage(layers, jobs):
+def test_traced_sweep_records_every_stage(layers, monkeypatch, jobs):
     # per-layer sweep metrics come from these spans and counters; at jobs 2
     # the workers keep their own, and only the pool's time reaches the parent
     from aoiclock import sweep
+
+    if jobs == 2:
+        # run_sweep starts no more processes than there are cores; two are
+        # assumed, so that the pool runs on a one-core host too
+        monkeypatch.setattr(sweep, "_CORES", 2)
 
     # (A, B, N) = (1, 2, 1) at b = 100001 is over the exact expectation's
     # cap, so each of its combos is an error skip

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -795,8 +796,7 @@ class TestParser:
 
     @pytest.mark.parametrize("name", sorted(USAGE))
     def test_usage_bytes_match_golden(self, capsys, monkeypatch, name):
-        # the parser is built for the invoked subcommand only; help, version
-        # and every usage error must read as they did with the whole parser
+        # help, version and every usage error read as the golden bytes say
         monkeypatch.setenv("COLUMNS", "80")
         case = USAGE[name]
         assert run_usage(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
@@ -808,3 +808,87 @@ class TestParser:
         assert run_usage(capsys, None) == (0, case["stdout"], "")
         monkeypatch.setattr(sys, "argv", ["aoiclock", "analyze", *FIG, "--model", "basic"])
         assert run_usage(capsys, None) == (0, (GOLDEN / "analyze_basic.json").read_text(), "")
+
+
+@pytest.fixture
+def fresh_parser():
+    """No parser built before the test, and none left behind by it."""
+    aoiclock.cli.build_parser.cache_clear()
+    yield
+    aoiclock.cli.build_parser.cache_clear()
+
+
+# one process's calls of main, in this order: each must read exactly as it
+# does on a parser built for it alone
+_SHARED_SEQUENCE = [
+    ["analyze", *FIG, "--model", "extended", "--p", "1/2", "--sigma", "99/100"],
+    ["analyze", *FIG, "--model", "extended", "--p", "1/2"],
+    ["analyze", *FIG, "--p", "zero"],
+    ["--version"],
+    ["simulate", *FIG, "--cycles", "5", "--out", "-"],
+    ["verify", *FIG, "--model", "basic"],
+]
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestSharedParser:
+    def test_repeated_calls_build_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        after = []
+        for _ in range(3):
+            assert run(capsys, "analyze", *FIG, "--model", "basic")[0] == 0
+            after.append(len(built))
+        assert after[0] > 0
+        assert after[1:] == [after[0]] * 2
+
+    def test_no_state_carries_between_calls(self, capsys):
+        shared = [run_usage(capsys, argv) for argv in _SHARED_SEQUENCE]
+        alone = []
+        for argv in _SHARED_SEQUENCE:
+            aoiclock.cli.build_parser.cache_clear()
+            alone.append(run_usage(capsys, argv))
+        assert shared == alone
+        with_sigma, without_sigma = (json.loads(out) for _, out, _ in shared[:2])
+        assert with_sigma["sigma"] == "99/100" and "max_bound_prob" in with_sigma
+        assert "sigma" not in without_sigma and "max_bound_prob" not in without_sigma
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+
+    def test_help_is_laid_out_when_printed(self, capsys, monkeypatch):
+        # built under a wide terminal, the parser still prints the golden
+        # 80-column bytes at 80 columns
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = {name: run_usage(capsys, case["argv"]) for name, case in USAGE.items()}
+        monkeypatch.setenv("COLUMNS", "80")
+        for name, case in USAGE.items():
+            assert run_usage(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+        assert wide["analyze_help"][1] != USAGE["analyze_help"]["stdout"]
+
+
+# Imports aoiclock.cli and prints how many ArgumentParsers that built, and
+# how many parsers build_parser holds.
+_COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def spy(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = spy
+import aoiclock.cli
+print(len(built), aoiclock.cli.build_parser.cache_info().currsize)
+"""
+
+
+def test_import_builds_no_parser():
+    src = str(Path(aoiclock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_PARSERS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0 0\n"
