@@ -61,6 +61,9 @@ _MAX_POWER_DIGITS = 10**6
 
 
 def _as_probability(p) -> Fraction:
+    # a sweep builds one SystemConfig per config from the grid's Fractions
+    if type(p) is Fraction and 0 < p.numerator <= p.denominator:
+        return p
     if isinstance(p, (float, bool)):
         raise ConfigError(
             f"p must be an exact rational (Fraction, int or string), not {type(p).__name__}"

@@ -15,7 +15,11 @@ equal share per process, and the calling process evaluates its share of the
 blocks while a pool of ``jobs - 1`` workers evaluates the rest (one process
 per block and per core at most).  A block classifies its tuples with array
 gcds, evaluates the kept ones and returns compact columns: a skip code per
-tuple, and a bin index, float error and bound verdict per config.
+tuple, and a bin index, float error and bound verdict per config.  A block
+stays in columns from classification to fold: ``_eval_chunk`` returns its
+columns in a read-only row view, whose (bin, error, verdict, failure) rows
+are built only where they are read, by the benchmark tracer (its length)
+and the tests.
 Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
 of a decomposition depend on the (delta_b, delta_n) pair alone, so each
 (decomposition, pair, r) sum is one row of a single floor-sum pass over the
@@ -27,8 +31,9 @@ maxima proves that its values fit, and otherwise the same expressions run
 on Python ints; no ``Fraction`` is built.  The parent joins the blocks in
 enumeration order and folds them with numpy: each config's position in the
 grid gives its slices, and every mean is a left-to-right float sum in
-enumeration order.  So output files are bit-identical for any number of
-worker processes, and on every Python version.
+enumeration order, taken by ``np.add.accumulate``.  So output files are
+bit-identical for any number of worker processes, and on every Python
+version.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple
@@ -81,9 +87,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 2-3 s at
-# 64-67 MB peak RSS in the calling process (27 MB in the worker) with
-# --jobs 2 on a 2-core Xeon host.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.9 s at
+# 64 MB peak RSS in the calling process (26-27 MB in the worker) with
+# --jobs 2 on a 2-core Xeon host, and 2.5-3.5 s at 63 MB with --jobs 1.
 _MAX_CANDIDATES = 10**6
 
 
@@ -174,7 +180,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 3 s and 67 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 3 s and 64 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -245,12 +251,12 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
             [np.gcd(ab, np_) != 1, (bn != a) | (ab != b) | (an != n), (ap == bp) & (bp == np_)],
             [1, 2, 3],
         )
-        factors = list(zip(*(c.tolist() for c in cols)))
-        items = [(f, None, reasons[c]) for f, c in zip(factors, code.tolist())]
-        kept = np.flatnonzero(code == 0)
-        for i, *periods in zip(kept.tolist(), *(x[kept].tolist() for x in (ap, bp, np_))):
-            items[i] = factors[i], PeriodDecomposition(*periods, *factors[i]), None
-        yield from items
+        periods = zip(*(x[code == 0].tolist() for x in (ap, bp, np_)))
+        for f, c in zip(zip(*(x.tolist() for x in cols)), code.tolist()):
+            if c:
+                yield f, None, reasons[c]
+            else:
+                yield f, PeriodDecomposition(*next(periods), *f), None
 
 
 def _combos(grid: SweepGrid) -> list[tuple]:
@@ -329,12 +335,12 @@ def _sum(xs) -> float:
     """The float sum of ``xs`` added left to right from 0.0.
 
     Neither ``sum()``, which compensates since Python 3.12, nor numpy's
-    pairwise sum: a mean keeps its bits on every Python version.
+    pairwise ``np.sum``: ``np.add.accumulate`` adds strictly left to right, so
+    a mean keeps its bits on every Python version.  Its first partial sum is
+    x0 rather than 0.0 + x0, and the ``+ 0.0`` gives the same 0.0 where
+    every term is -0.0.
     """
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
+    return float(np.add.accumulate(xs)[-1]) + 0.0 if len(xs) else 0.0
 
 
 @dataclass(frozen=True)
@@ -452,7 +458,7 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
 
 
 def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
-    """Bin index, float error and bound verdict per (decomposition, combo), as lists.
+    """Bin index, float error and bound verdict per (decomposition, combo), as arrays.
 
     ``_config_error`` runs once, on columns: in int64 where a bound from the
     column maxima proves that every intermediate fits and that num and den
@@ -497,20 +503,54 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
         bound, m2k, c.ab[k], c.n_period[k], _int_array(us)[h], _int_array(ws)[h], acc, den0
     ))
     # int true division rounds correctly, as Fraction.__float__ does
-    return (
-        ((num * bd) // (den * bn)).tolist(),
-        (num / den).astype(np.float64).tolist(),
-        ok.astype(bool).tolist(),
-    )
+    return (num * bd) // (den * bn), (num / den).astype(np.float64), ok.astype(bool)
 
 
-def _eval_chunk(payload):
+@dataclass(frozen=True, eq=False)
+class _Rows(Sequence):
+    """``_eval_chunk``'s rows, read from its columns.
+
+    A row is (bin index, float error, bound verdict, failure name or None),
+    one per (decomposition, combo) in enumeration order.  ``bins``, ``errs``
+    and ``oks`` hold the configs of the decompositions that evaluated, and
+    ``failures`` names each decomposition's failure, None where it
+    evaluated; a failed decomposition reads as (0, 0.0, True, name) for
+    every combo.  The sweep reads the columns alone: rows are built only
+    where they are read, by the benchmark tracer (``len``) and the tests.
+    """
+
+    bins: np.ndarray
+    errs: np.ndarray
+    oks: np.ndarray
+    failures: list
+    n_combos: int
+
+    def __len__(self) -> int:
+        return len(self.failures) * self.n_combos
+
+    def __iter__(self):
+        rows = zip(self.bins.tolist(), self.errs.tolist(), self.oks.tolist(), repeat(None))
+        for name in self.failures:
+            if name is None:
+                yield from islice(rows, self.n_combos)
+            else:
+                yield from repeat((0, 0.0, True, name), self.n_combos)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _eval_chunk(payload) -> _Rows:
     """Evaluate every combination of each decomposition, in enumeration order.
 
-    Rows are (bin index, float error, bound verdict, failure name or None).
-    ``_constants`` reads each decomposition, and its failure is a failed row
-    for every combination.  The other decompositions are evaluated together,
-    as columns: their hyperperiod sums depend on the (delta_b, delta_n) pair
+    ``_constants`` reads each decomposition, and its failure fails every
+    combination.  The other decompositions are evaluated together, as
+    columns: their hyperperiod sums depend on the (delta_b, delta_n) pair
     alone, so each (decomposition, pair, r) sum is computed once and serves
     every p.
     """
@@ -522,14 +562,11 @@ def _eval_chunk(payload):
             failures.append(None)
         except Exception as exc:  # per-decomposition failures become skip counters
             failures.append(type(exc).__name__)
-    rows = zip(*_error_columns(consts, combos, bin_width), repeat(None)) if consts else iter(())
-    out = []
-    for name in failures:
-        if name is None:
-            out.extend(islice(rows, len(combos)))
-        else:
-            out.extend([(0, 0.0, True, name)] * len(combos))
-    return out
+    if consts:
+        columns = _error_columns(consts, combos, bin_width)
+    else:
+        columns = np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, bool)
+    return _Rows(*columns, failures, len(combos))
 
 
 # per factor tuple of a block: 0 if kept, else 1 + the index of its skip reason
@@ -549,21 +586,26 @@ def _block_size(n_tuples: int, workers: int) -> int:
 def _run_block(payload):
     """Classify and evaluate the factor tuples at positions [start, stop).
 
-    Returns the skip code of each tuple; the bin index, float error, bound
-    verdict and whether its evaluation raised, per config of the kept tuples
-    in enumeration order; and the failure names, in the same order.
+    Returns the skip code of each tuple; whether its evaluation failed, per
+    config of the kept tuples in enumeration order; the bin index, float
+    error and bound verdict of each config that evaluated; and the name of
+    each failed decomposition's failure.
     """
     grid, start, stop, bin_width = payload
-    _, ds, reasons = zip(*_iter_candidates(grid, start, stop))
-    rows = _eval_chunk(([d for d in ds if d is not None], _combos(grid), bin_width))
-    bins, errs, oks, fails = zip(*rows) if rows else ((),) * 4
+    codes, decomps = [], []
+    for _, d, reason in _iter_candidates(grid, start, stop):
+        codes.append(_SKIP_CODE[reason])
+        if d is not None:
+            decomps.append(d)
+    rows = _eval_chunk((decomps, _combos(grid), bin_width))
+    failed = np.array([name is not None for name in rows.failures], dtype=bool)
     return (
-        np.array([_SKIP_CODE[r] for r in reasons], dtype=np.uint8),
-        _int_array(bins),
-        np.array(errs, dtype=np.float64),
-        np.array(oks, dtype=bool),
-        np.array([f is not None for f in fails], dtype=bool),
-        [f for f in fails if f is not None],
+        np.array(codes, dtype=np.uint8),
+        np.repeat(failed, rows.n_combos),
+        rows.bins,
+        rows.errs,
+        rows.oks,
+        [name for name in rows.failures if name is not None],
     )
 
 
@@ -577,15 +619,6 @@ def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:
     return Histogram(bin_width, dict(zip(idx.tolist(), counts.tolist())))
 
 
-def _chunks(errs: np.ndarray):
-    """``errs`` as lists of at most 2^16 floats, so a slice's mean never lists them all.
-
-    On the 10^6-candidate grid at --jobs 2 this holds the calling process's
-    peak RSS at 64-67 MB, against 73 MB for one list per slice.
-    """
-    return (errs[i : i + (1 << 16)].tolist() for i in range(0, len(errs), 1 << 16))
-
-
 def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
     n = len(errs)
     srt = np.sort(errs)
@@ -593,7 +626,7 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
         parameter=parameter,
         value=str(value),
         histogram=_histogram(bins, bin_width),
-        mean=_sum(chain.from_iterable(_chunks(errs))) / n if n else float("nan"),
+        mean=_sum(errs) / n if n else float("nan"),
         q01=_nearest_rank(srt, 0.01) if n else float("nan"),
         q50=_nearest_rank(srt, 0.50) if n else float("nan"),
         q99=_nearest_rank(srt, 0.99) if n else float("nan"),
@@ -605,9 +638,10 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
 def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
     """``_run_block``'s columns of the whole grid, each joined in enumeration order.
 
-    The blocks are freed on return, before ``run_sweep`` folds the columns:
-    on the 10^6-candidate grid at --jobs 2 that keeps the calling process's
-    peak RSS at 64-67 MB, against 70 MB with the blocks held through the fold.
+    The blocks are freed on return, before ``run_sweep`` folds the columns.
+    On the 10^6-candidate grid at --jobs 2 that held the calling process's
+    peak RSS at 64-67 MB, against 70 MB with the blocks held through the
+    fold, when blocks were still built from rows; it now peaks at 63-64 MB.
     """
     n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
     # one process per core at most, the parent included
@@ -659,14 +693,14 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    codes, bins, errs, oks, failed, names = _evaluate(grid, bin_width, jobs)
+    codes, failed, bins, errs, oks, names = _evaluate(grid, bin_width, jobs)
     n_combos = len(_combos(grid))
     skip_counts = {
         reason: n * n_combos
         for code, reason in enumerate(_SKIP_REASONS, 1)
         if (n := int(np.count_nonzero(codes == code)))
     }
-    skip_counts.update(Counter(f"error:{name}" for name in names))
+    skip_counts.update((f"error:{name}", n * n_combos) for name, n in Counter(names).items())
     kept = np.flatnonzero(codes == 0)
     if not len(kept):
         raise EmptyGridError("no grid candidate passes the factor constraints")
@@ -675,9 +709,7 @@ def run_sweep(
         raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
     position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
-    done = ~failed
-    bins, errs, oks = bins[done], errs[done], oks[done]
-    slices = _slices(grid, position[done], bins, errs, bin_width)
+    slices = _slices(grid, position[~failed], bins, errs, bin_width)
     return SweepResult(
         bin_width=bin_width,
         n_candidates=grid.n_candidates(),

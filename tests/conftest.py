@@ -7,11 +7,13 @@ series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
 The sweep row oracle evaluates each config on its own with ``Fraction``
 operations: exact mean, band center, their relative error and the a priori
-bound.  The sweep fold oracle stitches ``sweep._eval_chunk`` rows onto the
-factor tuples in one Python loop and sums each mean left to right.  The
-trace CSV oracle formats one row at a time with f-strings.  The
-period sum oracle reads every age of the hyperperiod with int64 numpy
-arrays.  The analyze report oracle writes each progression as a dict
+bound.  The sweep row list oracle zips ``sweep._error_columns`` into one
+tuple per config, as ``_eval_chunk`` once did.  The sweep fold oracle
+stitches ``sweep._eval_chunk`` rows onto the factor tuples in one Python
+loop and sums each mean left to right, as the sum oracle adds floats one
+``+=`` at a time.  The trace CSV oracle formats one row at a time with
+f-strings.  The period sum oracle reads every age of the hyperperiod with
+int64 numpy arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.  The progression start oracle evaluates
 one (i, j) at a time with the floored modulus and ceiling division of
 ``modmath`` on Python ints.
@@ -149,7 +151,30 @@ def eval_chunk_ref(payload):
     return out
 
 
-def _sum_ref(xs):
+def eval_chunk_rows_ref(payload):
+    """``sweep._eval_chunk``'s rows as the list it once built: the columns of
+    ``sweep._error_columns`` zipped into one tuple per config, and
+    (0, 0.0, True, name) for each combo of a decomposition whose
+    ``sweep._constants`` raised."""
+    decomps, combos, bin_width = payload
+    consts, failures = [], []
+    for d in decomps:
+        try:
+            consts.append(sweep._constants(d))
+            failures.append(None)
+        except Exception as exc:
+            failures.append(type(exc).__name__)
+    columns = sweep._error_columns(consts, combos, bin_width) if consts else ()
+    rows = zip(*(c.tolist() for c in columns))
+    out = []
+    for name in failures:
+        for _ in combos:
+            out.append((*next(rows), None) if name is None else (0, 0.0, True, name))
+    return out
+
+
+def sum_ref(xs):
+    """The float sum of ``xs``, one ``+=`` at a time from 0.0."""
     total = 0.0
     for x in xs:
         total += x
@@ -215,7 +240,7 @@ def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
             parameter=f,
             value=str(v),
             histogram=Histogram(bin_width, hist),
-            mean=_sum_ref(errs) / len(errs) if errs else nan,
+            mean=sum_ref(errs) / len(errs) if errs else nan,
             q01=nearest_rank(sorted(errs), 0.01) if errs else nan,
             q50=nearest_rank(sorted(errs), 0.50) if errs else nan,
             q99=nearest_rank(sorted(errs), 0.99) if errs else nan,

@@ -29,6 +29,10 @@ REFERENCE = decompose(34, 7, 10)
 REF_CFG = SystemConfig(REFERENCE)
 
 
+class Half(Fraction):
+    """A ``Fraction`` subclass, which ``_as_probability`` turns into a ``Fraction``."""
+
+
 def cfg_strategy(limit=20, dmax=25):
     triples = st.tuples(
         st.integers(1, limit), st.integers(1, limit), st.integers(1, limit)
@@ -56,6 +60,29 @@ class TestSystemConfig:
             SystemConfig(REFERENCE, p=0)
         with pytest.raises(ConfigError):
             SystemConfig(REFERENCE, p=Fraction(3, 2))
+
+    @pytest.mark.parametrize("p, want", [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1), Fraction(1)),
+        ("2/7", Fraction(2, 7)),
+        (1, Fraction(1)),
+        (Half(1, 2), Fraction(1, 2)),  # a subclass comes back as a plain Fraction
+        (0.5, "not float"),
+        (True, "not bool"),
+        ("half", "cannot parse"),
+        (Fraction(0), "got 0$"),
+        (Fraction(3, 2), "got 3/2$"),
+        (Fraction(-1, 2), "got -1/2$"),
+        (2, "got 2$"),
+        (Half(3, 2), "got 3/2$"),
+    ])
+    def test_as_probability(self, p, want):
+        if isinstance(want, str):
+            with pytest.raises(ConfigError, match=want):
+                extended._as_probability(p)
+        else:
+            got = extended._as_probability(p)
+            assert type(got) is Fraction and got == want
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ConfigError):

@@ -28,7 +28,13 @@ from aoiclock.sweep import (
     run_sweep,
     write_outputs,
 )
-from conftest import eval_chunk_ref, relative_error_ref, run_sweep_ref
+from conftest import (
+    eval_chunk_ref,
+    eval_chunk_rows_ref,
+    relative_error_ref,
+    run_sweep_ref,
+    sum_ref,
+)
 
 FIG_GRID = {"A": 17, "B": 7, "N": 5, "a": 1, "b": 1, "n": 2}
 
@@ -381,6 +387,41 @@ class TestEvalChunk:
         ]
 
 
+class TestRowView:
+    """``_eval_chunk``'s row view against the row list it replaced."""
+
+    # the middle decomposition has b one over the exact expectation's cap, so
+    # each of its combos fails; at a bin width of 10^-30 every bin is past int64
+    @pytest.mark.parametrize("bin_width", [Fraction(1, 100), Fraction(1, 10**30)])
+    def test_reads_as_the_row_list(self, bin_width):
+        b_over = 10**5 + 1
+        decomps = [decompose(34, 7, 10), decompose(b_over, 2 * b_over, 1), decompose(12, 9, 5)]
+        combos = [(0, 0, Fraction(1)), (0, 0, Fraction(1, 3)), (3, 5, Fraction(1, 3))]
+        payload = (decomps, combos, bin_width)
+        rows, want = sweep._eval_chunk(payload), eval_chunk_rows_ref(payload)
+        assert len(rows) == len(want) == 9
+        assert list(rows) == want
+        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in want]
+        assert rows[-3:] == want[-3:] and rows[4] == want[4] == (0, 0.0, True, "ValueError")
+        assert rows == want and want == rows and rows == tuple(want)
+        assert rows != want[:-1] and rows != 9
+        bins = [i for i, _, _, fail in want if fail is None]
+        assert (max(map(abs, bins)) > 2**63) == (bin_width == Fraction(1, 10**30))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_reads_columns_only(self, monkeypatch, jobs):
+        def refuse(rows):
+            raise AssertionError("a row view was iterated")
+
+        # the pool's workers are forked, with the patch in place
+        monkeypatch.setattr(sweep._Rows, "__iter__", refuse)
+        monkeypatch.setattr(sweep, "_CORES", 2)
+        grid = SweepGrid.from_json(BUNDLED_GRID)
+        with pytest.raises(AssertionError, match="iterated"):
+            list(sweep._eval_chunk(([decompose(34, 7, 10)], sweep._combos(grid), Fraction(1))))
+        assert run_sweep(grid, jobs=jobs).n_configs == 11_178
+
+
 @pytest.fixture(scope="module")
 def grid():
     return SweepGrid.from_dict(
@@ -509,6 +550,22 @@ class TestProcesses:
 
 
 class TestSum:
+    @given(st.lists(st.one_of(st.floats(width=64), st.floats(-1, 1)), max_size=50))
+    @example([-0.0])
+    @example([-0.0] * 4)
+    @example([float("inf"), 1.0, float("-inf")])
+    @example([float("-inf"), -1.0])
+    @example([1.0, float("nan"), 2.0])
+    @example([1e16, 1.0, -1e16])
+    # a pairwise sum adds the small terms together first, and gets 1 + 7 ulp
+    @example([1.0] + [1e-16] * 15)
+    @example([])
+    def test_bits_equal_left_to_right_loop(self, xs):
+        # numpy warns where inf - inf makes a nan, or a sum overflows; the loop does not
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sweep._sum(np.array(xs, dtype=np.float64))
+        assert type(got) is float and got.hex() == sum_ref(xs).hex()
+
     def test_left_to_right_from_zero(self):
         # sum() compensates since Python 3.12 and gives 1.0 here
         assert sweep._sum([1e16, 1.0, -1e16]) == 0.0
