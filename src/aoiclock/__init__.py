@@ -23,7 +23,6 @@ from .basic import (
     expected_approx_basic,
     expected_exact_basic,
     max_bound_basic,
-    progressions_basic,
     rel_error_bound_basic,
     sequence_basic,
 )
@@ -38,28 +37,16 @@ from .extended import (
     freshness_offset_K,
     max_bound_lossless,
     max_bound_prob,
-    progressions_conditional,
     rel_error_bound_extended,
     sequence_conditional,
 )
 from .kernels import backend
-from .modmath import (
-    ArithmeticProgression,
-    Multiset,
-    ap_reduce_mod,
-    ceil_div,
-    comp_mod,
-    floor_mod,
-    floor_sum,
-    pairing_classes,
-    residue_orbit,
-)
+from .modmath import comp_mod, floor_mod, floor_sum
 from .simulate import (
     RngSpec,
     Trace,
     TraceStream,
     bernoulli_threshold,
-    empirical_distribution,
     empirical_mean,
     simulate_basic,
     simulate_extended,
@@ -74,7 +61,6 @@ from .sweep import (
     SweepGrid,
     SweepResult,
     enumerate_configs,
-    relative_error,
     run_sweep,
     write_outputs,
 )
@@ -83,23 +69,22 @@ __all__ = [
     "__version__",
     "backend",
     # modmath
-    "floor_mod", "comp_mod", "ceil_div", "floor_sum", "ArithmeticProgression", "Multiset",
-    "residue_orbit", "ap_reduce_mod", "pairing_classes",
+    "floor_mod", "comp_mod", "floor_sum",
     # basic model
     "ConfigError", "NullSequenceError", "PeriodDecomposition", "AoiDistribution",
     "BandedValue", "decompose", "aoi_basic", "sequence_basic", "c_basic",
-    "progressions_basic", "distribution_basic", "expected_exact_basic",
-    "expected_approx_basic", "rel_error_bound_basic", "max_bound_basic",
+    "distribution_basic", "expected_exact_basic", "expected_approx_basic",
+    "rel_error_bound_basic", "max_bound_basic",
     # extended model
     "SystemConfig", "GeometricExpectation", "aoi_conditional", "sequence_conditional",
-    "c_extended", "progressions_conditional", "distribution_conditional",
-    "freshness_offset_K", "expected_approx_extended", "expected_exact_extended",
-    "rel_error_bound_extended", "max_bound_lossless", "max_bound_prob",
+    "c_extended", "distribution_conditional", "freshness_offset_K",
+    "expected_approx_extended", "expected_exact_extended", "rel_error_bound_extended",
+    "max_bound_lossless", "max_bound_prob",
     # simulation
     "RngSpec", "Trace", "TraceStream", "bernoulli_threshold", "simulate_basic",
-    "simulate_extended", "stream_basic", "stream_extended", "empirical_distribution",
-    "empirical_mean", "write_trace_csv",
+    "simulate_extended", "stream_basic", "stream_extended", "empirical_mean",
+    "write_trace_csv",
     # sweep
     "EmptyGridError", "SweepGrid", "Histogram", "SliceStat", "SweepResult",
-    "enumerate_configs", "relative_error", "run_sweep", "write_outputs",
+    "enumerate_configs", "run_sweep", "write_outputs",
 ]

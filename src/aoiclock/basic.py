@@ -17,6 +17,7 @@ base), zero here, which ``extended`` sets for its buffered, lossy model.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +26,7 @@ from math import gcd
 import numpy as np
 
 from . import kernels
-from .modmath import ArithmeticProgression, Multiset, floor_mod
+from .modmath import floor_mod
 
 __all__ = [
     "ConfigError",
@@ -37,7 +38,6 @@ __all__ = [
     "aoi_basic",
     "sequence_basic",
     "c_basic",
-    "progressions_basic",
     "distribution_basic",
     "expected_exact_basic",
     "expected_approx_basic",
@@ -163,8 +163,7 @@ class AoiDistribution:
     some start is past int64.  ``min``, ``max`` and ``mean`` follow from the
     array in O(len(starts)), however long the hyperperiod is.  ``values``
     (value -> multiplicity) expands the family on first access, in
-    O(period) time and memory, and ``progressions`` lists it as
-    ``ArithmeticProgression`` objects; both are cached from then on.
+    O(period) time and memory, and is cached from then on.
     """
 
     starts: np.ndarray
@@ -191,13 +190,9 @@ class AoiDistribution:
         return len(self.starts) * self.count
 
     @cached_property
-    def progressions(self) -> tuple[ArithmeticProgression, ...]:
-        return tuple(ArithmeticProgression(s, self.step, self.count) for s in self.starts.tolist())
-
-    @cached_property
-    def values(self) -> Multiset:
+    def values(self) -> Counter:
         values, counts = np.unique(self.to_sorted_array(), return_counts=True)
-        return Multiset(dict(zip(values.tolist(), counts.tolist())))
+        return Counter(dict(zip(values.tolist(), counts.tolist())))
 
     def min(self) -> int:
         return int(self.starts.min())
@@ -284,11 +279,6 @@ def c_basic(d: PeriodDecomposition, i: int, j: int) -> int:
     """
     _check_index(d, i, j)
     return _start(d, i, j)
-
-
-def progressions_basic(d: PeriodDecomposition) -> tuple[ArithmeticProgression, ...]:
-    """The a*N progressions whose union is one hyperperiod of ages."""
-    return _family(d).progressions
 
 
 def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:

@@ -30,7 +30,6 @@ from . import kernels
 from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition, max_bound_basic
 from .basic import _age, _band, _check_index, _family, _rel_error_bound, _start
 from .kernels import _shifts
-from .modmath import ArithmeticProgression
 
 __all__ = [
     "SystemConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "aoi_conditional",
     "sequence_conditional",
     "c_extended",
-    "progressions_conditional",
     "distribution_conditional",
     "freshness_offset_K",
     "expected_approx_extended",
@@ -140,10 +138,6 @@ def c_extended(cfg: SystemConfig, i: int, j: int, l: int) -> int:
     return _start(cfg.d, i, j, shifts)
 
 
-def progressions_conditional(cfg: SystemConfig, l: int) -> tuple[ArithmeticProgression, ...]:
-    return _family(cfg.d, _conditional_shifts(cfg, l)).progressions
-
-
 def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
     """Exact conditional age distribution over one hyperperiod for fixed l."""
     return _family(cfg.d, _conditional_shifts(cfg, l))
@@ -179,31 +173,6 @@ def _check_terms(d: PeriodDecomposition) -> None:
         )
 
 
-def _mixture_terms(d: PeriodDecomposition, delta_b: int, delta_n: int, vws) -> list[tuple]:
-    """Integer parts (acc, den0) of the exact expectation, one pair per (v, w) in ``vws``.
-
-    With p = u/v and w = v - u, E = (w*N'*den0 + u^2*acc) / (u*den0), where
-    den0 = period*(v^b - w^b).  The b conditional hyperperiod sums depend on
-    the shifts alone, so one kernel call serves every p; b over the cap
-    raises ValueError before it.
-    """
-    _check_terms(d)
-    period = d.period
-    sums = kernels.period_sums_conditional(
-        d.a_period, d.b_period, d.n_period, delta_b, delta_n, d.b, period
-    )
-    terms = [int(s) - r * d.n_period * period for r, s in enumerate(sums)]
-    out = []
-    for v, w in vws:
-        acc = 0
-        wr = 1
-        for t in terms:  # Horner in v, so acc = sum_r w^r * v^(b-1-r) * t_r
-            acc = acc * v + wr * t
-            wr *= w
-        out.append((acc, period * (v**d.b - wr)))  # wr == w^b here
-    return out
-
-
 def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     """Exact expectation of the age, marginalized over the geometric failure count.
 
@@ -215,12 +184,24 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
                      / (period * (v^b - w^b)).
 
     Costs O(a*b*log) integer work for the b sums plus O(b^2) big-integer
-    work, since the denominator has about b*log2(v) bits.
+    work, since the denominator has about b*log2(v) bits; b over the cap
+    raises ValueError before the sums.
     """
     d = cfg.d
+    _check_terms(d)
     u, v = cfg.p.numerator, cfg.p.denominator
     w = v - u
-    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [(v, w)])
+    period = d.period
+    sums = kernels.period_sums_conditional(
+        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
+    )
+    acc = 0
+    wr = 1
+    # Horner in v, so acc = sum_r w^r * v^(b-1-r) * (S(r) - r*N'*period)
+    for r, s in enumerate(sums):
+        acc = acc * v + wr * (s - r * d.n_period * period)
+        wr *= w
+    den0 = period * (v**d.b - wr)  # wr == w^b here
     value = Fraction(w * d.n_period * den0 + u * u * acc, u * den0)
     return GeometricExpectation(value, Fraction(0), d.b)
 

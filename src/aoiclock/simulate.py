@@ -33,7 +33,6 @@ import numpy as np
 from . import kernels
 from .basic import PeriodDecomposition
 from .extended import SystemConfig
-from .modmath import Multiset
 
 __all__ = [
     "RngSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "simulate_extended",
     "stream_basic",
     "stream_extended",
-    "empirical_distribution",
     "empirical_mean",
     "write_trace_csv",
 ]
@@ -187,7 +185,8 @@ def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream
     return TraceStream(cfg.d.a_period, cycles, blocks)
 
 
-def _check_window(trace: Trace, from_cycle: int, window: int):
+def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
+    """Exact mean age over a fully defined window of the trace."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if from_cycle < trace.warmup_cycles:
@@ -199,18 +198,6 @@ def _check_window(trace: Trace, from_cycle: int, window: int):
         raise IndexError(
             f"window [{from_cycle}, {from_cycle + window}) exceeds trace length {trace.cycles}"
         )
-
-
-def empirical_distribution(trace: Trace, from_cycle: int, window: int) -> Multiset:
-    """Observed age multiset (value -> count) over a fully defined window of the trace."""
-    _check_window(trace, from_cycle, window)
-    seen, counts = np.unique(trace.ages[from_cycle : from_cycle + window], return_counts=True)
-    return Multiset(dict(zip(seen.tolist(), counts.tolist())))
-
-
-def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
-    """Exact mean age over a fully defined window of the trace."""
-    _check_window(trace, from_cycle, window)
     return Fraction(kernels.exact_sum(trace.ages[from_cycle : from_cycle + window]), window)
 
 

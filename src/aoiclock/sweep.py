@@ -55,7 +55,7 @@ import numpy as np
 from . import kernels
 from .kernels import _dtype_for, _fit, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
-from .extended import SystemConfig, _as_probability, _check_terms, _freshness_offset, _mixture_terms
+from .extended import SystemConfig, _as_probability, _check_terms, _freshness_offset
 
 __all__ = [
     "EmptyGridError",
@@ -64,7 +64,6 @@ __all__ = [
     "SliceStat",
     "SweepResult",
     "enumerate_configs",
-    "relative_error",
     "run_sweep",
     "write_outputs",
 ]
@@ -103,10 +102,13 @@ def _check_nonempty(name, raw: list) -> None:
 
 
 def _int_entry(name, v) -> int:
-    # int() would truncate 2.5 and turn True into 1
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-        raise ValueError(f"grid field {name}: {v!r} is not an integer")
-    return int(v)
+    # int() would truncate 2.5 and turn True into 1, and fails on null, a list or "x"
+    if not (isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())):
+        try:
+            return int(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"grid field {name}: {v!r} is not an integer")
 
 
 def _int_values(name, raw) -> range | list[int]:
@@ -118,13 +120,15 @@ def _int_values(name, raw) -> range | list[int]:
     elif isinstance(raw, str):
         # "lo..hi" or "lo..hi:step"
         body, _, step_s = raw.partition(":")
-        lo_s, sep, hi_s = body.partition("..")
-        if not sep:
-            raise ValueError(f"grid field {name}: bad range {raw!r}")
-        lo, hi = int(lo_s), int(hi_s)
-        step = int(step_s) if step_s else 1
+        lo_s, _, hi_s = body.partition("..")
+        bad = f"grid field {name}: bad range {raw!r}"
+        try:  # without "..", hi_s is empty and fails here too
+            lo, hi = int(lo_s), int(hi_s)
+            step = int(step_s) if step_s else 1
+        except ValueError:
+            raise ValueError(bad) from None
         if step < 1 or hi < lo:
-            raise ValueError(f"grid field {name}: bad range {raw!r}")
+            raise ValueError(bad)
         vals = range(lo, hi + 1, step)
     elif isinstance(raw, list):
         _check_nonempty(name, raw)
@@ -281,14 +285,13 @@ def enumerate_configs(grid: SweepGrid) -> list[SystemConfig]:
 def _config_error(m2k, ab, n_period, u, w, acc, den0):
     """(num, den, ok): the relative error is num / den with den > 0, ok its bound verdict.
 
-    The arguments are ints for one config, or int arrays of one entry per
-    config: ``relative_error`` and ``_eval_chunk`` share these expressions.
-
-    The config has p = u/(u + w), M + 2K = ``m2k`` with M = B' + N' - n,
-    a*b = ``ab`` and N' = ``n_period``; ``acc`` and ``den0`` are
-    ``_mixture_terms`` at its shifts and p, so E = P / (u*den0) with
-    P = w*N'*den0 + u^2*acc.  The band center is M/2 + K + w*N'/u, and its
-    w*N'/u cancels against E's: (E - center) / E = num / (2P) with
+    The arguments are int arrays of one entry per config.  The config has
+    p = u/(u + w), M + 2K = ``m2k`` with M = B' + N' - n, a*b = ``ab`` and
+    N' = ``n_period``; ``acc`` and ``den0`` = period*(v^b - w^b) are the
+    integer parts of ``expected_exact_extended`` at its shifts and p, so
+    E = P / (u*den0) with P = w*N'*den0 + u^2*acc.  The band center is
+    M/2 + K + w*N'/u, and its w*N'/u cancels against E's:
+    (E - center) / E = num / (2P) with
     num = 2P - den0*(u*(M + 2K) + 2w*N').  The a priori bound is
     a*b*u / (u*(M - a*b + 2K) + 2w*N'), whose denominator is positive since
     K >= 2.
@@ -301,17 +304,8 @@ def _config_error(m2k, ab, n_period, u, w, acc, den0):
 
 def _m2k(max_bound, n, delta_n):
     """M + 2K of the band center, M = B' + N' - n = ``max_bound`` and K the freshness
-    offset; ints, or arrays that broadcast."""
+    offset; arrays of one entry per config."""
     return max_bound + 2 * _freshness_offset(n, delta_n)
-
-
-def relative_error(cfg: SystemConfig) -> Fraction:
-    """Signed relative error (exact - band center) / exact of the approximation."""
-    d, u, v = cfg.d, cfg.p.numerator, cfg.p.denominator
-    [(acc, den0)] = _mixture_terms(d, cfg.delta_b, cfg.delta_n, [(v, v - u)])
-    m2k = _m2k(max_bound_basic(d), d.n, cfg.delta_n)
-    num, den, _ = _config_error(m2k, d.a * d.b, d.n_period, u, v - u, acc, den0)
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -407,7 +401,8 @@ _ROWS = 1 << 16
 
 
 def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
-    """``_mixture_terms``' acc per (decomposition, shift pair) unit, k-major, and per p.
+    """``expected_exact_extended``'s Horner sum acc per (decomposition, shift pair)
+    unit, k-major, and per p.
 
     The b hyperperiod sums of every unit are one ``kernels._row_sums`` pass,
     at most ``_ROWS`` rows at a time.  Then t_r = S(r) - r*N'*period, and the

@@ -15,11 +15,19 @@ loop and sums each mean left to right, as the sum oracle adds floats one
 f-strings.  The period sum oracle reads every age of the hyperperiod with
 int64 numpy arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.  The progression start oracle evaluates
-one (i, j) at a time with the floored modulus and ceiling division of
-``modmath`` on Python ints.
+one (i, j) at a time with the floored modulus of ``modmath`` and a ceiling
+division on Python ints.
+
+``ArithmeticProgression`` lists one progression <start, step, count> of a
+family, for tests that need the progressions as objects.  The residue
+lemmas that the progression families rest on, ``residue_orbit``,
+``ap_reduce_mod`` and ``pairing_classes``, are stated here as functions, so
+that AC11 and ``test_modmath.py`` can check them against brute force.
 """
 
 import json
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
@@ -29,7 +37,7 @@ import pytest
 from hypothesis import settings
 
 from aoiclock import sweep
-from aoiclock.modmath import ceil_div, floor_mod
+from aoiclock.modmath import comp_mod, floor_mod
 from aoiclock.extended import (
     SystemConfig,
     distribution_conditional,
@@ -273,15 +281,12 @@ def naive_trace_csv(trace) -> str:
     return "".join(out)
 
 
-def naive_report_json(report) -> str:
+def naive_report_json(report, starts, step, count) -> str:
     """The analyze report as ``json.dumps(report, indent=2)``, with the
-    progressions of ``report["distribution"]["progressions"]`` written as
-    start/step/count dicts."""
+    family's progressions, one per entry of ``starts``, written as
+    start/step/count dicts in ``report["distribution"]["progressions"]``."""
     dist = report["distribution"]
-    progressions = [
-        {"start": pr.start, "step": pr.step, "count": pr.count}
-        for pr in dist["progressions"]
-    ]
+    progressions = [{"start": s, "step": step, "count": count} for s in starts]
     return json.dumps(
         {**report, "distribution": {**dist, "progressions": progressions}}, indent=2
     )
@@ -298,7 +303,8 @@ def start_ref(d, i, j, shifts=(0, 0, 0)):
     an = d.a * d.n
     r_ab = floor_mod(i * d.a_period - s_b, ab)
     r_an = floor_mod(i * d.a_period - s_n, an)
-    return base + r_ab + ceil_div(r_an - r_ab + j * an, ab) * ab
+    # ceil(x / ab) as -floor(-x / ab), exact on Python ints
+    return base + r_ab + -(-(r_an - r_ab + j * an) // ab) * ab
 
 
 def naive_period_sums(a_period, b_period, n_period, delta_b, delta_n, n_terms, period):
@@ -385,3 +391,80 @@ def max_bound_prob_ref(cfg, sigma):
         wpow *= w
         vpow *= v
     return d.b_period + d.n_period - d.n + freshness_offset_K(cfg) + d.n_period * m
+
+
+@dataclass(frozen=True)
+class ArithmeticProgression:
+    """The multiset <start, step, count> = {start + i*step : 0 <= i < count}."""
+
+    start: int
+    step: int
+    count: int
+
+    def __post_init__(self):
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
+        if self.step < 1:
+            raise ValueError(f"step must be >= 1, got {self.step}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+
+    def elements(self) -> range:
+        return range(self.start, self.start + self.step * self.count, self.step)
+
+    def last(self) -> int:
+        return self.start + self.step * (self.count - 1)
+
+    def sum(self) -> int:
+        return self.count * self.start + self.step * (self.count * (self.count - 1) // 2)
+
+    def mean(self) -> Fraction:
+        return Fraction(self.sum(), self.count)
+
+
+def progressions(dist):
+    """The family ``dist`` (an ``AoiDistribution``) as ``ArithmeticProgression`` objects."""
+    return tuple(ArithmeticProgression(s, dist.step, dist.count) for s in dist.starts.tolist())
+
+
+def residue_orbit(x: int, y: int) -> Counter:
+    """Multiset {k*x mod y : 1 <= k <= y} for coprime x, y.
+
+    Coprimality makes the orbit a permutation of {0, ..., y-1}; without it
+    whole residue classes go missing, so non-coprime inputs are rejected.
+    """
+    if x < 1 or y < 1:
+        raise ValueError("x and y must be >= 1")
+    if gcd(x, y) != 1:
+        raise ValueError(f"x and y must be coprime, got gcd {gcd(x, y)}")
+    return Counter((k * x) % y for k in range(1, y + 1))
+
+
+def ap_reduce_mod(y: int, x: int, big_x: int, negate: bool = False) -> ArithmeticProgression:
+    """Reduce the progression <y, x, X> (or <-y, x, X>) modulo X*x.
+
+    The result is <y mod x, x, X> (or, negated, <comp_mod(y, x), x, X>): as a
+    multiset, shifting a full-length progression by y modulo X*x only moves
+    its starting offset within [0, x).
+    """
+    if x < 1 or big_x < 1:
+        raise ValueError("step and count must be >= 1")
+    start = comp_mod(y, x) if negate else floor_mod(y, x)
+    return ArithmeticProgression(start, x, big_x)
+
+
+def pairing_classes(x: int, y: int) -> set[tuple[int, int]]:
+    """Index pairs (i, j), 1 <= i <= x, 1 <= j <= y, with i = j (mod gcd(x, y)).
+
+    Two cyclic index sequences of periods x and y co-occur at exactly these
+    pairs over x*y/gcd(x, y) steps, each pair once.
+    """
+    if x < 1 or y < 1:
+        raise ValueError("ranges must be >= 1")
+    z = gcd(x, y)
+    return {
+        (i, j)
+        for i in range(1, x + 1)
+        for j in range(1, y + 1)
+        if (i - j) % z == 0
+    }

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import coprime_triples
+from conftest import ap_reduce_mod, coprime_triples, pairing_classes, residue_orbit
 from aoiclock import kernels
 from aoiclock.basic import (
     NullSequenceError,
@@ -22,7 +22,6 @@ from aoiclock.basic import (
     expected_approx_basic,
     expected_exact_basic,
     max_bound_basic,
-    progressions_basic,
     rel_error_bound_basic,
 )
 from aoiclock.extended import (
@@ -33,7 +32,6 @@ from aoiclock.extended import (
     expected_exact_extended,
     max_bound_prob,
 )
-from aoiclock.modmath import ap_reduce_mod, pairing_classes, residue_orbit
 from aoiclock.simulate import RngSpec, simulate_basic, simulate_extended
 from aoiclock.sweep import SweepGrid, run_sweep, write_outputs
 
@@ -186,11 +184,10 @@ def test_ac4_reference_configuration():
     def body():
         d = decompose(34, 7, 10)
         assert (d.A, d.B, d.N, d.a, d.b, d.n) == (17, 7, 5, 1, 1, 2)
-        progs = progressions_basic(d)
-        assert len(progs) == d.a * d.N == 5
-        assert all(pr.count == 7 and pr.step == 1 for pr in progs)
-        assert expected_exact_basic(d) == 7
         dist = distribution_basic(d)
+        assert len(dist.starts) == d.a * d.N == 5
+        assert dist.count == 7 and dist.step == 1
+        assert expected_exact_basic(d) == 7
         assert dist.max() == 14
         assert max_bound_basic(d) == 15
         return "5 progressions of 7, mean 7, max 14 <= 15"

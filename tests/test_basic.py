@@ -21,13 +21,16 @@ from aoiclock.basic import (
     expected_approx_basic,
     expected_exact_basic,
     max_bound_basic,
-    progressions_basic,
     rel_error_bound_basic,
     sequence_basic,
 )
-from aoiclock.modmath import ArithmeticProgression
-
-from conftest import LARGE_TRIPLES, coprime_triples, naive_basic_ages, start_ref
+from conftest import (
+    LARGE_TRIPLES,
+    ArithmeticProgression,
+    coprime_triples,
+    naive_basic_ages,
+    start_ref,
+)
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -128,12 +131,12 @@ class TestProgressionFamily:
     def test_reference_offsets(self):
         assert c_basic(REFERENCE, 0, 0) == 0
         assert c_basic(REFERENCE, 0, 3) == 6
-        assert [pr.start for pr in progressions_basic(REFERENCE)] == [0, 2, 4, 6, 8]
+        assert distribution_basic(REFERENCE).starts.tolist() == [0, 2, 4, 6, 8]
 
     def test_reference_distribution_shape(self):
         dist = distribution_basic(REFERENCE)
-        assert len(dist.progressions) == 5
-        assert all(pr.step == 1 and pr.count == 7 for pr in dist.progressions)
+        assert len(dist.starts) == 5
+        assert dist.step == 1 and dist.count == 7
         assert dist.period == 35
         assert dist.max() == 14
 
@@ -155,9 +158,9 @@ class TestProgressionFamily:
     @given(triple_strategy())
     def test_progression_count_and_step(self, t):
         d = decompose(*t)
-        progs = progressions_basic(d)
-        assert len(progs) == d.a * d.N
-        assert all(pr.step == d.a * d.b and pr.count == d.B for pr in progs)
+        dist = distribution_basic(d)
+        assert len(dist.starts) == d.a * d.N
+        assert dist.step == d.a * d.b and dist.count == d.B
 
     @given(triple_strategy(60), st.tuples(*[st.integers(0, 40)] * 3))
     # a*a_period past 2^63 (a = 2), then shifts past it

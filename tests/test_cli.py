@@ -22,7 +22,6 @@ import aoiclock.kernels
 import aoiclock.simulate
 from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
-from aoiclock.modmath import ArithmeticProgression
 from aoiclock.simulate import (
     RngSpec,
     empirical_mean,
@@ -68,6 +67,12 @@ def run_usage(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _expanded(self):
+    """Stands in for ``AoiDistribution.to_sorted_array``, the one expansion of a
+    family into its values, where a call must not list the hyperperiod."""
+    raise AssertionError("a family was expanded")
 
 
 def _flag_id(flag):
@@ -152,20 +157,14 @@ class TestAnalyze:
           "--delta-b", "4", "--delta-n", "9", "--sigma", "99/100"], 311 * 317),
     ])
     def test_summary_never_expands_the_hyperperiod(self, capsys, monkeypatch, argv, reads):
-        def expanded(self):
-            raise AssertionError("a progression was expanded")
-
-        monkeypatch.setattr(ArithmeticProgression, "elements", expanded)
+        monkeypatch.setattr(AoiDistribution, "to_sorted_array", _expanded)
         code, out, err = run(capsys, "analyze", *argv)
         assert code == 0, err
         assert json.loads(out)["distribution"]["hyperperiod_reads"] == reads
 
     def test_extended_at_a_billion_reads(self, capsys, monkeypatch):
         # the hyperperiod age sums once took 7.45 GiB of int64 reads here
-        def expanded(self):
-            raise AssertionError("a progression was expanded")
-
-        monkeypatch.setattr(ArithmeticProgression, "elements", expanded)
+        monkeypatch.setattr(AoiDistribution, "to_sorted_array", _expanded)
         code, out, err = run(capsys, "analyze", "--model", "extended", "--a-period", "7",
                              "--b-period", "31607", "--n-period", "31627", "--p", "1/3",
                              "--sigma", "99/100")
@@ -212,8 +211,7 @@ class TestAnalyze:
             "max_bound": 2**64,
         }
         got = aoiclock.cli._report_json(report, dist)
-        report["distribution"]["progressions"] = dist.progressions
-        assert got == naive_report_json(report)
+        assert got == naive_report_json(report, dist.starts.tolist(), dist.step, dist.count)
 
     @given(periods=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
            model=st.sampled_from(["basic", "extended"]))
@@ -239,8 +237,8 @@ class TestAnalyze:
             m.setattr(aoiclock.cli, "_report_json", spy)
             assert main(argv) == 0
         [(report, dist)] = written
-        report["distribution"]["progressions"] = dist.progressions
-        assert out.getvalue() == naive_report_json(report) + "\n"
+        want = naive_report_json(report, dist.starts.tolist(), dist.step, dist.count)
+        assert out.getvalue() == want + "\n"
 
     @pytest.mark.parametrize("argv,code", [
         (["analyze", "--a-period", "3", "--b-period", "4", "--n-period", "5"], 0),
@@ -268,21 +266,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("argv", [
         ["analyze", *SHARED, "--model", "basic"],
         ["analyze", *SHARED, "--model", "extended", "--p", "1/21", "--sigma", "99/100"],
-        ["verify", *SHARED, "--model", "basic"],
-        ["verify", *SHARED, "--model", "extended", "--p", "1/2", "--seed", "3"],
-    ], ids=["analyze-basic", "analyze-extended", "verify-basic", "verify-extended"])
+    ], ids=["analyze-basic", "analyze-extended"])
     def test_family_read_without_progression_objects(self, capsys, monkeypatch, argv):
-        # analyze and verify read the family's starts array, so they build
-        # no ArithmeticProgression, however many progressions it has
-        made = []
-        init = ArithmeticProgression.__post_init__
-        monkeypatch.setattr(ArithmeticProgression, "__post_init__",
-                            lambda self: made.append(self) or init(self))
+        # analyze reads the family's starts array, so it never lists the
+        # family's values, however many progressions it has
+        monkeypatch.setattr(AoiDistribution, "to_sorted_array", _expanded)
         code, out, err = run(capsys, *argv)
         assert code == 0, out + err
-        assert made == []
-        # the count sees the objects that the progressions tuple builds
-        assert len(aoiclock.basic.progressions_basic(decompose(10, 12, 15))) == len(made) == 3
+        # the patch sees the values counter too, which expands through it
+        with pytest.raises(AssertionError, match="expanded"):
+            aoiclock.basic.distribution_basic(decompose(10, 12, 15)).values
 
     def test_null_config_reports_unbounded_rel_error(self, capsys):
         code, out, _ = run(
@@ -679,6 +672,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
         assert code == 2
         assert err.startswith(f"error: grid has {4 * 10**14} candidates, over the cap of ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("raw,message", [
+        ('{"A": [null]}', "grid field A: None is not an integer"),
+        ('{"A": [[2]]}', "grid field A: [2] is not an integer"),
+        ('{"A": ["x"]}', "grid field A: 'x' is not an integer"),
+        ('{"A": "1..x"}', "grid field A: bad range '1..x'"),
+    ])
+    def test_malformed_grid_entry_exits_2(self, capsys, tmp_path, raw, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(raw)
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
     def test_no_config_evaluates_exits_2(self, capsys, tmp_path):

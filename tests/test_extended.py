@@ -18,12 +18,11 @@ from aoiclock.extended import (
     expected_exact_extended,
     freshness_offset_K,
     max_bound_prob,
-    progressions_conditional,
     rel_error_bound_extended,
     sequence_conditional,
 )
 
-from conftest import max_bound_prob_ref, series_expectation_ref, series_tail_ref
+from conftest import max_bound_prob_ref, progressions, series_expectation_ref, series_tail_ref
 
 REFERENCE = decompose(34, 7, 10)
 REF_CFG = SystemConfig(REFERENCE)
@@ -135,12 +134,12 @@ class TestProgressionFamilyConditional:
         with pytest.raises(ValueError):
             c_extended(REF_CFG, 0, 0, -1)
         with pytest.raises(ValueError, match="l must be >= 0"):
-            progressions_conditional(REF_CFG, -1)
+            distribution_conditional(REF_CFG, -1)
 
     def test_reference_distribution_l0(self):
         dist = distribution_conditional(REF_CFG, 0)
-        assert sorted(pr.start for pr in dist.progressions) == [3, 5, 7, 9, 11]
-        assert all(pr.step == 1 and pr.count == 7 for pr in dist.progressions)
+        assert sorted(dist.starts.tolist()) == [3, 5, 7, 9, 11]
+        assert dist.step == 1 and dist.count == 7
         assert dist.mean() == 10
 
     @given(cfg_strategy(12, 15), st.integers(0, 3))
@@ -166,9 +165,9 @@ class TestProgressionFamilyConditional:
     @given(cfg_strategy())
     def test_progression_count_and_step(self, cfg):
         d = cfg.d
-        progs = progressions_conditional(cfg, 0)
-        assert len(progs) == d.a * d.N
-        assert all(pr.step == d.a * d.b and pr.count == d.B for pr in progs)
+        dist = distribution_conditional(cfg, 0)
+        assert len(dist.starts) == d.a * d.N
+        assert dist.step == d.a * d.b and dist.count == d.B
 
 
 class TestFreshnessOffset:
@@ -254,9 +253,9 @@ class TestExpectedExact:
         for l in range(3 * d.b + 1):
             assert distribution_conditional(cfg, l).mean() - l * d.n_period == base[l % d.b]
             r = l % d.b
-            assert progressions_conditional(cfg, l) == tuple(
+            assert progressions(distribution_conditional(cfg, l)) == tuple(
                 replace(pr, start=pr.start + (l - r) * d.n_period)
-                for pr in progressions_conditional(cfg, r)
+                for pr in progressions(distribution_conditional(cfg, r))
             )
 
 

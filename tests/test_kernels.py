@@ -16,8 +16,8 @@ from aoiclock.basic import aoi_basic, decompose
 from aoiclock.extended import (
     SystemConfig,
     aoi_conditional,
+    distribution_conditional,
     expected_exact_extended,
-    progressions_conditional,
 )
 from aoiclock.modmath import floor_sum
 from aoiclock.simulate import bernoulli_threshold
@@ -27,6 +27,7 @@ from conftest import (
     naive_basic_ages,
     naive_extended,
     naive_period_sums,
+    progressions,
     splitmix64_ref,
 )
 
@@ -104,7 +105,8 @@ class TestSequenceKernels:
         cfg = SystemConfig(d, delta_b=13, delta_n=29)
         sums = kernels.period_sums_conditional(*t, 13, 29, d.b + 1, d.period)
         for r, s in enumerate(sums):
-            assert s == sum(pr.sum() for pr in progressions_conditional(cfg, r)), (t, r)
+            progs = progressions(distribution_conditional(cfg, r))
+            assert s == sum(pr.sum() for pr in progs), (t, r)
 
     def test_period_must_be_the_hyperperiod(self):
         with pytest.raises(ValueError, match="hyperperiod a\\*B\\*N = 35"):

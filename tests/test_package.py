@@ -1,4 +1,5 @@
-"""The package namespace re-exports every public name of its submodules."""
+"""The package namespace re-exports every public name of its submodules, and no more
+than the pinned list."""
 
 import importlib
 import pkgutil
@@ -20,3 +21,25 @@ def test_submodule_all_is_exported(name):
 
 def test_package_all_resolves():
     assert [n for n in aoiclock.__all__ if not hasattr(aoiclock, n)] == []
+
+
+# the public surface: what the command line, another library function or the
+# benchmark calls; helpers that only tests use live in tests/conftest.py
+PUBLIC = [
+    "AoiDistribution", "BandedValue", "ConfigError", "EmptyGridError", "GeometricExpectation",
+    "Histogram", "NullSequenceError", "PeriodDecomposition", "RngSpec", "SliceStat",
+    "SweepGrid", "SweepResult", "SystemConfig", "Trace", "TraceStream", "__version__",
+    "aoi_basic", "aoi_conditional", "backend", "bernoulli_threshold", "c_basic", "c_extended",
+    "comp_mod", "decompose", "distribution_basic", "distribution_conditional",
+    "empirical_mean", "enumerate_configs", "expected_approx_basic", "expected_approx_extended",
+    "expected_exact_basic", "expected_exact_extended", "floor_mod", "floor_sum",
+    "freshness_offset_K", "max_bound_basic", "max_bound_lossless", "max_bound_prob",
+    "rel_error_bound_basic", "rel_error_bound_extended", "run_sweep", "sequence_basic",
+    "sequence_conditional", "simulate_basic", "simulate_extended", "stream_basic",
+    "stream_extended", "write_outputs", "write_trace_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC) == 49
+    assert sorted(aoiclock.__all__) == PUBLIC

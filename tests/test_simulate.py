@@ -1,6 +1,7 @@
 import io
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import ceil, gcd
 from unittest import mock
@@ -17,7 +18,6 @@ from aoiclock.simulate import (
     RngSpec,
     Trace,
     bernoulli_threshold,
-    empirical_distribution,
     empirical_mean,
     simulate_basic,
     simulate_extended,
@@ -86,7 +86,7 @@ class TestSimulateBasic:
         for t in [(34, 7, 10), (6, 10, 15), (4, 9, 7)]:
             d = decompose(*t)
             tr = simulate_basic(d, 2 * d.period + 1)
-            assert empirical_distribution(tr, 1, d.period) == distribution_basic(d).values
+            assert Counter(tr.ages[1 : 1 + d.period].tolist()) == distribution_basic(d).values
 
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
@@ -220,25 +220,16 @@ class TestWindows:
         cfg = SystemConfig(REFERENCE)
         tr = simulate_extended(cfg, 2 * 35 + 5, RngSpec(0))
         w = tr.warmup_cycles
-        emp = empirical_distribution(tr, max(w, 1), 35)
+        emp = Counter(tr.ages[max(w, 1) : max(w, 1) + 35].tolist())
         assert emp == distribution_conditional(cfg, 0).values
 
     def test_doubled_window_doubles_multiplicities(self):
         d = decompose(4, 9, 7)
         tr = simulate_basic(d, 3 * d.period)
-        one = empirical_distribution(tr, d.period, d.period)
-        two = empirical_distribution(tr, d.period // 2, 2 * d.period)
+        one = Counter(tr.ages[d.period : 2 * d.period].tolist())
+        two = Counter(tr.ages[d.period // 2 : d.period // 2 + 2 * d.period].tolist())
         assert two == {v: 2 * c for v, c in one.items()}
         assert two.total() == 2 * d.period
-
-    def test_large_window_summarized_per_distinct_value(self):
-        cfg = SystemConfig(REFERENCE, delta_b=3, delta_n=5, p=Fraction(1, 2))
-        window = 200_000
-        tr = simulate_extended(cfg, window + 100, RngSpec(1))
-        seen, counts = np.unique(tr.ages[100 : 100 + window], return_counts=True)
-        emp = empirical_distribution(tr, 100, window)
-        assert emp == dict(zip(seen.tolist(), counts.tolist()))
-        assert all(type(v) is int and type(c) is int for v, c in emp.items())
 
 
 class TestTraceCsv:
