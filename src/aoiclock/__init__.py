@@ -47,8 +47,6 @@ from .simulate import (
     Trace,
     TraceStream,
     bernoulli_threshold,
-    empirical_mean,
-    simulate_basic,
     simulate_extended,
     stream_basic,
     stream_extended,
@@ -81,9 +79,8 @@ __all__ = [
     "expected_approx_extended", "expected_exact_extended", "rel_error_bound_extended",
     "max_bound_lossless", "max_bound_prob",
     # simulation
-    "RngSpec", "Trace", "TraceStream", "bernoulli_threshold", "simulate_basic",
-    "simulate_extended", "stream_basic", "stream_extended", "empirical_mean",
-    "write_trace_csv",
+    "RngSpec", "Trace", "TraceStream", "bernoulli_threshold", "simulate_extended",
+    "stream_basic", "stream_extended", "write_trace_csv",
     # sweep
     "EmptyGridError", "SweepGrid", "Histogram", "SliceStat", "SweepResult",
     "enumerate_configs", "run_sweep", "write_outputs",

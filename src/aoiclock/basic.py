@@ -250,9 +250,9 @@ def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
     of ages, i-major, from one array evaluation of ``_start``."""
     ab = d.a * d.b
     # no intermediate of _start is larger in magnitude; past int64 the
-    # arithmetic runs on Python ints, as simulate._slot_dtype decides for slots
+    # arithmetic runs on Python ints
     bound = d.a * d.a_period + sum(map(abs, shifts)) + 2 * ab + d.a * d.n + d.n_period
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = kernels._dtype_for(bound)
     i = np.arange(d.a, dtype=dtype)[:, None]
     j = np.arange(d.N, dtype=dtype)
     return AoiDistribution(_start(d, i, j, shifts).ravel(), ab, d.B)

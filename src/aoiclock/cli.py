@@ -39,21 +39,15 @@ from .extended import (
     rel_error_bound_extended,
     sequence_conditional,
 )
-from .simulate import (
-    RngSpec,
-    simulate_basic,
-    simulate_extended,
-    stream_basic,
-    stream_extended,
-    write_trace_csv,
-)
+from .simulate import RngSpec, stream_basic, stream_extended, write_trace_csv
 from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
 
-# verify expands whole hyperperiods and simulates three of them, about 140
-# (basic) to 200 (extended) bytes per read: at 1.97*10^6 reads, periods
-# (7, 1399, 1409), the basic checks peak at 272 MB in 0.7 s and the extended
-# ones (p = 1/2, seed 1) at 398 MB in 1.25 s on a 2-core Xeon host (the
-# child's peak RSS from rusage; median wall time including start-up).
+# verify's family checks expand and sort whole hyperperiods, about 32 bytes
+# per read; its trace checks stream the simulated run block by block, in
+# memory that does not grow with --cycles.  At 1.97*10^6 reads, periods
+# (7, 1399, 1409), the basic checks peak at 91 MB in 0.64 s and the extended
+# ones (p = 1/2, seed 1) at 92 MB in 0.93 s on a 2-core Xeon host (the
+# child's peak RSS from rusage; median of three wall times, start-up included).
 _MAX_VERIFY_READS = 2 * 10**6
 
 
@@ -242,6 +236,32 @@ def _check_family(failures: list[str], name: str, dist, seq, where: str = "") ->
                  f"position {k}: closed={closed[k]} direct={direct[k]}")
 
 
+def _check_trace(failures: list[str], name: str, stream, shape, formula, detail: str,
+                 skip_warmup: bool = True) -> None:
+    """The streamed reads, block by block, against ``formula(k0, fails)``, the
+    closed form's reads k0, k0 + 1, ... at the reads' failure counts.
+
+    The warm-up prefix is skipped unless ``skip_warmup`` is false.  The check
+    stops at the first read that differs, and ``detail`` is formatted with
+    its ``k``, ``l``, ``sim`` and ``model``.  Each block passes the sequence
+    kernels' guard for the periods and shifts ``shape`` first.
+    """
+    for k0, ages, fails in stream.blocks():
+        # the stream's warm-up is final once a block holds a defined read,
+        # and the run's length before then, so every block of it is skipped
+        cut = min(len(ages), max(0, stream.warmup_cycles - k0)) if skip_warmup else 0
+        k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
+        kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
+        want = formula(k0, fails)
+        bad = np.flatnonzero(ages != want)
+        if len(bad):
+            i = bad[0]
+            _check(failures, name, False,
+                   detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i]))
+            return
+    _check(failures, name, True)
+
+
 def _verify_basic(d, cycles: int, failures: list[str]) -> None:
     period = d.period
 
@@ -260,10 +280,11 @@ def _verify_basic(d, cycles: int, failures: list[str]) -> None:
     bound = max_bound_basic(d)
     _check(failures, "max_bound", peak <= bound, f"observed={peak} bound={bound}")
 
-    trace = simulate_basic(d, cycles)
-    model = sequence_basic(d, 0, cycles)
-    _check_equal(failures, "simulator_matches_formula", trace.ages, model, lambda k:
-                 f"first mismatch at k={k}: simulated={trace.ages[k]} formula={model[k]}")
+    # the lossless model delivers at slot 0, so every read is compared
+    shape = (d.a_period, d.b_period, d.n_period, 0, 0)
+    _check_trace(failures, "simulator_matches_formula", stream_basic(d, cycles), shape,
+                 lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
+                 "first mismatch at k={k}: simulated={sim} formula={model}", skip_warmup=False)
 
 
 def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, failures: list[str]) -> None:
@@ -280,22 +301,18 @@ def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, f
     _check(failures, "band_membership", band.contains(exact),
            f"exact={exact} band=[{band.low}, {band.high}]")
 
-    trace = simulate_extended(cfg, cycles, rng)
-    warm = trace.warmup_cycles
-    ages, fails = trace.ages[warm:], trace.fails[warm:]
     d = cfg.d
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
-    kernels.check_sequence_args(*shape, int(fails.max(initial=0)), warm, len(fails))
     # the sequence kernel takes a failure count per read as it takes one for
-    # all, so the whole trace costs one pass however many counts occur
-    want = kernels.seq_conditional(*shape, fails, warm, len(fails))
-    _check_equal(failures, "trace_bridge_identity", ages, want, lambda i:
-                 f"k={warm + i} l={fails[i]}: simulated={ages[i]} formula={want[i]}")
+    # all, so a block costs one pass however many counts occur
+    _check_trace(failures, "trace_bridge_identity", stream_extended(cfg, cycles, rng), shape,
+                 lambda k0, fails: kernels.seq_conditional(*shape, fails, k0, len(fails)),
+                 "k={k} l={l}: simulated={sim} formula={model}")
 
     if cfg.p == 1:
-        model = sequence_conditional(cfg, 0, warm, len(ages))
-        _check_equal(failures, "lossless_trace_matches_formula", ages, model,
-                     lambda i: f"first mismatch at k={warm + i}")
+        _check_trace(failures, "lossless_trace_matches_formula", stream_extended(cfg, cycles, rng),
+                     shape, lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
+                     "first mismatch at k={k}")
 
 
 def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:
@@ -312,15 +329,6 @@ def cmd_verify(args) -> int:
         raise ConfigError("--l-max must be >= 0")
     if args.cycles is not None and args.cycles < 1:
         raise ConfigError("--cycles must be >= 1")
-    # the trace checks hold the whole simulated trace and the formula's reads
-    # next to it, so --cycles is capped at the longest default run: three
-    # hyperperiods at the cap, and 50 reads of warm-up
-    max_cycles = 3 * _MAX_VERIFY_READS + 50
-    if args.cycles is not None and args.cycles > max_cycles:
-        raise ConfigError(
-            f"--cycles {args.cycles} is over verify's cap of {max_cycles} reads, its longest "
-            f"default run: the trace checks hold the whole simulated trace in memory"
-        )
     cfg = _config_from_args(args)
     if cfg.d.period > _MAX_VERIFY_READS:
         raise ConfigError(

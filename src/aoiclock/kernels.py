@@ -22,11 +22,9 @@ Both simulators run as generators of ``(k0, ages, fails)`` blocks of
 running max of the newest success from each block to the next.  A window's
 newest success depends only on (seed, window), and a running max is the
 same wherever its input is cut, so a trace never depends on the chunking.
-Given whole-run output arrays, a generator writes each block into them;
-otherwise every block reuses one chunk-sized pair of buffers, so a run of
-any length streams in O(chunk) memory however many transmissions fall
-between reads.  ``sim_basic`` and ``sim_extended`` drain the generators
-into whole-run arrays.
+Every block reuses one chunk-sized pair of buffers, so a run of any length
+streams in O(chunk) memory however many transmissions fall between reads.
+``sim_basic`` and ``sim_extended`` copy the blocks into whole-run arrays.
 """
 
 from __future__ import annotations
@@ -229,22 +227,18 @@ def exact_sum(x):
     return total
 
 
-def sim_basic_blocks(a_period, b_period, n_period, cycles, ages=None):
+def sim_basic_blocks(a_period, b_period, n_period, cycles):
     """``sim_basic``'s ages as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
 
-    fails is all zeros.  Given ``ages`` (int64, ``cycles`` long), each block
-    is written into it and yielded as views; otherwise every block reuses one
-    chunk-sized buffer, which the next block overwrites.
+    fails is all zeros.  Every block reuses one chunk-sized buffer, which the
+    next block overwrites.
     """
-    whole = ages is not None
-    if not whole:
-        ages = np.empty(min(_CHUNK, cycles), dtype=np.int64)
+    ages = np.empty(min(_CHUNK, cycles), dtype=np.int64)
     zeros = np.zeros(min(_CHUNK, cycles), dtype=np.int64)
     t = np.empty(min(_CHUNK, cycles), dtype=np.int64)
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)
-        at = k0 if whole else 0
-        age = ages[at : at + n]
+        age = ages[:n]
         # delivery at a link slot is usable the same slot; the freshest update
         # at that slot is the newest source completion not after it
         np.multiply(np.arange(k0, k0 + n, dtype=np.int64), a_period, out=t[:n])
@@ -258,8 +252,8 @@ def sim_basic_blocks(a_period, b_period, n_period, cycles, ages=None):
 
 def sim_basic(a_period, b_period, n_period, cycles):
     ages = np.empty(cycles, dtype=np.int64)
-    for _ in sim_basic_blocks(a_period, b_period, n_period, cycles, ages):
-        pass
+    for k0, age, _ in sim_basic_blocks(a_period, b_period, n_period, cycles):
+        ages[k0 : k0 + len(age)] = age
     return ages
 
 
@@ -304,13 +298,11 @@ class _Scratch:
         self.wide = np.empty(_CHUNK, dtype=bool)
 
 
-def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles,
-                        ages=None, fails=None):
+def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
     """``sim_extended``'s reads as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
 
-    Given ``ages`` and ``fails`` (int64, ``cycles`` long), each block is
-    written into them and yielded as views; otherwise every block reuses one
-    chunk-sized pair of buffers, which the next block overwrites.
+    Every block reuses one chunk-sized pair of buffers, which the next block
+    overwrites.
     """
     # Window scan.  Transmission m leaves at tau_m = delta_n + m*N'; read k
     # at t = k*A' sees those with tau_m <= t - 1, the last being j_k.  Read k
@@ -320,9 +312,7 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
     # age = t - buf(L_k), where buf is the newest source completion before
     # tau_L, and fails = j_k - L_k.
     threshold = int(threshold)
-    whole = ages is not None
-    if not whole:
-        ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
+    ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
     s = _Scratch()
     # slots[i] = i*A', the slot of read k0 + i less that of read k0
     slots = np.arange(min(_CHUNK, cycles) + 1, dtype=np.int64)
@@ -333,8 +323,7 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
     carry = -1  # L of the previous block's last read
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)
-        at = k0 if whole else 0
-        age, last = ages[at : at + n], fails[at : at + n]
+        age, last = ages[:n], fails[:n]
         # j for reads k0-1 .. k0+n-1; j < 0 before the first transmission
         j = np.add(slots[: n + 1], (k0 - 1) * a_period - 1 - delta_n, out=s.j[: n + 1])
         j //= n_period
@@ -373,11 +362,10 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
 def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
     ages = np.empty(cycles, dtype=np.int64)
     fails = np.empty(cycles, dtype=np.int64)
-    blocks = sim_extended_blocks(
-        a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles, ages, fails
-    )
-    for _ in blocks:
-        pass
+    args = (a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles)
+    for k0, age, last in sim_extended_blocks(*args):
+        ages[k0 : k0 + len(age)] = age
+        fails[k0 : k0 + len(age)] = last
     return ages, fails
 
 

@@ -16,11 +16,11 @@ reads (see ``kernels``).  A success is declared when the top 53 bits of the
 mix fall below round(p * 2^53); the quantization error on p is at most
 2^-54.
 
-``simulate_basic`` and ``simulate_extended`` return a whole ``Trace``, in
-memory O(cycles).  ``stream_basic`` and ``stream_extended`` return a
-``TraceStream`` of the same reads, which yields them in the kernels'
-chunk-sized blocks and keeps the summary as they go by, so that
-``write_trace_csv`` writes a run of any length in memory O(chunk).
+``stream_basic`` and ``stream_extended`` return a ``TraceStream``, which
+yields the reads in the kernels' chunk-sized blocks and keeps the summary
+as they go by, so that ``write_trace_csv`` writes a run of any length in
+memory O(chunk).  ``simulate_extended`` returns the whole lossy run as a
+``Trace``, in memory O(cycles).
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ __all__ = [
     "Trace",
     "TraceStream",
     "bernoulli_threshold",
-    "simulate_basic",
     "simulate_extended",
     "stream_basic",
     "stream_extended",
-    "empirical_mean",
     "write_trace_csv",
 ]
 
@@ -91,30 +89,11 @@ class Trace:
         return len(self.ages)
 
     @property
-    def slots(self) -> np.ndarray:
-        dtype = _slot_dtype(self.a_period, self.cycles)
-        return np.arange(self.cycles, dtype=dtype) * self.a_period
-
-    @property
-    def defined(self) -> np.ndarray:
-        return self.ages >= 0
-
-    @property
     def warmup_cycles(self) -> int:
-        d = self.defined
+        d = self.ages >= 0
         # ages are defined from the first delivery onwards, so the defined
         # region is a suffix and its start is the warm-up length
         return int(np.argmax(d)) if d.any() else self.cycles
-
-    def blocks(self):
-        """The whole trace as one ``(k0, ages, fails)`` block, as ``TraceStream.blocks`` yields."""
-        yield 0, self.ages, self.fails
-
-
-def _slot_dtype(a_period: int, cycles: int) -> type:
-    # slot numbers past int64 stay exact as python ints; a_period itself
-    # must fit to scale even an empty int64 range
-    return np.int64 if max(cycles, 1) * a_period < 2**63 else object
 
 
 class TraceStream:
@@ -149,12 +128,6 @@ class TraceStream:
             yield k0, ages, fails
 
 
-def _basic_args(d: PeriodDecomposition, cycles: int) -> tuple:
-    """The basic simulator kernels' arguments, once their guard has passed."""
-    kernels.check_simulate_args(d.a_period, d.b_period, d.n_period, 0, 0, cycles)
-    return d.a_period, d.b_period, d.n_period, cycles
-
-
 def _extended_args(cfg: SystemConfig, cycles: int, rng: RngSpec) -> tuple:
     """The extended simulator kernels' arguments, once their guard has passed."""
     d = cfg.d
@@ -163,20 +136,16 @@ def _extended_args(cfg: SystemConfig, cycles: int, rng: RngSpec) -> tuple:
     return (*shape, bernoulli_threshold(cfg.p), rng.seed, cycles)
 
 
-def simulate_basic(d: PeriodDecomposition, cycles: int) -> Trace:
-    """Replay the lossless instantaneous model for the given read count."""
-    ages = kernels.sim_basic(*_basic_args(d, cycles))
-    return Trace(d.a_period, ages, np.zeros(cycles, dtype=np.int64))
-
-
 def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
     """Replay the buffered lossy model under a counter-based seed."""
     return Trace(cfg.d.a_period, *kernels.sim_extended(*_extended_args(cfg, cycles, rng)))
 
 
 def stream_basic(d: PeriodDecomposition, cycles: int) -> TraceStream:
-    """``simulate_basic``'s reads as a ``TraceStream``."""
-    return TraceStream(d.a_period, cycles, kernels.sim_basic_blocks(*_basic_args(d, cycles)))
+    """Replay the lossless instantaneous model for the given read count."""
+    shape = (d.a_period, d.b_period, d.n_period)
+    kernels.check_simulate_args(*shape, 0, 0, cycles)
+    return TraceStream(d.a_period, cycles, kernels.sim_basic_blocks(*shape, cycles))
 
 
 def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream:
@@ -185,30 +154,14 @@ def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream
     return TraceStream(cfg.d.a_period, cycles, blocks)
 
 
-def empirical_mean(trace: Trace, from_cycle: int, window: int) -> Fraction:
-    """Exact mean age over a fully defined window of the trace."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if from_cycle < trace.warmup_cycles:
-        raise ValueError(
-            f"window starts at cycle {from_cycle}, inside the warm-up prefix "
-            f"(first defined cycle is {trace.warmup_cycles})"
-        )
-    if from_cycle + window > trace.cycles:
-        raise IndexError(
-            f"window [{from_cycle}, {from_cycle + window}) exceeds trace length {trace.cycles}"
-        )
-    return Fraction(kernels.exact_sum(trace.ages[from_cycle : from_cycle + window]), window)
-
-
-def write_trace_csv(trace: Trace | TraceStream, dest) -> None:
+def write_trace_csv(trace: TraceStream, dest) -> None:
     """Write the trace as CSV with header ``k,t,age,l``.
 
     Warm-up rows keep their slot but leave age and l empty.  ``dest`` may be
     a path, written in binary mode, or a text file object, which gets each
     block decoded as ASCII.  The rows are encoded at most _CSV_ROWS at a
     time by numpy digit arithmetic (see ``_encode_rows``), one write per
-    block, so a ``TraceStream`` is written as it runs.  A defined row with a
+    block, so the stream is written as it runs.  A defined row with a
     negative l raises ValueError.
     """
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
@@ -220,7 +173,7 @@ def write_trace_csv(trace: Trace | TraceStream, dest) -> None:
             dest.write(block.decode("ascii"))
 
 
-def _csv_blocks(trace: Trace | TraceStream):
+def _csv_blocks(trace: TraceStream):
     """The CSV's header, then its rows as one bytes object per block."""
     yield b"k,t,age,l\n"
     for k0, ages, fails in trace.blocks():
@@ -236,7 +189,9 @@ def _csv_blocks(trace: Trace | TraceStream):
             for i in range(lo, hi, _CSV_ROWS):
                 j = min(i + _CSV_ROWS, hi)
                 k = np.arange(k0 + i, k0 + j, dtype=np.int64)
-                t = k.astype(_slot_dtype(trace.a_period, k0 + j), copy=False) * trace.a_period
+                # slot numbers past int64 stay exact as python ints
+                dtype = kernels._dtype_for((k0 + j) * trace.a_period)
+                t = k.astype(dtype, copy=False) * trace.a_period
                 yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
 
 

@@ -202,9 +202,6 @@ class SweepGrid:
             out *= len(getattr(self, f))
         return out
 
-    def values_of(self, parameter: str):
-        return getattr(self, parameter)
-
 
 def _int_array(values) -> np.ndarray:
     """``values`` as int64, or as Python ints on an object array where one is past int64."""
@@ -233,7 +230,7 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     gcds of their periods, and a ``PeriodDecomposition`` is built for the
     kept ones only.
     """
-    fields = [grid.values_of(f) for f in _FACTORS]
+    fields = [getattr(grid, f) for f in _FACTORS]
     n_tuples = math.prod(map(len, fields))
     # no period A*b*n, B*b*a or N*n*a, nor a gcd of them, passes this
     top = [values[-1] for values in fields]
@@ -314,9 +311,6 @@ class Histogram:
 
     bin_width: Fraction
     counts: dict[int, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def to_rows(self):
         # int true division rounds correctly, as float(idx * bin_width) does
@@ -638,7 +632,7 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
     peak RSS at 64-67 MB, against 70 MB with the blocks held through the
     fold, when blocks were still built from rows; it now peaks at 63-64 MB.
     """
-    n_tuples = math.prod(len(grid.values_of(f)) for f in _FACTORS)
+    n_tuples = math.prod(len(getattr(grid, f)) for f in _FACTORS)
     # one process per core at most, the parent included
     workers = min(jobs, _CORES)
     size = _block_size(n_tuples, workers)
@@ -667,7 +661,7 @@ def _slices(grid: SweepGrid, position, bins, errs, bin_width) -> tuple[SliceStat
     slices = []
     stride = n_candidates
     for f in PARAMETERS:
-        values = grid.values_of(f)
+        values = getattr(grid, f)
         stride //= len(values)
         column = position // stride % len(values)
         holding = n_candidates // len(values)  # candidates per value of f

@@ -12,8 +12,10 @@ tuple per config, as ``_eval_chunk`` once did.  The sweep fold oracle
 stitches ``sweep._eval_chunk`` rows onto the factor tuples in one Python
 loop and sums each mean left to right, as the sum oracle adds floats one
 ``+=`` at a time.  The trace CSV oracle formats one row at a time with
-f-strings.  The period sum oracle reads every age of the hyperperiod with
-int64 numpy arrays.  The analyze report oracle writes each progression as a dict
+f-strings; ``stream_of`` and ``whole_trace`` turn a whole ``Trace`` into a
+one-block ``TraceStream``, which ``write_trace_csv`` takes, and back.  The
+period sum oracle reads every age of the hyperperiod with int64 numpy
+arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.  The progression start oracle evaluates
 one (i, j) at a time with the floored modulus of ``modmath`` and a ceiling
 division on Python ints.
@@ -46,6 +48,7 @@ from aoiclock.extended import (
     freshness_offset_K,
     rel_error_bound_extended,
 )
+from aoiclock.simulate import Trace, TraceStream
 from aoiclock.sweep import PARAMETERS, EmptyGridError, Histogram, SliceStat, SweepResult
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
@@ -213,7 +216,7 @@ def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
     if not decomps:
         raise EmptyGridError("no grid candidate passes the factor constraints")
     rows = iter(sweep._eval_chunk((decomps, combos, bin_width)))
-    slice_plan = [(f, v) for f in PARAMETERS for v in sliced(grid.values_of(f))]
+    slice_plan = [(f, v) for f in PARAMETERS for v in sliced(getattr(grid, f))]
     position = {key: i for i, key in enumerate(slice_plan)}
     counts = [{} for _ in slice_plan]
     errors = [[] for _ in slice_plan]
@@ -279,6 +282,18 @@ def naive_trace_csv(trace) -> str:
         else:
             out.append(f"{k},{k * trace.a_period},,\n")
     return "".join(out)
+
+
+def stream_of(trace) -> TraceStream:
+    """A whole trace as a stream of one block."""
+    return TraceStream(trace.a_period, trace.cycles, [(0, trace.ages, trace.fails)])
+
+
+def whole_trace(stream) -> Trace:
+    """A stream's blocks, copied as they come (the kernels reuse their
+    buffers), joined into one trace; this exhausts the stream."""
+    ages, fails = zip(*[(a.copy(), f.copy()) for _, a, f in stream.blocks()])
+    return Trace(stream.a_period, np.concatenate(ages), np.concatenate(fails))
 
 
 def naive_report_json(report, starts, step, count) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import ap_reduce_mod, coprime_triples, pairing_classes, residue_orbit
+from conftest import ap_reduce_mod, coprime_triples, pairing_classes, residue_orbit, whole_trace
 from aoiclock import kernels
 from aoiclock.basic import (
     NullSequenceError,
@@ -32,7 +32,7 @@ from aoiclock.extended import (
     expected_exact_extended,
     max_bound_prob,
 )
-from aoiclock.simulate import RngSpec, simulate_basic, simulate_extended
+from aoiclock.simulate import RngSpec, simulate_extended, stream_basic
 from aoiclock.sweep import SweepGrid, run_sweep, write_outputs
 
 _GOLD = 0x9E3779B97F4A7C15
@@ -219,7 +219,7 @@ def test_ac6_simulators_equal_formulas(grid30, ext_cfgs):
         for t in grid30:
             d = decompose(*t)
             cycles = 3 * d.period + 1
-            tr = simulate_basic(d, cycles)
+            tr = whole_trace(stream_basic(d, cycles))
             model = kernels.seq_basic(*t, 0, cycles)
             assert np.array_equal(tr.ages, model), t
         for cfg in ext_cfgs:

@@ -1,11 +1,15 @@
 """The names the benchmark harness in ``bench/`` reads from the package.
 
 ``bench/layers.py`` wraps public functions and a few private sweep stages by
-attribute, and times the kernels it finds in ``kernels.IMPLS``; a rename in
-``src/`` that drops one of those names breaks the harness.  These tests fail
-on such a rename without running a benchmark.
+attribute, and times the kernels it finds in ``kernels.IMPLS``;
+``bench/workloads.py`` calls public functions and reads the whole trace that
+``simulate_extended`` returns.  A rename or deletion in ``src/`` that drops
+one of those names breaks the harness.  These tests fail on such a change
+without running a benchmark.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -109,3 +113,46 @@ def test_traced_analyze_counts_every_read_of_the_family(layers, capsys, model):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert tracer.counts[f"{model}.distribution.values"] == decompose(7, 311, 317).period
+
+
+def _package_reads(path: Path) -> set[tuple[str, str]]:
+    """Each ``(module, name)`` a bench file reads as ``<module>.<name>``, where
+    ``<module>`` is ``aoiclock`` or a submodule imported from it."""
+    tree = ast.parse(path.read_text())
+    modules = {"aoiclock": "aoiclock"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "aoiclock":
+            modules.update({a.asname or a.name: f"aoiclock.{a.name}" for a in node.names})
+    return {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+# each file with one read the scan must see: the Monte Carlo workload's
+# simulator, and the kernel the tracer wraps
+@pytest.mark.parametrize("name, seen", [
+    ("workloads.py", ("aoiclock", "simulate_extended")),
+    ("layers.py", ("aoiclock.kernels", "sim_extended")),
+])
+def test_bench_reads_only_names_the_package_has(name, seen):
+    reads = _package_reads(BENCH / name)
+    assert seen in reads
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(reads)
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+
+
+def test_simulate_extended_returns_what_the_montecarlo_workload_reads():
+    # bench/workloads.py slices a whole run's ages at its warm-up
+    from fractions import Fraction
+
+    import aoiclock
+
+    cfg = aoiclock.SystemConfig(aoiclock.decompose(34, 7, 10), 3, 5, Fraction(1, 2))
+    trace = aoiclock.simulate_extended(cfg, 1000, aoiclock.RngSpec(1))
+    ages = trace.ages[trace.warmup_cycles :]
+    assert len(ages) == 1000 - trace.warmup_cycles > 0
+    assert (ages >= 0).all()

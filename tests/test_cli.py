@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import naive_report_json
+from conftest import naive_report_json, stream_of, whole_trace
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -24,9 +24,9 @@ from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
 from aoiclock.simulate import (
     RngSpec,
-    empirical_mean,
-    simulate_basic,
+    TraceStream,
     simulate_extended,
+    stream_basic,
     write_trace_csv,
 )
 
@@ -379,7 +379,7 @@ def _summary(trace) -> str:
     warm = trace.warmup_cycles
     if warm == trace.cycles:
         return f"cycles={trace.cycles} warmup={warm} (no delivery seen)\n"
-    mean = empirical_mean(trace, warm, trace.cycles - warm)
+    mean = Fraction(sum(trace.ages[warm:].tolist()), trace.cycles - warm)
     peak = int(trace.ages[warm:].max())
     return f"cycles={trace.cycles} warmup={warm} mean={float(mean):.6f} max={peak}\n"
 
@@ -391,7 +391,8 @@ class TestStreamedSimulate:
 
     # name -> (argv, the whole trace of n reads)
     CASES = {
-        "basic": (["--model", "basic", *FIG], lambda n: simulate_basic(decompose(34, 7, 10), n)),
+        "basic": (["--model", "basic", *FIG],
+                  lambda n: whole_trace(stream_basic(decompose(34, 7, 10), n))),
         "lossy": (
             ["--model", "extended", *FIG, "--delta-b", "3", "--delta-n", "5", "--p", "1/2",
              "--seed", "7"],
@@ -399,7 +400,7 @@ class TestStreamedSimulate:
                 aoiclock.extended.SystemConfig(decompose(34, 7, 10), 3, 5, Fraction(1, 2)), n,
                 RngSpec(7)),
         ),
-        # a warm-up of 62 reads, over several blocks of 1 and of 5 reads
+        # a warm-up of 86 reads, over several blocks of 1 and of 5 reads
         "warmup": (
             ["--model", "extended", "--a-period", "1", "--b-period", "9", "--n-period", "8",
              "--delta-b", "60", "--delta-n", "45", "--p", "1/5", "--seed", "9"],
@@ -427,7 +428,7 @@ class TestStreamedSimulate:
         cycles = self.CHUNKS[chunk]
         trace = whole(cycles)
         buf = io.StringIO()
-        write_trace_csv(trace, buf)
+        write_trace_csv(stream_of(trace), buf)
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", chunk)
         path = tmp_path / "trace.csv"
         code, stdout, err = run(capsys, "simulate", *argv, "--cycles", str(cycles),
@@ -453,29 +454,72 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
-def test_simulate_memory_follows_the_block_not_the_run():
-    # a whole trace of 10^7 reads would take 160 MB for ages and fails alone
+_MODELS = {"basic": ["--model", "basic"],
+           "extended": ["--model", "extended", "--p", "1/2", "--seed", "1"]}
+
+
+def _peak_rss_mb(commands: dict) -> dict:
+    """Peak RSS in MB of each ``aoiclock`` argv of ``commands``, all run at once."""
     src = str(Path(aoiclock.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    models = {"basic": ["--model", "basic"],
-              "extended": ["--model", "extended", "--p", "1/2", "--seed", "1"]}
     procs = {
-        (model, cycles): subprocess.Popen(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "aoiclock.cli", "simulate",
-             *FIG, *flags, "--cycles", str(cycles), "--out", os.devnull],
+        key: subprocess.Popen(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "aoiclock.cli", *argv],
             env=env, stdout=subprocess.PIPE,
         )
-        for model, flags in models.items()
-        for cycles in (10**4, 10**7)
+        for key, argv in commands.items()
     }
     peak_mb = {}
     for key, proc in procs.items():
         out, _ = proc.communicate()
         assert proc.returncode == 0, key
         peak_mb[key] = int(out) / 1024
-    for model in models:
+    return peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_simulate_memory_follows_the_block_not_the_run():
+    # a whole trace of 10^7 reads would take 160 MB for ages and fails alone
+    peak_mb = _peak_rss_mb({
+        (model, cycles): ["simulate", *FIG, *flags, "--cycles", str(cycles), "--out", os.devnull]
+        for model, flags in _MODELS.items()
+        for cycles in (10**4, 10**7)
+    })
+    for model in _MODELS:
         assert peak_mb[model, 10**7] < peak_mb[model, 10**4] + 32, peak_mb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_verify_memory_follows_the_block_not_the_run():
+    # the trace checks stream the run; a whole trace of 10^7 reads and the
+    # formula's reads next to it would take over 240 MB
+    peak_mb = _peak_rss_mb({
+        (model, cycles): ["verify", *FIG, *flags, "--cycles", str(cycles)]
+        for model, flags in _MODELS.items()
+        for cycles in (10**4, 10**7)
+    })
+    for model in _MODELS:
+        assert peak_mb[model, 10**7] < peak_mb[model, 10**4] + 32, peak_mb
+
+
+def _corrupt(monkeypatch, name, *ks, by=1):
+    """Patch ``cli.<name>``, a stream maker, to add ``by`` to the age of each
+    read in ``ks`` as its block goes by."""
+    real = getattr(aoiclock.cli, name)
+
+    def corrupted(*args):
+        stream = real(*args)
+
+        def blocks():
+            for k0, ages, fails in stream.blocks():
+                for k in ks:
+                    if k0 <= k < k0 + len(ages):
+                        ages[k - k0] += by
+                yield k0, ages, fails
+
+        return TraceStream(stream.a_period, stream.cycles, blocks())
+
+    monkeypatch.setattr(aoiclock.cli, name, corrupted)
 
 
 class TestVerify:
@@ -538,19 +582,11 @@ class TestVerify:
     def test_corrupted_trace_fails_bridge_at_first_mismatch(self, capsys, monkeypatch):
         # verify's default run: 3 hyperperiods of 35 reads plus 50
         cfg = aoiclock.extended.SystemConfig(decompose(34, 7, 10), 2, 5, Fraction(1, 2))
-        real = aoiclock.cli.simulate_extended
-        trace = real(cfg, 3 * 35 + 50, RngSpec(3))
+        trace = simulate_extended(cfg, 3 * 35 + 50, RngSpec(3))
         k = trace.warmup_cycles + 4
         l = int(trace.fails[k])
         want = aoiclock.extended.aoi_conditional(cfg, k, l)
-
-        def corrupted(*args):
-            bad = real(*args)
-            bad.ages[k] += 1
-            bad.ages[k + 9] += 1
-            return bad
-
-        monkeypatch.setattr(aoiclock.cli, "simulate_extended", corrupted)
+        _corrupt(monkeypatch, "stream_extended", k, k + 9)
         code, out, _ = run(
             capsys, "verify", *FIG, "--model", "extended",
             "--p", "1/2", "--seed", "3", "--delta-b", "2", "--delta-n", "5",
@@ -561,6 +597,77 @@ class TestVerify:
             in out.splitlines()
         )
         assert out.endswith("1 check(s) failed: trace_bridge_identity\n")
+
+    # (1, 9, 8) at shifts (60, 45): a warm-up of 62 reads at p = 1 and of 86 at
+    # p = 1/5 (seed 9), over eight or more blocks of 8
+    LATE = ["--a-period", "1", "--b-period", "9", "--n-period", "8", "--delta-b", "60",
+            "--delta-n", "45", "--seed", "9"]
+
+    BRIDGE = "check trace_bridge_identity: PASS"
+
+    @pytest.mark.parametrize("argv, trace_lines", [
+        (["--model", "basic", *FIG], ["check simulator_matches_formula: PASS"]),
+        (["--model", "extended", *FIG, "--p", "1/2", "--seed", "3", "--delta-b", "2",
+          "--delta-n", "5"], [BRIDGE]),
+        (["--model", "extended", *LATE, "--p", "1/5"], [BRIDGE]),
+        (["--model", "extended", *LATE], [BRIDGE, "check lossless_trace_matches_formula: PASS"]),
+    ], ids=["basic", "lossy", "late-lossy", "late-lossless"])
+    def test_passes_over_small_blocks(self, capsys, monkeypatch, argv, trace_lines):
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert (code, "FAIL" in out) == (0, False)
+        assert out.splitlines()[-len(trace_lines) - 1:] == [*trace_lines, "all checks passed"]
+
+    def test_basic_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        want = aoiclock.basic.aoi_basic(decompose(34, 7, 10), 37)
+        _corrupt(monkeypatch, "stream_basic", 37, 61)
+        code, out, _ = run(capsys, "verify", "--model", "basic", *FIG)
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            f"check simulator_matches_formula: FAIL (first mismatch at k=37: "
+            f"simulated={want + 1} formula={want})",
+            "1 check(s) failed: simulator_matches_formula",
+        ]
+
+    def test_basic_read_without_an_age_fails(self, capsys, monkeypatch):
+        # the lossless model has no warm-up: a first read marked undefined is
+        # a mismatch, not a warm-up to skip
+        _corrupt(monkeypatch, "stream_basic", 0, by=-1)
+        code, out, _ = run(capsys, "verify", "--model", "basic", *FIG)
+        assert code == 1
+        assert ("check simulator_matches_formula: FAIL (first mismatch at k=0: simulated=-1 "
+                "formula=0)") in out.splitlines()
+
+    def test_extended_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        cfg = aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45, Fraction(1, 5))
+        trace = simulate_extended(cfg, 3 * 72 + 50, RngSpec(9))
+        assert trace.warmup_cycles == 86
+        k = 86 + 21
+        l = int(trace.fails[k])
+        want = aoiclock.extended.aoi_conditional(cfg, k, l)
+        _corrupt(monkeypatch, "stream_extended", k, k + 30)
+        code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE, "--p", "1/5")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            f"check trace_bridge_identity: FAIL (k={k} l={l}: simulated={want + 1} formula={want})",
+            "1 check(s) failed: trace_bridge_identity",
+        ]
+
+    def test_lossless_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        cfg = aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45)
+        assert simulate_extended(cfg, 3 * 72 + 50, RngSpec(9)).warmup_cycles == 62
+        want = aoiclock.extended.aoi_conditional(cfg, 75, 0)
+        _corrupt(monkeypatch, "stream_extended", 75)
+        code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
+        assert code == 1
+        assert out.splitlines()[-3:] == [
+            f"check trace_bridge_identity: FAIL (k=75 l=0: simulated={want + 1} formula={want})",
+            "check lossless_trace_matches_formula: FAIL (first mismatch at k=75)",
+            "2 check(s) failed: trace_bridge_identity, lossless_trace_matches_formula",
+        ]
 
     @pytest.mark.parametrize("model", ["basic", "extended"])
     def test_families_compared_without_expanding_values(self, capsys, monkeypatch, model):
@@ -578,8 +685,8 @@ class TestVerify:
             raise AssertionError("verify ran a check past its hyperperiod cap")
 
         for name in (
-            "distribution_basic", "sequence_basic", "simulate_basic",
-            "distribution_conditional", "sequence_conditional", "simulate_extended",
+            "distribution_basic", "sequence_basic", "stream_basic",
+            "distribution_conditional", "sequence_conditional", "stream_extended",
             "expected_exact_extended",
         ):
             monkeypatch.setattr(aoiclock.cli, name, refuse)
@@ -614,24 +721,6 @@ class TestVerify:
                              "--seed", seed)
         assert (code, out) == (2, "")
         assert err == "error: seed must fit in uint64\n"
-
-    @pytest.mark.parametrize("model", ["basic", "extended"])
-    def test_oversized_cycles_refused_up_front(self, capsys, no_kernels, model):
-        code, out, err = run(capsys, "verify", *FIG, "--model", model, "--cycles", "10000000000")
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: --cycles 10000000000 is over verify's cap of 6000050 reads, its longest "
-            "default run: the trace checks hold the whole simulated trace in memory\n"
-        )
-
-    def test_cycles_cap_admits_its_own_value(self, capsys, monkeypatch):
-        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
-        code, out, _ = run(capsys, "verify", *FIG, "--model", "extended", "--cycles", "155")
-        assert code == 0
-        assert "all checks passed" in out
-        code, out, err = run(capsys, "verify", *FIG, "--model", "extended", "--cycles", "156")
-        assert (code, out) == (2, "")
-        assert "over verify's cap of 155 reads" in err
 
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
@@ -764,8 +853,8 @@ class TestSumsPastInt64:
         code, _, err = run(capsys, "simulate", "--model", "basic", *self.BIG, "--cycles", "12",
                            "--out", str(tmp_path / "t.csv"))
         assert code == 0
-        trace = aoiclock.simulate.simulate_basic(decompose(144115188075855872, 2882303761517117437, 1), 12)
-        mean = Fraction(sum(int(a) for a in trace.ages), 12)
+        ages = aoiclock.kernels.sim_basic(144115188075855872, 2882303761517117437, 1, 12)
+        mean = Fraction(sum(int(a) for a in ages), 12)
         assert mean > 2**63 / 12
         assert f" mean={float(mean):.6f} " in err
 

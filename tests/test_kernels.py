@@ -235,7 +235,7 @@ def _joined(blocks):
 
 class TestSimulatorBlocks:
     """Joined, the blocks of a run are the whole-run kernel's trace, at any
-    block size, in chunk-sized buffers or written into the caller's arrays."""
+    block size."""
 
     @given(_PERIODS, st.integers(0, 60), st.integers(0, 60),
            st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(9, 10)]),
@@ -245,27 +245,18 @@ class TestSimulatorBlocks:
     def test_extended_blocks_join_to_the_trace(self, t, db, dn, p, seed, cycles, chunk):
         args = (*t, db, dn, bernoulli_threshold(p), np.uint64(seed), cycles)
         ages, fails = kernels.sim_extended(*args)
-        out = np.full(cycles, -7, dtype=np.int64), np.full(cycles, -7, dtype=np.int64)
         with mock.patch.object(kernels, "_CHUNK", chunk):
             starts, got_ages, got_fails = _joined(kernels.sim_extended_blocks(*args))
-            into = list(kernels.sim_extended_blocks(*args, *out))
         assert starts == list(range(0, cycles, chunk))
         assert (got_ages == ages).all() and (got_fails == fails).all()
-        assert [k0 for k0, _, _ in into] == starts
-        assert all(np.shares_memory(a, out[0]) and np.shares_memory(f, out[1]) for _, a, f in into)
-        assert (out[0] == ages).all() and (out[1] == fails).all()
 
     @given(_PERIODS, st.integers(1, 300), st.integers(1, 64))
     def test_basic_blocks_join_to_the_trace(self, t, cycles, chunk):
         ages = kernels.sim_basic(*t, cycles)
-        out = np.full(cycles, -7, dtype=np.int64)
         with mock.patch.object(kernels, "_CHUNK", chunk):
             starts, got_ages, got_fails = _joined(kernels.sim_basic_blocks(*t, cycles))
-            into = list(kernels.sim_basic_blocks(*t, cycles, out))
         assert starts == list(range(0, cycles, chunk))
         assert (got_ages == ages).all() and not got_fails.any()
-        assert all(np.shares_memory(a, out) for _, a, _ in into)
-        assert (out == ages).all()
 
 
 def _draw(seed, counters):

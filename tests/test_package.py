@@ -31,15 +31,15 @@ PUBLIC = [
     "SweepGrid", "SweepResult", "SystemConfig", "Trace", "TraceStream", "__version__",
     "aoi_basic", "aoi_conditional", "backend", "bernoulli_threshold", "c_basic", "c_extended",
     "comp_mod", "decompose", "distribution_basic", "distribution_conditional",
-    "empirical_mean", "enumerate_configs", "expected_approx_basic", "expected_approx_extended",
+    "enumerate_configs", "expected_approx_basic", "expected_approx_extended",
     "expected_exact_basic", "expected_exact_extended", "floor_mod", "floor_sum",
     "freshness_offset_K", "max_bound_basic", "max_bound_lossless", "max_bound_prob",
     "rel_error_bound_basic", "rel_error_bound_extended", "run_sweep", "sequence_basic",
-    "sequence_conditional", "simulate_basic", "simulate_extended", "stream_basic",
-    "stream_extended", "write_outputs", "write_trace_csv",
+    "sequence_conditional", "simulate_extended", "stream_basic", "stream_extended",
+    "write_outputs", "write_trace_csv",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 47
     assert sorted(aoiclock.__all__) == PUBLIC

@@ -18,15 +18,13 @@ from aoiclock.simulate import (
     RngSpec,
     Trace,
     bernoulli_threshold,
-    empirical_mean,
-    simulate_basic,
     simulate_extended,
     stream_basic,
     stream_extended,
     write_trace_csv,
 )
 
-from conftest import naive_trace_csv
+from conftest import naive_basic_ages, naive_trace_csv, stream_of, whole_trace
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -64,40 +62,38 @@ class TestRngSpec:
 
 class TestSimulateBasic:
     def test_no_warmup_and_k0(self):
-        tr = simulate_basic(REFERENCE, 50)
+        tr = whole_trace(stream_basic(REFERENCE, 50))
         assert tr.warmup_cycles == 0
         assert tr.ages[0] == 0
         assert (tr.fails == 0).all()
 
     def test_slots_property(self):
-        tr = simulate_basic(REFERENCE, 5)
-        assert list(tr.slots) == [0, 34, 68, 102, 136]
+        rows = _csv(stream_basic(REFERENCE, 5)).splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "34", "68", "102", "136"]
 
     def test_slots_past_int64_stay_exact(self):
         tr = Trace(2**62, np.array([1, 2, 3]), np.array([0, 0, 0]))
-        assert list(tr.slots) == [0, 2**62, 2**63]
-        assert all(type(t) is int for t in tr.slots)
-        rows = _csv(tr).splitlines()[1:]
+        rows = _csv(stream_of(tr)).splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", str(2**62), str(2**63)]
         # no rows, but a period too large to scale an int64 range
-        assert list(Trace(2**63, tr.ages[:0], tr.fails[:0]).slots) == []
+        assert _csv(stream_of(Trace(2**63, tr.ages[:0], tr.fails[:0]))) == "k,t,age,l\n"
 
     def test_matches_distribution_over_period(self):
         for t in [(34, 7, 10), (6, 10, 15), (4, 9, 7)]:
             d = decompose(*t)
-            tr = simulate_basic(d, 2 * d.period + 1)
+            tr = whole_trace(stream_basic(d, 2 * d.period + 1))
             assert Counter(tr.ages[1 : 1 + d.period].tolist()) == distribution_basic(d).values
 
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
-            simulate_basic(REFERENCE, 0)
+            stream_basic(REFERENCE, 0)
 
 
 class TestSimulateExtended:
     def test_defined_region_is_suffix(self):
         cfg = SystemConfig(REFERENCE, delta_b=3, delta_n=5, p="1/2")
         tr = simulate_extended(cfg, 500, RngSpec(7))
-        d = tr.defined
+        d = tr.ages >= 0
         w = tr.warmup_cycles
         assert not d[:w].any()
         assert d[w:].all()
@@ -177,7 +173,7 @@ class TestSimulateExtended:
     def test_seed_above_int63_accepted(self):
         cfg = SystemConfig(REFERENCE, p="1/2")
         tr = simulate_extended(cfg, 50, RngSpec(2**64 - 1))
-        assert tr.defined.any()
+        assert (tr.ages >= 0).any()
 
     def test_extended_requires_seed_object(self):
         cfg = SystemConfig(REFERENCE, p="1/2")
@@ -186,35 +182,22 @@ class TestSimulateExtended:
 
 
 class TestWindows:
-    @pytest.fixture()
-    def trace(self):
+    def test_mean_is_exact_fraction(self, monkeypatch):
+        # the stream's sum of its defined reads, the numerator of its mean,
+        # summed across blocks
+        monkeypatch.setattr(kernels, "_CHUNK", 7)
         cfg = SystemConfig(REFERENCE, delta_b=2, delta_n=6, p="1/2")
-        return simulate_extended(cfg, 300, RngSpec(5))
-
-    def test_window_must_be_positive(self, trace):
-        with pytest.raises(ValueError):
-            empirical_mean(trace, trace.warmup_cycles, 0)
-
-    def test_window_inside_warmup_rejected(self):
-        cfg = SystemConfig(REFERENCE, delta_b=40, delta_n=40, p="1")
-        tr = simulate_extended(cfg, 50, RngSpec(0))
-        assert tr.warmup_cycles > 0
-        with pytest.raises(ValueError, match="warm-up"):
-            empirical_mean(tr, 0, 10)
-
-    def test_window_past_end_rejected(self, trace):
-        with pytest.raises(IndexError):
-            empirical_mean(trace, 200, 200)
-
-    def test_mean_is_exact_fraction(self, trace):
-        w = trace.warmup_cycles
-        m = empirical_mean(trace, w, 100)
-        assert m == Fraction(int(trace.ages[w : w + 100].sum()), 100)
+        stream = stream_extended(cfg, 300, RngSpec(5))
+        tr = whole_trace(stream)
+        w = tr.warmup_cycles
+        assert (stream.warmup_cycles, stream.age_sum) == (w, int(tr.ages[w:].sum()))
 
     def test_mean_is_exact_past_int64(self):
-        ages = np.array([0, 2**62, 2**62 + 1, 2**62 + 3], dtype=np.int64)
-        tr = Trace(1, ages, np.zeros(4, dtype=np.int64))
-        assert empirical_mean(tr, 1, 3) == Fraction(3 * 2**62 + 4, 3)
+        ages = np.array([-1, 2**62, 2**62 + 1, 2**62 + 3], dtype=np.int64)
+        stream = stream_of(Trace(1, ages, np.zeros(4, dtype=np.int64)))
+        for _ in stream.blocks():
+            pass
+        assert (stream.warmup_cycles, stream.age_sum) == (1, 3 * 2**62 + 4)
 
     def test_period_window_matches_formula_lossless(self):
         cfg = SystemConfig(REFERENCE)
@@ -225,7 +208,7 @@ class TestWindows:
 
     def test_doubled_window_doubles_multiplicities(self):
         d = decompose(4, 9, 7)
-        tr = simulate_basic(d, 3 * d.period)
+        tr = whole_trace(stream_basic(d, 3 * d.period))
         one = Counter(tr.ages[d.period : 2 * d.period].tolist())
         two = Counter(tr.ages[d.period // 2 : d.period // 2 + 2 * d.period].tolist())
         assert two == {v: 2 * c for v, c in one.items()}
@@ -235,9 +218,8 @@ class TestWindows:
 class TestTraceCsv:
     def test_golden_content(self):
         d = decompose(3, 2, 5)
-        tr = simulate_basic(d, 4)
         buf = io.StringIO()
-        write_trace_csv(tr, buf)
+        write_trace_csv(stream_basic(d, 4), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "k,t,age,l"
         assert lines[1] == "0,0,0,0"
@@ -245,10 +227,10 @@ class TestTraceCsv:
 
     def test_warmup_rows_have_empty_fields(self, tmp_path):
         cfg = SystemConfig(decompose(1, 9, 8), delta_b=30, delta_n=30)
-        tr = simulate_extended(cfg, 60, RngSpec(9))
-        assert tr.warmup_cycles > 0
+        tr = stream_extended(cfg, 60, RngSpec(9))
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, str(path))
+        assert tr.warmup_cycles > 0
         lines = path.read_text().splitlines()
         assert lines[1] == "0,0,,"
         first_defined = lines[1 + tr.warmup_cycles]
@@ -257,14 +239,14 @@ class TestTraceCsv:
     def test_byte_determinism(self, tmp_path):
         cfg = SystemConfig(REFERENCE, p="2/5")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(simulate_extended(cfg, 123, RngSpec(77)), str(p1))
-        write_trace_csv(simulate_extended(cfg, 123, RngSpec(77)), str(p2))
+        write_trace_csv(stream_extended(cfg, 123, RngSpec(77)), str(p1))
+        write_trace_csv(stream_extended(cfg, 123, RngSpec(77)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def _csv(trace) -> str:
+def _csv(stream) -> str:
     buf = io.StringIO()
-    write_trace_csv(trace, buf)
+    write_trace_csv(stream, buf)
     return buf.getvalue()
 
 
@@ -300,13 +282,13 @@ class TestTraceCsvOracle:
         fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
         trace = Trace(a_period, ages, fails)
         with mock.patch.object(simulate, "_CSV_ROWS", block):
-            assert _csv(trace) == naive_trace_csv(trace)
+            assert _csv(stream_of(trace)) == naive_trace_csv(trace)
 
     @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64))
     def test_simulator_traces(self, cfg, seed, cycles, block):
         trace = simulate_extended(cfg, cycles, RngSpec(seed))
         with mock.patch.object(simulate, "_CSV_ROWS", block):
-            assert _csv(trace) == naive_trace_csv(trace)
+            assert _csv(stream_extended(cfg, cycles, RngSpec(seed))) == naive_trace_csv(trace)
 
     @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64),
            st.integers(1, 64))
@@ -317,7 +299,7 @@ class TestTraceCsvOracle:
         with mock.patch.object(simulate, "_CSV_ROWS", block), \
                 mock.patch.object(kernels, "_CHUNK", chunk):
             stream = stream_extended(cfg, cycles, RngSpec(seed))
-            assert _csv(stream) == _csv(whole)
+            assert _csv(stream) == _csv(stream_of(whole))
         warm = whole.warmup_cycles
         defined = whole.ages[warm:]
         assert (stream.cycles, stream.warmup_cycles) == (whole.cycles, warm)
@@ -329,7 +311,8 @@ class TestTraceCsvOracle:
         with mock.patch.object(kernels, "_CHUNK", chunk):
             # 28 hyperperiods of 35 reads, whose ages average 7
             stream = stream_basic(REFERENCE, 980)
-            assert _csv(stream) == _csv(simulate_basic(REFERENCE, 980))
+            whole = Trace(34, np.array(naive_basic_ages(34, 7, 10, 980)), np.zeros(980, np.int64))
+            assert _csv(stream) == naive_trace_csv(whole)
         assert (stream.warmup_cycles, stream.age_sum, stream.age_max) == (0, 7 * 980, 14)
 
     @pytest.mark.parametrize("cycles", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
@@ -337,19 +320,19 @@ class TestTraceCsvOracle:
         assert simulate._CSV_ROWS == 1 << 14
         cfg = SystemConfig(decompose(1, 9, 8), 30, 30, "1/5")
         lossy = simulate_extended(cfg, cycles, RngSpec(9))
-        for trace in (lossy, simulate_basic(REFERENCE, cycles)):
-            assert _csv(trace) == naive_trace_csv(trace)
+        for trace in (lossy, whole_trace(stream_basic(REFERENCE, cycles))):
+            assert _csv(stream_of(trace)) == naive_trace_csv(trace)
 
     def test_warmup_longer_than_a_block(self):
         trace = simulate_extended(_LONG_WARMUP, 50_010, RngSpec(1))
         assert trace.warmup_cycles == 50_001
-        assert _csv(trace) == naive_trace_csv(trace)
+        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
 
     @pytest.mark.parametrize("cycles", [1, 20])
     def test_all_warmup(self, cycles):
         trace = simulate_extended(_LONG_WARMUP, cycles, RngSpec(1))
         assert trace.warmup_cycles == cycles
-        text = _csv(trace)
+        text = _csv(stream_of(trace))
         assert text == naive_trace_csv(trace)
         assert text.count(",,\n") == cycles
 
@@ -357,24 +340,23 @@ class TestTraceCsvOracle:
         ages = np.array([3, -1, 10**18, 0, 99, 100, 2**63 - 1, 7], dtype=np.int64)
         trace = Trace(2**61 + 3, ages, np.where(ages >= 0, ages % 1000, -1))
         # rows 2..7 are one run of defined rows, so one block
-        slots = trace.slots.tolist()
-        assert slots[3] < 2**63 <= slots[4]
-        assert _csv(trace) == naive_trace_csv(trace)
+        assert 3 * trace.a_period < 2**63 <= 4 * trace.a_period
+        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
 
     def test_digit_widths_change_inside_a_block(self):
         # in one block k passes 9, 99 and 999, t several widths, and age and
         # l change width from row to row
         k = np.arange(1200, dtype=np.int64)
         trace = Trace(997, 10 ** (k % 19) - k % 2, (k * k) % 10**(k % 7 + 1))
-        assert _csv(trace) == naive_trace_csv(trace)
+        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
 
     def test_negative_value_in_a_defined_row_rejected(self):
         trace = Trace(1, np.array([0, 5], dtype=np.int64), np.array([0, -2], dtype=np.int64))
         with pytest.raises(ValueError, match="must be >= 0, got -2"):
-            _csv(trace)
+            _csv(stream_of(trace))
 
     @pytest.mark.parametrize("a_period", [2**40 + 1, 10**12 + 1, 2**50 + 3])
     def test_slots_past_2_40(self, a_period):
-        trace = simulate_basic(decompose(a_period, 2, 3), 2_000)
-        assert int(trace.slots[-1]) > 2**40
-        assert _csv(trace) == naive_trace_csv(trace)
+        trace = whole_trace(stream_basic(decompose(a_period, 2, 3), 2_000))
+        assert (trace.cycles - 1) * a_period > 2**40
+        assert _csv(stream_of(trace)) == naive_trace_csv(trace)

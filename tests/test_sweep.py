@@ -250,7 +250,7 @@ class TestEnumeration:
         grid = SweepGrid.from_dict(factors)
         want = [
             (f, *_classify_ref(f))
-            for f in islice(product(*(grid.values_of(f) for f in sweep._FACTORS)), start, stop)
+            for f in islice(product(*(getattr(grid, f) for f in sweep._FACTORS)), start, stop)
         ]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep, "_BLOCK", tile)
@@ -443,7 +443,7 @@ class TestRunSweep:
     def test_totals_partition(self, grid, result):
         assert result.n_candidates == grid.n_candidates() == 5 * 5 * 5 * 2 * 2
         assert result.n_configs + sum(result.skip_counts.values()) == result.n_candidates
-        assert result.global_hist.total() == result.n_configs
+        assert sum(result.global_hist.counts.values()) == result.n_configs
         assert len(result.float_errors) == result.n_configs
 
     def test_no_bound_violations(self, result):
@@ -725,7 +725,7 @@ class TestPerConfigErrors:
         assert result.n_configs == 5_136 - 1_040
         assert result.n_configs + sum(result.skip_counts.values()) == result.n_candidates
         for sl in result.slices:
-            holding = result.n_candidates // len(grid.values_of(sl.parameter))
+            holding = result.n_candidates // len(getattr(grid, sl.parameter))
             assert sl.n_configs + sl.n_skipped == holding, (sl.parameter, sl.value)
         n_three = next(sl for sl in result.slices if sl.parameter == "n" and sl.value == "3")
         assert n_three.n_configs == 0
