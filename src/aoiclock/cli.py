@@ -236,30 +236,37 @@ def _check_family(failures: list[str], name: str, dist, seq, where: str = "") ->
                  f"position {k}: closed={closed[k]} direct={direct[k]}")
 
 
-def _check_trace(failures: list[str], name: str, stream, shape, formula, detail: str,
-                 skip_warmup: bool = True) -> None:
-    """The streamed reads, block by block, against ``formula(k0, fails)``, the
-    closed form's reads k0, k0 + 1, ... at the reads' failure counts.
+def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool = True) -> None:
+    """The streamed reads, block by block, against each ``(name, formula,
+    detail)`` check of ``checks``: ``formula(k0, fails)`` is the closed
+    form's reads k0, k0 + 1, ... at the reads' failure counts.
 
-    The warm-up prefix is skipped unless ``skip_warmup`` is false.  The check
-    stops at the first read that differs, and ``detail`` is formatted with
-    its ``k``, ``l``, ``sim`` and ``model``.  Each block passes the sequence
-    kernels' guard for the periods and shifts ``shape`` first.
+    The run is streamed once for all the checks.  The warm-up prefix is
+    skipped unless ``skip_warmup`` is false.  Each check stops at its first
+    read that differs, and its ``detail`` is formatted with that read's
+    ``k``, ``l``, ``sim`` and ``model``; the stream stops once every check
+    has failed.  Each block passes the sequence kernels' guard for the
+    periods and shifts ``shape`` first.  The checks print in their order.
     """
+    found = {}  # name -> the detail of its first mismatch
     for k0, ages, fails in stream.blocks():
         # the stream's warm-up is final once a block holds a defined read,
         # and the run's length before then, so every block of it is skipped
         cut = min(len(ages), max(0, stream.warmup_cycles - k0)) if skip_warmup else 0
         k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
         kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
-        want = formula(k0, fails)
-        bad = np.flatnonzero(ages != want)
-        if len(bad):
-            i = bad[0]
-            _check(failures, name, False,
-                   detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i]))
-            return
-    _check(failures, name, True)
+        for name, formula, detail in checks:
+            if name in found:
+                continue
+            want = formula(k0, fails)
+            bad = np.flatnonzero(ages != want)
+            if len(bad):
+                i = bad[0]
+                found[name] = detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i])
+        if len(found) == len(checks):
+            break
+    for name, _, _ in checks:
+        _check(failures, name, name not in found, found.get(name, ""))
 
 
 def _verify_basic(d, cycles: int, failures: list[str]) -> None:
@@ -282,9 +289,10 @@ def _verify_basic(d, cycles: int, failures: list[str]) -> None:
 
     # the lossless model delivers at slot 0, so every read is compared
     shape = (d.a_period, d.b_period, d.n_period, 0, 0)
-    _check_trace(failures, "simulator_matches_formula", stream_basic(d, cycles), shape,
-                 lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
-                 "first mismatch at k={k}: simulated={sim} formula={model}", skip_warmup=False)
+    check = ("simulator_matches_formula",
+             lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
+             "first mismatch at k={k}: simulated={sim} formula={model}")
+    _check_trace(failures, [check], stream_basic(d, cycles), shape, skip_warmup=False)
 
 
 def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, failures: list[str]) -> None:
@@ -305,14 +313,14 @@ def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, f
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     # the sequence kernel takes a failure count per read as it takes one for
     # all, so a block costs one pass however many counts occur
-    _check_trace(failures, "trace_bridge_identity", stream_extended(cfg, cycles, rng), shape,
-                 lambda k0, fails: kernels.seq_conditional(*shape, fails, k0, len(fails)),
-                 "k={k} l={l}: simulated={sim} formula={model}")
-
+    checks = [("trace_bridge_identity",
+               lambda k0, fails: kernels.seq_conditional(*shape, fails, k0, len(fails)),
+               "k={k} l={l}: simulated={sim} formula={model}")]
     if cfg.p == 1:
-        _check_trace(failures, "lossless_trace_matches_formula", stream_extended(cfg, cycles, rng),
-                     shape, lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
-                     "first mismatch at k={k}")
+        checks.append(("lossless_trace_matches_formula",
+                       lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
+                       "first mismatch at k={k}"))
+    _check_trace(failures, checks, stream_extended(cfg, cycles, rng), shape)
 
 
 def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:

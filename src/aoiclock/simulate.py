@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 # Trace CSVs are encoded and written at most _CSV_ROWS rows at a time, one
-# write per block.  The size bounds a block's memory, a uint8 matrix and a
-# keep mask of one byte each per character (about 0.7 MB at 2^14 rows of 20
-# characters); it never changes a byte.
+# write per block.  The size bounds a block's memory, a byte matrix and its
+# compacted copy of one byte each per character (at most 0.7 MB at 2^14 rows
+# of 20 characters) beside a few uint32 or int64 columns; it never changes a
+# byte.
 _CSV_ROWS = 1 << 14
 
 
@@ -104,7 +105,9 @@ class TraceStream:
     memory O(chunk).  As the blocks go by, the stream keeps a whole trace's
     summary: ``warmup_cycles``, and the exact sum and the max of the defined
     ages (``age_sum`` and ``age_max``, the latter None while no read is
-    defined).  They are final once ``blocks()`` is exhausted.
+    defined).  They are final once ``blocks()`` is exhausted.  The warm-up
+    ends at the first defined read; every read after it is summed as it
+    arrives, since the kernels never yield a negative age past the warm-up.
     """
 
     def __init__(self, a_period: int, cycles: int, source):
@@ -117,14 +120,20 @@ class TraceStream:
 
     def blocks(self):
         for k0, ages, fails in self._source:
-            # the warm-up is a prefix, so only the block that ends it is cut
-            cut = 0 if self.age_max is not None else int(np.count_nonzero(ages < 0))
+            cut = 0
+            if self.age_max is None:
+                # the warm-up is the negative prefix of the block that ends it
+                seen = ages >= 0
+                cut = int(seen.argmax()) if seen.any() else len(ages)
             if cut < len(ages):
                 if self.age_max is None:
                     self.warmup_cycles, self.age_max = k0 + cut, -1
                 defined = ages[cut:]
-                self.age_sum += kernels.exact_sum(defined)
-                self.age_max = max(self.age_max, int(defined.max()))
+                top = int(defined.max())
+                self.age_max = max(self.age_max, top)
+                # one int64 pass where no partial sum can reach 2^63
+                self.age_sum += (int(defined.sum()) if len(defined) * top < 2**63
+                                 else kernels.exact_sum(defined))
             yield k0, ages, fails
 
 
@@ -160,9 +169,10 @@ def write_trace_csv(trace: TraceStream, dest) -> None:
     Warm-up rows keep their slot but leave age and l empty.  ``dest`` may be
     a path, written in binary mode, or a text file object, which gets each
     block decoded as ASCII.  The rows are encoded at most _CSV_ROWS at a
-    time by numpy digit arithmetic (see ``_encode_rows``), one write per
-    block, so the stream is written as it runs.  A defined row with a
-    negative l raises ValueError.
+    time by numpy digit arithmetic (see ``_encode_rows``), and each block's
+    bytearray goes to a binary file as it is, one write per block, so the
+    stream is written as it runs.  A defined row with a negative l raises
+    ValueError.
     """
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with open(dest, "wb") as fh:
@@ -174,7 +184,7 @@ def write_trace_csv(trace: TraceStream, dest) -> None:
 
 
 def _csv_blocks(trace: TraceStream):
-    """The CSV's header, then its rows as one bytes object per block."""
+    """The CSV's header, then its rows as one bytearray per block."""
     yield b"k,t,age,l\n"
     for k0, ages, fails in trace.blocks():
         defined = ages >= 0
@@ -195,54 +205,53 @@ def _csv_blocks(trace: TraceStream):
                 yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
 
 
-# the ASCII digits of "00".."99": row r holds r's tens digit, then its units digit
-_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % r for r in range(100)), np.uint8).reshape(100, 2)
+# "00".."99" as uint16s, each holding its two ASCII digits in memory order
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % r for r in range(100)), np.uint16)
 
 
-def _encode_rows(cols, seps) -> bytes:
+def _encode_rows(cols, seps) -> bytearray:
     """CSV rows of the non-negative integer columns ``cols``, each value
     followed by its column's separator in ``seps``, as ASCII bytes.
 
-    The rows are laid out in a fixed-width uint8 matrix, each column as wide
-    as its largest value, with the digits right-aligned and read off two at a
-    time (divide by 100, look the remainder up in ``_DIGIT_PAIRS``).  A keep
-    mask drops the leading zeros: a digit of weight 10^j (j >= 1) is kept
-    where the value is >= 10^j, and only positions past the column's
-    smallest value can be dropped.  Columns of python ints (slots past
-    int64) are rendered by ``str`` into the same matrix, left-aligned, with
-    their zero padding masked out.
+    The rows are laid out in a fixed-width byte matrix over a zeroed
+    bytearray, each column as wide as its largest value, with the digits
+    right-aligned.  A column is divided by 100 at a time, in uint32 where
+    its max is below 2^32 and in its own int64 above, and each remainder is
+    looked up in ``_DIGIT_PAIRS`` and stored as one 2-byte value.  Leading
+    zeros are set back to NUL, at the positions past the column's smallest
+    value only, and one ``bytearray.translate`` deletes every NUL.  Columns
+    of python ints (slots past int64) are rendered by ``str`` into the same
+    matrix, left-aligned, and their NUL padding is deleted with the rest.
     """
     n = len(cols[0])
-    texts = [
-        np.array([str(x) for x in col.tolist()], dtype=bytes) if col.dtype == object else None
-        for col in cols
-    ]
-    widths = [
-        len(str(int(col.max()))) if text is None else text.itemsize
-        for col, text in zip(cols, texts)
-    ]
-    mat = np.empty((n, sum(widths) + sum(map(len, seps))), np.uint8)
-    keep = np.ones(mat.shape, bool)
-    c = 0
-    for col, text, w, sep in zip(cols, texts, widths, seps):
-        if text is not None:
-            mat[:, c : c + w] = text.view(np.uint8).reshape(n, w)
-            np.not_equal(mat[:, c : c + w], 0, out=keep[:, c : c + w])
+    fields = []  # (column as uint32, int64 or bytes, width, width of its smallest value)
+    for col in cols:
+        if col.dtype == object:
+            text = np.array([str(x) for x in col.tolist()], dtype=bytes)
+            fields.append((text, text.itemsize, text.itemsize))
         else:
-            low = int(col.min())
+            low, high = int(col.min()), int(col.max())
             if low < 0:
                 raise ValueError(f"trace CSV values must be >= 0, got {low}")
-            x = col
-            for p in range(c + w - 2, c - 2, -2):
-                q = x // 100
-                r = x - 100 * q
-                x = q
-                mat[:, p + 1] = _DIGIT_PAIRS[:, 1].take(r)
-                if p >= c:
-                    mat[:, p] = _DIGIT_PAIRS[:, 0].take(r)
-            for p in range(c, c + w - len(str(low))):
-                np.greater_equal(col, 10 ** (c + w - 1 - p), out=keep[:, p])
+            x = col.astype(np.uint32, copy=False) if high < 2**32 else col
+            fields.append((x, len(str(high)), len(str(low))))
+    buf = bytearray(n * (sum(w for _, w, _ in fields) + sum(map(len, seps))))
+    mat = np.frombuffer(buf, np.uint8).reshape(n, -1)
+    c = 0
+    for (x, w, w_low), sep in zip(fields, seps):
+        if x.dtype.kind == "S":
+            mat[:, c : c + w] = x.view(np.uint8).reshape(n, w)
+        else:
+            v = x
+            for e in range(c + w, c + 1, -2):  # pair ends, right to left
+                q = v // 100 if e > c + 2 else 0  # the top pair's value is below 100
+                mat[:, e - 2 : e].view(np.uint16)[:, 0] = _DIGIT_PAIRS.take(v - 100 * q)
+                v = q
+            if w % 2:
+                np.add(v, ord("0"), out=mat[:, c], casting="unsafe")
+            for p in range(c, c + w - w_low):
+                mat[:, p] *= x >= 10 ** (c + w - 1 - p)
         c += w
         mat[:, c : c + len(sep)] = np.frombuffer(sep, np.uint8)
         c += len(sep)
-    return mat[keep].tobytes()
+    return buf.translate(None, b"\0")

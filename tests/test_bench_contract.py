@@ -115,6 +115,25 @@ def test_traced_analyze_counts_every_read_of_the_family(layers, capsys, model):
     assert tracer.counts[f"{model}.distribution.values"] == decompose(7, 311, 317).period
 
 
+def test_traced_simulate_records_the_trace_it_writes(layers, capsys, tmp_path):
+    # the trace-export workload's per-layer metrics come from this span; a
+    # traced pass that never enters it has no simulate.write_trace_csv.* values
+    from aoiclock import cli
+
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--model", "extended", "--a-period", "9", "--b-period", "13",
+            "--n-period", "3", "--p", "1/5", "--seed", "1", "--cycles", "20000",
+            "--out", str(out)]
+    tracer = layers.Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tracer.stats["simulate.write_trace_csv"].calls == 1
+    values = layers.layer_values(tracer)
+    assert values["simulate.write_trace_csv.rows"] == 20000
+    assert values["simulate.write_trace_csv.bytes"] == out.stat().st_size > 0
+
+
 def _package_reads(path: Path) -> set[tuple[str, str]]:
     """Each ``(module, name)`` a bench file reads as ``<module>.<name>``, where
     ``<module>`` is ``aoiclock`` or a submodule imported from it."""

@@ -550,6 +550,23 @@ class TestVerify:
         assert code == 0
         assert "check lossless_trace_matches_formula: PASS" in out
 
+    def test_lossless_checks_share_one_stream(self, capsys, monkeypatch):
+        real, calls = aoiclock.cli.stream_extended, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(aoiclock.cli, "stream_extended", counted)
+        code, out, _ = run(capsys, "verify", *FIG, "--model", "extended")
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "check trace_bridge_identity: PASS",
+            "check lossless_trace_matches_formula: PASS",
+            "all checks passed",
+        ]
+        assert len(calls) == 1
+
     def test_corrupted_offsets_surface_counterexample(self, capsys, monkeypatch):
         real = aoiclock.basic._start
         monkeypatch.setattr(

@@ -253,8 +253,12 @@ def _csv(stream) -> str:
 # (defined age, l) or None for an undefined row, in any order
 _INT64 = st.integers(0, 2**63 - 1)
 _ROWS = st.lists(st.one_of(st.none(), st.tuples(_INT64, _INT64)), max_size=40)
-# rows whose ages and l sit on both sides of every power of ten in int64
-_WIDTH_EDGES = [(10**k - 1, 10**k) for k in range(1, 19)] + [(2**63 - 1, 2**63 - 1)]
+# rows whose ages and l sit on both sides of every power of ten in int64, and
+# of 2^31 and 2^32, the int32 and uint32 limits
+_WIDTH_EDGES = sorted(
+    [(10**k - 1, 10**k) for k in range(1, 19)]
+    + [(2**31 - 1, 2**31), (2**32 - 1, 2**32), (2**63 - 1, 2**63 - 1)]
+)
 _A_PERIODS = st.one_of(st.integers(1, 100), st.integers(2**40, 2**70))
 _LOSSY = st.builds(
     lambda t, db, dn, p: SystemConfig(decompose(*t), db, dn, p),
@@ -277,6 +281,8 @@ class TestTraceCsvOracle:
     @example(_WIDTH_EDGES, 1, 5)
     @example([(b, a) for a, b in _WIDTH_EDGES], 2**70, 2)
     @example([r for edge in _WIDTH_EDGES for r in (None, edge)], 10**17, 4)
+    @example(_WIDTH_EDGES, 3, 1)  # each row a block, so each value is its column's max
+    @example([(0, 0)] * 40, 2**27 + 1, 64)  # t passes 2^32 at row 32 of the one block
     def test_hand_built_traces_with_holes(self, rows, a_period, block):
         ages = np.array([-1 if r is None else r[0] for r in rows], dtype=np.int64)
         fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
@@ -305,6 +311,14 @@ class TestTraceCsvOracle:
         assert (stream.cycles, stream.warmup_cycles) == (whole.cycles, warm)
         assert stream.age_sum == int(defined.sum())
         assert stream.age_max == (int(defined.max()) if len(defined) else None)
+
+    def test_stream_warmup_is_the_negative_prefix(self):
+        # a read after the warm-up is summed as it comes, even a negative one
+        ages, fails = np.array([-1, 5, -1, 7]), np.array([-1, 0, -1, 0])
+        stream = stream_of(Trace(1, ages, fails))
+        assert _csv(stream) == "k,t,age,l\n0,0,,\n1,1,5,0\n2,2,,\n3,3,7,0\n"
+        assert stream.warmup_cycles == Trace(1, ages, fails).warmup_cycles == 1
+        assert (stream.age_sum, stream.age_max) == (11, 7)
 
     @pytest.mark.parametrize("chunk", [1, 1 << 15])
     def test_basic_stream_writes_the_whole_trace(self, chunk):
