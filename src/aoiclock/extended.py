@@ -48,9 +48,10 @@ __all__ = [
 
 # The exact expectation takes b conditional hyperperiod sums (a floor sum
 # each) and runs a b-step Horner loop over a denominator of about b*log2(v)
-# bits, so its big-integer work grows as b^2: about 0.5 s at b = 10^5,
-# periods (3b, 7b, 11) and p = 1/2, on a 2-core Xeon host (0.15 s of it the
-# sums).
+# bits, so its big-integer work grows as b^2 and with log(v): at b = 10^5
+# and periods (3b, 7b, 11), in a fresh process on a 2-core Xeon host, it
+# took 0.74 s at p = 1/2 (0.2 s of it the sums) and 16 s at p = 1/30000;
+# `analyze --model extended` of those configs took 0.85 s and 25 s.
 _MAX_TERMS = 10**5
 # max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
 # m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s
@@ -169,7 +170,7 @@ def _check_terms(d: PeriodDecomposition) -> None:
         raise ValueError(
             f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
             f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (about 0.5 s at b = {_MAX_TERMS})"
+            f"grows as b^2 (about 0.75 s at b = {_MAX_TERMS} and p = 1/2, 16 s at p = 1/30000)"
         )
 
 

@@ -11,9 +11,10 @@ deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
 The factor tuples are cut into blocks of at most ``_BLOCK`` tuples, an
-equal share per process, and the calling process evaluates its share of the
-blocks while a pool of ``jobs - 1`` workers evaluates the rest (one process
-per block and per core at most).  A block classifies its tuples with array
+equal share per process, and the calling process evaluates every jobs-th
+block while ``jobs - 1`` forked workers evaluate the rest, each a fixed
+share that it sends back through a pipe of its own (one process per block
+and per core at most).  A block classifies its tuples with array
 gcds, evaluates the kept ones and returns compact columns: a skip code per
 tuple, and a bin index, float error and bound verdict per config.  A block
 stays in columns from classification to fold: ``_eval_chunk`` returns its
@@ -41,14 +42,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product, repeat
-from multiprocessing import Pool
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -86,9 +88,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.9 s at
-# 64 MB peak RSS in the calling process (26-27 MB in the worker) with
-# --jobs 2 on a 2-core Xeon host, and 2.5-3.5 s at 63 MB with --jobs 1.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.6-1.8 s at
+# 62 MB peak RSS in the calling process (25.5 MB in the worker) with
+# --jobs 2 on a 2-core Xeon host, and 2.3-3.3 s at 62.5 MB with --jobs 1.
 _MAX_CANDIDATES = 10**6
 
 
@@ -184,7 +186,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 3 s and 64 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 3 s and 63 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -563,8 +565,98 @@ _SKIP_REASONS = ("common_factor", "factor_mismatch", "equal_periods")
 _SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
 
 
-# the cores this process may run on, which cap the sweep's processes
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the cores this process may run on, which cap the sweep's processes; 1 where
+# os.fork is missing (Windows), so every sweep runs inline and writes the
+# same bytes
+if not hasattr(os, "fork"):
+    _CORES = 1
+elif hasattr(os, "sched_getaffinity"):
+    _CORES = len(os.sched_getaffinity(0))
+else:
+    _CORES = os.cpu_count() or 1
+
+
+def _serve(fn, items, fd: int) -> NoReturn:
+    """A forked worker's whole run: ``fn`` of each item in turn, each result or
+    exception pickled to the pipe ``fd``; it never returns to the caller's stack."""
+    try:
+        with open(fd, "wb") as out:
+            for item in items:
+                try:
+                    result = fn(item)
+                except Exception as exc:  # the parent raises it
+                    result = exc
+                out.write(pickle.dumps(result))
+                out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+class Pool:
+    """Forked workers for one ``imap``, with one pipe each and no task queue.
+
+    ``Pool(processes)`` is a context manager, and ``imap(fn, items)`` forks
+    the workers once the items are known: worker i evaluates items i,
+    i + processes, ... in turn, which it inherits by the fork, and sends
+    each result back through its own pipe.  The parent reads the results in
+    item order; an exception raised in a worker is raised there unchanged,
+    and a worker that ends without sending its result raises
+    ``ChildProcessError`` with its exit status.  ``__exit__`` reaps every
+    worker, and kills those still running when it leaves on an error.  The
+    workers inherit the caller's state, patches included; the package
+    starts no thread, but a caller whose own threads hold locks at the fork
+    should sweep with jobs=1.
+    """
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        self._workers = []  # (pid, read end of its pipe)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for pid, reader in self._workers:
+            reader.close()
+            if exc_type is not None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._workers.clear()
+        return False
+
+    def imap(self, fn, items):
+        items = list(items)
+        for i in range(self.processes):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _serve(fn, items[i :: self.processes], w)
+            os.close(w)
+            self._workers.append((pid, open(r, "rb")))
+        return self._results(list(self._workers), len(items))
+
+    def _results(self, workers, n: int):
+        for k in range(n):
+            pid, reader = worker = workers[k % len(workers)]
+            try:
+                result = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                self._workers.remove(worker)
+                reader.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise ChildProcessError(
+                    f"sweep worker {pid} ended without sending a result (exit status {status})"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
 
 def _block_size(n_tuples: int, workers: int) -> int:
@@ -630,7 +722,7 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
     The blocks are freed on return, before ``run_sweep`` folds the columns.
     On the 10^6-candidate grid at --jobs 2 that held the calling process's
     peak RSS at 64-67 MB, against 70 MB with the blocks held through the
-    fold, when blocks were still built from rows; it now peaks at 63-64 MB.
+    fold, when blocks were still built from rows; it now peaks at 62-62.6 MB.
     """
     n_tuples = math.prod(len(getattr(grid, f)) for f in _FACTORS)
     # one process per core at most, the parent included
@@ -641,7 +733,7 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
     if workers == 1:
         blocks = list(map(_run_block, payloads))
     else:
-        # the parent evaluates every workers-th block while the pool runs the rest
+        # the parent evaluates every workers-th block while the workers run the rest
         with Pool(workers - 1) as pool:
             theirs = pool.imap(_run_block, [p for i, p in enumerate(payloads) if i % workers])
             blocks = [

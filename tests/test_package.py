@@ -2,7 +2,11 @@
 than the pinned list."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,13 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     assert len(PUBLIC) == 47
     assert sorted(aoiclock.__all__) == PUBLIC
+
+
+def test_import_leaves_multiprocessing_out():
+    # the sweep forks its own workers
+    src = str(Path(aoiclock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, aoiclock, aoiclock.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"

@@ -4,6 +4,10 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
@@ -546,6 +550,94 @@ class TestProcesses:
 
     def test_cores_are_the_affinity_mask(self):
         assert sweep._CORES == len(os.sched_getaffinity(0))
+
+    def test_without_fork_every_sweep_runs_inline(self, tmp_path):
+        out = tmp_path / "out"
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_FORK, str(BUNDLED_GRID), str(out)],
+            env=env, check=True, capture_output=True, timeout=60,
+        )
+        assert run.stderr == b"1\n"
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        stdout = run.stdout.replace(str(out).encode(), b"")
+        digests["stdout"] = hashlib.sha256(stdout).hexdigest()
+        assert digests == BUNDLED_DIGESTS
+
+
+# Deletes os.fork, prints sweep._CORES to stderr and runs the bundled sweep
+# at --jobs 2 into argv[2].
+_WITHOUT_FORK = """
+import os, sys
+del os.fork
+from aoiclock import cli, sweep
+print(sweep._CORES, file=sys.stderr)
+sys.exit(cli.main(["sweep", "--grid", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"]))
+"""
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """A failure in a worker or in the parent fails the sweep, and leaves no child."""
+
+    @staticmethod
+    def split(monkeypatch, mine, theirs):
+        """Run the parent's blocks with ``mine`` and the worker's with ``theirs``."""
+        parent = os.getpid()
+        monkeypatch.setattr(
+            sweep, "_run_block", lambda p: (mine if os.getpid() == parent else theirs)(p)
+        )
+        monkeypatch.setattr(sweep, "_CORES", 2)
+
+    def test_dead_worker_fails_the_sweep(self, monkeypatch):
+        # the parent reads EOF on the dead worker's pipe, not waiting for its result
+        self.split(monkeypatch, sweep._run_block, lambda p: os._exit(3))
+        with alarm(10), pytest.raises(ChildProcessError, match=r"\(exit status 3\)$"):
+            run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=2)
+        assert_no_child()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, capsys, tmp_path):
+        def boom(p):
+            raise ValueError("boom")
+
+        self.split(monkeypatch, sweep._run_block, boom)
+        out = tmp_path / "out"
+        argv = ["sweep", "--grid", str(BUNDLED_GRID), "--out", str(out), "--jobs", "2"]
+        with alarm(10):
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+        assert not out.exists()
+        assert_no_child()
+
+    def test_parent_error_kills_the_workers(self, monkeypatch):
+        def boom(p):
+            raise RuntimeError("parent")
+
+        self.split(monkeypatch, boom, lambda p: time.sleep(60))
+        with alarm(10), pytest.raises(RuntimeError, match="^parent$"):
+            run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=2)
+        assert_no_child()
 
 
 class TestSum:
