@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for failed verification checks or I/O problems,
 2 for configuration and usage errors.  Exact rationals appear in JSON as
-"num/den" strings next to a *_float convenience field.
+"num/den" strings next to a *_float convenience field, which is null where
+the exact value is past float range.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _float(x: Fraction) -> float | None:
+    """The *_float field of ``x``: the nearest float, or None (null) past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _add_config_flags(sub):
     sub.add_argument("--a-period", type=int, required=True, help="reader period in slots")
     sub.add_argument("--b-period", type=int, required=True, help="source period in slots")
@@ -96,7 +105,7 @@ def _distribution_block(dist, mean, **extra):
         "min": dist.min(),
         "max": dist.max(),
         "mean": _rat(mean),
-        "mean_float": float(mean),
+        "mean_float": _float(mean),
         "hyperperiod_reads": dist.period,
         "progressions": [],
         **extra,
@@ -105,8 +114,8 @@ def _distribution_block(dist, mean, **extra):
 
 def _band_block(band):
     return {
-        "center": _rat(band.center), "center_float": float(band.center),
-        "half_width": _rat(band.half_width), "half_width_float": float(band.half_width),
+        "center": _rat(band.center), "center_float": _float(band.center),
+        "half_width": _rat(band.half_width), "half_width_float": _float(band.half_width),
     }
 
 
@@ -141,7 +150,7 @@ def cmd_analyze(args) -> int:
             "delta_b": cfg.delta_b,
             "delta_n": cfg.delta_n,
             "p": _rat(cfg.p),
-            "p_float": float(cfg.p),
+            "p_float": _float(cfg.p),
         },
         "decomposition": {
             "A": d.A, "B": d.B, "N": d.N, "a": d.a, "b": d.b, "n": d.n,
@@ -153,12 +162,12 @@ def cmd_analyze(args) -> int:
         exact = expected_exact_basic(d)
         report["distribution"] = _distribution_block(dist, exact)
         report["expected_exact"] = _rat(exact)
-        report["expected_exact_float"] = float(exact)
+        report["expected_exact_float"] = _float(exact)
         report["band"] = _band_block(expected_approx_basic(d))
         try:
             bound = rel_error_bound_basic(d)
             report["rel_error_bound"] = _rat(bound)
-            report["rel_error_bound_float"] = float(bound)
+            report["rel_error_bound_float"] = _float(bound)
         except NullSequenceError:
             report["rel_error_bound"] = None
             report["rel_error_bound_float"] = None
@@ -173,14 +182,14 @@ def cmd_analyze(args) -> int:
         report["distribution"] = _distribution_block(dist, dist.mean(), conditioned_on_l=0)
         report["expectation"] = {
             "value": _rat(exact.value),
-            "value_float": float(exact.value),
+            "value_float": _float(exact.value),
             "tail_bound": _rat(exact.tail_bound),
-            "tail_bound_float": float(exact.tail_bound),
+            "tail_bound_float": _float(exact.tail_bound),
             "terms_used": exact.terms_used,
         }
         report["band"] = _band_block(expected_approx_extended(cfg))
         report["rel_error_bound"] = _rat(bound)
-        report["rel_error_bound_float"] = float(bound)
+        report["rel_error_bound_float"] = _float(bound)
         if cfg.p == 1:
             # with lossless delivery the probabilistic machinery degenerates
             # to a hard bound

@@ -21,6 +21,7 @@ finite sum of b terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,6 +225,23 @@ def _neg_log1m(x: Fraction) -> float:
     return math.log(x.denominator) - math.log(x.denominator - x.numerator)
 
 
+def _log10_neg_log1m(x: Fraction) -> float:
+    """log10(-log(1 - x)) for 0 < x < 1, also where -log(1 - x) is below float range."""
+    y = _neg_log1m(x)
+    if y >= sys.float_info.min:
+        return math.log10(y)
+    return math.log10(x.numerator) - math.log10(x.denominator)  # there -log(1 - x) = x
+
+
+def _e_notation(lg: float) -> str:
+    """10^lg to three digits, as ``f"{x:.2e}"`` writes a float x, also past float range."""
+    exp = math.floor(lg)
+    mantissa = f"{10 ** (lg - exp):.2f}"
+    if mantissa == "10.00":
+        mantissa, exp = "1.00", exp + 1
+    return f"{mantissa}e{exp:+03d}"
+
+
 def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     """Age bound holding per read with probability at least sigma.
 
@@ -252,10 +270,13 @@ def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
         est = float(sigma / p) if sigma < p * _MAX_POWER_DIGITS else math.inf
     digits = est * math.log10(v)
     if not digits <= _MAX_POWER_DIGITS:
+        # both sizes in logs, where a float of them may overflow
+        log_est = _log10_neg_log1m(sigma) - _log10_neg_log1m(p)
         raise ValueError(
-            f"sigma = {sigma} at p = {p} needs a run of about {est:.3g} failed "
-            f"transmissions; deciding it exactly takes integers of about {digits:.3g} "
-            f"digits, over the cap of {_MAX_POWER_DIGITS} (about 0.65 s)"
+            f"sigma = {sigma} at p = {p} needs a run of about {_e_notation(log_est)} failed "
+            f"transmissions; deciding it exactly takes integers of about "
+            f"{_e_notation(log_est + math.log10(math.log10(v)))} digits, over the cap of "
+            f"{_MAX_POWER_DIGITS} (about 0.65 s)"
         )
     k = max(2, math.ceil(est))
     wk, vk = pow(w, k), pow(v, k)

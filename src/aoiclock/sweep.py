@@ -11,16 +11,17 @@ deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
 The factor tuples are cut into blocks of at most ``_BLOCK`` tuples, an
-equal share per process, and the calling process evaluates every jobs-th
-block while ``jobs - 1`` forked workers evaluate the rest, each a fixed
-share that it sends back through a pipe of its own (one process per block
-and per core at most).  A block classifies its tuples with array
-gcds, evaluates the kept ones and returns compact columns: a skip code per
-tuple, and a bin index, float error and bound verdict per config.  A block
-stays in columns from classification to fold: ``_eval_chunk`` returns its
-columns in a read-only row view, whose (bin, error, verdict, failure) rows
-are built only where they are read, by the benchmark tracer (its length)
-and the tests.
+equal share per process, and every sweep runs its blocks through one
+``Pool`` of one process per block and per core at most, the calling process
+included: it evaluates every processes-th block itself, and the forked
+workers, none at one process, evaluate the rest, each a fixed share that it
+sends back through a pipe of its own.  A block classifies its tuples with
+array gcds, evaluates the kept ones and returns compact columns: a skip code
+per tuple, and a ``_Rows`` of a bin index, float error and bound verdict per
+config and a failure flag per decomposition.  A block stays in those columns
+from classification to fold; the (bin, error, verdict, failure) rows of a
+``_Rows`` are built only where they are read, by the benchmark tracer (its
+length) and the tests.
 Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
 of a decomposition depend on the (delta_b, delta_n) pair alone, so each
 (decomposition, pair, r) sum is one row of a single floor-sum pass over the
@@ -29,7 +30,7 @@ relative error num / den, its bin (floor division) and its bound verdict
 follow as columns, and num / den is turned into a float by correctly
 rounded division.  Each stage runs in int64 where a bound from the column
 maxima proves that its values fit, and otherwise the same expressions run
-on Python ints; no ``Fraction`` is built.  The parent joins the blocks in
+on Python ints; no ``Fraction`` is built.  The caller joins the blocks in
 enumeration order and folds them with numpy: each config's position in the
 grid gives its slices, and every mean is a left-to-right float sum in
 enumeration order, taken by ``np.add.accumulate``.  So output files are
@@ -45,7 +46,6 @@ import os
 import pickle
 import signal
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product, repeat
@@ -88,9 +88,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.6-1.8 s at
-# 62 MB peak RSS in the calling process (25.5 MB in the worker) with
-# --jobs 2 on a 2-core Xeon host, and 2.3-3.3 s at 62.5 MB with --jobs 1.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.2-1.7 s with
+# --jobs 2 on a 2-core Xeon host and 2.5-3.3 s with --jobs 1, at 59-60.6 MB
+# peak RSS in the calling process at either.
 _MAX_CANDIDATES = 10**6
 
 
@@ -186,7 +186,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 3 s and 63 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 3 s and 60 MB at the cap)"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -498,42 +498,37 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
 
 
 @dataclass(frozen=True, eq=False)
-class _Rows(Sequence):
-    """``_eval_chunk``'s rows, read from its columns.
+class _Rows:
+    """A block's evaluated configs, as columns, from evaluation to fold.
 
     A row is (bin index, float error, bound verdict, failure name or None),
     one per (decomposition, combo) in enumeration order.  ``bins``, ``errs``
-    and ``oks`` hold the configs of the decompositions that evaluated, and
-    ``failures`` names each decomposition's failure, None where it
-    evaluated; a failed decomposition reads as (0, 0.0, True, name) for
-    every combo.  The sweep reads the columns alone: rows are built only
-    where they are read, by the benchmark tracer (``len``) and the tests.
+    and ``oks`` hold the configs of the decompositions that evaluated;
+    ``failed`` says per decomposition whether it failed, and ``names`` names
+    each failed one's failure in turn.  A failed decomposition reads as
+    (0, 0.0, True, name) for every combo.  The sweep reads the columns
+    alone: rows are built only where they are read, by the benchmark tracer
+    (``len``) and the tests.
     """
 
     bins: np.ndarray
     errs: np.ndarray
     oks: np.ndarray
-    failures: list
+    failed: np.ndarray
+    names: list
     n_combos: int
 
     def __len__(self) -> int:
-        return len(self.failures) * self.n_combos
+        return len(self.failed) * self.n_combos
 
     def __iter__(self):
         rows = zip(self.bins.tolist(), self.errs.tolist(), self.oks.tolist(), repeat(None))
-        for name in self.failures:
-            if name is None:
-                yield from islice(rows, self.n_combos)
+        names = iter(self.names)
+        for failed in self.failed.tolist():
+            if failed:
+                yield from repeat((0, 0.0, True, next(names)), self.n_combos)
             else:
-                yield from repeat((0, 0.0, True, name), self.n_combos)
-
-    def __getitem__(self, i):
-        return list(self)[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
+                yield from islice(rows, self.n_combos)
 
 
 def _eval_chunk(payload) -> _Rows:
@@ -546,18 +541,19 @@ def _eval_chunk(payload) -> _Rows:
     every p.
     """
     decomps, combos, bin_width = payload
-    consts, failures = [], []
-    for d in decomps:
+    consts, names = [], []
+    failed = np.zeros(len(decomps), dtype=bool)
+    for i, d in enumerate(decomps):
         try:
             consts.append(_constants(d))
-            failures.append(None)
         except Exception as exc:  # per-decomposition failures become skip counters
-            failures.append(type(exc).__name__)
+            failed[i] = True
+            names.append(type(exc).__name__)
     if consts:
         columns = _error_columns(consts, combos, bin_width)
     else:
         columns = np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, bool)
-    return _Rows(*columns, failures, len(combos))
+    return _Rows(*columns, failed, names, len(combos))
 
 
 # per factor tuple of a block: 0 if kept, else 1 + the index of its skip reason
@@ -566,8 +562,8 @@ _SKIP_CODE = {r: i for i, r in enumerate((None, *_SKIP_REASONS))}
 
 
 # the cores this process may run on, which cap the sweep's processes; 1 where
-# os.fork is missing (Windows), so every sweep runs inline and writes the
-# same bytes
+# os.fork is missing (Windows), so every sweep runs in the calling process
+# alone and writes the same bytes
 if not hasattr(os, "fork"):
     _CORES = 1
 elif hasattr(os, "sched_getaffinity"):
@@ -594,14 +590,17 @@ def _serve(fn, items, fd: int) -> NoReturn:
 
 
 class Pool:
-    """Forked workers for one ``imap``, with one pipe each and no task queue.
+    """The calling process and ``processes - 1`` forked workers, for one
+    ``imap``, with one pipe per worker and no task queue.
 
     ``Pool(processes)`` is a context manager, and ``imap(fn, items)`` forks
-    the workers once the items are known: worker i evaluates items i,
-    i + processes, ... in turn, which it inherits by the fork, and sends
-    each result back through its own pipe.  The parent reads the results in
-    item order; an exception raised in a worker is raised there unchanged,
-    and a worker that ends without sending its result raises
+    the workers once the items are known, none at one process.  Item k goes
+    to member k mod processes: the caller evaluates items 0, processes,
+    2*processes, ... itself as the results are read, and worker i evaluates
+    items i, i + processes, ... in turn, which it inherits by the fork, and
+    sends each result back through its own pipe.  The results come in item
+    order; an exception raised in a worker is raised there unchanged, and a
+    worker that ends without sending its result raises
     ``ChildProcessError`` with its exit status.  ``__exit__`` reaps every
     worker, and kills those still running when it leaves on an error.  The
     workers inherit the caller's state, patches included; the package
@@ -627,7 +626,7 @@ class Pool:
 
     def imap(self, fn, items):
         items = list(items)
-        for i in range(self.processes):
+        for i in range(1, self.processes):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -640,11 +639,15 @@ class Pool:
                 _serve(fn, items[i :: self.processes], w)
             os.close(w)
             self._workers.append((pid, open(r, "rb")))
-        return self._results(list(self._workers), len(items))
+        return self._results(fn, items, list(self._workers))
 
-    def _results(self, workers, n: int):
-        for k in range(n):
-            pid, reader = worker = workers[k % len(workers)]
+    def _results(self, fn, items, workers):
+        for k, item in enumerate(items):
+            member = k % self.processes
+            if not member:
+                yield fn(item)
+                continue
+            pid, reader = worker = workers[member - 1]
             try:
                 result = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
@@ -659,18 +662,16 @@ class Pool:
             yield result
 
 
-def _block_size(n_tuples: int, workers: int) -> int:
+def _block_size(n_tuples: int, processes: int) -> int:
     """Factor tuples per block: an equal share per process, at most ``_BLOCK``."""
-    return max(1, min(_BLOCK, math.ceil(n_tuples / workers)))
+    return max(1, min(_BLOCK, math.ceil(n_tuples / processes)))
 
 
-def _run_block(payload):
+def _run_block(payload) -> tuple[np.ndarray, _Rows]:
     """Classify and evaluate the factor tuples at positions [start, stop).
 
-    Returns the skip code of each tuple; whether its evaluation failed, per
-    config of the kept tuples in enumeration order; the bin index, float
-    error and bound verdict of each config that evaluated; and the name of
-    each failed decomposition's failure.
+    Returns the skip code of each tuple, and the ``_Rows`` of the kept
+    tuples' configs in enumeration order.
     """
     grid, start, stop, bin_width = payload
     codes, decomps = [], []
@@ -678,16 +679,7 @@ def _run_block(payload):
         codes.append(_SKIP_CODE[reason])
         if d is not None:
             decomps.append(d)
-    rows = _eval_chunk((decomps, _combos(grid), bin_width))
-    failed = np.array([name is not None for name in rows.failures], dtype=bool)
-    return (
-        np.array(codes, dtype=np.uint8),
-        np.repeat(failed, rows.n_combos),
-        rows.bins,
-        rows.errs,
-        rows.oks,
-        [name for name in rows.failures if name is not None],
-    )
+    return np.array(codes, dtype=np.uint8), _eval_chunk((decomps, _combos(grid), bin_width))
 
 
 def _slice_positions(n_values: int) -> list[int]:
@@ -716,31 +708,23 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
     )
 
 
-def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int):
-    """``_run_block``'s columns of the whole grid, each joined in enumeration order.
+def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int) -> tuple[np.ndarray, _Rows]:
+    """The skip codes and the ``_Rows`` of the whole grid, the blocks' joined
+    in enumeration order.
 
-    The blocks are freed on return, before ``run_sweep`` folds the columns.
-    On the 10^6-candidate grid at --jobs 2 that held the calling process's
-    peak RSS at 64-67 MB, against 70 MB with the blocks held through the
-    fold, when blocks were still built from rows; it now peaks at 62-62.6 MB.
+    Every block runs through one ``Pool`` of one process per block and per
+    core at most, the caller included.  The blocks are freed on return,
+    before ``run_sweep`` folds the columns.
     """
     n_tuples = math.prod(len(getattr(grid, f)) for f in _FACTORS)
-    # one process per core at most, the parent included
-    workers = min(jobs, _CORES)
-    size = _block_size(n_tuples, workers)
+    processes = min(jobs, _CORES)
+    size = _block_size(n_tuples, processes)
     payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
-    workers = min(workers, len(payloads))
-    if workers == 1:
-        blocks = list(map(_run_block, payloads))
-    else:
-        # the parent evaluates every workers-th block while the workers run the rest
-        with Pool(workers - 1) as pool:
-            theirs = pool.imap(_run_block, [p for i, p in enumerate(payloads) if i % workers])
-            blocks = [
-                next(theirs) if i % workers else _run_block(p) for i, p in enumerate(payloads)
-            ]
-    columns = list(zip(*blocks))
-    return (*map(np.concatenate, columns[:5]), [name for names in columns[5] for name in names])
+    with Pool(min(processes, len(payloads))) as pool:
+        codes, blocks = zip(*pool.imap(_run_block, payloads))
+    columns = (np.concatenate(c) for c in zip(*((r.bins, r.errs, r.oks, r.failed) for r in blocks)))
+    names = [name for r in blocks for name in r.names]
+    return np.concatenate(codes), _Rows(*columns, names, blocks[0].n_combos)
 
 
 def _slices(grid: SweepGrid, position, bins, errs, bin_width) -> tuple[SliceStat, ...]:
@@ -774,31 +758,33 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    codes, failed, bins, errs, oks, names = _evaluate(grid, bin_width, jobs)
-    n_combos = len(_combos(grid))
+    codes, rows = _evaluate(grid, bin_width, jobs)
+    n_combos = rows.n_combos
     skip_counts = {
         reason: n * n_combos
         for code, reason in enumerate(_SKIP_REASONS, 1)
         if (n := int(np.count_nonzero(codes == code)))
     }
-    skip_counts.update((f"error:{name}", n * n_combos) for name, n in Counter(names).items())
+    skip_counts.update((f"error:{name}", n * n_combos) for name, n in Counter(rows.names).items())
     kept = np.flatnonzero(codes == 0)
     if not len(kept):
         raise EmptyGridError("no grid candidate passes the factor constraints")
-    if failed.all():
+    if rows.failed.all():
         reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
         raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
-    position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
-    slices = _slices(grid, position[~failed], bins, errs, bin_width)
+    # the position of each config that evaluated: every combo of a kept tuple
+    # whose decomposition did not fail
+    position = (kept[~rows.failed, None] * n_combos + np.arange(n_combos)).ravel()
+    slices = _slices(grid, position, rows.bins, rows.errs, bin_width)
     return SweepResult(
         bin_width=bin_width,
         n_candidates=grid.n_candidates(),
-        n_configs=len(errs),
+        n_configs=len(rows.errs),
         skip_counts=skip_counts,
-        bound_violations=int(np.count_nonzero(~oks)),
-        global_hist=_histogram(bins, bin_width),
-        float_errors=errs.tolist(),
+        bound_violations=int(np.count_nonzero(~rows.oks)),
+        global_hist=_histogram(rows.bins, bin_width),
+        float_errors=rows.errs.tolist(),
         slices=slices,
     )
 

@@ -25,9 +25,13 @@ family, for tests that need the progressions as objects.  The residue
 lemmas that the progression families rest on, ``residue_orbit``,
 ``ap_reduce_mod`` and ``pairing_classes``, are stated here as functions, so
 that AC11 and ``test_modmath.py`` can check them against brute force.
+
+Every test must reap each child process it starts: an autouse fixture fails
+the test that leaves one, a sweep's forked worker above all.
 """
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +69,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria", sep="-")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child, running or ended
+        return
+    pytest.fail(f"the test left a child process{f' (pid {pid})' if pid else ''}")
+
 
 _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -70,6 +70,12 @@ class TestDecompose:
         with pytest.raises(ConfigError):
             PeriodDecomposition(34, 7, 10, 17, 7, 5, 1, 1, 1)
 
+    def test_tuple_guards(self):
+        with pytest.raises(ConfigError, match="periods must be >= 1"):
+            PeriodDecomposition(0, 1, 1, 0, 1, 1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="common divisor"):
+            PeriodDecomposition(2, 4, 6, 1, 1, 1, 2, 1, 1)
+
     @given(triple_strategy())
     def test_products_reconstruct_periods(self, t):
         d = decompose(*t)
@@ -206,6 +212,15 @@ class TestSortedArray:
         got = AoiDistribution([], 1, 1).to_sorted_array()
         assert got.dtype == np.int64 and got.shape == (0,)
 
+    @pytest.mark.parametrize("starts, step, count, message", [
+        ([3, -1], 1, 1, "starts must be >= 0, got -1"),
+        ([3], 0, 1, "step must be >= 1, got 0"),
+        ([3], 1, 0, "count must be >= 1, got 0"),
+    ])
+    def test_guards(self, starts, step, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AoiDistribution(starts, step, count)
+
 
 class TestAInvariance:
     @given(triple_strategy(25), st.integers(1, 50))
@@ -246,6 +261,10 @@ class TestBandAndBounds:
         assert band.center == Fraction(15, 2)
         assert band.half_width == Fraction(1, 2)
         assert band.contains(7)
+
+    def test_negative_half_width_rejected(self):
+        with pytest.raises(ValueError, match="half_width"):
+            basic.BandedValue(Fraction(1), Fraction(-1, 2))
 
     def test_all_units_band(self):
         band = expected_approx_basic(decompose(1, 1, 1))

@@ -65,19 +65,22 @@ def test_eval_chunk_returns_one_row_per_config():
     rows = sweep._eval_chunk((decomps, combos, Fraction(1, 100)))
     assert len(rows) == len(decomps) * len(combos)
     assert all(isinstance(row, tuple) and len(row) == 4 for row in rows)
-    assert [row[3] for row in rows[-3:]] == ["ValueError"] * 3
+    assert [row[3] for row in list(rows)[-3:]] == ["ValueError"] * 3
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_traced_sweep_records_every_stage(layers, monkeypatch, jobs):
-    # per-layer sweep metrics come from these spans and counters; at jobs 2
-    # the workers keep their own, and only the pool's time reaches the parent
+# (jobs, cores): the caller alone, a worker beside it, and a one-core host
+@pytest.mark.parametrize("jobs, cores", [
+    pytest.param(1, 2, id="1"), pytest.param(2, 2, id="2"), pytest.param(2, 1, id="2-one-core"),
+])
+def test_traced_sweep_records_every_stage(layers, monkeypatch, jobs, cores):
+    # per-layer sweep metrics come from these spans and counters; with a
+    # worker, it keeps its own, and only the pool's time reaches the parent.
+    # Every sweep enters one pool, so the pool's span is there at any
+    # process count
     from aoiclock import sweep
 
-    if jobs == 2:
-        # run_sweep starts no more processes than there are cores; two are
-        # assumed, so that the pool runs on a one-core host too
-        monkeypatch.setattr(sweep, "_CORES", 2)
+    # run_sweep starts no more processes than there are cores
+    monkeypatch.setattr(sweep, "_CORES", cores)
 
     # (A, B, N) = (1, 2, 1) at b = 100001 is over the exact expectation's
     # cap, so each of its combos is an error skip
@@ -89,14 +92,13 @@ def test_traced_sweep_records_every_stage(layers, monkeypatch, jobs):
         result = sweep.run_sweep(grid, jobs=jobs)
     errors = sum(v for k, v in result.skip_counts.items() if k.startswith("error:"))
     assert errors > 0
-    if jobs == 1:
-        for span in ("sweep.enumerate", "sweep.eval", "sweep.run_sweep"):
+    assert tracer.stats["sweep.pool"].calls == 1
+    assert tracer.stats["sweep.run_sweep"].calls == 1
+    if min(jobs, cores) == 1:
+        for span in ("sweep.enumerate", "sweep.eval"):
             assert tracer.stats[span].calls, span
         assert tracer.counts["sweep.candidates"] == 2 * 2 * 2 * 2
         assert tracer.counts["sweep.eval_configs"] == result.n_configs + errors
-    else:
-        assert tracer.stats["sweep.pool"].calls == 1
-        assert tracer.stats["sweep.run_sweep"].calls == 1
 
 
 @pytest.mark.parametrize("model", ["basic", "extended"])

@@ -192,6 +192,19 @@ class TestAnalyze:
                 aoiclock.extended.expected_exact_extended(cfg).value
             )
 
+    def test_extended_value_past_float_range(self, capsys):
+        # at p = 1/10^400 the exact mean is about 10^401: its *_float fields
+        # are null, and its exact strings hold it
+        p = Fraction(1, 10**400)
+        code, out, err = run(capsys, "analyze", *FIG, "--model", "extended", "--p", str(p))
+        assert code == 0, err
+        report = json.loads(out)
+        cfg = aoiclock.extended.SystemConfig(decompose(34, 7, 10), p=p)
+        expectation = report["expectation"]
+        assert Fraction(expectation["value"]) == aoiclock.extended.expected_exact_extended(cfg).value
+        assert expectation["value_float"] is None and report["band"]["center_float"] is None
+        assert report["config"]["p_float"] == 0.0 and report["rel_error_bound_float"] == 0.0
+
     @pytest.mark.parametrize("name", sorted(ANALYZE_DIGESTS))
     def test_large_report_bytes_match_golden_digest(self, capsys, name):
         case = ANALYZE_DIGESTS[name]
@@ -685,6 +698,35 @@ class TestVerify:
             "check lossless_trace_matches_formula: FAIL (first mismatch at k=75)",
             "2 check(s) failed: trace_bridge_identity, lossless_trace_matches_formula",
         ]
+
+    def test_failed_check_keeps_its_first_mismatch(self, capsys, monkeypatch):
+        # the bridge's formula, the call with a failure count per read, is
+        # corrupted from its second block on, and the lossless one is not: a
+        # failed check is not run again, so a later block cannot rename its k
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        real, starts = aoiclock.kernels.seq_conditional, []
+
+        def corrupted(*args):
+            ages = real(*args)
+            if not isinstance(args[5], int) and len(args[5]):  # a block's failure counts
+                starts.append(args[6])
+                if len(starts) > 1:
+                    ages = ages + 1
+            return ages
+
+        monkeypatch.setattr(aoiclock.kernels, "seq_conditional", corrupted)
+        code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
+        k = starts[1]
+        want = aoiclock.extended.aoi_conditional(
+            aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45), k, 0
+        )
+        assert code == 1
+        assert out.splitlines()[-3:] == [
+            f"check trace_bridge_identity: FAIL (k={k} l=0: simulated={want} formula={want + 1})",
+            "check lossless_trace_matches_formula: PASS",
+            "1 check(s) failed: trace_bridge_identity",
+        ]
+        assert len(starts) == 2
 
     @pytest.mark.parametrize("model", ["basic", "extended"])
     def test_families_compared_without_expanding_values(self, capsys, monkeypatch, model):

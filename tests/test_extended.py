@@ -196,6 +196,12 @@ class TestExpectedApprox:
 
 
 class TestExpectedExact:
+    def test_guards(self):
+        with pytest.raises(ValueError, match="terms_used"):
+            extended.GeometricExpectation(Fraction(1), Fraction(0), 0)
+        with pytest.raises(ValueError, match="tail_bound"):
+            extended.GeometricExpectation(Fraction(1), Fraction(-1), 1)
+
     def test_lossless_is_single_term(self):
         ge = expected_exact_extended(REF_CFG)
         assert ge.value == distribution_conditional(REF_CFG, 0).mean() == 10
@@ -323,6 +329,34 @@ class TestMaxBound:
         cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**6))
         with pytest.raises(ValueError, match="digits, over the cap"):
             max_bound_prob(cfg, Fraction(99, 100))
+
+    def test_p_below_float_range(self):
+        # float(p) is 0.0, so m + 1 is estimated as sigma/p = 2, and stepped up to 3
+        cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 10**400))
+        sigma = Fraction(2, 10**400)
+        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 37
+
+    def test_p_below_float_range_over_cap_rejected_up_front(self, monkeypatch):
+        def powers_built(*args):
+            raise AssertionError("exact powers built")
+
+        monkeypatch.setattr(extended, "pow", powers_built, raising=False)
+        cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 10**400))
+        # -log(1/2) * 10^400 transmissions, of 400 digits each
+        with pytest.raises(ValueError, match=r"about 6\.93e\+399 failed transmissions; deciding "
+                           r"it exactly takes integers of about 2\.77e\+402 digits, over the cap"):
+            max_bound_prob(cfg, Fraction(1, 2))
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_estimate_off_by_a_factor_is_stepped(self, monkeypatch, scale):
+        # a halved estimate of m + 1 is stepped up, a doubled one down
+        cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 7))
+        sigma = Fraction(99, 100)
+        real = extended._neg_log1m
+        monkeypatch.setattr(
+            extended, "_neg_log1m", lambda x: real(x) * (scale if x == sigma else 1)
+        )
+        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 307
 
     def test_sigma_range(self):
         with pytest.raises(ValueError):

@@ -313,5 +313,7 @@ class TestGuards:
             kernels.check_simulate_args(1, 1, 0, 0, 0, 10)
         with pytest.raises(ValueError):
             kernels.check_simulate_args(1, 1, 1, 0, 0, 0)
+        with pytest.raises(ValueError, match="phase shifts"):
+            kernels.check_simulate_args(1, 1, 1, 0, -1, 10)
         with pytest.raises(OverflowError):
             kernels.check_simulate_args(2**40, 1, 1, 0, 0, 2**23)
