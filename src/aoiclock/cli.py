@@ -251,11 +251,12 @@ def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool =
     form's reads k0, k0 + 1, ... at the reads' failure counts.
 
     The run is streamed once for all the checks.  The warm-up prefix is
-    skipped unless ``skip_warmup`` is false.  Each check stops at its first
-    read that differs, and its ``detail`` is formatted with that read's
-    ``k``, ``l``, ``sim`` and ``model``; the stream stops once every check
-    has failed.  Each block passes the sequence kernels' guard for the
-    periods and shifts ``shape`` first.  The checks print in their order.
+    skipped unless ``skip_warmup`` is false, and a block with no read left
+    runs no check.  Each check stops at its first read that differs, and its
+    ``detail`` is formatted with that read's ``k``, ``l``, ``sim`` and
+    ``model``; the stream stops once every check has failed.  Each block
+    passes the sequence kernels' guard for the periods and shifts ``shape``
+    first.  The checks print in their order.
     """
     found = {}  # name -> the detail of its first mismatch
     for k0, ages, fails in stream.blocks():
@@ -263,6 +264,8 @@ def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool =
         # and the run's length before then, so every block of it is skipped
         cut = min(len(ages), max(0, stream.warmup_cycles - k0)) if skip_warmup else 0
         k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
+        if not len(ages):
+            continue
         kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
         for name, formula, detail in checks:
             if name in found:

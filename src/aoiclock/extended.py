@@ -242,6 +242,21 @@ def _e_notation(lg: float) -> str:
     return f"{mantissa}e{exp:+03d}"
 
 
+# max_bound_prob's refusal writes a sigma or p in full up to this many digits
+_SHOWN_DIGITS = 100
+
+
+def _fraction_text(x: Fraction) -> str:
+    """x in (0, 1) in full, or, once its denominator passes ``_SHOWN_DIGITS``
+    digits, to three digits as x or 1 - x, whichever is below 1/2: a big int
+    passes ``str()``'s digit limit, and is no use to read."""
+    if x.denominator < 10**_SHOWN_DIGITS:
+        return str(x)
+    if 2 * x <= 1:
+        return _e_notation(math.log10(x.numerator) - math.log10(x.denominator))
+    return f"1 - {_e_notation(math.log10(x.denominator - x.numerator) - math.log10(x.denominator))}"
+
+
 def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     """Age bound holding per read with probability at least sigma.
 
@@ -273,10 +288,10 @@ def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
         # both sizes in logs, where a float of them may overflow
         log_est = _log10_neg_log1m(sigma) - _log10_neg_log1m(p)
         raise ValueError(
-            f"sigma = {sigma} at p = {p} needs a run of about {_e_notation(log_est)} failed "
-            f"transmissions; deciding it exactly takes integers of about "
-            f"{_e_notation(log_est + math.log10(math.log10(v)))} digits, over the cap of "
-            f"{_MAX_POWER_DIGITS} (about 0.65 s)"
+            f"sigma = {_fraction_text(sigma)} at p = {_fraction_text(p)} needs a run of about "
+            f"{_e_notation(log_est)} failed transmissions; deciding it exactly takes integers "
+            f"of about {_e_notation(log_est + math.log10(math.log10(v)))} digits, over the cap "
+            f"of {_MAX_POWER_DIGITS} (about 0.65 s)"
         )
     k = max(2, math.ceil(est))
     wk, vk = pow(w, k), pow(v, k)

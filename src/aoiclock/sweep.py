@@ -10,18 +10,18 @@ center, bins the signed relative error (exact - center) / exact, and writes
 deterministic CSV outputs: a global histogram, per-parameter slice
 histograms, and a quantile summary.
 
-The factor tuples are cut into blocks of at most ``_BLOCK`` tuples, an
-equal share per process, and every sweep runs its blocks through one
-``Pool`` of one process per block and per core at most, the calling process
-included: it evaluates every processes-th block itself, and the forked
-workers, none at one process, evaluate the rest, each a fixed share that it
-sends back through a pipe of its own.  A block classifies its tuples with
-array gcds, evaluates the kept ones and returns compact columns: a skip code
-per tuple, and a ``_Rows`` of a bin index, float error and bound verdict per
-config and a failure flag per decomposition.  A block stays in those columns
-from classification to fold; the (bin, error, verdict, failure) rows of a
-``_Rows`` are built only where they are read, by the benchmark tracer (its
-length) and the tests.
+The factor tuples are cut into blocks of ``_BLOCK`` consecutive tuples
+whatever the number of processes is, so a sweep's plan follows from its grid
+alone; the bundled grid is one block.  Every sweep runs its blocks through
+one ``Pool`` of one process per block and per core at most, the calling
+process included: it evaluates every processes-th block itself, and the
+forked workers, none at one process, evaluate the rest, each a fixed share
+that it sends back through a pipe of its own.  A block classifies its
+tuples with array gcds, evaluates the kept ones and returns compact
+columns: a skip code per tuple, and a ``_Rows`` of a bin index, float error
+and bound verdict per config, which stays in those columns from
+classification to fold.  A grid whose b passes the exact expectation's term
+cap is refused when it is read, so every kept config evaluates.
 Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
 of a decomposition depend on the (delta_b, delta_n) pair alone, so each
 (decomposition, pair, r) sum is one row of a single floor-sum pass over the
@@ -45,10 +45,9 @@ import math
 import os
 import pickle
 import signal
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product, repeat
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -57,7 +56,7 @@ import numpy as np
 from . import kernels
 from .kernels import _dtype_for, _fit, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
-from .extended import SystemConfig, _as_probability, _check_terms, _freshness_offset
+from .extended import _MAX_TERMS, SystemConfig, _as_probability, _freshness_offset
 
 __all__ = [
     "EmptyGridError",
@@ -88,14 +87,14 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.2-1.7 s with
-# --jobs 2 on a 2-core Xeon host and 2.5-3.3 s with --jobs 1, at 59-60.6 MB
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.6-2.0 s with
+# --jobs 2 on a 2-core Xeon host and 1.9-2.7 s with --jobs 1, at 58.5-60.6 MB
 # peak RSS in the calling process at either.
 _MAX_CANDIDATES = 10**6
 
 
 class EmptyGridError(ValueError):
-    """Raised when no grid candidate survives validation, or none evaluates."""
+    """Raised when no grid candidate survives validation."""
 
 
 def _check_nonempty(name, raw: list) -> None:
@@ -186,7 +185,14 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 3 s and 60 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 2-3 s and 60 MB at the cap)"
+            )
+        # a kept tuple's decomposition has the tuple's b, so no config whose
+        # exact expectation refuses its b reaches evaluation
+        if values["b"][-1] > _MAX_TERMS:
+            raise ValueError(
+                f"grid field b: value {values['b'][-1]} is over the cap of {_MAX_TERMS} on the "
+                f"exact expectation's terms"
             )
         return cls(**{f: tuple(v) for f, v in values.items()})
 
@@ -213,12 +219,16 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-# Factor tuples per block, at most, so that a block's arrays stay small; a
-# block is classified in one array pass.  On the 10^6-candidate grid at
-# --jobs 2, caps of 1024 to 16384 ran alike (2 s, 68-69 MB in the calling
-# process) and the worker's peak grew from 28 to 35 MB; at 65536 they were
-# 71-72 MB and 55 MB.
-_BLOCK = 4096
+# Factor tuples per block, whatever --jobs is, so a sweep's plan follows
+# from its grid alone; a block is classified in one array pass.  A block must
+# cost more than a worker's start-up.  On a 2-core Xeon host, a block of 8192
+# tuples of the 10^6-candidate grid evaluates in about 21 ms, and the bundled
+# grid's 5,832 tuples, one block, in 13 ms; forking, feeding and reaping one
+# worker costs about 3 ms.  The bundled sweep at --jobs 2 took a median of
+# 17.3 ms in one block against 19.4 ms in blocks of 4096 and 21.0 ms in
+# blocks of 2048.  The 10^6-candidate grid at --jobs 2 ran alike in blocks of
+# 4096 and 8192: 1.6-1.9 s, and 58.6-60 MB in the calling process.
+_BLOCK = 8192
 
 
 def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
@@ -386,8 +396,7 @@ class _Columns(NamedTuple):
 
 
 def _constants(d: PeriodDecomposition) -> tuple:
-    """A decomposition's entries of ``_Columns``; ValueError for b over the cap."""
-    _check_terms(d)
+    """A decomposition's entries of ``_Columns``."""
     return (d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.b, d.B, d.period, d.n_period, d.n,
             max_bound_basic(d))
 
@@ -499,61 +508,30 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
 
 @dataclass(frozen=True, eq=False)
 class _Rows:
-    """A block's evaluated configs, as columns, from evaluation to fold.
-
-    A row is (bin index, float error, bound verdict, failure name or None),
-    one per (decomposition, combo) in enumeration order.  ``bins``, ``errs``
-    and ``oks`` hold the configs of the decompositions that evaluated;
-    ``failed`` says per decomposition whether it failed, and ``names`` names
-    each failed one's failure in turn.  A failed decomposition reads as
-    (0, 0.0, True, name) for every combo.  The sweep reads the columns
-    alone: rows are built only where they are read, by the benchmark tracer
-    (``len``) and the tests.
+    """A block's evaluated configs, from evaluation to fold: a bin index,
+    float error and bound verdict per (decomposition, combo), as three
+    columns in enumeration order.  The benchmark tracer counts its ``len``.
     """
 
     bins: np.ndarray
     errs: np.ndarray
     oks: np.ndarray
-    failed: np.ndarray
-    names: list
-    n_combos: int
 
     def __len__(self) -> int:
-        return len(self.failed) * self.n_combos
-
-    def __iter__(self):
-        rows = zip(self.bins.tolist(), self.errs.tolist(), self.oks.tolist(), repeat(None))
-        names = iter(self.names)
-        for failed in self.failed.tolist():
-            if failed:
-                yield from repeat((0, 0.0, True, next(names)), self.n_combos)
-            else:
-                yield from islice(rows, self.n_combos)
+        return len(self.errs)
 
 
 def _eval_chunk(payload) -> _Rows:
     """Evaluate every combination of each decomposition, in enumeration order.
 
-    ``_constants`` reads each decomposition, and its failure fails every
-    combination.  The other decompositions are evaluated together, as
-    columns: their hyperperiod sums depend on the (delta_b, delta_n) pair
-    alone, so each (decomposition, pair, r) sum is computed once and serves
-    every p.
+    The decompositions are evaluated together, as columns: their hyperperiod
+    sums depend on the (delta_b, delta_n) pair alone, so each
+    (decomposition, pair, r) sum is computed once and serves every p.
     """
     decomps, combos, bin_width = payload
-    consts, names = [], []
-    failed = np.zeros(len(decomps), dtype=bool)
-    for i, d in enumerate(decomps):
-        try:
-            consts.append(_constants(d))
-        except Exception as exc:  # per-decomposition failures become skip counters
-            failed[i] = True
-            names.append(type(exc).__name__)
-    if consts:
-        columns = _error_columns(consts, combos, bin_width)
-    else:
-        columns = np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, bool)
-    return _Rows(*columns, failed, names, len(combos))
+    if not decomps:
+        return _Rows(np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, bool))
+    return _Rows(*_error_columns([_constants(d) for d in decomps], combos, bin_width))
 
 
 # per factor tuple of a block: 0 if kept, else 1 + the index of its skip reason
@@ -662,11 +640,6 @@ class Pool:
             yield result
 
 
-def _block_size(n_tuples: int, processes: int) -> int:
-    """Factor tuples per block: an equal share per process, at most ``_BLOCK``."""
-    return max(1, min(_BLOCK, math.ceil(n_tuples / processes)))
-
-
 def _run_block(payload) -> tuple[np.ndarray, _Rows]:
     """Classify and evaluate the factor tuples at positions [start, stop).
 
@@ -712,19 +685,17 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int) -> tuple[np.ndarr
     """The skip codes and the ``_Rows`` of the whole grid, the blocks' joined
     in enumeration order.
 
-    Every block runs through one ``Pool`` of one process per block and per
-    core at most, the caller included.  The blocks are freed on return,
-    before ``run_sweep`` folds the columns.
+    The blocks are ``_BLOCK`` consecutive factor tuples whatever ``jobs``
+    is, and run through one ``Pool`` of ``jobs`` processes, the caller
+    included, cut to one per core and one per block.  The blocks are freed
+    on return, before ``run_sweep`` folds the columns.
     """
     n_tuples = math.prod(len(getattr(grid, f)) for f in _FACTORS)
-    processes = min(jobs, _CORES)
-    size = _block_size(n_tuples, processes)
-    payloads = [(grid, lo, lo + size, bin_width) for lo in range(0, n_tuples, size)]
-    with Pool(min(processes, len(payloads))) as pool:
+    payloads = [(grid, lo, lo + _BLOCK, bin_width) for lo in range(0, n_tuples, _BLOCK)]
+    with Pool(min(jobs, _CORES, len(payloads))) as pool:
         codes, blocks = zip(*pool.imap(_run_block, payloads))
-    columns = (np.concatenate(c) for c in zip(*((r.bins, r.errs, r.oks, r.failed) for r in blocks)))
-    names = [name for r in blocks for name in r.names]
-    return np.concatenate(codes), _Rows(*columns, names, blocks[0].n_combos)
+    columns = (np.concatenate([getattr(r, f) for r in blocks]) for f in ("bins", "errs", "oks"))
+    return np.concatenate(codes), _Rows(*columns)
 
 
 def _slices(grid: SweepGrid, position, bins, errs, bin_width) -> tuple[SliceStat, ...]:
@@ -759,23 +730,18 @@ def run_sweep(
         raise ValueError("jobs must be >= 1")
 
     codes, rows = _evaluate(grid, bin_width, jobs)
-    n_combos = rows.n_combos
+    n_combos = len(grid.delta_b) * len(grid.delta_n) * len(grid.p)
     skip_counts = {
         reason: n * n_combos
         for code, reason in enumerate(_SKIP_REASONS, 1)
         if (n := int(np.count_nonzero(codes == code)))
     }
-    skip_counts.update((f"error:{name}", n * n_combos) for name, n in Counter(rows.names).items())
     kept = np.flatnonzero(codes == 0)
     if not len(kept):
         raise EmptyGridError("no grid candidate passes the factor constraints")
-    if rows.failed.all():
-        reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
-        raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
 
-    # the position of each config that evaluated: every combo of a kept tuple
-    # whose decomposition did not fail
-    position = (kept[~rows.failed, None] * n_combos + np.arange(n_combos)).ravel()
+    # the position of each config: every combo of a kept tuple
+    position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
     slices = _slices(grid, position, rows.bins, rows.errs, bin_width)
     return SweepResult(
         bin_width=bin_width,

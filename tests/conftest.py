@@ -7,11 +7,10 @@ series oracle for the extended expectation avoids the kernels and the finite
 closed form: it sums conditional progression-family means term by term.
 The sweep row oracle evaluates each config on its own with ``Fraction``
 operations: exact mean, band center, their relative error and the a priori
-bound.  The sweep row list oracle zips ``sweep._error_columns`` into one
-tuple per config, as ``_eval_chunk`` once did.  The sweep fold oracle
-stitches ``sweep._eval_chunk`` rows onto the factor tuples in one Python
-loop and sums each mean left to right, as the sum oracle adds floats one
-``+=`` at a time.  The trace CSV oracle formats one row at a time with
+bound; ``rows_of`` reads a block's three columns as one such row per
+config.  The sweep fold oracle stitches ``sweep._eval_chunk`` rows onto the
+factor tuples in one Python loop and sums each mean left to right, as the
+sum oracle adds floats one ``+=`` at a time.  The trace CSV oracle formats one row at a time with
 f-strings; ``stream_of`` and ``whole_trace`` turn a whole ``Trace`` into a
 one-block ``TraceStream``, which ``write_trace_csv`` takes, and back.  The
 period sum oracle reads every age of the hyperperiod with int64 numpy
@@ -161,42 +160,23 @@ def relative_error_ref(cfg):
 
 def eval_chunk_ref(payload):
     """``sweep._eval_chunk`` config by config: a (bin index, float error,
-    bound verdict, failure name) row per (decomposition, combo), the error
-    binned with ``floor`` on its ``Fraction``."""
+    bound verdict) row per (decomposition, combo), the error binned with
+    ``floor`` on its ``Fraction``."""
     decomps, combos, bin_width = payload
     out = []
     for d in decomps:
         for combo in combos:
-            try:
-                cfg = SystemConfig(d, *combo)
-                err = relative_error_ref(cfg)
-                ok = abs(err) <= rel_error_bound_extended(cfg)
-                out.append((floor(err / bin_width), float(err), ok, None))
-            except Exception as exc:
-                out.append((0, 0.0, True, type(exc).__name__))
+            cfg = SystemConfig(d, *combo)
+            err = relative_error_ref(cfg)
+            ok = abs(err) <= rel_error_bound_extended(cfg)
+            out.append((floor(err / bin_width), float(err), ok))
     return out
 
 
-def eval_chunk_rows_ref(payload):
-    """``sweep._eval_chunk``'s rows as the list it once built: the columns of
-    ``sweep._error_columns`` zipped into one tuple per config, and
-    (0, 0.0, True, name) for each combo of a decomposition whose
-    ``sweep._constants`` raised."""
-    decomps, combos, bin_width = payload
-    consts, failures = [], []
-    for d in decomps:
-        try:
-            consts.append(sweep._constants(d))
-            failures.append(None)
-        except Exception as exc:
-            failures.append(type(exc).__name__)
-    columns = sweep._error_columns(consts, combos, bin_width) if consts else ()
-    rows = zip(*(c.tolist() for c in columns))
-    out = []
-    for name in failures:
-        for _ in combos:
-            out.append((*next(rows), None) if name is None else (0, 0.0, True, name))
-    return out
+def rows_of(rows):
+    """A ``sweep._Rows``' columns as a list of (bin index, float error, bound
+    verdict) rows of Python scalars, one per config."""
+    return list(zip(rows.bins.tolist(), rows.errs.tolist(), rows.oks.tolist()))
 
 
 def sum_ref(xs):
@@ -211,8 +191,8 @@ def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
     """``sweep.run_sweep`` as one Python loop over the factor tuples.
 
     The tuples come from ``sweep._iter_candidates`` and the rows from one
-    ``sweep._eval_chunk`` call, so a failure injected into either reaches
-    the oracle too.  Each row is added to the global histogram and to the
+    ``sweep._eval_chunk`` call, so a fault injected into either reaches the
+    oracle too.  Each row is added to the global histogram and to the
     slices of its nine values, and every mean is a left-to-right sum.
     """
     factors_of = ("A", "B", "N", "a", "b", "n")
@@ -230,7 +210,7 @@ def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
     combos = list(product(grid.delta_b, grid.delta_n, grid.p))
     if not decomps:
         raise EmptyGridError("no grid candidate passes the factor constraints")
-    rows = iter(sweep._eval_chunk((decomps, combos, bin_width)))
+    rows = iter(rows_of(sweep._eval_chunk((decomps, combos, bin_width))))
     slice_plan = [(f, v) for f in PARAMETERS for v in sliced(getattr(grid, f))]
     position = {key: i for i, key in enumerate(slice_plan)}
     counts = [{} for _ in slice_plan]
@@ -244,22 +224,18 @@ def run_sweep_ref(grid, bin_width=Fraction(1, 100)):
                 for key in zip(factors_of + combo_fields, factors + combo)
                 if key in position
             ]
-            bin_idx, err, ok, fail = next(rows) if d is not None else (0, 0.0, True, None)
-            key = reason if d is None else fail and f"error:{fail}"
-            if key:
-                skip_counts[key] = skip_counts.get(key, 0) + 1
+            if d is None:
+                skip_counts[reason] = skip_counts.get(reason, 0) + 1
                 for i in slots:
                     skipped[i] += 1
                 continue
+            bin_idx, err, ok = next(rows)
             violations += not ok
             global_counts[bin_idx] = global_counts.get(bin_idx, 0) + 1
             float_errors.append(err)
             for i in slots:
                 counts[i][bin_idx] = counts[i].get(bin_idx, 0) + 1
                 errors[i].append(err)
-    if not float_errors:
-        reasons = ", ".join(f"{k}={v}" for k, v in sorted(skip_counts.items()))
-        raise EmptyGridError(f"no grid config could be evaluated (skipped: {reasons})")
     nan = float("nan")
     slices = tuple(
         SliceStat(

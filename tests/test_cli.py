@@ -648,6 +648,39 @@ class TestVerify:
         assert (code, "FAIL" in out) == (0, False)
         assert out.splitlines()[-len(trace_lines) - 1:] == [*trace_lines, "all checks passed"]
 
+    def test_warmup_blocks_run_no_check(self, capsys, monkeypatch):
+        # at p = 1 reads 0..61 are the warm-up, in blocks of 8: the trace
+        # checks guard and evaluate no block before the one that holds read 62
+        monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
+        k0s, inside = [], []
+        real_check_trace = aoiclock.cli._check_trace
+
+        def check_trace(*args, **kwargs):
+            inside.append(True)
+            return real_check_trace(*args, **kwargs)
+
+        def recorded(real):
+            def call(*args):
+                if inside:
+                    k0s.append(args[-2])
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(aoiclock.cli, "_check_trace", check_trace)
+        for name in ("check_sequence_args", "seq_conditional"):
+            monkeypatch.setattr(aoiclock.kernels, name, recorded(getattr(aoiclock.kernels, name)))
+        code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
+        assert code == 0
+        assert min(k0s) == 62
+        assert out.splitlines() == [
+            *(f"check progression_family_multiset_l{l}: PASS" for l in range(4)),
+            "check band_membership: PASS",
+            self.BRIDGE,
+            "check lossless_trace_matches_formula: PASS",
+            "all checks passed",
+        ]
+
     def test_basic_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
         want = aoiclock.basic.aoi_basic(decompose(34, 7, 10), 37)
@@ -836,16 +869,22 @@ class TestSweep:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
-    def test_no_config_evaluates_exits_2(self, capsys, tmp_path):
-        # b = 100001 is over the exact expectation's term cap, so the one
-        # valid config raises ValueError inside the evaluation
+    def test_b_over_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        # b = 100001 is over the exact expectation's term cap: the grid is
+        # refused when it is read, before any factor tuple is classified
+        def listed(*args):
+            raise AssertionError("a factor tuple was classified")
+
+        monkeypatch.setattr(aoiclock.sweep, "_iter_candidates", listed)
         grid = tmp_path / "grid.json"
-        grid.write_text('{"A": 2, "B": 3, "N": 5, "b": [100001]}')
+        grid.write_text('{"A": 2, "B": 3, "N": 5, "b": [1, 100001]}')
         out_dir = tmp_path / "o"
         code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
-        assert code == 2
-        assert err == "error: no grid config could be evaluated (skipped: error:ValueError=1)\n"
-        assert out == ""
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: grid field b: value 100001 is over the cap of 100000 on the exact "
+            "expectation's terms\n"
+        )
         assert not out_dir.exists()
 
     def test_missing_grid_file_exits_1(self, capsys, tmp_path):

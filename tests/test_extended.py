@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -346,6 +347,23 @@ class TestMaxBound:
         with pytest.raises(ValueError, match=r"about 6\.93e\+399 failed transmissions; deciding "
                            r"it exactly takes integers of about 2\.77e\+402 digits, over the cap"):
             max_bound_prob(cfg, Fraction(1, 2))
+
+    def test_refusal_writes_no_big_int(self):
+        # sigma's terms have 10^6 + 1 digits, past str()'s default limit of
+        # 4,300; the refusal writes 1 - sigma to three digits instead
+        cfg, sigma = SystemConfig(REFERENCE, p=Fraction(1, 3)), 1 - Fraction(1, 10 ** (10**6))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError) as exc:
+                max_bound_prob(cfg, sigma)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == (
+            "sigma = 1 - 1.00e-1000000 at p = 1/3 needs a run of about 5.68e+06 failed "
+            "transmissions; deciding it exactly takes integers of about 2.71e+06 digits, "
+            "over the cap of 1000000 (about 0.65 s)"
+        )
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_estimate_off_by_a_factor_is_stepped(self, monkeypatch, scale):

@@ -1,21 +1,25 @@
-"""The README's library quick start runs, and prints what its comments say."""
+"""The README's library quick start runs, and prints what its comments say;
+its sweep example prints the output it shows."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+from aoiclock.cli import main
+
 README = Path(__file__).parent.parent / "README.md"
 
 
-def _quick_start() -> str:
+def _block_after(heading: str, lang: str) -> str:
+    """The first code block fenced as ``lang`` after ``heading``."""
     text = README.read_text()
-    section = text[text.index("## Quick start (library)"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text[text.index(heading):], re.S | re.M)
+    return next(body for fence, body in blocks if fence == lang)
 
 
 def test_quick_start_prints_its_comments():
-    code = _quick_start()
+    code = _block_after("## Quick start (library)", "python")
     # each print line's comment begins with the exact output, then ": note"
     want = [
         line.split("# ", 1)[1].partition(":")[0]
@@ -27,3 +31,17 @@ def test_quick_start_prints_its_comments():
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == want
     assert len(want) == 5
+
+
+def test_sweep_example_prints_its_output(tmp_path):
+    # the example grid of "Grid files", swept as "sweep" shows it
+    grid = tmp_path / "grid.json"
+    grid.write_text(_block_after("## Grid files", "json"))
+    out = io.StringIO()
+    argv = ["sweep", "--grid", str(grid), "--out", str(tmp_path / "results"), "--jobs", "8"]
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    want = _block_after("### sweep", "").splitlines()
+    assert out.getvalue().splitlines()[:2] == want[:2]
+    assert want[2] == "wrote 19 files to results/"
+    assert len(list((tmp_path / "results").iterdir())) == 19

@@ -12,7 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
 from itertools import islice, product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoiclock import cli, kernels, sweep
+from aoiclock import cli, extended, kernels, sweep
 from aoiclock.basic import ConfigError, decompose
 from aoiclock.extended import SystemConfig
 from aoiclock.sweep import (
@@ -33,8 +33,8 @@ from aoiclock.sweep import (
 )
 from conftest import (
     eval_chunk_ref,
-    eval_chunk_rows_ref,
     relative_error_ref,
+    rows_of,
     run_sweep_ref,
     sum_ref,
 )
@@ -155,6 +155,18 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="^grid has 157464 candidates, over the cap of 157463"):
             SweepGrid.from_dict(bundled)
 
+    def test_b_over_term_cap_rejected_before_listing(self):
+        # a kept tuple's decomposition has the grid's b, so a b over the exact
+        # expectation's term cap is refused with the grid
+        cap = extended._MAX_TERMS
+        with pytest.raises(ValueError) as exc:
+            SweepGrid.from_dict({"A": 1, "B": 2, "N": 1, "b": [1, cap + 1]})
+        assert str(exc.value) == (
+            f"grid field b: value {cap + 1} is over the cap of {cap} on the exact "
+            f"expectation's terms"
+        )
+        assert SweepGrid.from_dict({"b": [1, cap]}).b == (1, cap)
+
     def test_delta_zero_allowed(self):
         assert SweepGrid.from_dict({"delta_n": "0..2"}).delta_n == (0, 1, 2)
 
@@ -253,14 +265,16 @@ class TestEnumeration:
     @example({"A": [3, 2**64 + 1], "B": [1, 2**64], "N": [1, 2, 7], "a": [1, 2**64 + 1],
               "b": [1, 2], "n": [1, 5]}, 3, None, 7)
     def test_classification_equals_decompose(self, factors, start, stop, tile):
-        grid = SweepGrid.from_dict(factors)
+        with pytest.MonkeyPatch.context() as mp:
+            # classification takes any factors, a b past the term cap too
+            mp.setattr(sweep, "_MAX_TERMS", 2**70)
+            grid = SweepGrid.from_dict(factors)
+            mp.setattr(sweep, "_BLOCK", tile)
+            got = list(sweep._iter_candidates(grid, start, stop))
         want = [
             (f, *_classify_ref(f))
             for f in islice(product(*(getattr(grid, f) for f in sweep._FACTORS)), start, stop)
         ]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweep, "_BLOCK", tile)
-            got = list(sweep._iter_candidates(grid, start, stop))
         assert got == want
         for _, d, _ in got:
             if d is not None:
@@ -337,9 +351,9 @@ class TestEvalChunk:
         payload = (decomps, combos, bin_width)
 
         def bits(rows):
-            return [(i, err.hex(), ok, fail) for i, err, ok, fail in rows]
+            return [(i, err.hex(), ok) for i, err, ok in rows]
 
-        assert bits(sweep._eval_chunk(payload)) == bits(eval_chunk_ref(payload))
+        assert bits(rows_of(sweep._eval_chunk(payload))) == bits(eval_chunk_ref(payload))
 
     def test_sums_shared_across_p(self, monkeypatch):
         # each (decomposition, shift pair, r < b) hyperperiod sum is one row
@@ -359,8 +373,8 @@ class TestEvalChunk:
         assert len(out) == 2 * 27
         assert rows == [9 * (decomps[0].b + decomps[1].b)]
         # once per sum through a whole sweep, however it is cut into blocks
-        for size in (sweep._block_size, lambda n, workers: 1, lambda n, workers: 7):
-            monkeypatch.setattr(sweep, "_block_size", size)
+        for block in (sweep._BLOCK, 1, 7):
+            monkeypatch.setattr(sweep, "_BLOCK", block)
             rows.clear()
             assert run_sweep(grid).n_configs == 27 * len(decomps)
             assert sum(rows) == 9 * sum(d.b for d in decomps)
@@ -371,10 +385,10 @@ class TestEvalChunk:
         grid = SweepGrid.from_json(BUNDLED_GRID)
         decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None][:60]
         payload = (decomps, sweep._combos(grid), Fraction(1, 100))
-        want = sweep._eval_chunk(payload)
+        want = rows_of(sweep._eval_chunk(payload))
         monkeypatch.setattr(sweep, "_ROWS", rows)
         monkeypatch.setattr(kernels, "_LANES", lanes)
-        assert list(sweep._eval_chunk(payload)) == list(want)
+        assert rows_of(sweep._eval_chunk(payload)) == want
 
     def test_object_path_rows_equal_fraction_oracle(self):
         # periods past 2^63 (A*b*n = 3*25*(10^18 + 9)), a shift of 2^62 and
@@ -386,41 +400,37 @@ class TestEvalChunk:
         decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
         assert len(decomps) == 16 and max(d.a_period for d in decomps) > 2**63
         payload = (decomps, sweep._combos(grid), Fraction(1, 100))
-        rows = sweep._eval_chunk(payload)
-        assert [(i, err.hex(), ok, fail) for i, err, ok, fail in rows] == [
-            (i, err.hex(), ok, fail) for i, err, ok, fail in eval_chunk_ref(payload)
+        rows = rows_of(sweep._eval_chunk(payload))
+        assert [(i, err.hex(), ok) for i, err, ok in rows] == [
+            (i, err.hex(), ok) for i, err, ok in eval_chunk_ref(payload)
         ]
 
 
 class TestRowView:
-    """``_eval_chunk``'s row view against the row list it replaced."""
+    """``_eval_chunk``'s three columns, read as rows by ``conftest.rows_of``."""
 
-    # the middle decomposition has b one over the exact expectation's cap, so
-    # each of its combos fails; at a bin width of 10^-30 every bin is past int64
+    # at a bin width of 10^-30 every bin is past int64
     @pytest.mark.parametrize("bin_width", [Fraction(1, 100), Fraction(1, 10**30)])
     def test_reads_as_the_row_list(self, bin_width):
-        b_over = 10**5 + 1
-        decomps = [decompose(34, 7, 10), decompose(b_over, 2 * b_over, 1), decompose(12, 9, 5)]
+        decomps = [decompose(34, 7, 10), decompose(12, 9, 5)]
         combos = [(0, 0, Fraction(1)), (0, 0, Fraction(1, 3)), (3, 5, Fraction(1, 3))]
         payload = (decomps, combos, bin_width)
-        rows, want = sweep._eval_chunk(payload), eval_chunk_rows_ref(payload)
-        assert len(rows) == len(want) == 9
-        assert list(rows) == want
-        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in want]
-        bins = [i for i, _, _, fail in want if fail is None]
+        rows, want = sweep._eval_chunk(payload), eval_chunk_ref(payload)
+        assert len(rows) == len(want) == 6
+        assert rows_of(rows) == want
+        assert [tuple(map(type, row)) for row in rows_of(rows)] == [(int, float, bool)] * 6
+        bins = [i for i, _, _ in want]
         assert (max(map(abs, bins)) > 2**63) == (bin_width == Fraction(1, 10**30))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_reads_columns_only(self, monkeypatch, jobs):
-        def refuse(rows):
-            raise AssertionError("a row view was iterated")
-
-        # the pool's workers are forked, with the patch in place
-        monkeypatch.setattr(sweep._Rows, "__iter__", refuse)
+        # a block has no row view to build: the sweep folds its columns
         monkeypatch.setattr(sweep, "_CORES", 2)
+        monkeypatch.setattr(sweep, "_BLOCK", 2048)
         grid = SweepGrid.from_json(BUNDLED_GRID)
-        with pytest.raises(AssertionError, match="iterated"):
-            list(sweep._eval_chunk(([decompose(34, 7, 10)], sweep._combos(grid), Fraction(1))))
+        rows = sweep._eval_chunk(([decompose(34, 7, 10)], sweep._combos(grid), Fraction(1)))
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(rows)
         assert run_sweep(grid, jobs=jobs).n_configs == 11_178
 
 
@@ -509,7 +519,8 @@ class TestHistogramRows:
 
 
 class TestProcesses:
-    """run_sweep starts at most one process per block and per core, the parent included."""
+    """run_sweep starts at most one process per block and per core, the parent included;
+    its blocks are ``_BLOCK`` factor tuples whatever ``jobs`` is."""
 
     @staticmethod
     def stub_pool(asked):
@@ -529,25 +540,39 @@ class TestProcesses:
 
         return StubPool
 
-    # a Pool's process count includes the caller
+    # a Pool's process count includes the caller; grid is (fields, _BLOCK),
+    # with None for the default block
     @pytest.mark.parametrize("cores, grid, processes", [
-        (2, SMALL_GRID, [2]),
-        (64, SMALL_GRID, [62]),  # 1,296 tuples in 62 blocks of 21
-        (64, dict(FIG_GRID, A=[17, 19]), [2]),  # two factor tuples: two blocks
-        (64, FIG_GRID, [1]),  # one factor tuple: one block, the caller's
-        (1, SMALL_GRID, [1]),
+        (2, (SMALL_GRID, None), [1]),  # 1,296 tuples: one block, the caller's
+        (64, (SMALL_GRID, 21), [62]),  # 62 blocks of 21
+        (64, (dict(FIG_GRID, A=[17, 19]), 1), [2]),  # two factor tuples: two blocks
+        (64, (FIG_GRID, None), [1]),  # one factor tuple: one block
+        (1, (SMALL_GRID, 21), [1]),
     ])
     def test_huge_jobs_capped(self, monkeypatch, cores, grid, processes):
         asked = []
         monkeypatch.setattr(sweep, "Pool", self.stub_pool(asked))
         monkeypatch.setattr(sweep, "_CORES", cores)
-        grid = SweepGrid.from_dict(grid)
+        fields, block = grid
+        if block is not None:
+            monkeypatch.setattr(sweep, "_BLOCK", block)
+        grid = SweepGrid.from_dict(fields)
         want = run_sweep(grid, jobs=1)
         assert asked == [1]
         asked.clear()
         got = run_sweep(grid, jobs=100_000)
         assert asked == processes
         assert TestRunSweepOracle.fields(got) == TestRunSweepOracle.fields(want)
+
+    def test_bundled_grid_forks_nothing(self, monkeypatch, tmp_path):
+        # its 5,832 factor tuples are one block, which the caller evaluates
+        # at any jobs
+        def refuse():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(sweep, "_CORES", 2)
+        assert _bundled_digests(tmp_path / "out", 2) == BUNDLED_DIGESTS
 
     def test_cores_are_the_affinity_mask(self):
         assert sweep._CORES == len(os.sched_getaffinity(0))
@@ -600,12 +625,14 @@ class TestWorkers:
 
     @staticmethod
     def split(monkeypatch, mine, theirs):
-        """Run the parent's blocks with ``mine`` and the worker's with ``theirs``."""
+        """Run the parent's blocks with ``mine`` and the worker's with ``theirs``,
+        in blocks small enough that SMALL_GRID and the bundled grid fork one."""
         parent = os.getpid()
         monkeypatch.setattr(
             sweep, "_run_block", lambda p: (mine if os.getpid() == parent else theirs)(p)
         )
         monkeypatch.setattr(sweep, "_CORES", 2)
+        monkeypatch.setattr(sweep, "_BLOCK", 256)
 
     def test_dead_worker_fails_the_sweep(self, monkeypatch):
         # the parent reads EOF on the dead worker's pipe, not waiting for its result
@@ -664,9 +691,9 @@ class TestSum:
         assert result.mean_error == 0.0
 
 
-# every skip reason, and b one over the exact expectation's cap
+# every skip reason
 EVERY_SKIP_GRID = SweepGrid.from_dict(
-    {"A": [1, 3], "B": [1, 3], "N": [1, 5], "a": [1, 2], "b": [1, 2, 10**5 + 1], "n": [1, 3],
+    {"A": [1, 3], "B": [1, 3], "N": [1, 5], "a": [1, 2], "b": [1, 2, 3], "n": [1, 3],
      "delta_b": [0, 5], "delta_n": [0, 2], "p": ["1/3", "1"]}
 )
 # small random grids, up to 768 factor tuples
@@ -676,7 +703,7 @@ sweep_grids = st.fixed_dictionaries(
         "B": st.lists(st.integers(1, 7), min_size=1, max_size=4),
         "N": st.lists(st.integers(1, 5), min_size=1, max_size=3),
         "a": st.lists(st.integers(1, 3), min_size=1, max_size=2),
-        "b": st.lists(st.sampled_from([1, 2, 3, 10**5 + 1]), min_size=1, max_size=2),
+        "b": st.lists(st.integers(1, 3), min_size=1, max_size=2),
         "n": st.lists(st.integers(1, 3), min_size=1, max_size=2),
         "delta_b": st.lists(st.integers(0, 12), min_size=1, max_size=4),
         "delta_n": st.lists(st.integers(0, 12), min_size=1, max_size=2),
@@ -705,24 +732,16 @@ class TestRunSweepOracle:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("block", ["default", 1, 7, "whole"])
     @settings(max_examples=15)
-    @example(EVERY_SKIP_GRID, Fraction(1, 100), 2)
+    @example(EVERY_SKIP_GRID, Fraction(1, 100))
     @given(
         sweep_grids,
         st.sampled_from([Fraction(1, 100), Fraction(3, 7), Fraction(1, 10**30)]),
-        st.sampled_from([None, 2, 3]),
     )
-    def test_fields_equal_oracle(self, jobs, block, grid, bin_width, fail_every):
-        real = sweep._constants
-
-        def flaky(d):
-            if fail_every and (d.A + d.B + d.N + d.a + d.b + d.n) % fail_every == 0:
-                raise ArithmeticError("injected")
-            return real(d)
-
+    def test_fields_equal_oracle(self, jobs, block, grid, bin_width):
+        n_tuples = prod(len(getattr(grid, f)) for f in sweep._FACTORS)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweep, "_constants", flaky)
             if block != "default":
-                mp.setattr(sweep, "_block_size", lambda n, workers: n if block == "whole" else block)
+                mp.setattr(sweep, "_BLOCK", n_tuples if block == "whole" else block)
             try:
                 expected = run_sweep_ref(grid, bin_width)
             except EmptyGridError as exc:
@@ -733,20 +752,39 @@ class TestRunSweepOracle:
         assert self.fields(got) == self.fields(expected)
 
 
+def _bundled_digests(out, jobs) -> dict:
+    """sha256 of each output file and of stdout, ``out`` removed from it, of
+    ``aoiclock sweep`` on the bundled grid into ``out``."""
+    buf = io.StringIO()
+    argv = ["sweep", "--grid", str(BUNDLED_GRID), "--out", str(out), "--jobs", str(jobs)]
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    digests["stdout"] = hashlib.sha256(buf.getvalue().replace(str(out), "").encode()).hexdigest()
+    return digests
+
+
 class TestBundledGolden:
     """The bundled grid's outputs and stdout, pinned by sha256 at jobs 1 and 2."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_digests(self, tmp_path, jobs):
-        out = tmp_path / "out"
-        buf = io.StringIO()
-        argv = ["sweep", "--grid", str(BUNDLED_GRID), "--out", str(out), "--jobs", str(jobs)]
-        with contextlib.redirect_stdout(buf):
-            assert cli.main(argv) == 0
-        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-        stdout = buf.getvalue().replace(str(out), "").encode()
-        digests["stdout"] = hashlib.sha256(stdout).hexdigest()
-        assert digests == BUNDLED_DIGESTS
+        assert _bundled_digests(tmp_path / "out", jobs) == BUNDLED_DIGESTS
+
+    def test_digests_with_a_worker(self, monkeypatch, tmp_path):
+        # blocks of 2,048 tuples cut the bundled grid in three, so jobs 2 forks
+        forks = []
+        real = os.fork
+
+        def counted():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(sweep, "_CORES", 2)
+        monkeypatch.setattr(sweep, "_BLOCK", 2048)
+        assert _bundled_digests(tmp_path / "out", 2) == BUNDLED_DIGESTS
+        assert forks == [1]
 
 
 class TestWriteOutputs:
@@ -791,45 +829,3 @@ class TestSmallGridGolden:
         )
         for f in files:
             assert f.read_bytes() == (GOLDEN / f.name).read_bytes(), f.name
-
-
-class TestPerConfigErrors:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_configs_are_counted_in_every_slice(self, monkeypatch, jobs):
-        real = sweep._constants
-
-        def flaky(d):
-            if d.n == 3:
-                raise ArithmeticError("injected")
-            return real(d)
-
-        monkeypatch.setattr(sweep, "_constants", flaky)
-        grid = SweepGrid.from_dict(SMALL_GRID)
-        result = run_sweep(grid, jobs=jobs)
-        # 1,040 of the 5,136 valid configs hold n = 3
-        assert result.skip_counts["error:ArithmeticError"] == 1_040
-        assert result.n_configs == 5_136 - 1_040
-        assert result.n_configs + sum(result.skip_counts.values()) == result.n_candidates
-        for sl in result.slices:
-            holding = result.n_candidates // len(getattr(grid, sl.parameter))
-            assert sl.n_configs + sl.n_skipped == holding, (sl.parameter, sl.value)
-        n_three = next(sl for sl in result.slices if sl.parameter == "n" and sl.value == "3")
-        assert n_three.n_configs == 0
-
-    def test_b_over_cap_fails_before_its_sums(self, monkeypatch):
-        b_over = 10**5 + 1
-        seen = []
-        real = kernels._row_sums
-
-        def counted(a_period, *rest):
-            seen.extend(np.broadcast_to(a_period, np.broadcast(a_period, *rest).shape).tolist())
-            return real(a_period, *rest)
-
-        monkeypatch.setattr(kernels, "_row_sums", counted)
-        # (A, B, N) = (1, 2, 1) at b = 1 gives periods (1, 2, 1); at
-        # b = 100001, one over the cap, periods (100001, 200002, 1)
-        grid = SweepGrid.from_dict({"A": 1, "B": 2, "N": 1, "b": [1, b_over]})
-        result = run_sweep(grid)
-        assert result.skip_counts == {"error:ValueError": 1}
-        assert result.n_configs == 1
-        assert seen == [1]
