@@ -299,7 +299,8 @@ def _verify_basic(d, cycles: int, failures: list[str]) -> None:
     bound = max_bound_basic(d)
     _check(failures, "max_bound", peak <= bound, f"observed={peak} bound={bound}")
 
-    # the lossless model delivers at slot 0, so every read is compared
+    # the lossless model delivers at slot 0, so every read is compared: a
+    # read the simulator marks undefined is a mismatch, not a warm-up
     shape = (d.a_period, d.b_period, d.n_period, 0, 0)
     check = ("simulator_matches_formula",
              lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),

@@ -48,11 +48,11 @@ __all__ = [
 ]
 
 # The exact expectation takes b conditional hyperperiod sums (a floor sum
-# each) and runs a b-step Horner loop over a denominator of about b*log2(v)
-# bits, so its big-integer work grows as b^2 and with log(v): at b = 10^5
-# and periods (3b, 7b, 11), in a fresh process on a 2-core Xeon host, it
-# took 0.74 s at p = 1/2 (0.2 s of it the sums) and 16 s at p = 1/30000;
-# `analyze --model extended` of those configs took 0.85 s and 25 s.
+# each), a geometric sum by binary splitting and Fraction's gcd over a
+# denominator of about b*log2(v) bits; the gcd grows as b^2 and with log(v).
+# At b = 10^5 and periods (3b, 7b, 11), in a fresh process on a 2-core Xeon
+# host, it took 0.18 s at p = 1/2 and 4.8 s at p = 1/30000 (1.3 s of it the
+# sum); `analyze --model extended` of those configs took 0.20 s and 13 s.
 _MAX_TERMS = 10**5
 # max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
 # m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s
@@ -73,7 +73,7 @@ def _as_probability(p) -> Fraction:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse probability {p!r}") from exc
     if not 0 < p <= 1:
-        raise ConfigError(f"p must be in (0, 1], got {p}")
+        raise ConfigError(f"p must be in (0, 1], got {_fraction_text(p)}")
     return p
 
 
@@ -171,7 +171,7 @@ def _check_terms(d: PeriodDecomposition) -> None:
         raise ValueError(
             f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
             f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (about 0.75 s at b = {_MAX_TERMS} and p = 1/2, 16 s at p = 1/30000)"
+            f"grows as b^2 (about 0.18 s at b = {_MAX_TERMS} and p = 1/2, 4.8 s at p = 1/30000)"
         )
 
 
@@ -185,9 +185,10 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
         E = w*N'/u + sum_{r<b} u*w^r*v^(b-1-r) * (S(r) - r*N'*period)
                      / (period * (v^b - w^b)).
 
-    Costs O(a*b*log) integer work for the b sums plus O(b^2) big-integer
-    work, since the denominator has about b*log2(v) bits; b over the cap
-    raises ValueError before the sums.
+    Costs O(a*b*log) integer work for the b sums, then, on a denominator of
+    about b*log2(v) bits, about one product of that size for
+    ``kernels.geometric_sum`` and O(b^2) for ``Fraction``'s gcd; b over the
+    cap raises ValueError before the sums.
     """
     d = cfg.d
     _check_terms(d)
@@ -197,13 +198,10 @@ def expected_exact_extended(cfg: SystemConfig) -> GeometricExpectation:
     sums = kernels.period_sums_conditional(
         d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, d.b, period
     )
-    acc = 0
-    wr = 1
-    # Horner in v, so acc = sum_r w^r * v^(b-1-r) * (S(r) - r*N'*period)
-    for r, s in enumerate(sums):
-        acc = acc * v + wr * (s - r * d.n_period * period)
-        wr *= w
-    den0 = period * (v**d.b - wr)  # wr == w^b here
+    # acc = sum_r w^r * v^(b-1-r) * (S(r) - r*N'*period)
+    terms = [s - r * d.n_period * period for r, s in enumerate(sums)]
+    acc, vb, wb = kernels.geometric_sum(terms, v, w)
+    den0 = period * (vb - wb)
     value = Fraction(w * d.n_period * den0 + u * u * acc, u * den0)
     return GeometricExpectation(value, Fraction(0), d.b)
 
@@ -242,19 +240,21 @@ def _e_notation(lg: float) -> str:
     return f"{mantissa}e{exp:+03d}"
 
 
-# max_bound_prob's refusal writes a sigma or p in full up to this many digits
+# a refusal writes a fraction in full while both its terms are below 10^this
 _SHOWN_DIGITS = 100
 
 
 def _fraction_text(x: Fraction) -> str:
-    """x in (0, 1) in full, or, once its denominator passes ``_SHOWN_DIGITS``
-    digits, to three digits as x or 1 - x, whichever is below 1/2: a big int
-    passes ``str()``'s digit limit, and is no use to read."""
-    if x.denominator < 10**_SHOWN_DIGITS:
+    """x in full, or, once a term passes ``_SHOWN_DIGITS`` digits, to three
+    digits: between 1/2 and 2 as its distance from 1 (``1 - 1.00e-9``), and
+    otherwise as x itself.  A big int passes ``str()``'s digit limit, and is
+    no use to read."""
+    n, d = x.numerator, x.denominator
+    if abs(n) < 10**_SHOWN_DIGITS and d < 10**_SHOWN_DIGITS:
         return str(x)
-    if 2 * x <= 1:
-        return _e_notation(math.log10(x.numerator) - math.log10(x.denominator))
-    return f"1 - {_e_notation(math.log10(x.denominator - x.numerator) - math.log10(x.denominator))}"
+    if 1 < 2 * x < 4:  # x != 1, since a term is big
+        return f"1 {'-' if n < d else '+'} {_e_notation(math.log10(abs(n - d)) - math.log10(d))}"
+    return f"{'-' if n < 0 else ''}{_e_notation(math.log10(abs(n)) - math.log10(d))}"
 
 
 def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
@@ -268,7 +268,7 @@ def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     """
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
-        raise ValueError(f"sigma must be in (0, 1), got {sigma}")
+        raise ValueError(f"sigma must be in (0, 1), got {_fraction_text(sigma)}")
     d = cfg.d
     base = max_bound_lossless(cfg)
     p = cfg.p

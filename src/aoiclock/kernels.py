@@ -9,7 +9,9 @@ the sums of many decompositions and shifts at once through ``floor_sums``,
 as arrays: in int64 where a bound from the arguments' maxima proves that
 every intermediate fits, and otherwise as the same expressions on
 ``object`` arrays of Python ints, so the sums are always exact.
-``exact_sum`` sums an int64 array without wrapping.
+``geometric_sum`` weighs such sums by the geometric failure count, for one
+config's Python ints and for a sweep's columns alike.  ``exact_sum`` sums
+an int64 array without wrapping.
 
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
@@ -211,6 +213,25 @@ def period_sums_conditional(a_period, b_period, n_period, delta_b, delta_n, n_te
     """
     shifts = (_shifts(n_period, delta_b, delta_n, r) for r in range(n_terms))
     return _period_sums(a_period, b_period, n_period, period, shifts)
+
+
+def geometric_sum(terms, v, w):
+    """(X, v^n, w^n) with X = sum_{r<n} terms[r]*w^r*v^(n-1-r), for n >= 1 terms:
+    ints, or an array whose first axis is r, with v and w that broadcast.
+
+    By binary splitting, so big products pair equal-size operands: [lo, hi)
+    splits at mid into X_lo*v^(hi-mid) + w^(mid-lo)*X_hi.  For 0 <= w < v no
+    value passes v^n or max|terms|*(v^n - w^n)/(v - w).
+    """
+    def split(lo, hi):
+        if hi - lo == 1:
+            return terms[lo], v, w
+        mid = (lo + hi) // 2
+        x_lo, v_lo, w_lo = split(lo, mid)
+        x_hi, v_hi, w_hi = split(mid, hi)
+        return x_lo * v_hi + w_lo * x_hi, v_lo * v_hi, w_lo * w_hi
+
+    return split(0, len(terms))
 
 
 def exact_sum(x):

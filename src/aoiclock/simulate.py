@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .basic import PeriodDecomposition
-from .extended import SystemConfig
+from .extended import SystemConfig, _fraction_text
 
 __all__ = [
     "RngSpec",
@@ -67,7 +67,7 @@ class RngSpec:
 def bernoulli_threshold(p: Fraction) -> int:
     """round(p * 2^53), the success threshold for 53-bit uniform draws."""
     if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+        raise ValueError(f"p must be in (0, 1], got {_fraction_text(p)}")
     return (p.numerator * (1 << 53) + p.denominator // 2) // p.denominator
 
 

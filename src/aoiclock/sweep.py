@@ -25,7 +25,7 @@ cap is refused when it is read, so every kept config evaluates.
 Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
 of a decomposition depend on the (delta_b, delta_n) pair alone, so each
 (decomposition, pair, r) sum is one row of a single floor-sum pass over the
-block, shared by every p; the Horner sum over r, each config's exact
+block, shared by every p; the geometric sum over r, each config's exact
 relative error num / den, its bin (floor division) and its bound verdict
 follow as columns, and num / den is turned into a float by correctly
 rounded division.  Each stage runs in int64 where a bound from the column
@@ -406,12 +406,13 @@ _ROWS = 1 << 16
 
 
 def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
-    """``expected_exact_extended``'s Horner sum acc per (decomposition, shift pair)
-    unit, k-major, and per p.
+    """``expected_exact_extended``'s geometric sum acc per (decomposition, shift
+    pair) unit, k-major, and per p.
 
     The b hyperperiod sums of every unit are one ``kernels._row_sums`` pass,
-    at most ``_ROWS`` rows at a time.  Then t_r = S(r) - r*N'*period, and the
-    Horner sum over r runs as columns, for the units of each b at once.
+    at most ``_ROWS`` rows at a time.  Then t_r = S(r) - r*N'*period, and
+    ``kernels.geometric_sum`` runs over r on columns, for the units of each b
+    at once against every p.
     """
     b = c.b.astype(np.int64)
     n_pairs = len(delta_b)
@@ -444,11 +445,7 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
                 _max_abs(t) * geometric + max(vs) ** bv,
                 t[(first[lo + sel] - first[lo])[:, None] + np.arange(bv)], vs, ws,
             )
-            acc, wr = np.zeros((len(sel), len(vs)), dtype=v.dtype), np.ones_like(w)
-            for col in rows.T:
-                acc = acc * v + col[:, None] * wr
-                wr = wr * w
-            parts.append((sel, acc))
+            parts.append((sel, kernels.geometric_sum(rows.T[:, :, None], v, w)[0]))
         acc = np.empty((hi - lo, len(vs)), dtype=np.result_type(*(x.dtype for _, x in parts)))
         for sel, x in parts:
             acc[sel] = x

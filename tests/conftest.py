@@ -17,7 +17,8 @@ period sum oracle reads every age of the hyperperiod with int64 numpy
 arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.  The progression start oracle evaluates
 one (i, j) at a time with the floored modulus of ``modmath`` and a ceiling
-division on Python ints.
+division on Python ints.  The geometric sum oracle is Horner's rule, one
+term at a time.
 
 ``ArithmeticProgression`` lists one progression <start, step, count> of a
 family, for tests that need the progressions as objects.  The residue
@@ -325,6 +326,16 @@ def naive_period_sums(a_period, b_period, n_period, delta_b, delta_n, n_terms, p
         s = (base - l * n_period) % b_period
         out[l] = (2 + l * n_period) * period + e_sum + int(((s - e) % b_period).sum())
     return out
+
+
+def geometric_sum_ref(terms, v, w):
+    """``kernels.geometric_sum`` by Horner's rule in v, one term at a time on
+    Python ints: (X, v^n, w^n) with X = sum_{r<n} terms[r]*w^r*v^(n-1-r)."""
+    acc, wr = 0, 1
+    for t in terms:
+        acc = acc * v + wr * t
+        wr *= w
+    return acc, v ** len(terms), wr
 
 
 def coprime_triples(limit, lo=1):

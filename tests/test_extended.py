@@ -22,6 +22,7 @@ from aoiclock.extended import (
     rel_error_bound_extended,
     sequence_conditional,
 )
+from aoiclock.simulate import bernoulli_threshold
 
 from conftest import max_bound_prob_ref, progressions, series_expectation_ref, series_tail_ref
 
@@ -397,3 +398,49 @@ class TestMaxBound:
                 break
             l += 1
         assert mass >= sigma
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int->str limit of 4,300 digits, for library callers
+    outside ``cli.main``."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+# 1 + 10^-5000: both terms pass the digit limit
+OVER_ONE = Fraction(10**5000 + 1, 10**5000)
+
+
+class TestFractionText:
+    @pytest.mark.parametrize("refusal, error, want", [
+        (lambda: SystemConfig(REFERENCE, p=OVER_ONE), ConfigError, "p must be in (0, 1]"),
+        (lambda: bernoulli_threshold(OVER_ONE), ValueError, "p must be in (0, 1]"),
+        (lambda: max_bound_prob(SystemConfig(REFERENCE, p=Fraction(1, 3)), OVER_ONE),
+         ValueError, "sigma must be in (0, 1)"),
+    ], ids=["SystemConfig", "bernoulli_threshold", "max_bound_prob"])
+    def test_out_of_range_refusals_write_no_big_int(self, default_digit_limit, refusal, error,
+                                                    want):
+        with pytest.raises(error) as exc:
+            refusal()
+        assert str(exc.value) == f"{want}, got 1 + 1.00e-5000"
+
+    @pytest.mark.parametrize("x, want", [
+        # in full while both terms are below 10^100
+        (Fraction(1, 3), "1/3"),
+        (Fraction(0), "0"),
+        (Fraction(-7, 2), "-7/2"),
+        (Fraction(10**99 - 1, 10**99), f"{10**99 - 1}/{10**99}"),
+        # past it, to three digits: near 1 as the distance from 1
+        (1 - Fraction(1, 10**1000), "1 - 1.00e-1000"),
+        (1 + Fraction(3, 10**1000), "1 + 3.00e-1000"),
+        # and elsewhere as the value itself, negative ones and numerators too
+        (Fraction(1, 10**1000), "1.00e-1000"),
+        (Fraction(-1, 10**1000), "-1.00e-1000"),
+        (Fraction(10**1000, 3), "3.33e+999"),
+        (Fraction(-(10**1000)), "-1.00e+1000"),
+    ])
+    def test_any_fraction(self, default_digit_limit, x, want):
+        assert extended._fraction_text(x) == want

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aoiclock import kernels
+from aoiclock import kernels, sweep
 from aoiclock.basic import aoi_basic, decompose
 from aoiclock.extended import (
     SystemConfig,
@@ -24,6 +24,7 @@ from aoiclock.simulate import bernoulli_threshold
 
 from conftest import (
     LARGE_TRIPLES,
+    geometric_sum_ref,
     naive_basic_ages,
     naive_extended,
     naive_period_sums,
@@ -155,6 +156,62 @@ class TestFloorSums:
         with pytest.raises(ValueError, match="n >= 0 and m >= 1"):
             kernels.floor_sums(-1, 5, 1, 1)
         assert kernels.floor_sums([], [], [], []).tolist() == []
+
+
+@st.composite
+def geometric_columns(draw, n_max, t_max, v_max):
+    """n terms of ``rows`` columns each, and one (v, w) pair per p column."""
+    n, rows = draw(st.integers(1, n_max)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-t_max, t_max), min_size=rows, max_size=rows)
+    terms = draw(st.lists(row, min_size=n, max_size=n))
+    vs = draw(st.lists(st.integers(1, v_max), min_size=1, max_size=3))
+    return terms, vs, [draw(st.integers(0, v)) for v in vs]
+
+
+class TestGeometricSum:
+    """The binary-splitting geometric sum against Horner's rule."""
+
+    @given(st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=300),
+           st.integers(1, 2**64), st.integers(0, 2**64))
+    @example([5], 3, 2)
+    @example([1] * 300, 2**64, 2**64 - 1)
+    @example([-(2**200)] * 7, 5, 0)
+    def test_ints_equal_horner(self, terms, v, w):
+        w %= v + 1
+        assert kernels.geometric_sum(terms, v, w) == geometric_sum_ref(terms, v, w)
+
+    # int64 where no value passes 2^53, and Python ints past 2^63
+    @pytest.mark.parametrize("dtype, n_max, t_max, v_max",
+                             [(np.int64, 6, 2**10, 2**8), (object, 30, 2**100, 2**64)],
+                             ids=["int64", "object"])
+    @given(data=st.data())
+    def test_columns_equal_horner(self, dtype, n_max, t_max, v_max, data):
+        terms, vs, ws = data.draw(geometric_columns(n_max, t_max, v_max))
+        n, rows = len(terms), len(terms[0])
+        x, vn, wn = kernels.geometric_sum(
+            np.array(terms, dtype=dtype)[:, :, None], np.array(vs, dtype=dtype),
+            np.array(ws, dtype=dtype),
+        )
+        assert x.dtype == vn.dtype == wn.dtype == dtype
+        x = np.broadcast_to(x, (rows, len(vs)))  # one term is the column itself
+        for i in range(rows):
+            for h, (v, w) in enumerate(zip(vs, ws)):
+                assert int(x[i, h]) == geometric_sum_ref([t[i] for t in terms], v, w)[0]
+        assert vn.tolist() == [v**n for v in vs]
+        assert wn.tolist() == [w**n for w in ws]
+
+    def test_both_exact_means_go_through_it(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(kernels, "geometric_sum", reached)
+        with pytest.raises(Reached):
+            expected_exact_extended(SystemConfig(decompose(34, 7, 10), p="1/2"))
+        with pytest.raises(Reached):
+            sweep.run_sweep(sweep.SweepGrid.from_dict({"A": 2, "B": 3, "N": 5, "p": "1/2"}))
 
 
 class TestSimulatorKernels:
