@@ -3,12 +3,12 @@
 The sequence kernels and the simulators work in int64.  Callers go through
 the ``check_*`` guards, which reject inputs whose intermediate values could
 leave the int64 range; the kernels themselves assume the guards have run.
-The hyperperiod age sums of both models are floor sums.  ``_period_sums``
-loops over them in Python ints for one decomposition.  ``_row_sums`` runs
-the sums of many decompositions and shifts at once through ``floor_sums``,
-as arrays: in int64 where a bound from the arguments' maxima proves that
-every intermediate fits, and otherwise as the same expressions on
-``object`` arrays of Python ints, so the sums are always exact.
+The hyperperiod age sums of both models are floor sums, and ``_period_sums``
+and ``_row_sums`` share one contract for them.  ``_period_sums`` loops over
+one decomposition in Python ints.  ``_row_sums`` runs many (decomposition,
+shift triple) rows at once through ``floor_sums``, as arrays: in int64 where
+a bound from the arguments' maxima proves that every intermediate fits, and
+otherwise as the same expressions on ``object`` arrays, so the sums are exact.
 ``geometric_sum`` weighs such sums by the geometric failure count, for one
 config's Python ints and for a sweep's columns alike.  ``exact_sum`` sums
 an int64 array without wrapping.
@@ -144,18 +144,22 @@ def floor_sums(n, m, alpha, beta):
 _LANES = 1 << 16
 
 
-def _row_sums(a_period, ab, an, big_n, a, s_b, s_n):
-    """sum_{i<a} N*r_ab + a*b*floor_sum(N, a*b, a*n, r_an - r_ab + a*b - 1) per row.
+def _row_sums(a_period, ab, an, big_n, a, big_b, s_b, s_n, base):
+    """``_period_sums``' contract row by row: the hyperperiod age sum of each
+    row's decomposition at its shift triple (s_b, s_n, base).
 
-    r_ab = (i*A' - s_b) mod a*b and r_an = (i*A' - s_n) mod a*n.  The
-    arguments broadcast to one entry per row, each row with its own
-    decomposition and shifts.  The (row, i) lanes go through ``floor_sums``
-    ``_LANES`` at a time.  No intermediate passes the bound below, so the
-    lanes run in int64 where it is under 2^63, and in Python ints otherwise.
+    The arguments broadcast to one entry per row.  The (row, i) lanes
+    N*r_ab + a*b*floor_sum(N, a*b, a*n, r_an - r_ab + a*b - 1), r_ab =
+    (i*A' - s_b) mod a*b and r_an = (i*A' - s_n) mod a*n, go through
+    ``floor_sums`` ``_LANES`` at a time, in int64 where the bound below is
+    under 2^63 and in Python ints otherwise; their sums over i < a are
+    assembled into whole sums under a bound of their own.
     """
-    a_period, ab, an, big_n, a, s_b, s_n = np.broadcast_arrays(a_period, ab, an, big_n, a, s_b, s_n)
-    bound = (_max_abs(a) + 1) * (_max_abs(big_n) + 1) ** 2 * (
-        _max_abs(a_period) + _max_abs(s_b) + _max_abs(s_n) + 2 * _max_abs(an) + 2 * _max_abs(ab) + 3
+    args = np.broadcast_arrays(a_period, ab, an, big_n, a, big_b, s_b, s_n, base)
+    a_period, ab, an, big_n, a, big_b, s_b, s_n, base = args
+    top_a, top_n, top_ab, top_b = _max_abs(a), _max_abs(big_n), _max_abs(ab), _max_abs(big_b)
+    bound = (top_a + 1) * (top_n + 1) ** 2 * (
+        _max_abs(a_period) + _max_abs(s_b) + _max_abs(s_n) + 2 * _max_abs(an) + 2 * top_ab + 3
     )
     a_period, ab, an, big_n, s_b, s_n = _fit(bound, a_period, ab, an, big_n, s_b, s_n)
     a = a.astype(np.int64)
@@ -171,7 +175,10 @@ def _row_sums(a_period, ab, an, big_n, a, s_b, s_n):
         fs = floor_sums(big_n[row], m, an[row], r_an - r_ab + m - 1)
         first = np.flatnonzero(np.diff(row, prepend=-1))
         out[row[first]] += np.add.reduceat(big_n[row] * r_ab + m * fs, first)
-    return out
+    # _period_sums' assembly, B*(out + a*N*base) + a*N*a*b*B*(B - 1)/2
+    bound = top_b * (_max_abs(out) + top_a * top_n * (_max_abs(base) + top_ab * top_b))
+    out, a, big_n, ab, big_b, base = _fit(bound, out, a, big_n, ab, big_b, base)
+    return big_b * out + a * big_n * (big_b * base + ab * (big_b * (big_b - 1) // 2))
 
 
 # the hyperperiod age sum of both models for each shift triple of basic._age:

@@ -54,7 +54,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from . import kernels
-from .kernels import _dtype_for, _fit, _max_abs
+from .kernels import _fit, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
 from .extended import _MAX_TERMS, SystemConfig, _as_probability, _freshness_offset
 
@@ -405,22 +405,24 @@ def _constants(d: PeriodDecomposition) -> tuple:
 _ROWS = 1 << 16
 
 
-def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
-    """``expected_exact_extended``'s geometric sum acc per (decomposition, shift
-    pair) unit, k-major, and per p.
+def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np.ndarray]:
+    """``expected_exact_extended``'s geometric sum acc and den0 = period*(v^b - w^b)
+    per (decomposition, shift pair) unit, k-major, and per p.
 
     The b hyperperiod sums of every unit are one ``kernels._row_sums`` pass,
-    at most ``_ROWS`` rows at a time.  Then t_r = S(r) - r*N'*period, and
+    at most ``_ROWS`` rows at a time, at base 2: a sum holds its base only as
+    period*base, so its row is t_r = S(r) - r*N'*period.  Then
     ``kernels.geometric_sum`` runs over r on columns, for the units of each b
-    at once against every p.
+    at once against every p, and the v^b and w^b of that same binary-splitting
+    sum give den0.
     """
     b = c.b.astype(np.int64)
     n_pairs = len(delta_b)
     unit_b = np.repeat(b, n_pairs)
     first = np.cumsum(unit_b) - unit_b  # each unit's first row
     shift_bound = _max_abs(b) * _max_abs(c.n_period) + _max_abs(delta_b) + _max_abs(delta_n) + 3
-    big_period, big_b = _max_abs(c.period), _max_abs(c.big_b)
-    out = []
+    big_period, big_v = _max_abs(c.period), max(vs)
+    parts = []
     lo = 0
     while lo < len(unit_b):
         hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _ROWS)))
@@ -428,30 +430,26 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> np.ndarray:
         k, j = units // n_pairs, units % n_pairs
         r = np.arange(len(units)) + first[lo] - first[units]
         s_b, s_n, _ = kernels._shifts(*_fit(shift_bound, c.n_period[k], delta_b[j], delta_n[j], r))
-        sums = kernels._row_sums(c.a_period[k], c.ab[k], c.an[k], c.big_n[k], c.a[k], s_b, s_n)
-        # S(r) as kernels._period_sums sums it at base = 2 + r*N', less r*N'*period
-        period, big_b_k, a, big_n, ab = _fit(
-            big_period * (2 + _max_abs(c.ab) * big_b) + big_b * _max_abs(sums),
-            *(x[k] for x in (c.period, c.big_b, c.a, c.big_n, c.ab)),
-        )
-        t = 2 * period + big_b_k * sums + a * big_n * ab * (big_b_k * (big_b_k - 1) // 2)
-        parts = []
+        factors = (x[k] for x in (c.a_period, c.ab, c.an, c.big_n, c.a, c.big_b))
+        t = kernels._row_sums(*factors, s_b, s_n, 2)
         for bv in set(unit_b[lo:hi].tolist()):
-            sel = np.flatnonzero(unit_b[lo:hi] == bv)
+            sel = lo + np.flatnonzero(unit_b[lo:hi] == bv)
             # acc = sum_r w^r v^(b-1-r) t_r, and no partial sum passes max|t| times
-            # the largest sum_r w^r v^(b-1-r) = (v^b - w^b)/(v - w)
-            geometric = max((v**bv - w**bv) // (v - w) for v, w in zip(vs, ws))
-            rows, v, w = _fit(
-                _max_abs(t) * geometric + max(vs) ** bv,
-                t[(first[lo + sel] - first[lo])[:, None] + np.arange(bv)], vs, ws,
-            )
-            parts.append((sel, kernels.geometric_sum(rows.T[:, :, None], v, w)[0]))
-        acc = np.empty((hi - lo, len(vs)), dtype=np.result_type(*(x.dtype for _, x in parts)))
-        for sel, x in parts:
-            acc[sel] = x
-        out.append(acc)
+            # the largest sum_r w^r v^(b-1-r) = (v^b - w^b)/(v - w).  Powers at e =
+            # min(b, 64) pick the same dtype: past 64, v >= 2 gives 2^64, v = 1 gives 1
+            e = min(bv, 64)
+            geometric = max((v**e - w**e) // (v - w) for v, w in zip(vs, ws))
+            terms = t[(first[sel] - first[lo])[:, None] + np.arange(bv)]
+            rows, v, w = _fit(_max_abs(t) * geometric + big_v**e, terms, vs, ws)
+            x, vb, wb = kernels.geometric_sum(rows.T[:, :, None], v, w)
+            period, diff = _fit(big_period * big_v**e, c.period[sel // n_pairs, None], vb - wb)
+            parts.append((sel, x, period * diff))
         lo = hi
-    return np.concatenate(out)
+    # the parts in unit order
+    sels, xs, den0s = zip(*parts)
+    where = np.argsort(np.concatenate(sels), kind="stable")
+    acc = np.concatenate([np.broadcast_to(x, d.shape) for x, d in zip(xs, den0s)])
+    return acc[where], np.concatenate(den0s)[where]
 
 
 def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
@@ -469,14 +467,7 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     vs = [p.denominator for p in probs]
     ws = [v - u for u, v in zip(us, vs)]
     delta_b, delta_n = _int_array(pairs).T
-    acc = _accumulators(c, delta_b, delta_n, vs, ws)
-    # den0 = period*(v^b - w^b) per decomposition and p
-    diffs = {bv: [v**bv - w**bv for v, w in zip(vs, ws)] for bv in set(c.b.tolist())}
-    bound = _max_abs(c.period) * max(max(x) for x in diffs.values())
-    den0 = np.empty((len(consts), len(probs)), dtype=_dtype_for(bound))
-    for bv, diff in diffs.items():
-        rows = c.b == bv
-        den0[rows] = c.period[rows, None] * np.array(diff, dtype=den0.dtype)
+    acc, den0 = _accumulators(c, delta_b, delta_n, vs, ws)
 
     # config (k, combo): its decomposition k, shift pair j and p h
     pair_of = {pair: j for j, pair in enumerate(pairs)}
@@ -484,7 +475,8 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     k = np.repeat(np.arange(len(consts)), len(combos))
     j = np.tile([pair_of[db, dn] for db, dn, _ in combos], len(consts))
     h = np.tile([p_of[p] for _, _, p in combos], len(consts))
-    acc, den0 = acc[k * len(pairs) + j, h], den0[k, h]
+    unit = k * len(pairs) + j
+    acc, den0 = acc[unit, h], den0[unit, h]
     bound = _max_abs(c.max_bound) + 2 * _max_abs(c.n) + 2 * _max_abs(delta_n) + 8
     m2k = _m2k(*_fit(bound, c.max_bound[k], c.n[k], delta_n[j]))
 

@@ -158,6 +158,46 @@ class TestFloorSums:
         assert kernels.floor_sums([], [], [], []).tolist() == []
 
 
+# periods with triple gcd 1, small ones and ones past int64: with
+# P = 10^18 + 9, (2P, 6, 3P) has a = 3, b = 2, n = P and (5P, 14, 21P) has
+# a = 7, B = 2, N = 3
+row_triples = st.one_of(
+    st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)).filter(
+        lambda t: gcd(gcd(t[0], t[1]), t[2]) == 1
+    ),
+    st.sampled_from([(2 * (10**18 + 9), 6, 3 * (10**18 + 9)),
+                     (5 * (10**18 + 9), 14, 21 * (10**18 + 9)), *LARGE_TRIPLES]),
+)
+# (s_b, s_n, base), shifts past int64 included
+shift_triples = st.tuples(st.integers(0, 2**70), st.integers(0, 2**70), st.integers(-(2**70), 2**70))
+
+
+class TestRowSums:
+    """The array hyperperiod sums against ``_period_sums``, row by row."""
+
+    @given(st.lists(st.tuples(row_triples, shift_triples), min_size=1, max_size=6),
+           st.integers(1, 4))
+    @example([((34, 7, 10), (0, 0, 0))], 1)
+    @example([((20, 28, 35), (3, 5, 2))], 2)  # a = 7 split over four passes
+    @example([((5 * (10**18 + 9), 14, 21 * (10**18 + 9)), (2**62, 1, 2))], 3)
+    def test_rows_equal_period_sums(self, rows, lanes):
+        ds = [decompose(*t) for t, _ in rows]
+        cols = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, *shifts)
+                for d, (_, shifts) in zip(ds, rows)]
+        with mock.patch.object(kernels, "_LANES", lanes):
+            got = kernels._row_sums(*(sweep._int_array(col) for col in zip(*cols)))
+        want = [kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, [shifts])[0]
+                for d, (_, shifts) in zip(ds, rows)]
+        assert got.tolist() == want
+
+    def test_int64_rows_stay_int64(self):
+        d = decompose(34, 7, 10)
+        cols = (d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, 5, 3, 2)
+        got = kernels._row_sums(*(np.full(4, x, dtype=np.int64) for x in cols))
+        assert got.dtype == np.int64
+        assert got.tolist() == kernels._period_sums(34, 7, 10, d.period, [(5, 3, 2)]) * 4
+
+
 @st.composite
 def geometric_columns(draw, n_max, t_max, v_max):
     """n terms of ``rows`` columns each, and one (v, w) pair per p column."""

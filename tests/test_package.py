@@ -1,6 +1,7 @@
 """The package namespace re-exports every public name of its submodules, and no more
-than the pinned list."""
+than the pinned list; no module imports a name it leaves unused."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -13,6 +14,7 @@ import pytest
 import aoiclock
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(aoiclock.__path__))
+SOURCES = sorted(Path(aoiclock.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -57,3 +59,37 @@ def test_import_leaves_multiprocessing_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "False\n"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that the module's top-level imports bind and that nothing reads.
+
+    A name counts as read where it appears as a name anywhere in the module,
+    or as a string in ``__all__``, which re-exports it.
+    """
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+# the project configures no linter, so this stands in for an unused-import rule
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_module_level_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_check_sees_a_leftover():
+    tree = ast.parse("import os\nfrom math import gcd, lcm as l\n__all__ = ['l']\nos.sep\n")
+    assert _unused_imports(tree) == ["gcd (line 2)"]

@@ -333,6 +333,20 @@ combo_lists = st.lists(
 )
 
 
+@pytest.fixture
+def geometric_dtypes(monkeypatch):
+    """The dtypes of (terms, v, w) at each ``kernels.geometric_sum`` call, None for ints."""
+    dtypes = []
+    real = kernels.geometric_sum
+
+    def spy(terms, v, w):
+        dtypes.append(tuple(getattr(x, "dtype", None) for x in (terms, v, w)))
+        return real(terms, v, w)
+
+    monkeypatch.setattr(kernels, "geometric_sum", spy)
+    return dtypes
+
+
 class TestEvalChunk:
     """The integer evaluation against the per-config Fraction oracle."""
 
@@ -389,6 +403,23 @@ class TestEvalChunk:
         monkeypatch.setattr(sweep, "_ROWS", rows)
         monkeypatch.setattr(kernels, "_LANES", lanes)
         assert rows_of(sweep._eval_chunk(payload)) == want
+
+    @pytest.mark.parametrize("b", [63, 64, 65])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+    def test_power_bound_edge_equals_fraction_oracle(self, geometric_dtypes, b, p):
+        # the geometric stage sizes its dtype with powers at min(b, 64): int64
+        # at p = 1 whatever b is, and Python ints at any v >= 2 from b = 63 on
+        payload = ([decompose(2 * b, 3 * b, 11)], [(0, 0, p), (4, 7, p)], Fraction(1, 100))
+        rows = rows_of(sweep._eval_chunk(payload))
+        assert geometric_dtypes == [(np.dtype(np.int64 if p == 1 else object),) * 3]
+        assert [(i, err.hex(), ok) for i, err, ok in rows] == [
+            (i, err.hex(), ok) for i, err, ok in eval_chunk_ref(payload)
+        ]
+
+    def test_p1_geometric_stage_stays_int64_past_b_64(self, geometric_dtypes):
+        grid = SweepGrid.from_dict({"A": 2, "B": 3, "N": 11, "b": 100, "delta_b": [0, 5]})
+        assert run_sweep(grid).n_configs == 2
+        assert geometric_dtypes == [(np.dtype(np.int64),) * 3]
 
     def test_object_path_rows_equal_fraction_oracle(self):
         # periods past 2^63 (A*b*n = 3*25*(10^18 + 9)), a shift of 2^62 and
