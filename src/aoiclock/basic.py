@@ -79,8 +79,12 @@ class PeriodDecomposition:
         ap, bp, np_ = self.a_period, self.b_period, self.n_period
         if min(ap, bp, np_) < 1:
             raise ConfigError("periods must be >= 1")
-        if gcd(gcd(ap, bp), np_) != 1:
-            raise ConfigError("periods share a common divisor")
+        g = gcd(gcd(ap, bp), np_)
+        if g != 1:
+            raise ConfigError(
+                f"periods {ap}, {bp}, {np_} share the common divisor {g}; "
+                f"divide all three by it (rescale the time axis) and retry"
+            )
         ok = (
             self.a == gcd(bp, np_)
             and self.b == gcd(ap, bp)
@@ -107,12 +111,6 @@ def decompose(a_period: int, b_period: int, n_period: int) -> PeriodDecompositio
     """
     if min(a_period, b_period, n_period) < 1:
         raise ConfigError("periods must be >= 1")
-    g = gcd(gcd(a_period, b_period), n_period)
-    if g != 1:
-        raise ConfigError(
-            f"periods {a_period}, {b_period}, {n_period} share the common divisor {g}; "
-            f"divide all three by it (rescale the time axis) and retry"
-        )
     a = gcd(b_period, n_period)
     b = gcd(a_period, b_period)
     n = gcd(a_period, n_period)
@@ -161,9 +159,11 @@ class AoiDistribution:
     family has the step a*b and the count B, so its a*N starts describe it.
     ``starts`` is an int64 array, or an object array of Python ints where
     some start is past int64.  ``min``, ``max`` and ``mean`` follow from the
-    array in O(len(starts)), however long the hyperperiod is.  ``values``
-    (value -> multiplicity) expands the family on first access, in
-    O(period) time and memory, and is cached from then on.
+    array in O(len(starts)), however long the hyperperiod is; the mean sums
+    it with ``kernels.exact_sum``.  ``to_sorted_array`` and ``values``
+    (value -> multiplicity) expand the family in O(period) time and memory,
+    through ``kernels._fit``, so they stay exact past int64; ``values`` is
+    cached from its first access on.
     """
 
     starts: np.ndarray
@@ -201,16 +201,17 @@ class AoiDistribution:
         return int(self.starts.max()) + self.step * (self.count - 1)
 
     def mean(self) -> Fraction:
-        starts = self.starts
-        total = kernels.exact_sum(starts) if starts.dtype == np.int64 else sum(starts.tolist())
         # each progression adds step * (0 + 1 + ... + count - 1) to count starts
-        offsets = len(starts) * (self.count * (self.count - 1) // 2)
-        return Fraction(self.count * total + self.step * offsets, self.period)
+        offsets = len(self.starts) * (self.count * (self.count - 1) // 2)
+        return Fraction(self.count * kernels.exact_sum(self.starts) + self.step * offsets,
+                        self.period)
 
     def to_sorted_array(self) -> np.ndarray:
-        """The multiset as a sorted int64 array, built from the starts array."""
-        out = np.arange(self.count, dtype=np.int64) * self.step
-        out = (self.starts.astype(np.int64)[:, None] + out).ravel()
+        """The multiset as a sorted array, built from the starts array: int64
+        where every value is below 2^63, and Python ints otherwise."""
+        bound = kernels._max_abs(self.starts) + self.step * self.count
+        starts, offsets = kernels._fit(bound, self.starts, np.arange(self.count))
+        out = (starts[:, None] + offsets * self.step).ravel()
         out.sort()
         return out
 
@@ -252,9 +253,7 @@ def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
     # no intermediate of _start is larger in magnitude; past int64 the
     # arithmetic runs on Python ints
     bound = d.a * d.a_period + sum(map(abs, shifts)) + 2 * ab + d.a * d.n + d.n_period
-    dtype = kernels._dtype_for(bound)
-    i = np.arange(d.a, dtype=dtype)[:, None]
-    j = np.arange(d.N, dtype=dtype)
+    i, j = kernels._fit(bound, np.arange(d.a)[:, None], np.arange(d.N))
     return AoiDistribution(_start(d, i, j, shifts).ravel(), ab, d.B)
 
 

@@ -60,7 +60,6 @@ def _fraction(text: str) -> Fraction:
 
 
 def _rat(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -232,17 +231,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_equal(failures: list[str], name: str, got, want, describe) -> None:
-    """Two arrays element by element; ``describe(i)`` details the first index that differs."""
-    bad = np.flatnonzero(got != want)
-    _check(failures, name, not len(bad), describe(bad[0]) if len(bad) else "")
-
-
 def _check_family(failures: list[str], name: str, dist, seq, where: str = "") -> None:
-    """The closed-form family and the directly evaluated reads as multisets."""
+    """The closed-form family and the directly evaluated reads as multisets,
+    compared as sorted arrays; the detail names the first position that differs."""
     closed, direct = dist.to_sorted_array(), np.sort(seq)
-    _check_equal(failures, name, closed, direct, lambda k: f"{where}first mismatch at sorted "
-                 f"position {k}: closed={closed[k]} direct={direct[k]}")
+    bad = np.flatnonzero(closed != direct)
+    detail = (f"{where}first mismatch at sorted position {bad[0]}: "
+              f"closed={closed[bad[0]]} direct={direct[bad[0]]}" if len(bad) else "")
+    _check(failures, name, not len(bad), detail)
 
 
 def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool = True) -> None:
@@ -462,8 +458,6 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if argv is None:
-            argv = sys.argv[1:]
         args = build_parser().parse_args(argv)
         try:
             return args.func(args)

@@ -3,15 +3,17 @@
 The sequence kernels and the simulators work in int64.  Callers go through
 the ``check_*`` guards, which reject inputs whose intermediate values could
 leave the int64 range; the kernels themselves assume the guards have run.
-The hyperperiod age sums of both models are floor sums, and ``_period_sums``
+The package's exact integer arrays follow one rule, kept here: a stage runs
+in int64 where a bound from its arguments' maxima proves that every
+intermediate fits, and otherwise runs the same expressions on ``object``
+arrays of Python ints.  ``_fit`` builds a stage's columns under its bound,
+and ``exact_sum`` is the one exact sum of an integer array.  The
+hyperperiod age sums of both models are floor sums, and ``_period_sums``
 and ``_row_sums`` share one contract for them.  ``_period_sums`` loops over
 one decomposition in Python ints.  ``_row_sums`` runs many (decomposition,
-shift triple) rows at once through ``floor_sums``, as arrays: in int64 where
-a bound from the arguments' maxima proves that every intermediate fits, and
-otherwise as the same expressions on ``object`` arrays, so the sums are exact.
-``geometric_sum`` weighs such sums by the geometric failure count, for one
-config's Python ints and for a sweep's columns alike.  ``exact_sum`` sums
-an int64 array without wrapping.
+shift triple) rows at once through ``floor_sums``, as arrays under that
+rule.  ``geometric_sum`` weighs such sums by the geometric failure count,
+for one config's Python ints and for a sweep's columns alike.
 
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
@@ -97,14 +99,16 @@ def _dtype_for(bound):
 
 
 def _fit(bound, *columns):
-    """The columns as arrays of ``_dtype_for(bound)``: int64, or Python ints."""
+    """The columns, lists or arrays of ints, as arrays of ``_dtype_for(bound)``,
+    each built in one step: numpy reads a list that straddles 2^63 as float64."""
     dtype = _dtype_for(bound)
-    return [np.asarray(x).astype(dtype, copy=False) for x in columns]
+    return [np.asarray(x, dtype=dtype) for x in columns]
 
 
 def _max_abs(x) -> int:
+    """max|x| as a Python int, 0 if x is empty; from max and -min, since abs(-2^63) wraps."""
     x = np.asarray(x)
-    return int(abs(x).max()) if x.size else 0
+    return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
 def _shifts(n_period, delta_b, delta_n, l):
@@ -242,12 +246,17 @@ def geometric_sum(terms, v, w):
 
 
 def exact_sum(x):
-    """Sum of an int64 array as an exact Python int.
+    """Sum of a 1-d int64 or ``object`` array of ints as an exact Python int.
 
-    An int64 sum wraps silently past 2^63.  Each value is split into its
-    high and low 32-bit halves, and the halves of a block of 2^31 values
-    sum inside int64.
+    An object array sums as Python ints.  An int64 sum wraps silently past
+    2^63, so it takes one pass only where len(x)*max|x| < 2^63 bounds every
+    partial sum.  Otherwise each value is split into its high and low 32-bit
+    halves, and the halves of a block of 2^31 values sum inside int64.
     """
+    if x.dtype == object:
+        return sum(x.tolist())
+    if len(x) * _max_abs(x) < 2**63:
+        return int(x.sum())
     total = 0
     for i in range(0, len(x), 1 << 31):
         block = x[i : i + (1 << 31)]

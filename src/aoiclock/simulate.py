@@ -129,11 +129,8 @@ class TraceStream:
                 if self.age_max is None:
                     self.warmup_cycles, self.age_max = k0 + cut, -1
                 defined = ages[cut:]
-                top = int(defined.max())
-                self.age_max = max(self.age_max, top)
-                # one int64 pass where no partial sum can reach 2^63
-                self.age_sum += (int(defined.sum()) if len(defined) * top < 2**63
-                                 else kernels.exact_sum(defined))
+                self.age_max = max(self.age_max, int(defined.max()))
+                self.age_sum += kernels.exact_sum(defined)
             yield k0, ages, fails
 
 

@@ -87,9 +87,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.6-2.0 s with
-# --jobs 2 on a 2-core Xeon host and 1.9-2.7 s with --jobs 1, at 58.5-60.6 MB
-# peak RSS in the calling process at either.
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.5-1.9 s with
+# --jobs 2 on a 2-core Xeon host and 2.1-3.2 s with --jobs 1, at 58.7-58.9 MB
+# peak RSS in the calling process at either (six runs of each).
 _MAX_CANDIDATES = 10**6
 
 
@@ -247,7 +247,7 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     # no period A*b*n, B*b*a or N*n*a, nor a gcd of them, passes this
     top = [values[-1] for values in fields]
     big = max(top[0] * top[4] * top[5], top[1] * top[4] * top[3], top[2] * top[5] * top[3])
-    fields = _fit(big, *(_int_array(values) for values in fields))
+    fields = _fit(big, *fields)
     stop = n_tuples if stop is None else min(stop, n_tuples)
     reasons = (None, *_SKIP_REASONS)
     for lo in range(start, stop, _BLOCK):
@@ -309,12 +309,6 @@ def _config_error(m2k, ab, n_period, u, w, acc, den0):
     den = 2 * (w * n_period * den0 + u * u * acc)
     num = den - den0 * (u * m2k + wn2)
     return num, den, abs(num) * (u * (m2k - ab) + wn2) <= ab * u * den
-
-
-def _m2k(max_bound, n, delta_n):
-    """M + 2K of the band center, M = B' + N' - n = ``max_bound`` and K the freshness
-    offset; arrays of one entry per config."""
-    return max_bound + 2 * _freshness_offset(n, delta_n)
 
 
 @dataclass(frozen=True)
@@ -380,7 +374,7 @@ def _nearest_rank(sorted_xs, q: float) -> float:
 
 
 class _Columns(NamedTuple):
-    """One entry per decomposition of ``_eval_chunk``, in the order of ``_constants``."""
+    """One entry per decomposition of ``_eval_chunk``, in the order it builds them."""
 
     a_period: np.ndarray
     ab: np.ndarray
@@ -393,12 +387,6 @@ class _Columns(NamedTuple):
     n_period: np.ndarray
     n: np.ndarray
     max_bound: np.ndarray
-
-
-def _constants(d: PeriodDecomposition) -> tuple:
-    """A decomposition's entries of ``_Columns``."""
-    return (d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.b, d.B, d.period, d.n_period, d.n,
-            max_bound_basic(d))
 
 
 # rows of (decomposition, shift pair, r < b) per floor-sum pass of _accumulators
@@ -477,8 +465,10 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     h = np.tile([p_of[p] for _, _, p in combos], len(consts))
     unit = k * len(pairs) + j
     acc, den0 = acc[unit, h], den0[unit, h]
+    # M + 2K of the band center, M = B' + N' - n and K the freshness offset
     bound = _max_abs(c.max_bound) + 2 * _max_abs(c.n) + 2 * _max_abs(delta_n) + 8
-    m2k = _m2k(*_fit(bound, c.max_bound[k], c.n[k], delta_n[j]))
+    max_bound, n, dn = _fit(bound, c.max_bound[k], c.n[k], delta_n[j])
+    m2k = max_bound + 2 * _freshness_offset(n, dn)
 
     bn, bd = bin_width.numerator, bin_width.denominator
     big_u, big_w, big_n_period, big_ab = max(us), max(ws), _max_abs(c.n_period), _max_abs(c.ab)
@@ -520,7 +510,9 @@ def _eval_chunk(payload) -> _Rows:
     decomps, combos, bin_width = payload
     if not decomps:
         return _Rows(np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, bool))
-    return _Rows(*_error_columns([_constants(d) for d in decomps], combos, bin_width))
+    consts = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.b, d.B, d.period, d.n_period, d.n,
+               max_bound_basic(d)) for d in decomps]
+    return _Rows(*_error_columns(consts, combos, bin_width))
 
 
 # per factor tuple of a block: 0 if kept, else 1 + the index of its skip reason

@@ -76,6 +76,16 @@ class TestDecompose:
         with pytest.raises(ConfigError, match="common divisor"):
             PeriodDecomposition(2, 4, 6, 1, 1, 1, 2, 1, 1)
 
+    def test_tuple_and_decompose_give_one_common_divisor_message(self):
+        with pytest.raises(ConfigError) as direct:
+            PeriodDecomposition(4, 6, 2, 2, 3, 1, 1, 2, 1)
+        with pytest.raises(ConfigError) as built:
+            decompose(4, 6, 2)
+        assert str(direct.value) == str(built.value) == (
+            "periods 4, 6, 2 share the common divisor 2; "
+            "divide all three by it (rescale the time axis) and retry"
+        )
+
     @given(triple_strategy())
     def test_products_reconstruct_periods(self, t):
         d = decompose(*t)
@@ -211,6 +221,16 @@ class TestSortedArray:
     def test_empty_family(self):
         got = AoiDistribution([], 1, 1).to_sorted_array()
         assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_values_past_int64_equal_the_direct_ages(self):
+        # three reads whose last age is 2^63 + 2; an int64 expansion wraps it
+        d = decompose(2**62 + 1, 3 * (2**62 + 1), 1)
+        want = sorted(basic._age(d, k) for k in range(d.period))
+        assert want == [0, 2**62 + 1, 2**63 + 2]
+        dist = distribution_basic(d)
+        assert dist.to_sorted_array().tolist() == want
+        assert dist.values == Counter(want)
+        assert dist.mean() == Fraction(sum(want), d.period)
 
     @pytest.mark.parametrize("starts, step, count, message", [
         ([3, -1], 1, 1, "starts must be >= 0, got -1"),

@@ -395,6 +395,55 @@ def test_exact_sum_matches_python_ints(values):
     assert kernels.exact_sum(np.array(values, dtype=np.int64)) == sum(values)
 
 
+class TestExactSum:
+    """``exact_sum`` against Python's ``sum`` on each of its paths."""
+
+    @given(st.lists(st.integers(-(2**100), 2**100), max_size=30))
+    @example([])
+    def test_object_array_sums_as_python_ints(self, values):
+        assert kernels.exact_sum(np.array(values, dtype=object)) == sum(values)
+
+    # len*max|x| = 2^63 - 1 takes one int64 pass; from 2^63 on a pass could
+    # wrap, as [2^62, 2^62] does
+    @pytest.mark.parametrize("values", [
+        [(2**63 - 1) // 7] * 7,
+        [-((2**63 - 1) // 7)] * 7,
+        [2**63 - 1],
+        [2**62] * 2,
+        [-(2**62)] * 2,
+        [2**63 - 1, 1],
+    ])
+    def test_one_pass_edge(self, values):
+        assert kernels.exact_sum(np.array(values, dtype=np.int64)) == sum(values)
+
+    # abs(-2^63) wraps to -2^63 in int64, which would pass the one-pass bound
+    @pytest.mark.parametrize("values", [[-(2**63)], [-(2**63), -1], [-(2**63)] * 3 + [5]])
+    def test_most_negative_int64(self, values):
+        x = np.array(values, dtype=np.int64)
+        assert kernels._max_abs(x) == 2**63
+        assert kernels.exact_sum(x) == sum(values)
+
+
+class TestFit:
+    def test_list_straddling_int64_holds_exact_python_ints(self):
+        # a default np.asarray reads this list as float64
+        (x,) = kernels._fit(2**64, [2, 2**63 + 1])
+        assert x.dtype == object
+        assert x.tolist() == [2, 2**63 + 1]
+        assert [type(v) for v in x.tolist()] == [int, int]
+
+    def test_lists_and_arrays_alike(self):
+        small = kernels._fit(2**63 - 1, [1, 2], np.array([3], dtype=object), (4,))
+        assert [x.dtype for x in small] == [np.dtype(np.int64)] * 3
+        big = kernels._fit(2**63, [1, 2], np.arange(3), 4)
+        assert [x.dtype for x in big] == [np.dtype(object)] * 3
+        assert [type(v) for x in big for v in np.ravel(x).tolist()] == [int] * 6
+
+    def test_int64_array_is_not_copied(self):
+        x = np.arange(5, dtype=np.int64)
+        assert kernels._fit(100, x)[0] is x
+
+
 class TestGuards:
     def test_sequence_args(self):
         with pytest.raises(ValueError):

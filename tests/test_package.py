@@ -1,8 +1,10 @@
 """The package namespace re-exports every public name of its submodules, and no more
-than the pinned list; no module imports a name it leaves unused."""
+than the pinned list; no module imports a name it leaves unused, and no private
+helper is left that the package never reads."""
 
 import ast
 import importlib
+from collections import Counter
 import os
 import pkgutil
 import subprocess
@@ -93,3 +95,51 @@ def test_no_unused_module_level_import(path):
 def test_unused_import_check_sees_a_leftover():
     tree = ast.parse("import os\nfrom math import gcd, lcm as l\n__all__ = ['l']\nos.sep\n")
     assert _unused_imports(tree) == ["gcd (line 2)"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _unread_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """The module-level functions and classes named ``_...`` that no module reads.
+
+    A helper counts as read where its name appears as a name or an attribute
+    in any of ``trees``, outside its own definition; a helper that only
+    calls itself is unread.
+    """
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+# a helper folded into its one caller must not be left behind
+def test_no_unread_private_helper():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _unread_helpers(trees) == []
+
+
+def test_unread_helper_check_sees_a_leftover():
+    trees = {
+        "m": ast.parse(
+            "def _used(): pass\n"
+            "def _left(): pass\n"
+            "def _self(n): return _self(n - 1)\n"
+            "class _Cls: pass\n"
+            "def __getattr__(name): pass\n"
+            "def run(): return _used()\n"
+        ),
+        "other": ast.parse("from . import m\nm._Cls\n"),
+    }
+    assert _unread_helpers(trees) == ["m._left (line 2)", "m._self (line 3)"]

@@ -437,6 +437,33 @@ class TestEvalChunk:
         ]
 
 
+    # numpy reads [2, 2^63 + 1] as float64, so the p denominators (and
+    # v - u) of such a grid must become columns in one step, never through
+    # a default np.asarray
+    @pytest.mark.parametrize("probs", [
+        [Fraction(1, 2), Fraction(1, 2**63 + 1)],
+        [Fraction(1, 3), Fraction(2, 2**63 + 3)],
+    ])
+    def test_p_denominators_straddling_int64_equal_fraction_oracle(self, probs):
+        decomps = [decompose(2, 3, 5), decompose(34, 7, 10), decompose(12, 9, 5)]
+        payload = (decomps, [(0, 0, p) for p in probs] + [(3, 1, probs[1])], Fraction(1, 100))
+        rows = rows_of(sweep._eval_chunk(payload))
+        assert [(i, err.hex(), ok) for i, err, ok in rows] == [
+            (i, err.hex(), ok) for i, err, ok in eval_chunk_ref(payload)
+        ]
+        assert [tuple(map(type, row)) for row in rows] == [(int, float, bool)] * len(rows)
+
+    def test_straddling_grid_has_no_bound_violation(self):
+        grid = SweepGrid.from_dict(
+            {"A": "2..7", "B": "2..7", "N": "2..7", "p": ["1/2", "1/9223372036854775809"]}
+        )
+        result = run_sweep(grid)
+        assert (result.n_configs, result.bound_violations) == (96, 0)
+        assert all(type(i) is int for i in result.global_hist.counts)
+        errs = [float(relative_error_ref(cfg)) for cfg in enumerate_configs(grid)]
+        assert result.mean_error == sum_ref(errs) / len(errs)
+
+
 class TestRowView:
     """``_eval_chunk``'s three columns, read as rows by ``conftest.rows_of``."""
 
