@@ -16,8 +16,6 @@ from .basic import (
     ConfigError,
     NullSequenceError,
     PeriodDecomposition,
-    aoi_basic,
-    c_basic,
     decompose,
     distribution_basic,
     expected_approx_basic,
@@ -29,8 +27,6 @@ from .basic import (
 from .extended import (
     GeometricExpectation,
     SystemConfig,
-    aoi_conditional,
-    c_extended,
     distribution_conditional,
     expected_approx_extended,
     expected_exact_extended,
@@ -41,7 +37,7 @@ from .extended import (
     sequence_conditional,
 )
 from .kernels import backend
-from .modmath import comp_mod, floor_mod, floor_sum
+from .modmath import floor_sum
 from .simulate import (
     RngSpec,
     Trace,
@@ -67,17 +63,15 @@ __all__ = [
     "__version__",
     "backend",
     # modmath
-    "floor_mod", "comp_mod", "floor_sum",
+    "floor_sum",
     # basic model
     "ConfigError", "NullSequenceError", "PeriodDecomposition", "AoiDistribution",
-    "BandedValue", "decompose", "aoi_basic", "sequence_basic", "c_basic",
-    "distribution_basic", "expected_exact_basic", "expected_approx_basic",
-    "rel_error_bound_basic", "max_bound_basic",
+    "BandedValue", "decompose", "sequence_basic", "distribution_basic",
+    "expected_exact_basic", "expected_approx_basic", "rel_error_bound_basic", "max_bound_basic",
     # extended model
-    "SystemConfig", "GeometricExpectation", "aoi_conditional", "sequence_conditional",
-    "c_extended", "distribution_conditional", "freshness_offset_K",
-    "expected_approx_extended", "expected_exact_extended", "rel_error_bound_extended",
-    "max_bound_lossless", "max_bound_prob",
+    "SystemConfig", "GeometricExpectation", "sequence_conditional", "distribution_conditional",
+    "freshness_offset_K", "expected_approx_extended", "expected_exact_extended",
+    "rel_error_bound_extended", "max_bound_lossless", "max_bound_prob",
     # simulation
     "RngSpec", "Trace", "TraceStream", "bernoulli_threshold", "simulate_extended",
     "stream_basic", "stream_extended", "write_trace_csv",

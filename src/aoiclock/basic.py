@@ -7,11 +7,13 @@ this model generation, forwarding and delivery are instantaneous, all three
 schedules start at slot 0, and nothing is ever lost.
 
 The age seen at the k-th read has a closed form built from floored moduli,
-and over one hyperperiod its multiset of values decomposes into a small
-family of arithmetic progressions.  That family gives the exact expectation,
-a two-sided band around it, and a hard upper bound without enumerating
-anything.  The age formula and the family take a shift triple (s_b, s_n,
-base), zero here, which ``extended`` sets for its buffered, lossy model.
+``kernels._seq``, which ``sequence_basic`` evaluates over a run of reads.
+Over one hyperperiod its multiset of values decomposes into a small family
+of arithmetic progressions, whose starts ``_start`` gives.  That family
+gives the exact expectation, a two-sided band around it, and a hard upper
+bound without enumerating anything.  The age formula and the family take a
+shift triple (s_b, s_n, base), zero here, which ``extended`` sets for its
+buffered, lossy model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from math import gcd
 import numpy as np
 
 from . import kernels
-from .modmath import floor_mod
 
 __all__ = [
     "ConfigError",
@@ -35,9 +36,7 @@ __all__ = [
     "AoiDistribution",
     "BandedValue",
     "decompose",
-    "aoi_basic",
     "sequence_basic",
-    "c_basic",
     "distribution_basic",
     "expected_exact_basic",
     "expected_approx_basic",
@@ -173,7 +172,7 @@ class AoiDistribution:
     def __post_init__(self):
         starts = np.asarray(self.starts)
         if starts.dtype != np.int64:
-            starts = np.array([operator.index(s) for s in self.starts], dtype=object)
+            starts = kernels._int_array([operator.index(s) for s in self.starts])
         if len(starts) and starts.min() < 0:
             raise ValueError(f"starts must be >= 0, got {starts.min()}")
         if self.step < 1:
@@ -216,14 +215,6 @@ class AoiDistribution:
         return out
 
 
-def _age(d: PeriodDecomposition, k: int, shifts=(0, 0, 0)) -> int:
-    """Age at the k-th read for the shift triple (s_b, s_n, base) of both models."""
-    s_b, s_n, base = shifts
-    t = k * d.a_period
-    e = floor_mod(t - s_n, d.n_period)
-    return base + e + floor_mod(floor_mod(t - s_b, d.b_period) - e, d.b_period)
-
-
 def _start(d: PeriodDecomposition, i, j, shifts=(0, 0, 0)):
     """Start of progression (i, j) of the family for the shift triple (s_b, s_n, base).
 
@@ -239,13 +230,6 @@ def _start(d: PeriodDecomposition, i, j, shifts=(0, 0, 0)):
     return base + r_ab - (r_ab - r_an - j * an) // ab * ab
 
 
-def _check_index(d: PeriodDecomposition, i: int, j: int) -> None:
-    if not 0 <= i < d.a:
-        raise ValueError(f"i must be in [0, {d.a}), got {i}")
-    if not 0 <= j < d.N:
-        raise ValueError(f"j must be in [0, {d.N}), got {j}")
-
-
 def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
     """The a*N progressions <_start(d, i, j, shifts), a*b, B> of one hyperperiod
     of ages, i-major, from one array evaluation of ``_start``."""
@@ -257,27 +241,10 @@ def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
     return AoiDistribution(_start(d, i, j, shifts).ravel(), ab, d.B)
 
 
-def aoi_basic(d: PeriodDecomposition, k: int) -> int:
-    """Age at the k-th read: kA' mod N' + (kA' mod B' - kA' mod N') mod B'."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _age(d, k)
-
-
 def sequence_basic(d: PeriodDecomposition, start_cycle: int, count: int) -> np.ndarray:
     """Ages at reads start_cycle, ..., start_cycle + count - 1 as int64."""
     kernels.check_sequence_args(d.a_period, d.b_period, d.n_period, 0, 0, 0, start_cycle, count)
     return kernels.seq_basic(d.a_period, d.b_period, d.n_period, start_cycle, count)
-
-
-def c_basic(d: PeriodDecomposition, i: int, j: int) -> int:
-    """Starting offset of progression (i, j) of the hyperperiod decomposition.
-
-    Index ranges: 0 <= i < a, 0 <= j < N.  The (i, j) progression is
-    <c_basic(d, i, j), a*b, B>.
-    """
-    _check_index(d, i, j)
-    return _start(d, i, j)
 
 
 def distribution_basic(d: PeriodDecomposition) -> AoiDistribution:

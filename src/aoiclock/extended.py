@@ -29,15 +29,13 @@ import numpy as np
 
 from . import kernels
 from .basic import AoiDistribution, BandedValue, ConfigError, PeriodDecomposition, max_bound_basic
-from .basic import _age, _band, _check_index, _family, _rel_error_bound, _start
+from .basic import _band, _family, _rel_error_bound
 from .kernels import _shifts
 
 __all__ = [
     "SystemConfig",
     "GeometricExpectation",
-    "aoi_conditional",
     "sequence_conditional",
-    "c_extended",
     "distribution_conditional",
     "freshness_offset_K",
     "expected_approx_extended",
@@ -61,7 +59,7 @@ _MAX_POWER_DIGITS = 10**6
 
 
 def _as_probability(p) -> Fraction:
-    # a sweep builds one SystemConfig per config from the grid's Fractions
+    # enumerate_configs builds one SystemConfig per config from the grid's Fractions
     if type(p) is Fraction and 0 < p.numerator <= p.denominator:
         return p
     if isinstance(p, (float, bool)):
@@ -112,13 +110,6 @@ class GeometricExpectation:
             raise ValueError("tail_bound must be >= 0")
 
 
-def aoi_conditional(cfg: SystemConfig, k: int, l: int) -> int:
-    """Age at the k-th read given l transmission slots since the last success."""
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be >= 0")
-    return _age(cfg.d, k, _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l))
-
-
 def sequence_conditional(cfg: SystemConfig, l: int, start_cycle: int, count: int) -> np.ndarray:
     """Conditional ages at reads start_cycle, ..., start_cycle + count - 1."""
     d = cfg.d
@@ -133,25 +124,18 @@ def _conditional_shifts(cfg: SystemConfig, l: int):
     return _shifts(cfg.d.n_period, cfg.delta_b, cfg.delta_n, l)
 
 
-def c_extended(cfg: SystemConfig, i: int, j: int, l: int) -> int:
-    """Starting offset of progression (i, j) of the conditional hyperperiod."""
-    shifts = _conditional_shifts(cfg, l)
-    _check_index(cfg.d, i, j)
-    return _start(cfg.d, i, j, shifts)
-
-
 def distribution_conditional(cfg: SystemConfig, l: int) -> AoiDistribution:
     """Exact conditional age distribution over one hyperperiod for fixed l."""
     return _family(cfg.d, _conditional_shifts(cfg, l))
 
 
 def _freshness_offset(n, delta_n):
-    """2 + comp_mod(delta_n + 1, n), for ints or for arrays that broadcast."""
+    """2 + (-delta_n - 1) mod n, for ints or for arrays that broadcast."""
     return 2 + (-delta_n - 1) % n
 
 
 def freshness_offset_K(cfg: SystemConfig) -> int:
-    """Constant age penalty of buffering and phase: 2 + comp_mod(delta_n + 1, n)."""
+    """Constant age penalty of buffering and phase: 2 + (-delta_n - 1) mod n."""
     return _freshness_offset(cfg.d.n, cfg.delta_n)
 
 

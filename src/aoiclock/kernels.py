@@ -7,7 +7,8 @@ The package's exact integer arrays follow one rule, kept here: a stage runs
 in int64 where a bound from its arguments' maxima proves that every
 intermediate fits, and otherwise runs the same expressions on ``object``
 arrays of Python ints.  ``_fit`` builds a stage's columns under its bound,
-and ``exact_sum`` is the one exact sum of an integer array.  The
+``_int_array`` a column of given ints under their own values, and
+``exact_sum`` is the one exact sum of an integer array.  The
 hyperperiod age sums of both models are floor sums, and ``_period_sums``
 and ``_row_sums`` share one contract for them.  ``_period_sums`` loops over
 one decomposition in Python ints.  ``_row_sums`` runs many (decomposition,
@@ -85,7 +86,7 @@ def check_simulate_args(a_period, b_period, n_period, delta_b, delta_n, cycles):
 # ---------------------------------------------------------------------------
 # kernels
 
-# the age of both models, for the shift triple (s_b, s_n, base) of basic._age
+# the package's one age formula, of both models, for the shift triple (s_b, s_n, base)
 def _seq(a_period, b_period, n_period, k0, count, shifts=(0, 0, 0)):
     s_b, s_n, base = shifts
     t = np.arange(k0, k0 + count, dtype=np.int64) * a_period
@@ -103,6 +104,14 @@ def _fit(bound, *columns):
     each built in one step: numpy reads a list that straddles 2^63 as float64."""
     dtype = _dtype_for(bound)
     return [np.asarray(x, dtype=dtype) for x in columns]
+
+
+def _int_array(values) -> np.ndarray:
+    """Given ints as int64 where all fit, and otherwise as Python ints on an object array."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _max_abs(x) -> int:
@@ -185,7 +194,7 @@ def _row_sums(a_period, ab, an, big_n, a, big_b, s_b, s_n, base):
     return big_b * out + a * big_n * (big_b * base + ab * (big_b * (big_b - 1) // 2))
 
 
-# the hyperperiod age sum of both models for each shift triple of basic._age:
+# the hyperperiod age sum of both models for each shift triple of _seq:
 # over the family's a*N progressions <c, a*b, B>, c = base + r_ab +
 # ceil((r_an - r_ab + j*a*n)/(a*b))*a*b, the ceilings summed over j < N are
 # one floor sum per i, so a sum costs O(a*log) whatever the hyperperiod

@@ -1,33 +1,15 @@
-"""Floored moduli and floor sums.
+"""Floor sums.
 
-Everything downstream reduces to two operations on integers: the floored
-modulus ``x - floor(x/y)*y`` (what Python's ``%`` already does, spelled out
-here so the convention is explicit and testable) and its complement
-``ceil(x/y)*y - x``.  ``floor_sum`` adds up the ceilings in a family's
-progression starts without listing them.
+``floor_sum`` adds up the ceilings in a family's progression starts without
+listing them: a hyperperiod age sum of either model takes one floor sum for
+each i < a.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "floor_mod",
-    "comp_mod",
     "floor_sum",
 ]
-
-
-def floor_mod(x: int, y: int) -> int:
-    """Floored modulus: x - floor(x/y)*y, always in [0, y). Requires y >= 1."""
-    if y < 1:
-        raise ValueError(f"modulus must be >= 1, got {y}")
-    return x % y
-
-
-def comp_mod(x: int, y: int) -> int:
-    """Complementary modulus: ceil(x/y)*y - x, equal to (-x) mod y."""
-    if y < 1:
-        raise ValueError(f"modulus must be >= 1, got {y}")
-    return (-x) % y
 
 
 def floor_sum(n: int, m: int, alpha: int, beta: int) -> int:

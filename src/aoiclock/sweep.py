@@ -54,7 +54,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from . import kernels
-from .kernels import _fit, _max_abs
+from .kernels import _fit, _int_array, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
 from .extended import _MAX_TERMS, SystemConfig, _as_probability, _freshness_offset
 
@@ -209,14 +209,6 @@ class SweepGrid:
         for f in PARAMETERS:
             out *= len(getattr(self, f))
         return out
-
-
-def _int_array(values) -> np.ndarray:
-    """``values`` as int64, or as Python ints on an object array where one is past int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 # Factor tuples per block, whatever --jobs is, so a sweep's plan follows

@@ -15,10 +15,10 @@ f-strings; ``stream_of`` and ``whole_trace`` turn a whole ``Trace`` into a
 one-block ``TraceStream``, which ``write_trace_csv`` takes, and back.  The
 period sum oracle reads every age of the hyperperiod with int64 numpy
 arrays.  The analyze report oracle writes each progression as a dict
-through ``json.dumps(indent=2)``.  The progression start oracle evaluates
-one (i, j) at a time with the floored modulus of ``modmath`` and a ceiling
-division on Python ints.  The geometric sum oracle is Horner's rule, one
-term at a time.
+through ``json.dumps(indent=2)``.  The age oracle evaluates one read at a
+time, and the progression start oracle one (i, j) at a time, with ``%``
+and a ceiling division on Python ints.  The geometric sum oracle is
+Horner's rule, one term at a time.
 
 ``ArithmeticProgression`` lists one progression <start, step, count> of a
 family, for tests that need the progressions as objects.  The residue
@@ -43,7 +43,6 @@ import pytest
 from hypothesis import settings
 
 from aoiclock import sweep
-from aoiclock.modmath import comp_mod, floor_mod
 from aoiclock.extended import (
     SystemConfig,
     distribution_conditional,
@@ -299,6 +298,16 @@ def naive_report_json(report, starts, step, count) -> str:
     )
 
 
+def age_ref(d, k, shifts=(0, 0, 0)):
+    """Age at read k of the model at the shift triple (s_b, s_n, base), in
+    Python ints: base + e + ((t - s_b) mod B' - e) mod B', with t = k*A' and
+    e = (t - s_n) mod N'.  ``kernels._shifts`` gives the triple at l failures."""
+    s_b, s_n, base = shifts
+    t = k * d.a_period
+    e = (t - s_n) % d.n_period
+    return base + e + ((t - s_b) % d.b_period - e) % d.b_period
+
+
 def start_ref(d, i, j, shifts=(0, 0, 0)):
     """Start of progression (i, j), 0 <= i < a and 0 <= j < N, of the family
     for the shift triple (s_b, s_n, base), in Python ints:
@@ -308,8 +317,8 @@ def start_ref(d, i, j, shifts=(0, 0, 0)):
     s_b, s_n, base = shifts
     ab = d.a * d.b
     an = d.a * d.n
-    r_ab = floor_mod(i * d.a_period - s_b, ab)
-    r_an = floor_mod(i * d.a_period - s_n, an)
+    r_ab = (i * d.a_period - s_b) % ab
+    r_an = (i * d.a_period - s_n) % an
     # ceil(x / ab) as -floor(-x / ab), exact on Python ints
     return base + r_ab + -(-(r_an - r_ab + j * an) // ab) * ab
 
@@ -460,13 +469,13 @@ def residue_orbit(x: int, y: int) -> Counter:
 def ap_reduce_mod(y: int, x: int, big_x: int, negate: bool = False) -> ArithmeticProgression:
     """Reduce the progression <y, x, X> (or <-y, x, X>) modulo X*x.
 
-    The result is <y mod x, x, X> (or, negated, <comp_mod(y, x), x, X>): as a
+    The result is <y mod x, x, X> (or, negated, <(-y) mod x, x, X>): as a
     multiset, shifting a full-length progression by y modulo X*x only moves
     its starting offset within [0, x).
     """
     if x < 1 or big_x < 1:
         raise ValueError("step and count must be >= 1")
-    start = comp_mod(y, x) if negate else floor_mod(y, x)
+    start = (-y if negate else y) % x
     return ArithmeticProgression(start, x, big_x)
 
 

@@ -26,11 +26,11 @@ from aoiclock.basic import (
 )
 from aoiclock.extended import (
     SystemConfig,
-    aoi_conditional,
     distribution_conditional,
     expected_approx_extended,
     expected_exact_extended,
     max_bound_prob,
+    sequence_conditional,
 )
 from aoiclock.simulate import RngSpec, simulate_extended, stream_basic
 from aoiclock.sweep import SweepGrid, run_sweep, write_outputs
@@ -244,7 +244,7 @@ def test_ac6_simulators_equal_formulas(grid30, ext_cfgs):
 
 def _conditional_ages_vec(cfg, k_arr, l_arr):
     # direct array form of the conditional age; cross-checked against
-    # aoi_conditional on a sample inside AC7
+    # sequence_conditional, one read at a time, on a sample inside AC7
     d = cfg.d
     t = k_arr * d.a_period
     r_n = (t - cfg.delta_n - 1) % d.n_period
@@ -269,9 +269,10 @@ def test_ac7_bridge_identity(mc_configs):
                 want = _conditional_ages_vec(cfg, k, l)
                 assert np.array_equal(tr.ages[w:], want), (cfg, tr.seed if hasattr(tr, "seed") else None)
                 total += len(k)
-                # tie the vectorized expression back to the scalar function
+                # tie the vectorized expression back to the library's closed form
                 for idx in range(0, len(k), max(1, len(k) // 4)):
-                    assert int(want[idx]) == aoi_conditional(cfg, int(k[idx]), int(l[idx]))
+                    one = sequence_conditional(cfg, int(l[idx]), int(k[idx]), 1)
+                    assert int(want[idx]) == int(one[0])
                     spot += 1
         return f"{total} records over {run_idx} runs, {spot} scalar spot checks"
 

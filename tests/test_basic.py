@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from aoiclock.basic import (
     ConfigError,
     NullSequenceError,
     PeriodDecomposition,
-    aoi_basic,
-    c_basic,
     decompose,
     distribution_basic,
     expected_approx_basic,
@@ -28,6 +27,7 @@ from conftest import (
     LARGE_TRIPLES,
     ArithmeticProgression,
     coprime_triples,
+    age_ref,
     naive_basic_ages,
     start_ref,
 )
@@ -97,36 +97,41 @@ class TestDecompose:
         assert d.n == gcd(d.a_period, d.n_period)
 
 
+def age(d, k):
+    """The library's age at read k, one read of ``sequence_basic``."""
+    return int(sequence_basic(d, k, 1)[0])
+
+
 class TestAoiBasic:
     def test_reference_values(self):
-        assert aoi_basic(REFERENCE, 0) == 0
-        assert aoi_basic(REFERENCE, 1) == 6
+        assert age(REFERENCE, 0) == 0
+        assert age(REFERENCE, 1) == 6
 
     def test_synchronous_always_zero(self):
         d = decompose(1, 1, 1)
-        assert all(aoi_basic(d, k) == 0 for k in range(10))
+        assert sequence_basic(d, 0, 10).tolist() == [0] * 10
 
     def test_rejects_negative_cycle(self):
         with pytest.raises(ValueError):
-            aoi_basic(REFERENCE, -1)
+            sequence_basic(REFERENCE, -1, 1)
 
     @given(triple_strategy(), st.integers(0, 10**6))
     def test_range_and_periodicity(self, t, k):
         d = decompose(*t)
-        v = aoi_basic(d, k)
+        v = age(d, k)
         assert 0 <= v < d.b_period + d.n_period
-        assert v == aoi_basic(d, k + d.period)
+        assert v == age(d, k + d.period)
 
     @given(triple_strategy(20), st.integers(0, 500))
     def test_matches_naive_slot_simulation(self, t, k):
         d = decompose(*t)
-        assert aoi_basic(d, k) == naive_basic_ages(*t, k + 1)[k]
+        assert age(d, k) == naive_basic_ages(*t, k + 1)[k]
 
 
 class TestSequenceBasic:
     def test_equals_scalar_evaluation(self):
         seq = sequence_basic(REFERENCE, 0, 100)
-        assert [int(v) for v in seq] == [aoi_basic(REFERENCE, k) for k in range(100)]
+        assert [int(v) for v in seq] == [age_ref(REFERENCE, k) for k in range(100)]
 
     def test_window_start_irrelevant_modulo_period(self):
         p = REFERENCE.period
@@ -136,17 +141,8 @@ class TestSequenceBasic:
 
 
 class TestProgressionFamily:
-    def test_index_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            c_basic(REFERENCE, 1, 0)  # a == 1, so i must be 0
-        with pytest.raises(ValueError):
-            c_basic(REFERENCE, 0, 5)
-        with pytest.raises(ValueError):
-            c_basic(REFERENCE, 0, -1)
-
     def test_reference_offsets(self):
-        assert c_basic(REFERENCE, 0, 0) == 0
-        assert c_basic(REFERENCE, 0, 3) == 6
+        # i-major starts: progression (i, j) is entry i*N + j, and a == 1 here
         assert distribution_basic(REFERENCE).starts.tolist() == [0, 2, 4, 6, 8]
 
     def test_reference_distribution_shape(self):
@@ -185,15 +181,25 @@ class TestProgressionFamily:
     def test_starts_match_scalar_oracle(self, t, shifts):
         d = decompose(*t)
         want = [start_ref(d, i, j, shifts) for i in range(d.a) for j in range(d.N)]
-        starts = basic._family(d, shifts).starts
+        real, dtypes = basic._start, []
+
+        def start(*args):
+            out = real(*args)
+            dtypes.append(out.dtype)
+            return out
+
+        with mock.patch.object(basic, "_start", start):
+            starts = basic._family(d, shifts).starts
         assert starts.tolist() == want
-        # the family's arithmetic leaves int64 only where it could wrap
-        assert (starts.dtype == object) == (max(*t, *shifts) > 2**62)
+        # the family's arithmetic leaves int64 only where it could wrap, and
+        # its starts are int64 wherever every start fits
+        assert dtypes == [np.dtype(object) if max(*t, *shifts) > 2**62 else np.dtype(np.int64)]
+        assert (starts.dtype == object) == (max(want) >= 2**63)
         # the array function serves scalar indices too
         pairs = [(i, j) for i in range(d.a) for j in range(d.N)]
         assert [basic._start(d, i, j, shifts) for i, j in pairs] == want
         if shifts == (0, 0, 0):
-            assert [c_basic(d, i, j) for i, j in pairs] == want
+            assert distribution_basic(d).starts.tolist() == want
 
 
 # hand-built families (starts, step, count): starts far past any
@@ -203,6 +209,23 @@ _FAMILIES = st.tuples(
     st.integers(1, 10**6),
     st.integers(1, 40),
 )
+
+
+class TestStarts:
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, object])
+    def test_starts_that_fit_are_int64(self, dtype):
+        dist = AoiDistribution(np.array([1, 2], dtype=dtype), 1, 1)
+        assert dist.starts.dtype == np.int64
+        assert dist.starts.tolist() == [1, 2]
+
+    def test_start_past_int64_stays_a_python_int(self):
+        dist = AoiDistribution(np.array([2**63], dtype=np.uint64), 1, 1)
+        assert dist.starts.dtype == object
+        assert dist.starts.tolist() == [9223372036854775808]
+
+    def test_float_starts_rejected(self):
+        with pytest.raises(TypeError):
+            AoiDistribution(np.array([1.5]), 1, 1)
 
 
 class TestSortedArray:
@@ -225,7 +248,7 @@ class TestSortedArray:
     def test_values_past_int64_equal_the_direct_ages(self):
         # three reads whose last age is 2^63 + 2; an int64 expansion wraps it
         d = decompose(2**62 + 1, 3 * (2**62 + 1), 1)
-        want = sorted(basic._age(d, k) for k in range(d.period))
+        want = sorted(age_ref(d, k) for k in range(d.period))
         assert want == [0, 2**62 + 1, 2**63 + 2]
         dist = distribution_basic(d)
         assert dist.to_sorted_array().tolist() == want

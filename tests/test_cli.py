@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import naive_report_json, stream_of, whole_trace
+from conftest import age_ref, naive_report_json, stream_of, whole_trace
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -535,6 +535,12 @@ def _corrupt(monkeypatch, name, *ks, by=1):
     monkeypatch.setattr(aoiclock.cli, name, corrupted)
 
 
+def _age(cfg, k, l):
+    """The formula's age at read k and l failures, from the scalar oracle."""
+    d = cfg.d
+    return age_ref(d, k, aoiclock.kernels._shifts(d.n_period, cfg.delta_b, cfg.delta_n, l))
+
+
 class TestVerify:
     def test_basic_reference_passes(self, capsys):
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
@@ -615,7 +621,7 @@ class TestVerify:
         trace = simulate_extended(cfg, 3 * 35 + 50, RngSpec(3))
         k = trace.warmup_cycles + 4
         l = int(trace.fails[k])
-        want = aoiclock.extended.aoi_conditional(cfg, k, l)
+        want = _age(cfg, k, l)
         _corrupt(monkeypatch, "stream_extended", k, k + 9)
         code, out, _ = run(
             capsys, "verify", *FIG, "--model", "extended",
@@ -683,7 +689,7 @@ class TestVerify:
 
     def test_basic_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
-        want = aoiclock.basic.aoi_basic(decompose(34, 7, 10), 37)
+        want = age_ref(decompose(34, 7, 10), 37)
         _corrupt(monkeypatch, "stream_basic", 37, 61)
         code, out, _ = run(capsys, "verify", "--model", "basic", *FIG)
         assert code == 1
@@ -709,7 +715,7 @@ class TestVerify:
         assert trace.warmup_cycles == 86
         k = 86 + 21
         l = int(trace.fails[k])
-        want = aoiclock.extended.aoi_conditional(cfg, k, l)
+        want = _age(cfg, k, l)
         _corrupt(monkeypatch, "stream_extended", k, k + 30)
         code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE, "--p", "1/5")
         assert code == 1
@@ -722,7 +728,7 @@ class TestVerify:
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
         cfg = aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45)
         assert simulate_extended(cfg, 3 * 72 + 50, RngSpec(9)).warmup_cycles == 62
-        want = aoiclock.extended.aoi_conditional(cfg, 75, 0)
+        want = _age(cfg, 75, 0)
         _corrupt(monkeypatch, "stream_extended", 75)
         code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
         assert code == 1
@@ -750,9 +756,7 @@ class TestVerify:
         monkeypatch.setattr(aoiclock.kernels, "seq_conditional", corrupted)
         code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
         k = starts[1]
-        want = aoiclock.extended.aoi_conditional(
-            aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45), k, 0
-        )
+        want = _age(aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45), k, 0)
         assert code == 1
         assert out.splitlines()[-3:] == [
             f"check trace_bridge_identity: FAIL (k={k} l=0: simulated={want} formula={want + 1})",

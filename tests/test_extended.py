@@ -2,7 +2,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import example, given
@@ -12,8 +12,6 @@ from aoiclock import extended
 from aoiclock.basic import ConfigError, decompose
 from aoiclock.extended import (
     SystemConfig,
-    aoi_conditional,
-    c_extended,
     distribution_conditional,
     expected_approx_extended,
     expected_exact_extended,
@@ -90,51 +88,47 @@ class TestSystemConfig:
             SystemConfig(REFERENCE, delta_b=-1)
 
 
+def age(cfg, k, l):
+    """The library's conditional age at read k, one read of ``sequence_conditional``."""
+    return int(sequence_conditional(cfg, l, k, 1)[0])
+
+
 class TestAoiConditional:
     def test_reference_matches_lossless_shifted_by_floor(self):
         # Zero shifts, zero retransmissions: the age is the lossless age
         # plus the fixed freshness offset contribution at these periods.
-        assert aoi_conditional(REF_CFG, 1, 0) == 6
+        assert age(REF_CFG, 1, 0) == 6
 
     def test_all_units_floor(self):
         cfg = SystemConfig(decompose(1, 1, 1))
-        assert aoi_conditional(cfg, 0, 0) == 2
-        assert aoi_conditional(cfg, 5, 0) == 2
+        assert age(cfg, 0, 0) == 2
+        assert age(cfg, 5, 0) == 2
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
-            aoi_conditional(REF_CFG, -1, 0)
+            sequence_conditional(REF_CFG, 0, -1, 1)
         with pytest.raises(ValueError):
-            aoi_conditional(REF_CFG, 0, -1)
+            sequence_conditional(REF_CFG, -1, 0, 1)
 
     @given(cfg_strategy(), st.integers(0, 10**4), st.integers(0, 30))
     def test_floor_and_periodicity(self, cfg, k, l):
-        v = aoi_conditional(cfg, k, l)
+        v = age(cfg, k, l)
         np_ = cfg.d.n_period
         assert v >= 2 + l * np_
-        assert v == aoi_conditional(cfg, k + cfg.d.period, l)
+        assert v == age(cfg, k + cfg.d.period, l)
 
     @given(cfg_strategy(), st.integers(0, 200), st.integers(0, 6))
     def test_retransmission_block_shift(self, cfg, k, l):
         d = cfg.d
         shift = d.B * d.b
-        assert (
-            aoi_conditional(cfg, k, l + shift)
-            == aoi_conditional(cfg, k, l) + shift * d.n_period
-        )
+        assert age(cfg, k, l + shift) == age(cfg, k, l) + shift * d.n_period
 
 
 class TestProgressionFamilyConditional:
     def test_reference_offset(self):
-        assert c_extended(REF_CFG, 0, 0, 0) == 3
+        assert distribution_conditional(REF_CFG, 0).starts[0] == 3
 
     def test_index_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            c_extended(REF_CFG, 1, 0, 0)
-        with pytest.raises(ValueError):
-            c_extended(REF_CFG, 0, 5, 0)
-        with pytest.raises(ValueError):
-            c_extended(REF_CFG, 0, 0, -1)
         with pytest.raises(ValueError, match="l must be >= 0"):
             distribution_conditional(REF_CFG, -1)
 
@@ -156,13 +150,11 @@ class TestProgressionFamilyConditional:
 
     @given(cfg_strategy(12, 15), st.integers(0, 4))
     def test_offset_block_shift(self, cfg, l):
+        # progression (i, j) is entry i*N + j of the i-major starts
         d = cfg.d
-        for i in range(d.a):
-            for j in range(d.N):
-                assert (
-                    c_extended(cfg, i, j, l + d.b)
-                    == c_extended(cfg, i, j, l) + d.b * d.n_period
-                )
+        starts = distribution_conditional(cfg, l).starts
+        shifted = distribution_conditional(cfg, l + d.b).starts
+        assert shifted.tolist() == [s + d.b * d.n_period for s in starts.tolist()]
 
     @given(cfg_strategy())
     def test_progression_count_and_step(self, cfg):
@@ -183,6 +175,12 @@ class TestFreshnessOffset:
     def test_range(self, cfg):
         k = freshness_offset_K(cfg)
         assert 2 <= k <= 1 + cfg.d.n
+
+    @given(cfg_strategy(dmax=10**12))
+    def test_matches_complementary_modulus(self, cfg):
+        # K = 2 + ceil(x/n)*n - x at x = delta_n + 1
+        x, n = cfg.delta_n + 1, cfg.d.n
+        assert freshness_offset_K(cfg) == 2 + ceil(Fraction(x, n)) * n - x
 
 
 class TestExpectedApprox:

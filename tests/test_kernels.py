@@ -1,4 +1,4 @@
-"""The kernels must agree bit-for-bit with the scalar formulas and with the
+"""The kernels must agree bit-for-bit with the scalar oracles and with the
 naive slot-stepping oracles."""
 
 import tracemalloc
@@ -12,10 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aoiclock import kernels, sweep
-from aoiclock.basic import aoi_basic, decompose
+from aoiclock.basic import decompose
 from aoiclock.extended import (
     SystemConfig,
-    aoi_conditional,
     distribution_conditional,
     expected_exact_extended,
 )
@@ -24,6 +23,7 @@ from aoiclock.simulate import bernoulli_threshold
 
 from conftest import (
     LARGE_TRIPLES,
+    age_ref,
     geometric_sum_ref,
     naive_basic_ages,
     naive_extended,
@@ -34,6 +34,12 @@ from conftest import (
 
 TRIPLES = [(34, 7, 10), (6, 10, 15), (1, 1, 1), (5, 1, 1), (1, 9, 8), (12, 35, 25)]
 SHIFTS = [(0, 0), (3, 5), (20, 11)]
+
+
+def conditional_ref(t, db, dn, ls, k0):
+    """``age_ref`` at reads k0, k0 + 1, ..., one per failure count in ``ls``."""
+    d = decompose(*t)
+    return [age_ref(d, k0 + i, kernels._shifts(t[2], db, dn, int(l))) for i, l in enumerate(ls)]
 
 
 def test_active_backend_is_registered():
@@ -48,24 +54,35 @@ class TestSequenceKernels:
         for t in TRIPLES:
             d = decompose(*t)
             got = kernels.seq_basic(*t, 3, 50)
-            want = [aoi_basic(d, k) for k in range(3, 53)]
+            want = [age_ref(d, k) for k in range(3, 53)]
             assert got.dtype == np.int64
             assert list(got) == want, t
 
     def test_seq_conditional_matches_scalar(self):
         for t in TRIPLES:
-            d = decompose(*t)
             for db, dn in SHIFTS:
-                cfg = SystemConfig(d, delta_b=db, delta_n=dn)
                 for l in (0, 1, 4):
                     got = kernels.seq_conditional(*t, db, dn, l, 2, 40)
-                    want = [aoi_conditional(cfg, k, l) for k in range(2, 42)]
-                    assert list(got) == want, (t, db, dn, l)
+                    assert list(got) == conditional_ref(t, db, dn, [l] * 40, 2), (t, db, dn, l)
                 # one failure count per read, as verify passes a trace's
                 ls = np.arange(40, dtype=np.int64) % 7
                 got = kernels.seq_conditional(*t, db, dn, ls, 2, 40)
-                want = [aoi_conditional(cfg, k, int(l)) for k, l in zip(range(2, 42), ls)]
-                assert list(got) == want, (t, db, dn)
+                assert list(got) == conditional_ref(t, db, dn, ls, 2), (t, db, dn)
+
+    @given(st.tuples(*[st.integers(1, 2**40)] * 3).filter(lambda t: gcd(gcd(*t[:2]), t[2]) == 1),
+           st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 1000),
+           st.integers(1, 64), st.integers(0, 3))
+    @example((1, 7, 10), 0, 0, 0, 1, 0)  # the guard's top at 2^62 - 1
+    def test_seq_conditional_at_the_slot_guard(self, t, db, dn, l, count, slack):
+        # the reads end within slack + 1 reads of the last that the guard admits
+        rest = db + dn + (l + 2) * t[2] + 2
+        end = (kernels._SLOT_LIMIT - 1 - rest) // t[0] - slack
+        k0 = end - count
+        kernels.check_sequence_args(*t, db, dn, l, k0, count)
+        with pytest.raises(OverflowError):
+            kernels.check_sequence_args(*t, db, dn, l, k0, count + slack + 1)
+        got = kernels.seq_conditional(*t, db, dn, l, k0, count)
+        assert got.tolist() == conditional_ref(t, db, dn, [l] * count, k0)
 
     def test_period_sums_match_summed_sequences(self):
         for t in TRIPLES:
@@ -185,7 +202,7 @@ class TestRowSums:
         cols = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, *shifts)
                 for d, (_, shifts) in zip(ds, rows)]
         with mock.patch.object(kernels, "_LANES", lanes):
-            got = kernels._row_sums(*(sweep._int_array(col) for col in zip(*cols)))
+            got = kernels._row_sums(*(kernels._int_array(col) for col in zip(*cols)))
         want = [kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, [shifts])[0]
                 for d, (_, shifts) in zip(ds, rows)]
         assert got.tolist() == want

@@ -7,42 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aoiclock.modmath import comp_mod, floor_mod, floor_sum
+from aoiclock.modmath import floor_sum
 from conftest import ArithmeticProgression, ap_reduce_mod, pairing_classes, residue_orbit
-
-
-class TestFloorMod:
-    def test_examples(self):
-        assert floor_mod(34, 10) == 4
-        assert floor_mod(-3, 5) == 2
-        assert floor_mod(0, 7) == 0
-
-    @pytest.mark.parametrize("y", [0, -1, -7])
-    def test_rejects_nonpositive_modulus(self, y):
-        with pytest.raises(ValueError):
-            floor_mod(3, y)
-        with pytest.raises(ValueError):
-            comp_mod(3, y)
-
-    @given(st.integers(-(10**12), 10**12), st.integers(1, 10**9))
-    def test_matches_definition(self, x, y):
-        r = floor_mod(x, y)
-        assert 0 <= r < y
-        assert r == x - math.floor(Fraction(x, y)) * y
-
-
-class TestCompMod:
-    def test_examples(self):
-        assert comp_mod(1, 2) == 1
-        assert comp_mod(4, 2) == 0
-        assert comp_mod(3, 5) == 2
-
-    @given(st.integers(-(10**12), 10**12), st.integers(1, 10**9))
-    def test_matches_definition(self, x, y):
-        r = comp_mod(x, y)
-        assert 0 <= r < y
-        assert r == math.ceil(Fraction(x, y)) * y - x
-        assert r == floor_mod(-x, y)
 
 
 class TestFloorSum:

@@ -1,6 +1,7 @@
 """The package namespace re-exports every public name of its submodules, and no more
-than the pinned list; no module imports a name it leaves unused, and no private
-helper is left that the package never reads."""
+than the pinned list; no module imports a name it leaves unused, no private
+helper is left that the package never reads, and no public name is left that
+neither the package nor the benchmark reads."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ import aoiclock
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(aoiclock.__path__))
 SOURCES = sorted(Path(aoiclock.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -37,10 +39,9 @@ PUBLIC = [
     "AoiDistribution", "BandedValue", "ConfigError", "EmptyGridError", "GeometricExpectation",
     "Histogram", "NullSequenceError", "PeriodDecomposition", "RngSpec", "SliceStat",
     "SweepGrid", "SweepResult", "SystemConfig", "Trace", "TraceStream", "__version__",
-    "aoi_basic", "aoi_conditional", "backend", "bernoulli_threshold", "c_basic", "c_extended",
-    "comp_mod", "decompose", "distribution_basic", "distribution_conditional",
-    "enumerate_configs", "expected_approx_basic", "expected_approx_extended",
-    "expected_exact_basic", "expected_exact_extended", "floor_mod", "floor_sum",
+    "backend", "bernoulli_threshold", "decompose", "distribution_basic",
+    "distribution_conditional", "enumerate_configs", "expected_approx_basic",
+    "expected_approx_extended", "expected_exact_basic", "expected_exact_extended", "floor_sum",
     "freshness_offset_K", "max_bound_basic", "max_bound_lossless", "max_bound_prob",
     "rel_error_bound_basic", "rel_error_bound_extended", "run_sweep", "sequence_basic",
     "sequence_conditional", "simulate_extended", "stream_basic", "stream_extended",
@@ -49,7 +50,7 @@ PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 41
     assert sorted(aoiclock.__all__) == PUBLIC
 
 
@@ -143,3 +144,44 @@ def test_unread_helper_check_sees_a_leftover():
         "other": ast.parse("from . import m\nm._Cls\n"),
     }
     assert _unread_helpers(trees) == ["m._left (line 2)", "m._self (line 3)"]
+
+
+def _unread_public(names, trees: dict[str, ast.Module]) -> list[str]:
+    """The ``names`` that no tree reads outside their own module-level definition.
+
+    A name counts as read where it appears as a name or an attribute; an
+    import binds a name without reading it, so a re-export is no read, and
+    neither is a string in ``__all__``.
+    """
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    own = Counter()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+                own[node.name] += _reads(node)[node.name]
+    return [name for name in names if reads[name] == own[name]]
+
+
+# the public surface rule above, checked: a name that only tests read belongs
+# in tests/conftest.py
+def test_public_name_is_read_by_the_package_or_the_benchmark():
+    assert BENCH
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES if path.stem != "__init__"}
+    trees |= {f"bench.{path.stem}": ast.parse(path.read_text()) for path in BENCH}
+    names = [n for n in aoiclock.__all__ if n != "__version__"]
+    assert _unread_public(names, trees) == []
+
+
+def test_unread_public_check_sees_a_leftover():
+    trees = {
+        "m": ast.parse(
+            "def used(): pass\n"
+            "def left(): pass\n"
+            "def rec(n): return rec(n - 1)\n"
+            "class Cls: pass\n"
+            "__all__ = ['used', 'left', 'rec', 'Cls']\n"
+        ),
+        "pkg": ast.parse("from .m import left, rec\n"),
+        "bench": ast.parse("import m\nm.Cls\ndef run(): return m.used()\n"),
+    }
+    assert _unread_public(["used", "left", "rec", "Cls"], trees) == ["left", "rec"]

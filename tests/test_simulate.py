@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from aoiclock import kernels, simulate
 from aoiclock.basic import decompose, distribution_basic
-from aoiclock.extended import SystemConfig, aoi_conditional, distribution_conditional
+from aoiclock.extended import SystemConfig, distribution_conditional
 from aoiclock.simulate import (
     RngSpec,
     Trace,
@@ -24,7 +24,7 @@ from aoiclock.simulate import (
     write_trace_csv,
 )
 
-from conftest import naive_basic_ages, naive_trace_csv, stream_of, whole_trace
+from conftest import age_ref, naive_basic_ages, naive_trace_csv, stream_of, whole_trace
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -106,8 +106,9 @@ class TestSimulateExtended:
                 cfg = SystemConfig(decompose(*t), delta_b=db, delta_n=dn)
                 tr = simulate_extended(cfg, 300, RngSpec(0))
                 w = tr.warmup_cycles
+                shifts = kernels._shifts(t[2], db, dn, 0)
                 for k in range(w, 300):
-                    assert tr.ages[k] == aoi_conditional(cfg, k, 0), (t, db, dn, k)
+                    assert tr.ages[k] == age_ref(cfg.d, k, shifts), (t, db, dn, k)
                 assert (tr.fails[w:] == 0).all()
 
     def test_warmup_within_first_delivery_bound(self):
