@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ from .extended import (
     sequence_conditional,
 )
 from .simulate import RngSpec, stream_basic, stream_extended, write_trace_csv
-from .sweep import EmptyGridError, SweepGrid, run_sweep, write_outputs
+from .sweep import SweepGrid, run_sweep, write_outputs
 
 # verify's family checks expand and sort whole hyperperiods, about 32 bytes
 # per read; its trace checks stream the simulated run block by block, in
@@ -449,27 +450,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an exact expectation at p = u/v has a denominator of about b*log10(v)
+# digits, past the default int<->str limit (Python 3.11+).  The limit is
+# lifted while any call of main runs, from any thread: the first call in
+# saves the caller's limit, and the last one out restores it
+_limit_lock = threading.Lock()
+_limit_calls = 0
+_limit_saved = None
+
+
+def _count_call(step: int) -> None:
+    """Count a call of main in (+1) or out (-1) and set the limit to match."""
+    global _limit_calls, _limit_saved
+    if hasattr(sys, "set_int_max_str_digits"):
+        with _limit_lock:
+            if _limit_calls == 0:
+                _limit_saved = sys.get_int_max_str_digits()
+            _limit_calls += step
+            sys.set_int_max_str_digits(0 if _limit_calls else _limit_saved)
+
+
 def main(argv=None) -> int:
-    # an exact expectation at p = u/v has a denominator of about b*log10(v)
-    # digits, past the default int<->str conversion limit (Python 3.11+); the
-    # limit is lifted for this call only, so a program that calls main keeps
-    # its own guard against huge-int conversions
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    _count_call(+1)
     try:
         args = build_parser().parse_args(argv)
         try:
             return args.func(args)
-        except (ConfigError, EmptyGridError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        _count_call(-1)
 
 
 if __name__ == "__main__":

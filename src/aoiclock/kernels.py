@@ -29,7 +29,7 @@ newest success depends only on (seed, window), and a running max is the
 same wherever its input is cut, so a trace never depends on the chunking.
 Every block reuses one chunk-sized pair of buffers, so a run of any length
 streams in O(chunk) memory however many transmissions fall between reads.
-``sim_basic`` and ``sim_extended`` copy the blocks into whole-run arrays.
+``sim_basic`` and ``sim_extended`` ``_join`` the blocks into whole-run arrays.
 """
 
 from __future__ import annotations
@@ -94,15 +94,11 @@ def _seq(a_period, b_period, n_period, k0, count, shifts=(0, 0, 0)):
     return ((t - s_b) % b_period - e) % b_period + e + base
 
 
-def _dtype_for(bound):
-    """int64 when every intermediate is below ``bound`` and ``bound`` < 2^63, else object."""
-    return np.int64 if bound < 2**63 else object
-
-
 def _fit(bound, *columns):
-    """The columns, lists or arrays of ints, as arrays of ``_dtype_for(bound)``,
-    each built in one step: numpy reads a list that straddles 2^63 as float64."""
-    dtype = _dtype_for(bound)
+    """The columns, lists or arrays of ints, as int64 arrays if ``bound`` < 2^63
+    bounds every intermediate, else as ``object`` arrays; each built in one
+    step: numpy reads a list that straddles 2^63 as float64."""
+    dtype = np.int64 if bound < 2**63 else object
     return [np.asarray(x, dtype=dtype) for x in columns]
 
 
@@ -296,11 +292,19 @@ def sim_basic_blocks(a_period, b_period, n_period, cycles):
         yield k0, age, zeros[:n]
 
 
+def _join(blocks, cycles):
+    """Each column of a run's ``(k0, *columns)`` blocks, copied into one whole-run array."""
+    whole = []
+    for k0, *cols in blocks:
+        whole = whole or [np.empty(cycles, dtype=np.int64) for _ in cols]
+        for run, col in zip(whole, cols):
+            run[k0 : k0 + len(col)] = col
+    return whole
+
+
 def sim_basic(a_period, b_period, n_period, cycles):
-    ages = np.empty(cycles, dtype=np.int64)
-    for k0, age, _ in sim_basic_blocks(a_period, b_period, n_period, cycles):
-        ages[k0 : k0 + len(age)] = age
-    return ages
+    blocks = sim_basic_blocks(a_period, b_period, n_period, cycles)
+    return _join(((k0, age) for k0, age, _ in blocks), cycles)[0]
 
 
 def _splitmix64_np(seed, counters, out, tmp):
@@ -406,13 +410,8 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
 
 
 def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
-    ages = np.empty(cycles, dtype=np.int64)
-    fails = np.empty(cycles, dtype=np.int64)
     args = (a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles)
-    for k0, age, last in sim_extended_blocks(*args):
-        ages[k0 : k0 + len(age)] = age
-        fails[k0 : k0 + len(age)] = last
-    return ages, fails
+    return tuple(_join(sim_extended_blocks(*args), cycles))
 
 
 def _scan(s, seed, threshold, found, idx, top, lo):

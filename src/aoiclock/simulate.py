@@ -120,15 +120,13 @@ class TraceStream:
 
     def blocks(self):
         for k0, ages, fails in self._source:
-            cut = 0
             if self.age_max is None:
                 # the warm-up is the negative prefix of the block that ends it
                 seen = ages >= 0
-                cut = int(seen.argmax()) if seen.any() else len(ages)
-            if cut < len(ages):
-                if self.age_max is None:
-                    self.warmup_cycles, self.age_max = k0 + cut, -1
-                defined = ages[cut:]
+                if seen.any():
+                    self.warmup_cycles, self.age_max = k0 + int(seen.argmax()), -1
+            defined = ages[max(0, self.warmup_cycles - k0) :]
+            if len(defined):
                 self.age_max = max(self.age_max, int(defined.max()))
                 self.age_sum += kernels.exact_sum(defined)
             yield k0, ages, fails
@@ -161,45 +159,40 @@ def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream
 
 
 def write_trace_csv(trace: TraceStream, dest) -> None:
-    """Write the trace as CSV with header ``k,t,age,l``.
+    """Write the stream as CSV with header ``k,t,age,l``.
 
-    Warm-up rows keep their slot but leave age and l empty.  ``dest`` may be
-    a path, written in binary mode, or a text file object, which gets each
-    block decoded as ASCII.  The rows are encoded at most _CSV_ROWS at a
-    time by numpy digit arithmetic (see ``_encode_rows``), and each block's
-    bytearray goes to a binary file as it is, one write per block, so the
-    stream is written as it runs.  A defined row with a negative l raises
-    ValueError.
+    The stream is one the simulators make: warm-up reads, written with their
+    slot and empty age and l, then defined reads, at int64 slots
+    k * a_period.  Anything else raises ValueError: a period or slot past
+    int64 before a byte is written, a negative value after the warm-up when
+    its block comes.  ``dest`` is a path, written in binary mode, one write
+    per block of at most _CSV_ROWS rows (see ``_encode_rows``), or a text
+    file object, which gets each block decoded as ASCII.
     """
+    last = max(trace.cycles - 1, 0) * trace.a_period
+    if max(last, trace.a_period) >= 2**63:
+        raise ValueError(f"trace slots must fit int64, got period {trace.a_period}, slot {last}")
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with open(dest, "wb") as fh:
-            for block in _csv_blocks(trace):
-                fh.write(block)
+            fh.writelines(_csv_blocks(trace))
     else:
-        for block in _csv_blocks(trace):
-            dest.write(block.decode("ascii"))
+        dest.writelines(block.decode("ascii") for block in _csv_blocks(trace))
 
 
 def _csv_blocks(trace: TraceStream):
-    """The CSV's header, then its rows as one bytearray per block."""
+    """The CSV's header, then its rows as one bytearray per sub-block, each
+    block cut once at the stream's warm-up, which ``blocks()`` sets before it
+    yields the block that ends it: warm-up rows before the cut, defined after."""
     yield b"k,t,age,l\n"
     for k0, ages, fails in trace.blocks():
-        defined = ages >= 0
-        # starts of the maximal runs of defined and of undefined rows; the
-        # prepended opposite of row 0 makes row 0 a start (and no row at all none)
-        starts = np.flatnonzero(np.diff(defined, prepend=~defined[:1])).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(ages)]):
-            if defined[lo]:
-                cols, seps = (ages, fails), (b",", b",", b",", b"\n")
-            else:
-                cols, seps = (), (b",", b",,\n")
+        cut = min(len(ages), max(0, trace.warmup_cycles - k0))
+        warm = 0, cut, (), (b",", b",,\n")
+        defined = cut, len(ages), (ages, fails), (b",", b",", b",", b"\n")
+        for lo, hi, cols, seps in (warm, defined):
             for i in range(lo, hi, _CSV_ROWS):
                 j = min(i + _CSV_ROWS, hi)
                 k = np.arange(k0 + i, k0 + j, dtype=np.int64)
-                # slot numbers past int64 stay exact as python ints
-                dtype = kernels._dtype_for((k0 + j) * trace.a_period)
-                t = k.astype(dtype, copy=False) * trace.a_period
-                yield _encode_rows([k, t, *(c[i:j] for c in cols)], seps)
+                yield _encode_rows([k, k * trace.a_period, *(c[i:j] for c in cols)], seps)
 
 
 # "00".."99" as uint16s, each holding its two ASCII digits in memory order
@@ -207,8 +200,9 @@ _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % r for r in range(100)), np.uint1
 
 
 def _encode_rows(cols, seps) -> bytearray:
-    """CSV rows of the non-negative integer columns ``cols``, each value
-    followed by its column's separator in ``seps``, as ASCII bytes.
+    """CSV rows of the int64 columns ``cols``, the first the read index k,
+    each value followed by its column's separator in ``seps``, as ASCII
+    bytes; a negative value raises ValueError naming its row's k.
 
     The rows are laid out in a fixed-width byte matrix over a zeroed
     bytearray, each column as wide as its largest value, with the digits
@@ -216,38 +210,30 @@ def _encode_rows(cols, seps) -> bytearray:
     its max is below 2^32 and in its own int64 above, and each remainder is
     looked up in ``_DIGIT_PAIRS`` and stored as one 2-byte value.  Leading
     zeros are set back to NUL, at the positions past the column's smallest
-    value only, and one ``bytearray.translate`` deletes every NUL.  Columns
-    of python ints (slots past int64) are rendered by ``str`` into the same
-    matrix, left-aligned, and their NUL padding is deleted with the rest.
+    value only, and one ``bytearray.translate`` deletes every NUL.
     """
     n = len(cols[0])
-    fields = []  # (column as uint32, int64 or bytes, width, width of its smallest value)
+    fields = []  # (column as uint32 or int64, width, width of its smallest value)
     for col in cols:
-        if col.dtype == object:
-            text = np.array([str(x) for x in col.tolist()], dtype=bytes)
-            fields.append((text, text.itemsize, text.itemsize))
-        else:
-            low, high = int(col.min()), int(col.max())
-            if low < 0:
-                raise ValueError(f"trace CSV values must be >= 0, got {low}")
-            x = col.astype(np.uint32, copy=False) if high < 2**32 else col
-            fields.append((x, len(str(high)), len(str(low))))
+        low, high = int(col.min()), int(col.max())
+        if low < 0:
+            k = cols[0][col.argmin()]
+            raise ValueError(f"trace CSV values must be >= 0, got {low} at k={k}")
+        x = col.astype(np.uint32, copy=False) if high < 2**32 else col
+        fields.append((x, len(str(high)), len(str(low))))
     buf = bytearray(n * (sum(w for _, w, _ in fields) + sum(map(len, seps))))
     mat = np.frombuffer(buf, np.uint8).reshape(n, -1)
     c = 0
     for (x, w, w_low), sep in zip(fields, seps):
-        if x.dtype.kind == "S":
-            mat[:, c : c + w] = x.view(np.uint8).reshape(n, w)
-        else:
-            v = x
-            for e in range(c + w, c + 1, -2):  # pair ends, right to left
-                q = v // 100 if e > c + 2 else 0  # the top pair's value is below 100
-                mat[:, e - 2 : e].view(np.uint16)[:, 0] = _DIGIT_PAIRS.take(v - 100 * q)
-                v = q
-            if w % 2:
-                np.add(v, ord("0"), out=mat[:, c], casting="unsafe")
-            for p in range(c, c + w - w_low):
-                mat[:, p] *= x >= 10 ** (c + w - 1 - p)
+        v = x
+        for e in range(c + w, c + 1, -2):  # pair ends, right to left
+            q = v // 100 if e > c + 2 else 0  # the top pair's value is below 100
+            mat[:, e - 2 : e].view(np.uint16)[:, 0] = _DIGIT_PAIRS.take(v - 100 * q)
+            v = q
+        if w % 2:
+            np.add(v, ord("0"), out=mat[:, c], casting="unsafe")
+        for p in range(c, c + w - w_low):
+            mat[:, p] *= x >= 10 ** (c + w - 1 - p)
         c += w
         mat[:, c : c + len(sep)] = np.frombuffer(sep, np.uint8)
         c += len(sep)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -267,6 +268,30 @@ class TestAnalyze:
         except SystemExit as exc:
             got = exc.code
         assert got == code
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_int_str_limit_restored_after_concurrent_calls(self, capsys):
+        # calls that overlap share the one limit: a second call in must not
+        # save the first call's lifted limit and restore that on its way out
+        limit = sys.get_int_max_str_digits()
+        argv = ["analyze", "--a-period", "3", "--b-period", "4", "--n-period", "5"]
+        codes = []
+
+        def calls():
+            codes.extend(main(argv) for _ in range(200))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0] * 400
         assert sys.get_int_max_str_digits() == limit
 
     def test_common_divisor_rejected(self, capsys):

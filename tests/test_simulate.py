@@ -71,12 +71,18 @@ class TestSimulateBasic:
         rows = _csv(stream_basic(REFERENCE, 5)).splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "34", "68", "102", "136"]
 
-    def test_slots_past_int64_stay_exact(self):
+    def test_slots_past_int64_refused(self, tmp_path):
         tr = Trace(2**62, np.array([1, 2, 3]), np.array([0, 0, 0]))
-        rows = _csv(stream_of(tr)).splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == ["0", str(2**62), str(2**63)]
-        # no rows, but a period too large to scale an int64 range
-        assert _csv(stream_of(Trace(2**63, tr.ages[:0], tr.fails[:0]))) == "k,t,age,l\n"
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=f"got period {2**62}, slot {2**63}$"):
+            write_trace_csv(stream_of(tr), path)
+        assert not path.exists()  # refused before a byte is written
+        # the first two reads end below 2^63
+        rows = _csv(stream_of(Trace(2**62, tr.ages[:2], tr.fails[:2]))).splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", str(2**62)]
+        # no rows, but a period past int64
+        with pytest.raises(ValueError, match=f"got period {2**63}, slot 0$"):
+            _csv(stream_of(Trace(2**63, tr.ages[:0], tr.fails[:0])))
 
     def test_matches_distribution_over_period(self):
         for t in [(34, 7, 10), (6, 10, 15), (4, 9, 7)]:
@@ -251,16 +257,21 @@ def _csv(stream) -> str:
     return buf.getvalue()
 
 
-# (defined age, l) or None for an undefined row, in any order
+# a warm-up prefix of None rows, then defined (age, l) rows: at most 80 rows
 _INT64 = st.integers(0, 2**63 - 1)
-_ROWS = st.lists(st.one_of(st.none(), st.tuples(_INT64, _INT64)), max_size=40)
+_ROWS = st.builds(
+    lambda warm, defined: [None] * warm + defined,
+    st.integers(0, 40),
+    st.lists(st.tuples(_INT64, _INT64), max_size=40),
+)
 # rows whose ages and l sit on both sides of every power of ten in int64, and
 # of 2^31 and 2^32, the int32 and uint32 limits
 _WIDTH_EDGES = sorted(
     [(10**k - 1, 10**k) for k in range(1, 19)]
     + [(2**31 - 1, 2**31), (2**32 - 1, 2**32), (2**63 - 1, 2**63 - 1)]
 )
-_A_PERIODS = st.one_of(st.integers(1, 100), st.integers(2**40, 2**70))
+# the slot of row 79 stays below 2^63
+_A_PERIODS = st.one_of(st.integers(1, 100), st.integers(2**40, (2**63 - 1) // 79))
 _LOSSY = st.builds(
     lambda t, db, dn, p: SystemConfig(decompose(*t), db, dn, p),
     st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)).filter(
@@ -280,11 +291,12 @@ class TestTraceCsvOracle:
 
     @given(_ROWS, _A_PERIODS, st.integers(1, 5))
     @example(_WIDTH_EDGES, 1, 5)
-    @example([(b, a) for a, b in _WIDTH_EDGES], 2**70, 2)
-    @example([r for edge in _WIDTH_EDGES for r in (None, edge)], 10**17, 4)
+    # the last slot is the largest multiple of the period below 2^63
+    @example([(b, a) for a, b in _WIDTH_EDGES], (2**63 - 1) // (len(_WIDTH_EDGES) - 1), 2)
+    @example([None] * len(_WIDTH_EDGES) + _WIDTH_EDGES, 10**17, 4)
     @example(_WIDTH_EDGES, 3, 1)  # each row a block, so each value is its column's max
     @example([(0, 0)] * 40, 2**27 + 1, 64)  # t passes 2^32 at row 32 of the one block
-    def test_hand_built_traces_with_holes(self, rows, a_period, block):
+    def test_hand_built_warmup_traces(self, rows, a_period, block):
         ages = np.array([-1 if r is None else r[0] for r in rows], dtype=np.int64)
         fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
         trace = Trace(a_period, ages, fails)
@@ -314,10 +326,12 @@ class TestTraceCsvOracle:
         assert stream.age_max == (int(defined.max()) if len(defined) else None)
 
     def test_stream_warmup_is_the_negative_prefix(self):
-        # a read after the warm-up is summed as it comes, even a negative one
+        # a read after the warm-up is summed as it comes, even a negative
+        # one, and the writer refuses its row
         ages, fails = np.array([-1, 5, -1, 7]), np.array([-1, 0, -1, 0])
         stream = stream_of(Trace(1, ages, fails))
-        assert _csv(stream) == "k,t,age,l\n0,0,,\n1,1,5,0\n2,2,,\n3,3,7,0\n"
+        with pytest.raises(ValueError, match="must be >= 0, got -1 at k=2$"):
+            _csv(stream)
         assert stream.warmup_cycles == Trace(1, ages, fails).warmup_cycles == 1
         assert (stream.age_sum, stream.age_max) == (11, 7)
 
@@ -351,12 +365,16 @@ class TestTraceCsvOracle:
         assert text == naive_trace_csv(trace)
         assert text.count(",,\n") == cycles
 
-    def test_slot_column_crosses_2_63_inside_a_block(self):
-        ages = np.array([3, -1, 10**18, 0, 99, 100, 2**63 - 1, 7], dtype=np.int64)
-        trace = Trace(2**61 + 3, ages, np.where(ages >= 0, ages % 1000, -1))
-        # rows 2..7 are one run of defined rows, so one block
-        assert 3 * trace.a_period < 2**63 <= 4 * trace.a_period
+    def test_slot_column_reaching_2_63_refused(self):
+        a_period = 2**61 + 3
+        assert 3 * a_period < 2**63 <= 4 * a_period
+        ages = np.array([-1, 10**18, 0, 2**63 - 1, 7], dtype=np.int64)
+        fails = np.where(ages >= 0, ages % 1000, -1)
+        # four rows end at slot 3*A', so their one block is written whole
+        trace = Trace(a_period, ages[:4], fails[:4])
         assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+        with pytest.raises(ValueError, match=f"got period {a_period}, slot {4 * a_period}$"):
+            _csv(stream_of(Trace(a_period, ages, fails)))
 
     def test_digit_widths_change_inside_a_block(self):
         # in one block k passes 9, 99 and 999, t several widths, and age and
