@@ -12,8 +12,9 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
-import threading
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -53,32 +54,72 @@ from .sweep import SweepGrid, run_sweep, write_outputs
 _MAX_VERIFY_READS = 2 * 10**6
 
 
-def _fraction(text: str) -> Fraction:
+def _number(parse, refusal: str, text: str):
+    """A flag's ``parse(text)``; a term past the interpreter's int<->str digit limit
+    (Python 3.11+), which ``int()`` refuses, is refused by its size, not its digits."""
     try:
-        return Fraction(text)
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+        if 0 < limit < digits:
+            raise argparse.ArgumentTypeError(f"a term of {digits} digits is past the interpreter's "
+                                             f"limit of {limit} digits for int<->str conversion")
+        raise argparse.ArgumentTypeError(f"{refusal}: {text!r}") from exc
+
+
+_int = functools.partial(_number, int, "invalid int value")
+_fraction = functools.partial(_number, Fraction, "not a rational number")
+
+
+# str() writes up to this many bits (632 digits), under any digit limit CPython admits
+_STR_BITS = 2_100
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, past the digit limit too: a longer n is rebuilt as an exact
+    Decimal from halves of its bits, hi * 2^h + lo, in a local context, as in
+    CPython 3.12's ``_pylong``: Decimal products, not ``str()``'s quadratic loop."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    power = functools.cache(lambda h: Decimal(2) ** h)
+
+    def exact(x: int, bits: int) -> Decimal:  # 0 <= x < 2^bits
+        if bits <= 128:
+            return Decimal(x)
+        h = bits // 2
+        return exact(x & (1 << h) - 1, h) + exact(x >> h, bits - h) * power(h)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        return ("-" if n < 0 else "") + str(exact(abs(n), n.bit_length()))
 
 
 def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
-def _float(x: Fraction) -> float | None:
-    """The *_float field of ``x``: the nearest float, or None (null) past float range."""
+def _text(x: Fraction) -> str:
+    """``str(x)``: n, or n/d."""
+    return _rat(x) if x.denominator != 1 else _int_text(x.numerator)
+
+
+def _exact(name: str, x: Fraction) -> dict:
+    """The report's fields for ``x``: ``name`` as "num/den", and ``name``_float
+    as the nearest float, or None (null) past float range."""
     try:
-        return float(x)
+        near = float(x)
     except OverflowError:
-        return None
+        near = None
+    return {name: _rat(x), f"{name}_float": near}
 
 
 def _add_config_flags(sub):
-    sub.add_argument("--a-period", type=int, required=True, help="reader period in slots")
-    sub.add_argument("--b-period", type=int, required=True, help="source period in slots")
-    sub.add_argument("--n-period", type=int, required=True, help="link period in slots")
+    sub.add_argument("--a-period", type=_int, required=True, help="reader period in slots")
+    sub.add_argument("--b-period", type=_int, required=True, help="source period in slots")
+    sub.add_argument("--n-period", type=_int, required=True, help="link period in slots")
     sub.add_argument("--model", choices=("basic", "extended"), default="basic")
-    sub.add_argument("--delta-b", type=int, default=0, help="source phase shift (extended)")
-    sub.add_argument("--delta-n", type=int, default=0, help="link phase shift (extended)")
+    sub.add_argument("--delta-b", type=_int, default=0, help="source phase shift (extended)")
+    sub.add_argument("--delta-n", type=_int, default=0, help="link phase shift (extended)")
     sub.add_argument("--p", type=_fraction, default=Fraction(1),
                      help="transmission success probability, exact rational (extended)")
 
@@ -101,22 +142,12 @@ def _config_from_args(args) -> SystemConfig:
 def _distribution_block(dist, mean, **extra):
     """The report's distribution block, ``mean`` being ``dist.mean()``;
     ``_report_json`` fills in the empty ``progressions`` list."""
-    return {
-        "min": dist.min(),
-        "max": dist.max(),
-        "mean": _rat(mean),
-        "mean_float": _float(mean),
-        "hyperperiod_reads": dist.period,
-        "progressions": [],
-        **extra,
-    }
+    return {"min": dist.min(), "max": dist.max(), **_exact("mean", mean),
+            "hyperperiod_reads": dist.period, "progressions": [], **extra}
 
 
 def _band_block(band):
-    return {
-        "center": _rat(band.center), "center_float": _float(band.center),
-        "half_width": _rat(band.half_width), "half_width_float": _float(band.half_width),
-    }
+    return {**_exact("center", band.center), **_exact("half_width", band.half_width)}
 
 
 # one start/step/count object of report["distribution"]["progressions"], as
@@ -149,8 +180,7 @@ def cmd_analyze(args) -> int:
             "model": args.model,
             "delta_b": cfg.delta_b,
             "delta_n": cfg.delta_n,
-            "p": _rat(cfg.p),
-            "p_float": _float(cfg.p),
+            **_exact("p", cfg.p),
         },
         "decomposition": {
             "A": d.A, "B": d.B, "N": d.N, "a": d.a, "b": d.b, "n": d.n,
@@ -161,38 +191,28 @@ def cmd_analyze(args) -> int:
         dist = distribution_basic(d)
         exact = expected_exact_basic(d)
         report["distribution"] = _distribution_block(dist, exact)
-        report["expected_exact"] = _rat(exact)
-        report["expected_exact_float"] = _float(exact)
+        report.update(_exact("expected_exact", exact))
         report["band"] = _band_block(expected_approx_basic(d))
         try:
-            bound = rel_error_bound_basic(d)
-            report["rel_error_bound"] = _rat(bound)
-            report["rel_error_bound_float"] = _float(bound)
+            report.update(_exact("rel_error_bound", rel_error_bound_basic(d)))
         except NullSequenceError:
-            report["rel_error_bound"] = None
-            report["rel_error_bound_float"] = None
-            report["rel_error_note"] = "age is identically zero; relative error unbounded"
+            report.update(rel_error_bound=None, rel_error_bound_float=None,
+                          rel_error_note="age is identically zero; relative error unbounded")
         report["max_bound"] = max_bound_basic(d)
         report["observed_max"] = dist.max()
     else:
         dist = distribution_conditional(cfg, 0)
         exact = expected_exact_extended(cfg)
-        bound = rel_error_bound_extended(cfg)
         report["freshness_offset"] = freshness_offset_K(cfg)
         report["distribution"] = _distribution_block(dist, dist.mean(), conditioned_on_l=0)
         report["expectation"] = {
-            "value": _rat(exact.value),
-            "value_float": _float(exact.value),
-            "tail_bound": _rat(exact.tail_bound),
-            "tail_bound_float": _float(exact.tail_bound),
+            **_exact("value", exact.value),
+            **_exact("tail_bound", exact.tail_bound),
             "terms_used": exact.terms_used,
         }
         report["band"] = _band_block(expected_approx_extended(cfg))
-        report["rel_error_bound"] = _rat(bound)
-        report["rel_error_bound_float"] = _float(bound)
-        if cfg.p == 1:
-            # with lossless delivery the probabilistic machinery degenerates
-            # to a hard bound
+        report.update(_exact("rel_error_bound", rel_error_bound_extended(cfg)))
+        if cfg.p == 1:  # lossless delivery: the probabilistic bound is a hard one
             report["max_bound"] = max_bound_lossless(cfg)
         if args.sigma is not None:
             report["sigma"] = _rat(args.sigma)
@@ -237,9 +257,8 @@ def _check_family(failures: list[str], name: str, dist, seq, where: str = "") ->
     compared as sorted arrays; the detail names the first position that differs."""
     closed, direct = dist.to_sorted_array(), np.sort(seq)
     bad = np.flatnonzero(closed != direct)
-    detail = (f"{where}first mismatch at sorted position {bad[0]}: "
-              f"closed={closed[bad[0]]} direct={direct[bad[0]]}" if len(bad) else "")
-    _check(failures, name, not len(bad), detail)
+    _check(failures, name, not len(bad), lambda: f"{where}first mismatch at sorted position "
+           f"{bad[0]}: closed={closed[bad[0]]} direct={direct[bad[0]]}")
 
 
 def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool = True) -> None:
@@ -275,7 +294,7 @@ def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool =
         if len(found) == len(checks):
             break
     for name, _, _ in checks:
-        _check(failures, name, name not in found, found.get(name, ""))
+        _check(failures, name, name not in found, lambda: found[name])
 
 
 def _verify_basic(d, cycles: int, failures: list[str]) -> None:
@@ -286,15 +305,13 @@ def _verify_basic(d, cycles: int, failures: list[str]) -> None:
 
     exact = expected_exact_basic(d)
     mean = Fraction(kernels.exact_sum(seq), period)
-    _check(failures, "closed_form_mean", exact == mean, f"closed={exact} direct={mean}")
-
-    band = expected_approx_basic(d)
-    _check(failures, "band_membership", band.contains(exact),
-           f"exact={exact} band=[{band.low}, {band.high}]")
+    _check(failures, "closed_form_mean", exact == mean,
+           lambda: f"closed={_text(exact)} direct={_text(mean)}")
+    _check_band(failures, expected_approx_basic(d), exact)
 
     peak = int(seq.max())
     bound = max_bound_basic(d)
-    _check(failures, "max_bound", peak <= bound, f"observed={peak} bound={bound}")
+    _check(failures, "max_bound", peak <= bound, lambda: f"observed={peak} bound={bound}")
 
     # the lossless model delivers at slot 0, so every read is compared: a
     # read the simulator marks undefined is a mismatch, not a warm-up
@@ -314,10 +331,7 @@ def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, f
             sequence_conditional(cfg, l, 1, period), f"l={l}, ",
         )
 
-    exact = expected_exact_extended(cfg).value
-    band = expected_approx_extended(cfg)
-    _check(failures, "band_membership", band.contains(exact),
-           f"exact={exact} band=[{band.low}, {band.high}]")
+    _check_band(failures, expected_approx_extended(cfg), expected_exact_extended(cfg).value)
 
     d = cfg.d
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
@@ -333,12 +347,17 @@ def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, f
     _check_trace(failures, checks, stream_extended(cfg, cycles, rng), shape)
 
 
-def _check(failures: list[str], name: str, ok: bool, detail: str = "") -> None:
+def _check_band(failures: list[str], band, exact: Fraction) -> None:
+    _check(failures, "band_membership", band.contains(exact),
+           lambda: f"exact={_text(exact)} band=[{_text(band.low)}, {_text(band.high)}]")
+
+
+def _check(failures: list[str], name: str, ok: bool, detail) -> None:
+    """Print the check's line; ``detail()``, called only when it fails, says why."""
     if ok:
         print(f"check {name}: PASS")
     else:
-        suffix = f" ({detail})" if detail else ""
-        print(f"check {name}: FAIL{suffix}")
+        print(f"check {name}: FAIL ({detail()})")
         failures.append(name)
 
 
@@ -397,18 +416,18 @@ def _analyze_flags(an):
 
 def _simulate_flags(sim):
     _add_config_flags(sim)
-    sim.add_argument("--cycles", type=int, required=True, help="number of reads to simulate")
-    sim.add_argument("--seed", type=int, default=None, help="rng seed (extended model)")
+    sim.add_argument("--cycles", type=_int, required=True, help="number of reads to simulate")
+    sim.add_argument("--seed", type=_int, default=None, help="rng seed (extended model)")
     sim.add_argument("--out", default="-", help="trace file, '-' for stdout")
     sim.set_defaults(func=cmd_simulate)
 
 
 def _verify_flags(ver):
     _add_config_flags(ver)
-    ver.add_argument("--l-max", type=int, default=None,
+    ver.add_argument("--l-max", type=_int, default=None,
                      help="check conditional families up to this l (extended, default 3)")
-    ver.add_argument("--cycles", type=int, default=None, help="simulated reads (default: 3 hyperperiods)")
-    ver.add_argument("--seed", type=int, default=None, help="rng seed for the trace check")
+    ver.add_argument("--cycles", type=_int, default=None, help="simulated reads (default: 3 hyperperiods)")
+    ver.add_argument("--seed", type=_int, default=None, help="rng seed for the trace check")
     ver.set_defaults(func=cmd_verify)
 
 
@@ -416,7 +435,7 @@ def _sweep_flags(sw):
     sw.add_argument("--grid", required=True, help="JSON grid file")
     sw.add_argument("--out", required=True, help="output directory")
     sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
-    sw.add_argument("--jobs", type=int, default=1,
+    sw.add_argument("--jobs", type=_int, default=1,
                     help="processes that evaluate the grid, this one included; at most one "
                          "per CPU core and per block of factor tuples (default 1)")
     sw.set_defaults(func=cmd_sweep)
@@ -450,40 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# an exact expectation at p = u/v has a denominator of about b*log10(v)
-# digits, past the default int<->str limit (Python 3.11+).  The limit is
-# lifted while any call of main runs, from any thread: the first call in
-# saves the caller's limit, and the last one out restores it
-_limit_lock = threading.Lock()
-_limit_calls = 0
-_limit_saved = None
-
-
-def _count_call(step: int) -> None:
-    """Count a call of main in (+1) or out (-1) and set the limit to match."""
-    global _limit_calls, _limit_saved
-    if hasattr(sys, "set_int_max_str_digits"):
-        with _limit_lock:
-            if _limit_calls == 0:
-                _limit_saved = sys.get_int_max_str_digits()
-            _limit_calls += step
-            sys.set_int_max_str_digits(0 if _limit_calls else _limit_saved)
-
-
 def main(argv=None) -> int:
-    _count_call(+1)
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
-        try:
-            return args.func(args)
-        except (ValueError, OverflowError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        _count_call(-1)
+        return args.func(args)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ finite sum of b terms.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -48,14 +48,13 @@ __all__ = [
 # The exact expectation takes b conditional hyperperiod sums (a floor sum
 # each), a geometric sum by binary splitting and Fraction's gcd over a
 # denominator of about b*log2(v) bits; the gcd grows as b^2 and with log(v).
-# At b = 10^5 and periods (3b, 7b, 11), in a fresh process on a 2-core Xeon
-# host, it took 0.18 s at p = 1/2 and 4.8 s at p = 1/30000 (1.3 s of it the
-# sum); `analyze --model extended` of those configs took 0.20 s and 13 s.
+# At b = 10^5, periods (3b, 7b, 11), a whole `analyze --model extended` call,
+# start-up included, took 0.4 s at p = 1/2 and 4.1 s at p = 1/30000 (medians,
+# 2-core Xeon host), most of the latter in the gcd.
 _MAX_TERMS = 10**5
-# max_bound_prob decides (1-p)^(m+1) <= 1 - sigma on exact integers of about
-# m*log10(v) digits; building both powers at 10^6 digits takes about 0.65 s
-# on the same host (0.3 s at p = 1/30000, sigma = 99/100: 6.2*10^5 digits).
-_MAX_POWER_DIGITS = 10**6
+# max_bound_prob doubles its logarithms' precision up to this many digits; a
+# near tie with 10^3-bit terms took 0.08 s to its refusal on the same host
+_MAX_LOG_DIGITS = 1024
 
 
 def _as_probability(p) -> Fraction:
@@ -155,7 +154,8 @@ def _check_terms(d: PeriodDecomposition) -> None:
         raise ValueError(
             f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
             f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (about 0.18 s at b = {_MAX_TERMS} and p = 1/2, 4.8 s at p = 1/30000)"
+            f"grows as b^2 (analyze takes about 0.4 s at b = {_MAX_TERMS} and p = 1/2, 4.1 s at "
+            f"p = 1/30000)"
         )
 
 
@@ -200,21 +200,6 @@ def max_bound_lossless(cfg: SystemConfig) -> int:
     return max_bound_basic(cfg.d) + freshness_offset_K(cfg)
 
 
-def _neg_log1m(x: Fraction) -> float:
-    """-log(1 - x) for 0 < x < 1 as a float, without cancellation at either end."""
-    if 2 * x <= 1:
-        return -math.log1p(-float(x))
-    return math.log(x.denominator) - math.log(x.denominator - x.numerator)
-
-
-def _log10_neg_log1m(x: Fraction) -> float:
-    """log10(-log(1 - x)) for 0 < x < 1, also where -log(1 - x) is below float range."""
-    y = _neg_log1m(x)
-    if y >= sys.float_info.min:
-        return math.log10(y)
-    return math.log10(x.numerator) - math.log10(x.denominator)  # there -log(1 - x) = x
-
-
 def _e_notation(lg: float) -> str:
     """10^lg to three digits, as ``f"{x:.2e}"`` writes a float x, also past float range."""
     exp = math.floor(lg)
@@ -241,48 +226,67 @@ def _fraction_text(x: Fraction) -> str:
     return f"{'-' if n < 0 else ''}{_e_notation(math.log10(abs(n)) - math.log10(d))}"
 
 
+def _ln_bounds(a: int, b: int, floor: Context, ceiling: Context) -> tuple[Decimal, Decimal]:
+    """lo <= ln(a/b) <= hi for ints a >= b >= 1, at the contexts' precision P.
+
+    A term past 4P bits is cut to its leading 4P bits t, t*2^s <= x < (t+1)*2^s
+    with 1/t < 10^-P, so the cost does not grow with it.  ``ln`` rounds
+    correctly, so the neighbours of its result bracket it; with (s_a - s_b)*ln(2)
+    added, a slack of 10^(2-P) covers the cuts and the quotient's rounding down."""
+    prec = floor.prec
+    sa, sb = (max(0, x.bit_length() - 4 * prec) for x in (a, b))
+    y = floor.divide(Decimal(a >> sa), Decimal(b >> sb)).ln(floor)
+    slack = ceiling.scaleb(1, 2 - prec)
+    lo, hi = floor.subtract(floor.next_minus(y), slack), ceiling.add(ceiling.next_plus(y), slack)
+    if sa > sb:  # a >= b, so sa >= sb
+        ln2 = Decimal(2).ln(floor)
+        lo = floor.add(lo, floor.multiply(sa - sb, floor.next_minus(ln2)))
+        hi = ceiling.add(hi, ceiling.multiply(sa - sb, ceiling.next_plus(ln2)))
+    return lo, hi
+
+
 def max_bound_prob(cfg: SystemConfig, sigma: Fraction) -> int:
     """Age bound holding per read with probability at least sigma.
 
-    Returns B' + N' - n + K + n_period * m with m the smallest integer such
-    that (1-p)^(m+1) <= 1 - sigma, decided by exact rational comparison.
-    m + 1 is estimated as log(1 - sigma) / log(1 - p) and then confirmed (or
-    stepped) by exact integer powers, so the cost grows with the digits of
-    (1-p)^(m+1), not with m steps.
+    Returns B' + N' - n + K + n_period * (k - 1), k the least integer with
+    (1-p)^k <= 1 - sigma: with p = u/v, w = v - u and 1 - sigma = r_n/r_d,
+    the least integer k >= L = ln(r_d/r_n) / ln(v/w).  Both logarithms bound
+    L at P digits, with directed rounding; a bracket without an integer
+    decides k.  Its one integer m is checked once for L == m, which holds
+    only if v^m = r_d and w^m = r_n (integers under r_d^2), as both fractions
+    are in lowest terms.  Else P doubles, up to ``_MAX_LOG_DIGITS``.  So the
+    cost follows the digits of p, sigma and k, not k itself.
     """
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise ValueError(f"sigma must be in (0, 1), got {_fraction_text(sigma)}")
-    d = cfg.d
     base = max_bound_lossless(cfg)
     p = cfg.p
     if p >= sigma:  # one transmission already leaves 1 - p <= 1 - sigma; p == 1 too
         return base
     u, v = p.numerator, p.denominator
     w = v - u
-    rn, rd = (1 - sigma).numerator, (1 - sigma).denominator
-    # k = m + 1; a p below float range estimates k by sigma/p, its small-p limit
-    neg_log_q = _neg_log1m(p)
-    if neg_log_q:
-        est = _neg_log1m(sigma) / neg_log_q
-    else:
-        est = float(sigma / p) if sigma < p * _MAX_POWER_DIGITS else math.inf
-    digits = est * math.log10(v)
-    if not digits <= _MAX_POWER_DIGITS:
-        # both sizes in logs, where a float of them may overflow
-        log_est = _log10_neg_log1m(sigma) - _log10_neg_log1m(p)
-        raise ValueError(
-            f"sigma = {_fraction_text(sigma)} at p = {_fraction_text(p)} needs a run of about "
-            f"{_e_notation(log_est)} failed transmissions; deciding it exactly takes integers "
-            f"of about {_e_notation(log_est + math.log10(math.log10(v)))} digits, over the cap "
-            f"of {_MAX_POWER_DIGITS} (about 0.65 s)"
-        )
-    k = max(2, math.ceil(est))
-    wk, vk = pow(w, k), pow(v, k)
-    while wk * rd > rn * vk:  # (1-p)^k > 1 - sigma: step up
-        k += 1
-        wk, vk = wk * w, vk * v
-    while k > 2 and wk * rd * v <= rn * vk * w:  # (1-p)^(k-1) fits too: step down
-        k -= 1
-        wk, vk = wk // w, vk // v
-    return base + d.n_period * (k - 1)
+    rn, rd = (1 - sigma).as_integer_ratio()
+    # in bits, the slack costs about log2(1/p) of ln(v/w) ~ p and log2(1/sigma)
+    # of ln(r_d/r_n) ~ sigma, and L has up to log2(ln(r_d)/p) before the point
+    prec = 12 + (2 * (v // u).bit_length() - (sigma.denominator // sigma.numerator).bit_length()
+                 + rd.bit_length().bit_length()) * 3 // 10
+    m = None  # the one integer of the last bracket that held one
+    while prec <= _MAX_LOG_DIGITS:
+        floor, ceiling = Context(prec, ROUND_FLOOR), Context(prec, ROUND_CEILING)
+        (n_lo, n_hi), (d_lo, d_hi) = (_ln_bounds(*x, floor, ceiling) for x in ((rd, rn), (v, w)))
+        lo, hi = floor.divide(n_lo, d_hi), ceiling.divide(n_hi, d_lo)  # n_lo, d_lo > 0
+        k = lo.to_integral_value(ROUND_CEILING)
+        if k > hi:
+            return base + cfg.d.n_period * (int(k) - 1)
+        if k == hi.to_integral_value(ROUND_FLOOR) != m:
+            m = int(k)
+            if m * (v.bit_length() - 1) < rd.bit_length() and v**m == rd and w**m == rn:
+                return base + cfg.d.n_period * (m - 1)
+        prec *= 2
+    raise ValueError(
+        f"sigma = {_fraction_text(sigma)} at p = {_fraction_text(p)} needs logarithms to "
+        + (f"over {_MAX_LOG_DIGITS} digits, the cap (about 0.1 s): 1 - sigma is too near "
+           f"(1-p)^{m} to tell at {prec // 2}" if m else
+           f"about {prec} digits, over the cap of {_MAX_LOG_DIGITS} (about 0.1 s)")
+    )

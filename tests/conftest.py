@@ -12,13 +12,17 @@ config.  The sweep fold oracle stitches ``sweep._eval_chunk`` rows onto the
 factor tuples in one Python loop and sums each mean left to right, as the
 sum oracle adds floats one ``+=`` at a time.  The trace CSV oracle formats one row at a time with
 f-strings; ``stream_of`` and ``whole_trace`` turn a whole ``Trace`` into a
-one-block ``TraceStream``, which ``write_trace_csv`` takes, and back.  The
+one-block ``TraceStream``, which ``write_trace_csv`` takes, and back, and
+``assert_same_text`` compares two CSVs and names the first line that
+differs.  The
 period sum oracle reads every age of the hyperperiod with int64 numpy
 arrays.  The analyze report oracle writes each progression as a dict
 through ``json.dumps(indent=2)``.  The age oracle evaluates one read at a
 time, and the progression start oracle one (i, j) at a time, with ``%``
 and a ceiling division on Python ints.  The geometric sum oracle is
-Horner's rule, one term at a time.
+Horner's rule, one term at a time.  The probabilistic max bound oracle
+steps the failure run up one exact power at a time, and ``ln_bracket``
+bounds a logarithm by atanh series in exact rationals.
 
 ``ArithmeticProgression`` lists one progression <start, step, count> of a
 family, for tests that need the progressions as objects.  The residue
@@ -32,6 +36,7 @@ the test that leaves one, a sweep's forked worker above all.
 
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +83,16 @@ def no_child_left():
     except ChildProcessError:  # no child, running or ended
         return
     pytest.fail(f"the test left a child process{f' (pid {pid})' if pid else ''}")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int<->str limit of 4,300 digits, whatever the
+    environment set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 _GOLD = 0x9E3779B97F4A7C15
@@ -275,6 +290,18 @@ def naive_trace_csv(trace) -> str:
     return "".join(out)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``; where they differ, the failure names their first line
+    that differs instead of diffing both whole (a trace CSV can hold 10^6
+    bytes, and the diff takes minutes)."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    pytest.fail(f"texts differ at line {i + 1} of {len(a)} and {len(b)}: "
+                f"got {a[i:i + 1]!r}, want {b[i:i + 1]!r}", pytrace=False)
+
+
 def stream_of(trace) -> TraceStream:
     """A whole trace as a stream of one block."""
     return TraceStream(trace.a_period, trace.cycles, [(0, trace.ages, trace.fails)])
@@ -398,6 +425,27 @@ def series_expectation_ref(cfg, tol):
         tail = series_tail_ref(cfg, L)
         if tail < tol:
             return value, tail
+
+
+def ln_bracket(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
+    """lo <= ln(x) <= hi, hi - lo < 10^-digits, for a rational x >= 1, from series.
+
+    ln(x) = j*ln(2) + ln(r) with r = x/2^j in [1, 2), and each logarithm is
+    2*atanh(y) = 2*sum_i y^(2i+1)/(2i+1), y = (r-1)/(r+1) (1/3 for ln(2)),
+    whose rest from term i on is under y^(2i+1)/(1 - y^2).
+    """
+    j = (x.numerator // x.denominator).bit_length() - 1
+    r = x / 2**j
+    lo = hi = Fraction(0)
+    for y, times in ((Fraction(1, 3), j), ((r - 1) / (r + 1), 1)):
+        if not times:
+            continue
+        total, i = Fraction(0), 0
+        while (rest := y ** (2 * i + 1) / (1 - y * y)) * 4 * times * 10**digits >= 1:
+            total += y ** (2 * i + 1) / (2 * i + 1)
+            i += 1
+        lo, hi = lo + 2 * times * total, hi + 2 * times * (total + rest)
+    return lo, hi
 
 
 def max_bound_prob_ref(cfg, sigma):

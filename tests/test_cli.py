@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from conftest import age_ref, naive_report_json, stream_of, whole_trace
+from conftest import age_ref, assert_same_text, naive_report_json, stream_of, whole_trace
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -78,6 +79,11 @@ def _expanded(self):
 
 def _flag_id(flag):
     return f"{flag[0][2:]}={flag[1]}"
+
+
+def _limit_set(maxdigits):
+    """Stands in for ``sys.set_int_max_str_digits``, which no call may make."""
+    raise AssertionError(f"the int<->str digit limit was set to {maxdigits}")
 
 
 @contextlib.contextmanager
@@ -179,7 +185,7 @@ class TestAnalyze:
             + (1 - cfg.p) / cfg.p * cfg.d.n_period
         )
 
-    def test_extended_value_past_int_str_limit(self, capsys):
+    def test_extended_value_past_int_str_limit(self, capsys, default_digit_limit):
         # b = 10^4 at p = 1/10: the exact value has about 10^4 digits
         periods = ["--a-period", "30000", "--b-period", "70000", "--n-period", "11"]
         code, out, _ = run(capsys, "analyze", *periods, "--model", "extended", "--p", "1/10")
@@ -259,10 +265,11 @@ class TestAnalyze:
         (["analyze", "--a-period", "4", "--b-period", "6", "--n-period", "2"], 2),
         (["analyze", *FIG, "--p", "zero"], 2),  # a usage error from parse_args
     ])
-    def test_int_str_limit_restored(self, capsys, argv, code):
-        # main lifts the limit for its own call; the caller's guard stays
+    def test_int_str_limit_restored(self, capsys, monkeypatch, argv, code):
+        # main never touches the limit: the caller's guard stays
         limit = sys.get_int_max_str_digits()
         assert limit != 0
+        monkeypatch.setattr(sys, "set_int_max_str_digits", _limit_set)
         try:
             got = main(argv)
         except SystemExit as exc:
@@ -270,10 +277,10 @@ class TestAnalyze:
         assert got == code
         assert sys.get_int_max_str_digits() == limit
 
-    def test_int_str_limit_restored_after_concurrent_calls(self, capsys):
-        # calls that overlap share the one limit: a second call in must not
-        # save the first call's lifted limit and restore that on its way out
+    def test_int_str_limit_restored_after_concurrent_calls(self, capsys, monkeypatch):
+        # calls that overlap share the one limit, and none of them sets it
         limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(sys, "set_int_max_str_digits", _limit_set)
         argv = ["analyze", "--a-period", "3", "--b-period", "4", "--n-period", "5"]
         codes = []
 
@@ -293,6 +300,33 @@ class TestAnalyze:
         assert not any(t.is_alive() for t in threads)
         assert codes == [0] * 400
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", *FIG, "--model", "extended", "--p", "1/1" + "0" * 4999],
+        ["analyze", *FIG, "--model", "extended", "--sigma", "9" * 4999 + "/1" + "0" * 4999],
+        ["analyze", *FIG, "--model", "extended", "--p", "0." + "0" * 4999 + "1"],
+        ["sweep", "--grid", "g.json", "--out", "o", "--bin-width", "1/1" + "0" * 4999],
+        ["analyze", "--a-period", "1" + "0" * 4999, "--b-period", "7", "--n-period", "11"],
+        ["sweep", "--grid", "g.json", "--out", "o", "--jobs", "9" * 5000],
+    ], ids=["p", "sigma", "p-decimal", "bin-width", "a-period", "jobs"])
+    def test_term_past_int_str_limit_refused(self, capsys, default_digit_limit, argv):
+        # each numeric flag reads its terms through int(), under the
+        # interpreter's limit; the refusal says so without echoing 5,000 digits
+        code, _, err = run_usage(capsys, argv)
+        assert code == 2
+        assert ("a term of 5000 digits is past the interpreter's limit of 4300 digits "
+                "for int<->str conversion") in err
+        assert "00000" not in err and len(err) < 1000
+
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--a-period", "x", "invalid int value: 'x'"),
+        ("--p", "zero", "not a rational number: 'zero'"),
+    ])
+    def test_malformed_number_refused_as_argparse_words_it(self, capsys, flag, value, want):
+        argv = ["analyze", *FIG, "--model", "extended", flag, value]
+        code, _, err = run_usage(capsys, argv)
+        assert code == 2
+        assert err.endswith(f"error: argument {flag}: {want}\n")
 
     def test_common_divisor_rejected(self, capsys):
         code, _, err = run(
@@ -324,6 +358,50 @@ class TestAnalyze:
         assert report["rel_error_bound"] is None
         assert "identically zero" in report["rel_error_note"]
         assert report["expected_exact"] == "0/1"
+
+
+# ints around the printer's switch from str() at _STR_BITS, around the lowest
+# digit limit CPython admits (640) and around the default one (4,300), signed
+_EDGES = {f"{sign}{name}": int(sign + "1") * n for sign in "+-" for name, n in [
+    *((f"10^{k}{d:+d}", 10**k + d) for k in (632, 633, 639, 640, 4299, 4300) for d in (-1, 0)),
+    *((f"2^2100{d:+d}", 2**2100 + d) for d in (-1, 0, 1)),
+]}
+
+
+class TestIntText:
+    """``cli._int_text`` writes each int as ``str()`` does with the limit lifted."""
+
+    @pytest.mark.parametrize("n", [0, 1, -1, 10**4, -(2**64)])
+    def test_small(self, n):
+        assert aoiclock.cli._int_text(n) == str(n)
+
+    @pytest.mark.parametrize("name", sorted(_EDGES))
+    def test_around_the_threshold(self, name):
+        n = _EDGES[name]
+        got = aoiclock.cli._int_text(n)
+        with _no_int_str_limit():
+            assert got == str(n)
+
+    def test_under_the_lowest_limit(self):
+        # the caller's limit is the caller's: at 640 digits, the least that
+        # CPython admits, a 4,000-digit int is still written
+        n = random.Random(4000).randrange(10**3999, 10**4000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = aoiclock.cli._int_text(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with _no_int_str_limit():
+            assert got == str(n)
+
+    @pytest.mark.parametrize("digits", [641, 4301, 20_000, 100_000])
+    def test_random(self, digits):
+        rng = random.Random(digits)
+        for n in (rng.randrange(10 ** (digits - 1), 10**digits), -rng.randrange(10**digits)):
+            got = aoiclock.cli._int_text(n)
+            with _no_int_str_limit():
+                assert got == str(n)
 
 
 class TestSimulate:
@@ -472,7 +550,7 @@ class TestStreamedSimulate:
         code, stdout, err = run(capsys, "simulate", *argv, "--cycles", str(cycles),
                                 "--out", str(path) if out == "file" else "-")
         assert code == 0
-        assert (path.read_text() if out == "file" else stdout) == buf.getvalue()
+        assert_same_text(path.read_text() if out == "file" else stdout, buf.getvalue())
         assert err == _summary(trace)
 
     def test_run_without_a_delivery(self, capsys):
@@ -658,6 +736,29 @@ class TestVerify:
             in out.splitlines()
         )
         assert out.endswith("1 check(s) failed: trace_bridge_identity\n")
+
+    # (30000, 70000, 11) at p = 1/10: a hyperperiod of 77 reads, b = 10^4, and
+    # an exact mean whose terms have about 10^4 digits, past the int<->str limit
+    BIG_MEAN = ["--model", "extended", "--a-period", "30000", "--b-period", "70000",
+                "--n-period", "11", "--p", "1/10"]
+
+    def test_exact_mean_past_int_str_limit_passes(self, capsys, default_digit_limit):
+        code, out, _ = run(capsys, "verify", *self.BIG_MEAN)
+        assert (code, "FAIL" in out) == (0, False)
+        assert "check band_membership: PASS" in out.splitlines()
+
+    def test_band_failure_writes_the_whole_exact_mean(self, capsys, monkeypatch,
+                                                       default_digit_limit):
+        monkeypatch.setattr(aoiclock.cli, "expected_approx_extended",
+                            lambda cfg: aoiclock.basic.BandedValue(Fraction(-1, 2), Fraction(1, 3)))
+        code, out, _ = run(capsys, "verify", *self.BIG_MEAN)
+        cfg = aoiclock.extended.SystemConfig(decompose(30000, 70000, 11), p=Fraction(1, 10))
+        exact = aoiclock.extended.expected_exact_extended(cfg).value
+        with _no_int_str_limit():
+            want = f"check band_membership: FAIL (exact={exact} band=[-5/6, -1/6])"
+        assert len(want) > 2 * 4300
+        assert code == 1
+        assert want in out.splitlines()
 
     # (1, 9, 8) at shifts (60, 45): a warm-up of 62 reads at p = 1 and of 86 at
     # p = 1/5 (seed 9), over eight or more blocks of 8

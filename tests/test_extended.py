@@ -1,6 +1,6 @@
-import sys
 from collections import Counter
 from dataclasses import replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -22,10 +22,18 @@ from aoiclock.extended import (
 )
 from aoiclock.simulate import bernoulli_threshold
 
-from conftest import max_bound_prob_ref, progressions, series_expectation_ref, series_tail_ref
+from conftest import (
+    ln_bracket,
+    max_bound_prob_ref,
+    progressions,
+    series_expectation_ref,
+    series_tail_ref,
+)
 
 REFERENCE = decompose(34, 7, 10)
 REF_CFG = SystemConfig(REFERENCE)
+# at p = 1/2, 1 - sigma just below (1-p)^10: k = 11
+NEAR_TIE = 1 - Fraction(1, 2**10) * (1 - Fraction(1, 10**30))
 
 
 class Half(Fraction):
@@ -309,6 +317,7 @@ class TestMaxBound:
     @example(REF_CFG, (1, 3), -5)
     @example(REF_CFG, (9, 10), -3)
     @example(REF_CFG, (7, 7), Fraction(99, 100))
+    @example(REF_CFG, (1, 2), NEAR_TIE)  # decided only after a doubling
     def test_matches_linear_scan(self, cfg, uv, sigma):
         # a negative sigma draw -k stands for 1 - (1-p)^k, the threshold hit
         # exactly at m = k - 1
@@ -320,60 +329,109 @@ class TestMaxBound:
                 return
         assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma)
 
-    def test_exact_powers_over_cap_rejected_up_front(self, monkeypatch):
-        def powers_built(*args):
-            raise AssertionError("exact powers built")
+    @given(
+        st.integers(2, 10**30).flatmap(lambda v: st.tuples(st.integers(1, v - 1), st.just(v))),
+        st.integers(2, 30),
+        st.integers(0, 60),
+        st.sampled_from([-1, 0, 1]),
+    )
+    def test_near_boundaries_match_linear_scan(self, uv, k, j, side):
+        # 1 - sigma = (1-p)^k * (1 + side * p * 10^-j): on a boundary, or
+        # L = -log(1 - sigma) / -log(1 - p) about 10^-j either side of one,
+        # where the logarithms' precision has to double
+        cfg = SystemConfig(REFERENCE, p=Fraction(*uv))
+        sigma = 1 - (1 - cfg.p) ** k * (1 + side * cfg.p / 10**j)
+        if not 0 < sigma < 1:
+            return
+        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma)
 
-        # the module's pow() resolves through its globals before the builtins
-        monkeypatch.setattr(extended, "pow", powers_built, raising=False)
-        cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**6))
-        with pytest.raises(ValueError, match="digits, over the cap"):
+    @given(st.integers(1, 10**120), st.integers(1, 10**120), st.integers(12, 40))
+    @example(2**400, 1, 15)  # ln(a/b) = 277.2..., whose last digit's place is 10^(3-P)
+    @example(10**400 + 1, 10**400, 12)
+    @example(3**700 + 1, 7, 20)  # a cut to its leading 4P bits
+    def test_ln_bounds_bracket_the_logarithm(self, a, b, prec):
+        a, b = max(a, b), min(a, b)
+        floor, ceiling = Context(prec, ROUND_FLOOR), Context(prec, ROUND_CEILING)
+        lo, hi = extended._ln_bounds(a, b, floor, ceiling)
+        want_lo, want_hi = ln_bracket(Fraction(a, b), prec + 10)
+        assert Fraction(lo) <= want_lo and want_hi <= Fraction(hi)
+        assert hi - lo < Fraction(1, 10 ** (prec - 4)) * max(1, want_hi)
+
+    def test_near_tie_doubles_the_precision(self, monkeypatch):
+        # 1 - sigma is 10^-30 of itself below (1-p)^10, so k = 11
+        cfg, sigma = SystemConfig(REFERENCE, p="1/2"), NEAR_TIE
+        precs = []
+        real = extended._ln_bounds
+
+        def spy(a, b, floor, ceiling):
+            precs.append(floor.prec)
+            return real(a, b, floor, ceiling)
+
+        monkeypatch.setattr(extended, "_ln_bounds", spy)
+        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 18 + 10 * 10
+        assert len(set(precs)) >= 2
+
+    def test_near_tie_past_the_cap_refused(self):
+        # 1 - sigma differs from (1-p)^10 in its 3,000th digit
+        cfg = SystemConfig(REFERENCE, p="1/2")
+        sigma = 1 - Fraction(1, 2**10) * (1 + Fraction(1, 10**3000))
+        with pytest.raises(ValueError) as exc:
+            max_bound_prob(cfg, sigma)
+        assert str(exc.value) == (
+            "sigma = 1 - 9.77e-04 at p = 1/2 needs logarithms to over 1024 digits, the cap "
+            "(about 0.1 s): 1 - sigma is too near (1-p)^10 to tell at 544"
+        )
+
+    def test_logarithms_over_cap_rejected_up_front(self, monkeypatch):
+        def logarithms_taken(*args):
+            raise AssertionError("logarithms taken")
+
+        monkeypatch.setattr(extended, "_ln_bounds", logarithms_taken)
+        cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**600))
+        with pytest.raises(ValueError, match=r"needs logarithms to about 1209 digits, over the "
+                           r"cap of 1024 \(about 0.1 s\)$"):
             max_bound_prob(cfg, Fraction(99, 100))
 
     def test_p_below_float_range(self):
-        # float(p) is 0.0, so m + 1 is estimated as sigma/p = 2, and stepped up to 3
+        # float(p) is 0.0, and L is just over 2
         cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 10**400))
         sigma = Fraction(2, 10**400)
         assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 37
 
-    def test_p_below_float_range_over_cap_rejected_up_front(self, monkeypatch):
-        def powers_built(*args):
-            raise AssertionError("exact powers built")
+    @pytest.mark.parametrize("p, sigma, digits, k", [
+        # (1/10^5, 999/1000): about 3.5*10^6 digits for each exact power
+        (Fraction(1, 10**5), Fraction(999, 1000), 30, 690_773),
+        (Fraction(1, 10**40), Fraction(99, 100), 100, 46051701859880913680359829093687284152020),
+        # -log(1/2) * 10^400 transmissions
+        (Fraction(1, 10**400), Fraction(1, 2), 850, None),
+    ], ids=["1e-5", "1e-40", "1e-400"])
+    def test_small_p_against_the_series(self, p, sigma, digits, k):
+        n_lo, n_hi = ln_bracket(1 / (1 - sigma), digits)
+        d_lo, d_hi = ln_bracket(1 / (1 - p), digits)
+        want = ceil(n_lo / d_hi)
+        assert n_hi / d_lo <= want  # the series decide k = want
+        assert k in (None, want)
+        cfg = SystemConfig(REFERENCE, p=p)
+        assert max_bound_prob(cfg, sigma) == 18 + 10 * (want - 1)
 
-        monkeypatch.setattr(extended, "pow", powers_built, raising=False)
-        cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 10**400))
-        # -log(1/2) * 10^400 transmissions, of 400 digits each
-        with pytest.raises(ValueError, match=r"about 6\.93e\+399 failed transmissions; deciding "
-                           r"it exactly takes integers of about 2\.77e\+402 digits, over the cap"):
-            max_bound_prob(cfg, Fraction(1, 2))
-
-    def test_refusal_writes_no_big_int(self):
-        # sigma's terms have 10^6 + 1 digits, past str()'s default limit of
-        # 4,300; the refusal writes 1 - sigma to three digits instead
+    def test_sigma_past_digit_limit_decided(self, default_digit_limit):
+        # 1 - sigma = 10^-10^6: k is the least integer >= 10^6 * ln(10) / ln(3/2)
         cfg, sigma = SystemConfig(REFERENCE, p=Fraction(1, 3)), 1 - Fraction(1, 10 ** (10**6))
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            with pytest.raises(ValueError) as exc:
-                max_bound_prob(cfg, sigma)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert str(exc.value) == (
-            "sigma = 1 - 1.00e-1000000 at p = 1/3 needs a run of about 5.68e+06 failed "
-            "transmissions; deciding it exactly takes integers of about 2.71e+06 digits, "
-            "over the cap of 1000000 (about 0.65 s)"
-        )
+        n_lo, n_hi = ln_bracket(Fraction(10), 30)
+        d_lo, d_hi = ln_bracket(Fraction(3, 2), 30)
+        assert 5_678_873 < 10**6 * n_lo / d_hi and 10**6 * n_hi / d_lo <= 5_678_874
+        assert max_bound_prob(cfg, sigma) == 18 + 10 * (5_678_874 - 1)
 
-    @pytest.mark.parametrize("scale", [0.5, 2.0])
-    def test_estimate_off_by_a_factor_is_stepped(self, monkeypatch, scale):
-        # a halved estimate of m + 1 is stepped up, a doubled one down
-        cfg = SystemConfig(REFERENCE, 3, 5, Fraction(1, 7))
-        sigma = Fraction(99, 100)
-        real = extended._neg_log1m
-        monkeypatch.setattr(
-            extended, "_neg_log1m", lambda x: real(x) * (scale if x == sigma else 1)
+    def test_refusal_writes_no_big_int(self, default_digit_limit):
+        # sigma's terms have 5,001 digits, past str()'s default limit of
+        # 4,300; the refusal writes 1 - sigma and p to three digits instead
+        cfg, sigma = SystemConfig(REFERENCE, p=Fraction(1, 10**600)), 1 - Fraction(1, 10**5000)
+        with pytest.raises(ValueError) as exc:
+            max_bound_prob(cfg, sigma)
+        assert str(exc.value) == (
+            "sigma = 1 - 1.00e-5000 at p = 1.00e-600 needs logarithms to about 1212 digits, "
+            "over the cap of 1024 (about 0.1 s)"
         )
-        assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 307
 
     def test_sigma_range(self):
         with pytest.raises(ValueError):
@@ -396,16 +454,6 @@ class TestMaxBound:
                 break
             l += 1
         assert mass >= sigma
-
-
-@pytest.fixture
-def default_digit_limit():
-    """CPython's default int->str limit of 4,300 digits, for library callers
-    outside ``cli.main``."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 # 1 + 10^-5000: both terms pass the digit limit

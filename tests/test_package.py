@@ -1,7 +1,8 @@
 """The package namespace re-exports every public name of its submodules, and no more
 than the pinned list; no module imports a name it leaves unused, no private
-helper is left that the package never reads, and no public name is left that
-neither the package nor the benchmark reads."""
+helper is left that the package never reads, no public name is left that
+neither the package nor the benchmark reads, and no module sets the
+interpreter's int<->str digit limit."""
 
 import ast
 import importlib
@@ -185,3 +186,33 @@ def test_unread_public_check_sees_a_leftover():
         "bench": ast.parse("import m\nm.Cls\ndef run(): return m.used()\n"),
     }
     assert _unread_public(["used", "left", "rec", "Cls"], trees) == ["left", "rec"]
+
+
+_LIMIT_SETTER = "set_int_max_str_digits"
+
+
+def _limit_setters(tree: ast.Module) -> list[int]:
+    """The lines that name ``sys.set_int_max_str_digits``: a call, an attribute or an import."""
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id == _LIMIT_SETTER
+        or isinstance(n, ast.Attribute) and n.attr == _LIMIT_SETTER
+        or isinstance(n, ast.alias) and n.name == _LIMIT_SETTER
+    )
+
+
+# the limit is the whole process's, so the library writes big ints without it
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_sets_the_int_str_digit_limit(path):
+    assert _limit_setters(ast.parse(path.read_text())) == []
+
+
+def test_digit_limit_check_sees_a_setter():
+    tree = ast.parse(
+        "import sys\n"
+        "sys.get_int_max_str_digits()\n"
+        "sys.set_int_max_str_digits(0)\n"
+        "from sys import set_int_max_str_digits\n"
+        "setter = sys.set_int_max_str_digits\n"
+    )
+    assert _limit_setters(tree) == [3, 4, 5]

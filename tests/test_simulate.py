@@ -24,7 +24,14 @@ from aoiclock.simulate import (
     write_trace_csv,
 )
 
-from conftest import age_ref, naive_basic_ages, naive_trace_csv, stream_of, whole_trace
+from conftest import (
+    age_ref,
+    assert_same_text,
+    naive_basic_ages,
+    naive_trace_csv,
+    stream_of,
+    whole_trace,
+)
 
 REFERENCE = decompose(34, 7, 10)
 
@@ -301,13 +308,14 @@ class TestTraceCsvOracle:
         fails = np.array([-1 if r is None else r[1] for r in rows], dtype=np.int64)
         trace = Trace(a_period, ages, fails)
         with mock.patch.object(simulate, "_CSV_ROWS", block):
-            assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+            assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
 
     @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64))
     def test_simulator_traces(self, cfg, seed, cycles, block):
         trace = simulate_extended(cfg, cycles, RngSpec(seed))
         with mock.patch.object(simulate, "_CSV_ROWS", block):
-            assert _csv(stream_extended(cfg, cycles, RngSpec(seed))) == naive_trace_csv(trace)
+            assert_same_text(_csv(stream_extended(cfg, cycles, RngSpec(seed))),
+                             naive_trace_csv(trace))
 
     @given(_LOSSY, st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 64),
            st.integers(1, 64))
@@ -318,7 +326,7 @@ class TestTraceCsvOracle:
         with mock.patch.object(simulate, "_CSV_ROWS", block), \
                 mock.patch.object(kernels, "_CHUNK", chunk):
             stream = stream_extended(cfg, cycles, RngSpec(seed))
-            assert _csv(stream) == _csv(stream_of(whole))
+            assert_same_text(_csv(stream), _csv(stream_of(whole)))
         warm = whole.warmup_cycles
         defined = whole.ages[warm:]
         assert (stream.cycles, stream.warmup_cycles) == (whole.cycles, warm)
@@ -341,7 +349,7 @@ class TestTraceCsvOracle:
             # 28 hyperperiods of 35 reads, whose ages average 7
             stream = stream_basic(REFERENCE, 980)
             whole = Trace(34, np.array(naive_basic_ages(34, 7, 10, 980)), np.zeros(980, np.int64))
-            assert _csv(stream) == naive_trace_csv(whole)
+            assert_same_text(_csv(stream), naive_trace_csv(whole))
         assert (stream.warmup_cycles, stream.age_sum, stream.age_max) == (0, 7 * 980, 14)
 
     @pytest.mark.parametrize("cycles", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
@@ -350,19 +358,19 @@ class TestTraceCsvOracle:
         cfg = SystemConfig(decompose(1, 9, 8), 30, 30, "1/5")
         lossy = simulate_extended(cfg, cycles, RngSpec(9))
         for trace in (lossy, whole_trace(stream_basic(REFERENCE, cycles))):
-            assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+            assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
 
     def test_warmup_longer_than_a_block(self):
         trace = simulate_extended(_LONG_WARMUP, 50_010, RngSpec(1))
         assert trace.warmup_cycles == 50_001
-        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+        assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
 
     @pytest.mark.parametrize("cycles", [1, 20])
     def test_all_warmup(self, cycles):
         trace = simulate_extended(_LONG_WARMUP, cycles, RngSpec(1))
         assert trace.warmup_cycles == cycles
         text = _csv(stream_of(trace))
-        assert text == naive_trace_csv(trace)
+        assert_same_text(text, naive_trace_csv(trace))
         assert text.count(",,\n") == cycles
 
     def test_slot_column_reaching_2_63_refused(self):
@@ -372,7 +380,7 @@ class TestTraceCsvOracle:
         fails = np.where(ages >= 0, ages % 1000, -1)
         # four rows end at slot 3*A', so their one block is written whole
         trace = Trace(a_period, ages[:4], fails[:4])
-        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+        assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
         with pytest.raises(ValueError, match=f"got period {a_period}, slot {4 * a_period}$"):
             _csv(stream_of(Trace(a_period, ages, fails)))
 
@@ -381,7 +389,7 @@ class TestTraceCsvOracle:
         # l change width from row to row
         k = np.arange(1200, dtype=np.int64)
         trace = Trace(997, 10 ** (k % 19) - k % 2, (k * k) % 10**(k % 7 + 1))
-        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+        assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
 
     def test_negative_value_in_a_defined_row_rejected(self):
         trace = Trace(1, np.array([0, 5], dtype=np.int64), np.array([0, -2], dtype=np.int64))
@@ -392,4 +400,4 @@ class TestTraceCsvOracle:
     def test_slots_past_2_40(self, a_period):
         trace = whole_trace(stream_basic(decompose(a_period, 2, 3), 2_000))
         assert (trace.cycles - 1) * a_period > 2**40
-        assert _csv(stream_of(trace)) == naive_trace_csv(trace)
+        assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
