@@ -12,14 +12,10 @@ import argparse
 import contextlib
 import functools
 import json
-import re
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, kernels
+from . import __version__, kernels, verify
 from .basic import (
     ConfigError,
     NullSequenceError,
@@ -29,10 +25,11 @@ from .basic import (
     expected_exact_basic,
     max_bound_basic,
     rel_error_bound_basic,
-    sequence_basic,
 )
 from .extended import (
     SystemConfig,
+    _past_digit_limit,
+    _rat,
     distribution_conditional,
     expected_approx_extended,
     expected_exact_extended,
@@ -40,67 +37,22 @@ from .extended import (
     max_bound_lossless,
     max_bound_prob,
     rel_error_bound_extended,
-    sequence_conditional,
 )
 from .simulate import RngSpec, stream_basic, stream_extended, write_trace_csv
 from .sweep import SweepGrid, run_sweep, write_outputs
 
-# verify's family checks expand and sort whole hyperperiods, about 32 bytes
-# per read; its trace checks stream the simulated run block by block, in
-# memory that does not grow with --cycles.  At 1.97*10^6 reads, periods
-# (7, 1399, 1409), the basic checks peak at 91 MB in 0.64 s and the extended
-# ones (p = 1/2, seed 1) at 92 MB in 0.93 s on a 2-core Xeon host (the
-# child's peak RSS from rusage; median of three wall times, start-up included).
-_MAX_VERIFY_READS = 2 * 10**6
-
 
 def _number(parse, refusal: str, text: str):
-    """A flag's ``parse(text)``; a term past the interpreter's int<->str digit limit
-    (Python 3.11+), which ``int()`` refuses, is refused by its size, not its digits."""
+    """A flag's ``parse(text)``; a term past the int<->str digit limit is refused by its size."""
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
-        if 0 < limit < digits:
-            raise argparse.ArgumentTypeError(f"a term of {digits} digits is past the interpreter's "
-                                             f"limit of {limit} digits for int<->str conversion")
-        raise argparse.ArgumentTypeError(f"{refusal}: {text!r}") from exc
+        why = _past_digit_limit(text) or f"{refusal}: {text!r}"
+        raise argparse.ArgumentTypeError(why) from exc
 
 
 _int = functools.partial(_number, int, "invalid int value")
 _fraction = functools.partial(_number, Fraction, "not a rational number")
-
-
-# str() writes up to this many bits (632 digits), under any digit limit CPython admits
-_STR_BITS = 2_100
-
-
-def _int_text(n: int) -> str:
-    """``str(n)``, past the digit limit too: a longer n is rebuilt as an exact
-    Decimal from halves of its bits, hi * 2^h + lo, in a local context, as in
-    CPython 3.12's ``_pylong``: Decimal products, not ``str()``'s quadratic loop."""
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
-    power = functools.cache(lambda h: Decimal(2) ** h)
-
-    def exact(x: int, bits: int) -> Decimal:  # 0 <= x < 2^bits
-        if bits <= 128:
-            return Decimal(x)
-        h = bits // 2
-        return exact(x & (1 << h) - 1, h) + exact(x >> h, bits - h) * power(h)
-
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
-        return ("-" if n < 0 else "") + str(exact(abs(n), n.bit_length()))
-
-
-def _rat(x: Fraction) -> str:
-    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
-
-
-def _text(x: Fraction) -> str:
-    """``str(x)``: n, or n/d."""
-    return _rat(x) if x.denominator != 1 else _int_text(x.numerator)
 
 
 def _exact(name: str, x: Fraction) -> dict:
@@ -252,143 +204,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_family(failures: list[str], name: str, dist, seq, where: str = "") -> None:
-    """The closed-form family and the directly evaluated reads as multisets,
-    compared as sorted arrays; the detail names the first position that differs."""
-    closed, direct = dist.to_sorted_array(), np.sort(seq)
-    bad = np.flatnonzero(closed != direct)
-    _check(failures, name, not len(bad), lambda: f"{where}first mismatch at sorted position "
-           f"{bad[0]}: closed={closed[bad[0]]} direct={direct[bad[0]]}")
-
-
-def _check_trace(failures: list[str], checks, stream, shape, skip_warmup: bool = True) -> None:
-    """The streamed reads, block by block, against each ``(name, formula,
-    detail)`` check of ``checks``: ``formula(k0, fails)`` is the closed
-    form's reads k0, k0 + 1, ... at the reads' failure counts.
-
-    The run is streamed once for all the checks.  The warm-up prefix is
-    skipped unless ``skip_warmup`` is false, and a block with no read left
-    runs no check.  Each check stops at its first read that differs, and its
-    ``detail`` is formatted with that read's ``k``, ``l``, ``sim`` and
-    ``model``; the stream stops once every check has failed.  Each block
-    passes the sequence kernels' guard for the periods and shifts ``shape``
-    first.  The checks print in their order.
-    """
-    found = {}  # name -> the detail of its first mismatch
-    for k0, ages, fails in stream.blocks():
-        # the stream's warm-up is final once a block holds a defined read,
-        # and the run's length before then, so every block of it is skipped
-        cut = min(len(ages), max(0, stream.warmup_cycles - k0)) if skip_warmup else 0
-        k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
-        if not len(ages):
-            continue
-        kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
-        for name, formula, detail in checks:
-            if name in found:
-                continue
-            want = formula(k0, fails)
-            bad = np.flatnonzero(ages != want)
-            if len(bad):
-                i = bad[0]
-                found[name] = detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i])
-        if len(found) == len(checks):
-            break
-    for name, _, _ in checks:
-        _check(failures, name, name not in found, lambda: found[name])
-
-
-def _verify_basic(d, cycles: int, failures: list[str]) -> None:
-    period = d.period
-
-    seq = sequence_basic(d, 1, period)
-    _check_family(failures, "progression_family_multiset", distribution_basic(d), seq)
-
-    exact = expected_exact_basic(d)
-    mean = Fraction(kernels.exact_sum(seq), period)
-    _check(failures, "closed_form_mean", exact == mean,
-           lambda: f"closed={_text(exact)} direct={_text(mean)}")
-    _check_band(failures, expected_approx_basic(d), exact)
-
-    peak = int(seq.max())
-    bound = max_bound_basic(d)
-    _check(failures, "max_bound", peak <= bound, lambda: f"observed={peak} bound={bound}")
-
-    # the lossless model delivers at slot 0, so every read is compared: a
-    # read the simulator marks undefined is a mismatch, not a warm-up
-    shape = (d.a_period, d.b_period, d.n_period, 0, 0)
-    check = ("simulator_matches_formula",
-             lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
-             "first mismatch at k={k}: simulated={sim} formula={model}")
-    _check_trace(failures, [check], stream_basic(d, cycles), shape, skip_warmup=False)
-
-
-def _verify_extended(cfg: SystemConfig, l_max: int, rng: RngSpec, cycles: int, failures: list[str]) -> None:
-    period = cfg.d.period
-
-    for l in range(l_max + 1):
-        _check_family(
-            failures, f"progression_family_multiset_l{l}", distribution_conditional(cfg, l),
-            sequence_conditional(cfg, l, 1, period), f"l={l}, ",
-        )
-
-    _check_band(failures, expected_approx_extended(cfg), expected_exact_extended(cfg).value)
-
-    d = cfg.d
-    shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
-    # the sequence kernel takes a failure count per read as it takes one for
-    # all, so a block costs one pass however many counts occur
-    checks = [("trace_bridge_identity",
-               lambda k0, fails: kernels.seq_conditional(*shape, fails, k0, len(fails)),
-               "k={k} l={l}: simulated={sim} formula={model}")]
-    if cfg.p == 1:
-        checks.append(("lossless_trace_matches_formula",
-                       lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
-                       "first mismatch at k={k}"))
-    _check_trace(failures, checks, stream_extended(cfg, cycles, rng), shape)
-
-
-def _check_band(failures: list[str], band, exact: Fraction) -> None:
-    _check(failures, "band_membership", band.contains(exact),
-           lambda: f"exact={_text(exact)} band=[{_text(band.low)}, {_text(band.high)}]")
-
-
-def _check(failures: list[str], name: str, ok: bool, detail) -> None:
-    """Print the check's line; ``detail()``, called only when it fails, says why."""
-    if ok:
-        print(f"check {name}: PASS")
-    else:
-        print(f"check {name}: FAIL ({detail()})")
-        failures.append(name)
-
-
 def cmd_verify(args) -> int:
     if args.l_max is not None and args.l_max < 0:
         raise ConfigError("--l-max must be >= 0")
     if args.cycles is not None and args.cycles < 1:
         raise ConfigError("--cycles must be >= 1")
     cfg = _config_from_args(args)
-    if cfg.d.period > _MAX_VERIFY_READS:
-        raise ConfigError(
-            f"hyperperiod of {cfg.d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
-            f"verify expands whole hyperperiods, in memory that grows with them"
-        )
-    d = cfg.d
     basic = args.model == "basic"
-    cycles = args.cycles or 3 * d.period + (1 if basic else 50)
+    cycles = args.cycles or 3 * cfg.d.period + (1 if basic else 50)
     l_max = 0 if basic else 3 if args.l_max is None else args.l_max
-    # the guards of the hyperperiod sequences, of the simulation, of its seed
-    # and of the formula over the simulated reads run before the first check
-    # prints
-    shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
-    kernels.check_sequence_args(*shape, l_max, 1, d.period)
-    kernels.check_simulate_args(*shape, cycles)
-    kernels.check_sequence_args(*shape, 0, 0, cycles)
-    rng = None if basic else RngSpec(0 if args.seed is None else args.seed)
-    failures: list[str] = []
-    if basic:
-        _verify_basic(d, cycles, failures)
-    else:
-        _verify_extended(cfg, l_max, rng, cycles, failures)
+    failures = []
+    for name, ok, detail in verify.checks(cfg, basic, l_max, cycles, args.seed):
+        print(f"check {name}: PASS" if ok else f"check {name}: FAIL ({detail()})")
+        if not ok:
+            failures.append(name)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1

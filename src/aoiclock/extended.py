@@ -20,9 +20,13 @@ finite sum of b terms.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+import sys
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import Inexact, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +72,7 @@ def _as_probability(p) -> Fraction:
     try:
         p = Fraction(p)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot parse probability {p!r}") from exc
+        raise ConfigError(_past_digit_limit(p) or f"cannot parse probability {p!r}") from exc
     if not 0 < p <= 1:
         raise ConfigError(f"p must be in (0, 1], got {_fraction_text(p)}")
     return p
@@ -224,6 +228,48 @@ def _fraction_text(x: Fraction) -> str:
     if 1 < 2 * x < 4:  # x != 1, since a term is big
         return f"1 {'-' if n < d else '+'} {_e_notation(math.log10(abs(n - d)) - math.log10(d))}"
     return f"{'-' if n < 0 else ''}{_e_notation(math.log10(abs(n)) - math.log10(d))}"
+
+
+def _past_digit_limit(value) -> str | None:
+    """Why ``value``, a string or what a JSON file holds, is no number when a term in
+    its repr passes the int<->str digit limit (Python 3.11+): its size, not its digits."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = max(map(len, re.findall(r"\d+", repr(value).replace("_", ""))), default=0)
+    if 0 < limit < digits:
+        return (f"a term of {digits} digits is past the interpreter's "
+                f"limit of {limit} digits for int<->str conversion")
+    return None
+
+
+# str() writes up to this many bits (632 digits), under any digit limit CPython admits
+_STR_BITS = 2_100
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, past the digit limit too: a longer n is rebuilt as an exact
+    Decimal from halves of its bits, hi * 2^h + lo, in a local context, as in
+    CPython 3.12's ``_pylong``: Decimal products, not ``str()``'s quadratic loop."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    power = functools.cache(lambda h: Decimal(2) ** h)
+
+    def exact(x: int, bits: int) -> Decimal:  # 0 <= x < 2^bits
+        if bits <= 128:
+            return Decimal(x)
+        h = bits // 2
+        return exact(x & (1 << h) - 1, h) + exact(x >> h, bits - h) * power(h)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        return ("-" if n < 0 else "") + str(exact(abs(n), n.bit_length()))
+
+
+def _rat(x: Fraction) -> str:
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
+def _text(x: Fraction) -> str:
+    """``str(x)``: n, or n/d."""
+    return _rat(x) if x.denominator != 1 else _int_text(x.numerator)
 
 
 def _ln_bounds(a: int, b: int, floor: Context, ceiling: Context) -> tuple[Decimal, Decimal]:

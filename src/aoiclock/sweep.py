@@ -57,6 +57,7 @@ from . import kernels
 from .kernels import _fit, _int_array, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
 from .extended import _MAX_TERMS, SystemConfig, _as_probability, _freshness_offset
+from .extended import _past_digit_limit
 
 __all__ = [
     "EmptyGridError",
@@ -109,7 +110,7 @@ def _int_entry(name, v) -> int:
             return int(v)
         except (TypeError, ValueError):
             pass
-    raise ValueError(f"grid field {name}: {v!r} is not an integer")
+    raise ValueError(f"grid field {name}: {_past_digit_limit(v) or f'{v!r} is not an integer'}")
 
 
 def _int_values(name, raw) -> range | list[int]:
@@ -122,7 +123,7 @@ def _int_values(name, raw) -> range | list[int]:
         # "lo..hi" or "lo..hi:step"
         body, _, step_s = raw.partition(":")
         lo_s, _, hi_s = body.partition("..")
-        bad = f"grid field {name}: bad range {raw!r}"
+        bad = f"grid field {name}: {_past_digit_limit(raw) or f'bad range {raw!r}'}"
         try:  # without "..", hi_s is empty and fails here too
             lo, hi = int(lo_s), int(hi_s)
             step = int(step_s) if step_s else 1
@@ -199,7 +200,8 @@ class SweepGrid:
     @classmethod
     def from_json(cls, path) -> "SweepGrid":
         with open(path) as fh:
-            raw = json.load(fh)
+            # an integer past the int<->str digit limit stays text, which its field refuses
+            raw = json.load(fh, parse_int=lambda t: t if _past_digit_limit(t) else int(t))
         if not isinstance(raw, dict):
             raise ValueError("grid file must hold a JSON object")
         return cls.from_dict(raw)

@@ -22,6 +22,7 @@ import aoiclock.cli
 import aoiclock.extended
 import aoiclock.kernels
 import aoiclock.simulate
+import aoiclock.verify
 from aoiclock.basic import AoiDistribution, decompose
 from aoiclock.cli import main
 from aoiclock.simulate import (
@@ -369,16 +370,16 @@ _EDGES = {f"{sign}{name}": int(sign + "1") * n for sign in "+-" for name, n in [
 
 
 class TestIntText:
-    """``cli._int_text`` writes each int as ``str()`` does with the limit lifted."""
+    """``extended._int_text`` writes each int as ``str()`` does with the limit lifted."""
 
     @pytest.mark.parametrize("n", [0, 1, -1, 10**4, -(2**64)])
     def test_small(self, n):
-        assert aoiclock.cli._int_text(n) == str(n)
+        assert aoiclock.extended._int_text(n) == str(n)
 
     @pytest.mark.parametrize("name", sorted(_EDGES))
     def test_around_the_threshold(self, name):
         n = _EDGES[name]
-        got = aoiclock.cli._int_text(n)
+        got = aoiclock.extended._int_text(n)
         with _no_int_str_limit():
             assert got == str(n)
 
@@ -389,7 +390,7 @@ class TestIntText:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            got = aoiclock.cli._int_text(n)
+            got = aoiclock.extended._int_text(n)
         finally:
             sys.set_int_max_str_digits(limit)
         with _no_int_str_limit():
@@ -399,7 +400,7 @@ class TestIntText:
     def test_random(self, digits):
         rng = random.Random(digits)
         for n in (rng.randrange(10 ** (digits - 1), 10**digits), -rng.randrange(10**digits)):
-            got = aoiclock.cli._int_text(n)
+            got = aoiclock.extended._int_text(n)
             with _no_int_str_limit():
                 assert got == str(n)
 
@@ -619,9 +620,9 @@ def test_verify_memory_follows_the_block_not_the_run():
 
 
 def _corrupt(monkeypatch, name, *ks, by=1):
-    """Patch ``cli.<name>``, a stream maker, to add ``by`` to the age of each
+    """Patch ``verify.<name>``, a stream maker, to add ``by`` to the age of each
     read in ``ks`` as its block goes by."""
-    real = getattr(aoiclock.cli, name)
+    real = getattr(aoiclock.verify, name)
 
     def corrupted(*args):
         stream = real(*args)
@@ -635,7 +636,7 @@ def _corrupt(monkeypatch, name, *ks, by=1):
 
         return TraceStream(stream.a_period, stream.cycles, blocks())
 
-    monkeypatch.setattr(aoiclock.cli, name, corrupted)
+    monkeypatch.setattr(aoiclock.verify, name, corrupted)
 
 
 def _age(cfg, k, l):
@@ -673,13 +674,13 @@ class TestVerify:
         assert "check lossless_trace_matches_formula: PASS" in out
 
     def test_lossless_checks_share_one_stream(self, capsys, monkeypatch):
-        real, calls = aoiclock.cli.stream_extended, []
+        real, calls = aoiclock.verify.stream_extended, []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(aoiclock.cli, "stream_extended", counted)
+        monkeypatch.setattr(aoiclock.verify, "stream_extended", counted)
         code, out, _ = run(capsys, "verify", *FIG, "--model", "extended")
         assert code == 0
         assert out.splitlines()[-3:] == [
@@ -749,7 +750,7 @@ class TestVerify:
 
     def test_band_failure_writes_the_whole_exact_mean(self, capsys, monkeypatch,
                                                        default_digit_limit):
-        monkeypatch.setattr(aoiclock.cli, "expected_approx_extended",
+        monkeypatch.setattr(aoiclock.verify, "expected_approx_extended",
                             lambda cfg: aoiclock.basic.BandedValue(Fraction(-1, 2), Fraction(1, 3)))
         code, out, _ = run(capsys, "verify", *self.BIG_MEAN)
         cfg = aoiclock.extended.SystemConfig(decompose(30000, 70000, 11), p=Fraction(1, 10))
@@ -785,7 +786,7 @@ class TestVerify:
         # checks guard and evaluate no block before the one that holds read 62
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
         k0s, inside = [], []
-        real_check_trace = aoiclock.cli._check_trace
+        real_check_trace = aoiclock.verify._check_trace
 
         def check_trace(*args, **kwargs):
             inside.append(True)
@@ -799,7 +800,7 @@ class TestVerify:
 
             return call
 
-        monkeypatch.setattr(aoiclock.cli, "_check_trace", check_trace)
+        monkeypatch.setattr(aoiclock.verify, "_check_trace", check_trace)
         for name in ("check_sequence_args", "seq_conditional"):
             monkeypatch.setattr(aoiclock.kernels, name, recorded(getattr(aoiclock.kernels, name)))
         code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)
@@ -911,7 +912,7 @@ class TestVerify:
             "distribution_conditional", "sequence_conditional", "stream_extended",
             "expected_exact_extended",
         ):
-            monkeypatch.setattr(aoiclock.cli, name, refuse)
+            monkeypatch.setattr(aoiclock.verify, name, refuse)
 
     @pytest.mark.parametrize("model", ["basic", "extended"])
     def test_oversized_hyperperiod_refused_up_front(self, capsys, no_kernels, model):
@@ -945,11 +946,11 @@ class TestVerify:
         assert err == "error: seed must fit in uint64\n"
 
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
-        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 35)
+        monkeypatch.setattr(aoiclock.verify, "_MAX_VERIFY_READS", 35)
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
         assert code == 0
         assert "all checks passed" in out
-        monkeypatch.setattr(aoiclock.cli, "_MAX_VERIFY_READS", 34)
+        monkeypatch.setattr(aoiclock.verify, "_MAX_VERIFY_READS", 34)
         code, _, err = run(capsys, "verify", *FIG, "--model", "basic")
         assert code == 2
         assert "hyperperiod of 35 reads is over verify's cap of 34" in err
@@ -997,6 +998,33 @@ class TestSweep:
         out_dir = tmp_path / "o"
         code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    # a term of 5,001 digits, past the default int<->str limit, in each shape a
+    # grid file holds a number in; none of its digits reaches stderr
+    BIG = "1" + "0" * 5000
+    LIMIT = ("a term of 5001 digits is past the interpreter's limit of 4300 digits for int<->str "
+             "conversion")
+
+    @pytest.mark.parametrize("raw, field", [
+        ('{"p": ["1/%s"]}' % BIG, "p"),
+        ('{"p": %s}' % BIG, "p"),
+        ('{"A": %s}' % BIG, "A"),
+        ('{"delta_b": [0, %s]}' % BIG, "delta_b"),
+        ('{"A": "1..%s"}' % BIG, "A"),
+        ('{"N": "2..5:%s"}' % BIG, "N"),
+        ('{"B": ["%s"]}' % BIG, "B"),
+        ('{"A": [[%s]]}' % BIG, "A"),
+    ], ids=["p-string", "p-int", "int-field", "int-list-entry", "range", "range-step",
+            "string-list-entry", "nested-list-entry"])
+    def test_grid_number_past_int_str_limit_exits_2(self, capsys, tmp_path, default_digit_limit,
+                                                     raw, field):
+        grid = tmp_path / "grid.json"
+        grid.write_text(raw)
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: grid field {field}: {self.LIMIT}\n")
+        assert len(err) < 300
         assert not out_dir.exists()
 
     def test_b_over_cap_exits_2(self, capsys, monkeypatch, tmp_path):
@@ -1099,6 +1127,13 @@ class TestSumsPastInt64:
         assert code == 2
         assert "check" not in out
         assert err == "error: slot numbers would overflow int64\n"
+
+    def test_verify_checks_the_seed_before_the_run_as_simulate_does(self, capsys):
+        # both build the simulation's stream, which takes a checked seed
+        flags = ["--model", "extended", "--p", "1/2", *self.WIDE, "--seed", str(2**64)]
+        verified = run(capsys, "verify", *flags)
+        simulated = run(capsys, "simulate", *flags, "--cycles", "89", "--out", os.devnull)
+        assert verified == simulated == (2, "", "error: seed must fit in uint64\n")
 
 
 class TestParser:

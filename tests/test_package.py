@@ -1,14 +1,15 @@
 """The package namespace re-exports every public name of its submodules, and no more
 than the pinned list; no module imports a name it leaves unused, no private
 helper is left that the package never reads, no public name is left that
-neither the package nor the benchmark reads, and no module sets the
-interpreter's int<->str digit limit."""
+neither the package nor the benchmark reads; no module sets the
+interpreter's int<->str digit limit, and none but cli imports cli."""
 
 import ast
 import importlib
 from collections import Counter
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,3 +217,46 @@ def test_digit_limit_check_sees_a_setter():
         "setter = sys.set_int_max_str_digits\n"
     )
     assert _limit_setters(tree) == [3, 4, 5]
+
+
+# the package's layers: cli reads the library, and no module of it reads cli
+_CLI = re.compile(r"(aoiclock)?\.cli(\.|$)")
+
+
+def _cli_imports(tree: ast.Module) -> list[int]:
+    """The lines that import the package's ``cli`` module or a name from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            names = [base, *(f"{base}{sep}{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(_CLI.match(name) for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "cli"],
+                         ids=[p.name for p in SOURCES if p.stem != "cli"])
+def test_no_module_imports_cli(path):
+    assert _cli_imports(ast.parse(path.read_text())) == []
+
+
+def test_cli_import_check_sees_an_import():
+    tree = ast.parse(
+        "from .cli import main\n"
+        "from . import cli, kernels\n"
+        "import aoiclock.cli\n"
+        "from aoiclock import cli\n"
+        "from aoiclock.cli import _int\n"
+        "from .clip import x\n"
+        "from .sweep import client\n"
+        "import click\n"
+        "def f():\n"
+        "    from .cli import main\n"
+    )
+    assert _cli_imports(tree) == [1, 2, 3, 4, 5, 10]
