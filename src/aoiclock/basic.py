@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -57,6 +57,7 @@ class NullSequenceError(ValueError):
 class PeriodDecomposition:
     """The three periods split into shared and private factors.
 
+    Built from the periods alone, which derive the six factors:
     a = gcd(b_period, n_period), b = gcd(a_period, b_period) and
     n = gcd(a_period, n_period) are the pairwise shared factors; A, B, N are
     the private cofactors, so a_period = A*b*n, b_period = B*b*a and
@@ -67,33 +68,32 @@ class PeriodDecomposition:
     a_period: int
     b_period: int
     n_period: int
-    A: int
-    B: int
-    N: int
-    a: int
-    b: int
-    n: int
+    A: int = field(init=False)
+    B: int = field(init=False)
+    N: int = field(init=False)
+    a: int = field(init=False)
+    b: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         ap, bp, np_ = self.a_period, self.b_period, self.n_period
         if min(ap, bp, np_) < 1:
             raise ConfigError("periods must be >= 1")
-        g = gcd(gcd(ap, bp), np_)
+        b, n = gcd(ap, bp), gcd(ap, np_)
+        g = gcd(b, np_)
         if g != 1:
             raise ConfigError(
                 f"periods {ap}, {bp}, {np_} share the common divisor {g}; "
                 f"divide all three by it (rescale the time axis) and retry"
             )
-        ok = (
-            self.a == gcd(bp, np_)
-            and self.b == gcd(ap, bp)
-            and self.n == gcd(ap, np_)
-            and self.A * self.b * self.n == ap
-            and self.B * self.b * self.a == bp
-            and self.N * self.n * self.a == np_
-        )
-        if not ok:
-            raise ConfigError("inconsistent decomposition")
+        a = gcd(bp, np_)
+        set_ = object.__setattr__  # the type is frozen
+        set_(self, "A", ap // (b * n))
+        set_(self, "B", bp // (b * a))
+        set_(self, "N", np_ // (n * a))
+        set_(self, "a", a)
+        set_(self, "b", b)
+        set_(self, "n", n)
 
     @property
     def period(self) -> int:
@@ -108,22 +108,7 @@ def decompose(a_period: int, b_period: int, n_period: int) -> PeriodDecompositio
     slots unused; rescale the time axis (divide all periods by the factor)
     instead of modelling it.
     """
-    if min(a_period, b_period, n_period) < 1:
-        raise ConfigError("periods must be >= 1")
-    a = gcd(b_period, n_period)
-    b = gcd(a_period, b_period)
-    n = gcd(a_period, n_period)
-    return PeriodDecomposition(
-        a_period,
-        b_period,
-        n_period,
-        a_period // (b * n),
-        b_period // (b * a),
-        n_period // (n * a),
-        a,
-        b,
-        n,
-    )
+    return PeriodDecomposition(a_period, b_period, n_period)
 
 
 @dataclass(frozen=True)

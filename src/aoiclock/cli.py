@@ -9,13 +9,12 @@ the exact value is past float range.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import __version__, kernels, verify
+from . import __version__, verify
 from .basic import (
     ConfigError,
     NullSequenceError,
@@ -179,18 +178,12 @@ def cmd_simulate(args) -> int:
     basic = args.model == "basic"
     if not basic and args.seed is None:
         raise ConfigError("the extended model is stochastic; --seed is required")
-    rng = None if basic else RngSpec(args.seed)
-    kernels.check_simulate_args(
-        d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n, args.cycles
-    )
-    # --out is opened before the run, so that an unwritable path fails at
-    # once; held open, it keeps a named pipe's reader attached until the
-    # writer reopens it by path.  The trace is written as the simulator
-    # yields its blocks, so memory follows the block, not the run
-    with contextlib.nullcontext() if args.out == "-" else open(args.out, "ab"):
-        trace = (stream_basic(d, args.cycles) if basic
-                 else stream_extended(cfg, args.cycles, rng))
-        write_trace_csv(trace, sys.stdout if args.out == "-" else args.out)
+    # the stream's guard runs when it is built; its blocks are drawn only as
+    # the writer asks for them, after --out is opened, so an unwritable path
+    # fails before the run and memory follows the block, not the run
+    trace = (stream_basic(d, args.cycles) if basic
+             else stream_extended(cfg, args.cycles, RngSpec(args.seed)))
+    write_trace_csv(trace, sys.stdout if args.out == "-" else args.out)
     warm = trace.warmup_cycles
     if warm < trace.cycles:
         mean = Fraction(trace.age_sum, trace.cycles - warm)

@@ -233,8 +233,8 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
     whether its candidates are kept: every (delta_b, delta_n, p) combination
     of a kept tuple is a config, and every combination of a skipped one is
     skipped.  The tuples are classified ``_BLOCK`` at a time, with array
-    gcds of their periods, and a ``PeriodDecomposition`` is built for the
-    kept ones only.
+    gcds of their periods, and a ``PeriodDecomposition`` is built from the
+    periods of the kept ones only.
     """
     fields = [getattr(grid, f) for f in _FACTORS]
     n_tuples = math.prod(map(len, fields))
@@ -263,7 +263,7 @@ def _iter_candidates(grid: SweepGrid, start: int = 0, stop: int | None = None):
             if c:
                 yield f, None, reasons[c]
             else:
-                yield f, PeriodDecomposition(*next(periods), *f), None
+                yield f, PeriodDecomposition(*next(periods)), None
 
 
 def _combos(grid: SweepGrid) -> list[tuple]:

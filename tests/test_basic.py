@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -66,25 +67,39 @@ class TestDecompose:
         with pytest.raises(ConfigError):
             decompose(0, 1, 1)
 
-    def test_inconsistent_tuple_rejected(self):
-        with pytest.raises(ConfigError):
-            PeriodDecomposition(34, 7, 10, 17, 7, 5, 1, 1, 1)
-
     def test_tuple_guards(self):
         with pytest.raises(ConfigError, match="periods must be >= 1"):
-            PeriodDecomposition(0, 1, 1, 0, 1, 1, 1, 1, 1)
+            PeriodDecomposition(0, 1, 1)
         with pytest.raises(ConfigError, match="common divisor"):
-            PeriodDecomposition(2, 4, 6, 1, 1, 1, 2, 1, 1)
+            PeriodDecomposition(2, 4, 6)
 
     def test_tuple_and_decompose_give_one_common_divisor_message(self):
         with pytest.raises(ConfigError) as direct:
-            PeriodDecomposition(4, 6, 2, 2, 3, 1, 1, 2, 1)
+            PeriodDecomposition(4, 6, 2)
         with pytest.raises(ConfigError) as built:
             decompose(4, 6, 2)
         assert str(direct.value) == str(built.value) == (
             "periods 4, 6, 2 share the common divisor 2; "
             "divide all three by it (rescale the time axis) and retry"
         )
+
+    def test_factors_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            PeriodDecomposition(34, 7, 10, 17)
+
+    def test_repr_lists_periods_then_factors(self):
+        assert repr(REFERENCE) == (
+            "PeriodDecomposition(a_period=34, b_period=7, n_period=10, "
+            "A=17, B=7, N=5, a=1, b=1, n=2)"
+        )
+
+    @given(triple_strategy())
+    def test_built_from_periods_alone(self, t):
+        d = PeriodDecomposition(*t)
+        assert d == decompose(*t)
+        assert hash(d) == hash(decompose(*t))
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d)
 
     @given(triple_strategy())
     def test_products_reconstruct_periods(self, t):

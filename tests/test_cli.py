@@ -434,17 +434,18 @@ class TestSimulate:
         assert "cycles" in err
 
     def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        # every block of the extended simulator draws through _misses first
         calls = []
-        sim = aoiclock.kernels.sim_extended_blocks
-        monkeypatch.setattr(aoiclock.kernels, "sim_extended_blocks",
-                            lambda *a: calls.append(a) or sim(*a))
+        misses = aoiclock.kernels._misses
+        monkeypatch.setattr(aoiclock.kernels, "_misses",
+                            lambda *a: calls.append(a) or misses(*a))
         argv = ["simulate", *FIG, "--model", "extended", "--p", "1/2", "--seed", "1"]
         code, _, err = run(capsys, *argv, "--cycles", "3000000",
                            "--out", str(tmp_path / "missing" / "trace.csv"))
         assert (code, calls) == (1, [])
         assert err.startswith("error:")
         assert run(capsys, *argv, "--cycles", "10", "--out", str(tmp_path / "t.csv"))[0] == 0
-        assert len(calls) == 1
+        assert calls
 
     @pytest.mark.parametrize("bad", [
         ["--cycles", "10"],
@@ -808,6 +809,7 @@ class TestVerify:
         assert min(k0s) == 62
         assert out.splitlines() == [
             *(f"check progression_family_multiset_l{l}: PASS" for l in range(4)),
+            "check closed_form_mean: PASS",
             "check band_membership: PASS",
             self.BRIDGE,
             "check lossless_trace_matches_formula: PASS",

@@ -82,7 +82,6 @@ def _unseen(item: str):
 
 
 ITEM_4 = "ROADMAP item 4 (failure_counts_match_draws) would check l against the draws"
-NO_ITEM = "no check compares the extended exact mean with direct sums; no ROADMAP item adds one"
 
 # fault, config, model, seed, --cycles (None: verify's default), the checks that must FAIL
 ROWS = [
@@ -100,7 +99,7 @@ ROWS = [
     pytest.param(_period_sums_plus_one, SystemConfig(FIG), "basic", None, None,
                  {"closed_form_mean"}, id="period-sums-plus-one-basic"),
     pytest.param(_period_sums_plus_one, SystemConfig(FIG), "extended", None, None,
-                 {"closed_form_mean"}, marks=_unseen(NO_ITEM), id="period-sums-plus-one-extended"),
+                 {"closed_form_mean"}, id="period-sums-plus-one-extended"),
 ]
 
 
@@ -154,6 +153,16 @@ def test_details_name_the_first_mismatch(monkeypatch):
     _period_sums_plus_one(monkeypatch)
     assert _failed(SystemConfig(FIG), "basic", None, None)["closed_form_mean"] == (
         "closed=246/35 direct=7")
+
+
+def test_extended_mean_detail_names_the_first_l_that_differs(monkeypatch):
+    # at (34, 7, 10), b = 1: the exact mean reads S(0) alone, and S(2) only here
+    real = kernels._period_sums
+    monkeypatch.setattr(kernels, "_period_sums",
+                        lambda *args: [s + (r == 2) for r, s in enumerate(real(*args))])
+    assert _failed(SystemConfig(FIG), "extended", None, None) == {
+        "closed_form_mean": "l=2, closed=1051/35 direct=30",
+    }
 
 
 def test_fault_through_the_command_line(monkeypatch):
