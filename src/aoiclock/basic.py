@@ -141,10 +141,12 @@ class AoiDistribution:
     The multiset is the union of the progressions <s, ``step``, ``count``>,
     one per entry s of ``starts``: every progression of a hyperperiod's
     family has the step a*b and the count B, so its a*N starts describe it.
-    ``starts`` is an int64 array, or an object array of Python ints where
-    some start is past int64.  ``min``, ``max`` and ``mean`` follow from the
-    array in O(len(starts)), however long the hyperperiod is; the mean sums
-    it with ``kernels.exact_sum``.  ``to_sorted_array`` and ``values``
+    Starts given as anything but an int64 array are read as Python ints and
+    built by ``kernels._fit`` under their own maximum: an int64 array where
+    every start fits, and an object array of Python ints otherwise.
+    ``min``, ``max`` and ``mean`` follow from the array in O(len(starts)),
+    however long the hyperperiod is; the mean sums it with
+    ``kernels.exact_sum``.  ``to_sorted_array`` and ``values``
     (value -> multiplicity) expand the family in O(period) time and memory,
     through ``kernels._fit``, so they stay exact past int64; ``values`` is
     cached from its first access on.
@@ -157,7 +159,8 @@ class AoiDistribution:
     def __post_init__(self):
         starts = np.asarray(self.starts)
         if starts.dtype != np.int64:
-            starts = kernels._int_array([operator.index(s) for s in self.starts])
+            ints = [operator.index(s) for s in self.starts]
+            (starts,) = kernels._fit(max(map(abs, ints), default=0), ints)
         if len(starts) and starts.min() < 0:
             raise ValueError(f"starts must be >= 0, got {starts.min()}")
         if self.step < 1:

@@ -229,49 +229,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _analyze_flags(an):
-    _add_config_flags(an)
-    an.add_argument("--sigma", type=_fraction, default=None,
-                    help="confidence for the probabilistic max bound (extended)")
-    an.set_defaults(func=cmd_analyze)
-
-
-def _simulate_flags(sim):
-    _add_config_flags(sim)
-    sim.add_argument("--cycles", type=_int, required=True, help="number of reads to simulate")
-    sim.add_argument("--seed", type=_int, default=None, help="rng seed (extended model)")
-    sim.add_argument("--out", default="-", help="trace file, '-' for stdout")
-    sim.set_defaults(func=cmd_simulate)
-
-
-def _verify_flags(ver):
-    _add_config_flags(ver)
-    ver.add_argument("--l-max", type=_int, default=None,
-                     help="check conditional families up to this l (extended, default 3)")
-    ver.add_argument("--cycles", type=_int, default=None, help="simulated reads (default: 3 hyperperiods)")
-    ver.add_argument("--seed", type=_int, default=None, help="rng seed for the trace check")
-    ver.set_defaults(func=cmd_verify)
-
-
-def _sweep_flags(sw):
-    sw.add_argument("--grid", required=True, help="JSON grid file")
-    sw.add_argument("--out", required=True, help="output directory")
-    sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
-    sw.add_argument("--jobs", type=_int, default=1,
-                    help="processes that evaluate the grid, this one included; at most one "
-                         "per CPU core and per block of factor tuples (default 1)")
-    sw.set_defaults(func=cmd_sweep)
-
-
-# subcommand -> (its line in the top-level help, what adds its flags)
-_SUBCOMMANDS = {
-    "analyze": ("closed-form report for one config", _analyze_flags),
-    "simulate": ("run the slot-exact simulator, write a trace CSV", _simulate_flags),
-    "verify": ("cross-check closed forms against direct evaluation", _verify_flags),
-    "sweep": ("grid sweep of approximation error", _sweep_flags),
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and then shared by
@@ -286,8 +243,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
-        add_flags(subs.add_parser(name, help=help_line))
+
+    an = subs.add_parser("analyze", help="closed-form report for one config")
+    _add_config_flags(an)
+    an.add_argument("--sigma", type=_fraction, default=None,
+                    help="confidence for the probabilistic max bound (extended)")
+    an.set_defaults(func=cmd_analyze)
+
+    sim = subs.add_parser("simulate", help="run the slot-exact simulator, write a trace CSV")
+    _add_config_flags(sim)
+    sim.add_argument("--cycles", type=_int, required=True, help="number of reads to simulate")
+    sim.add_argument("--seed", type=_int, default=None, help="rng seed (extended model)")
+    sim.add_argument("--out", default="-", help="trace file, '-' for stdout")
+    sim.set_defaults(func=cmd_simulate)
+
+    ver = subs.add_parser("verify", help="cross-check closed forms against direct evaluation")
+    _add_config_flags(ver)
+    ver.add_argument("--l-max", type=_int, default=None,
+                     help="check conditional families up to this l (extended, default 3)")
+    ver.add_argument("--cycles", type=_int, default=None, help="simulated reads (default: 3 hyperperiods)")
+    ver.add_argument("--seed", type=_int, default=None, help="rng seed for the trace check")
+    ver.set_defaults(func=cmd_verify)
+
+    sw = subs.add_parser("sweep", help="grid sweep of approximation error")
+    sw.add_argument("--grid", required=True, help="JSON grid file")
+    sw.add_argument("--out", required=True, help="output directory")
+    sw.add_argument("--bin-width", type=_fraction, default=Fraction(1, 100))
+    sw.add_argument("--jobs", type=_int, default=1,
+                    help="processes that evaluate the grid, this one included; at most one "
+                         "per CPU core and per block of factor tuples (default 1)")
+    sw.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -6,9 +6,10 @@ leave the int64 range; the kernels themselves assume the guards have run.
 The package's exact integer arrays follow one rule, kept here: a stage runs
 in int64 where a bound from its arguments' maxima proves that every
 intermediate fits, and otherwise runs the same expressions on ``object``
-arrays of Python ints.  ``_fit`` builds a stage's columns under its bound,
-``_int_array`` a column of given ints under their own values, and
-``exact_sum`` is the one exact sum of an integer array.  The
+arrays of Python ints.  ``_fit`` is the one place that picks between the
+two: it builds every exact column, a stage's under the stage's bound and a
+column of given ints under their own maximum.  ``exact_sum`` is the one
+exact sum of an integer array, by the same rule.  The
 hyperperiod age sums of both models are floor sums, and ``_period_sums``
 and ``_row_sums`` share one contract for them.  ``_period_sums`` loops over
 one decomposition in Python ints.  ``_row_sums`` runs many (decomposition,
@@ -100,14 +101,6 @@ def _fit(bound, *columns):
     step: numpy reads a list that straddles 2^63 as float64."""
     dtype = np.int64 if bound < 2**63 else object
     return [np.asarray(x, dtype=dtype) for x in columns]
-
-
-def _int_array(values) -> np.ndarray:
-    """Given ints as int64 where all fit, and otherwise as Python ints on an object array."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _max_abs(x) -> int:
@@ -253,20 +246,13 @@ def geometric_sum(terms, v, w):
 def exact_sum(x):
     """Sum of a 1-d int64 or ``object`` array of ints as an exact Python int.
 
-    An object array sums as Python ints.  An int64 sum wraps silently past
-    2^63, so it takes one pass only where len(x)*max|x| < 2^63 bounds every
-    partial sum.  Otherwise each value is split into its high and low 32-bit
-    halves, and the halves of a block of 2^31 values sum inside int64.
+    An int64 sum wraps silently past 2^63, so it takes one pass only where
+    len(x)*max|x| < 2^63 bounds every partial sum.  Otherwise, and for an
+    object array, the values sum as Python ints.
     """
-    if x.dtype == object:
-        return sum(x.tolist())
-    if len(x) * _max_abs(x) < 2**63:
+    if x.dtype != object and len(x) * _max_abs(x) < 2**63:
         return int(x.sum())
-    total = 0
-    for i in range(0, len(x), 1 << 31):
-        block = x[i : i + (1 << 31)]
-        total += (int((block >> 32).sum()) << 32) + int((block & 0xFFFFFFFF).sum())
-    return total
+    return sum(x.tolist())
 
 
 def sim_basic_blocks(a_period, b_period, n_period, cycles):

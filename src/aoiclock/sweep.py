@@ -54,7 +54,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from . import kernels
-from .kernels import _fit, _int_array, _max_abs
+from .kernels import _fit, _max_abs
 from .basic import ConfigError, PeriodDecomposition, max_bound_basic
 from .extended import _MAX_TERMS, SystemConfig, _as_probability, _freshness_offset
 from .extended import _past_digit_limit
@@ -442,13 +442,15 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     are at most 2^53, so that num / den is the correctly rounded float; on
     Python ints otherwise.
     """
-    c = _Columns(*_int_array(consts).T)
+    # every constant, shift and p's numerator or complement is >= 0
+    c = _Columns(*_fit(max(map(max, consts)), *zip(*consts)))
     pairs = list(dict.fromkeys((db, dn) for db, dn, _ in combos))
     probs = list(dict.fromkeys(p for _, _, p in combos))
     us = [p.numerator for p in probs]
     vs = [p.denominator for p in probs]
     ws = [v - u for u, v in zip(us, vs)]
-    delta_b, delta_n = _int_array(pairs).T
+    delta_b, delta_n = _fit(max(map(max, pairs)), *zip(*pairs))
+    u_col, w_col = _fit(max(vs), us, ws)
     acc, den0 = _accumulators(c, delta_b, delta_n, vs, ws)
 
     # config (k, combo): its decomposition k, shift pair j and p h
@@ -473,7 +475,7 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     if max(num_b, den_b) > 2**53:  # an int64 num or den would round on its way to a float
         bound = 2**63
     num, den, ok = _config_error(*_fit(
-        bound, m2k, c.ab[k], c.n_period[k], _int_array(us)[h], _int_array(ws)[h], acc, den0
+        bound, m2k, c.ab[k], c.n_period[k], u_col[h], w_col[h], acc, den0
     ))
     # int true division rounds correctly, as Fraction.__float__ does
     return (num * bd) // (den * bn), (num / den).astype(np.float64), ok.astype(bool)

@@ -238,6 +238,18 @@ class TestStarts:
         assert dist.starts.dtype == object
         assert dist.starts.tolist() == [9223372036854775808]
 
+    # numpy's default reading of such a list is float64, which rounds 2^63 + 1
+    @pytest.mark.parametrize("starts", [[1, 2**63], [1, 2**63 + 1]])
+    def test_list_straddling_int64_holds_exact_python_ints(self, starts):
+        dist = AoiDistribution(starts, 1, 1)
+        assert dist.starts.dtype == object
+        assert dist.starts.tolist() == starts
+        assert [type(s) for s in dist.starts.tolist()] == [int, int]
+
+    def test_negative_start_past_int64_refused_with_its_value(self):
+        with pytest.raises(ValueError, match=f"^starts must be >= 0, got {-(2**64) - 3}$"):
+            AoiDistribution([5, -(2**64) - 3], 1, 1)
+
     def test_float_starts_rejected(self):
         with pytest.raises(TypeError):
             AoiDistribution(np.array([1.5]), 1, 1)

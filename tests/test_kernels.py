@@ -202,7 +202,9 @@ class TestRowSums:
         cols = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, *shifts)
                 for d, (_, shifts) in zip(ds, rows)]
         with mock.patch.object(kernels, "_LANES", lanes):
-            got = kernels._row_sums(*(kernels._int_array(col) for col in zip(*cols)))
+            # each column int64 where its own values fit, else Python ints
+            got = kernels._row_sums(*(kernels._fit(max(map(abs, col)), col)[0]
+                                      for col in zip(*cols)))
         want = [kernels._period_sums(d.a_period, d.b_period, d.n_period, d.period, [shifts])[0]
                 for d, (_, shifts) in zip(ds, rows)]
         assert got.tolist() == want

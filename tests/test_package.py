@@ -2,7 +2,8 @@
 than the pinned list; no module imports a name it leaves unused, no private
 helper is left that the package never reads, no public name is left that
 neither the package nor the benchmark reads; no module sets the
-interpreter's int<->str digit limit, and none but cli imports cli."""
+interpreter's int<->str digit limit, none but cli imports cli, and none
+names ``object`` as a dtype."""
 
 import ast
 import importlib
@@ -260,3 +261,45 @@ def test_cli_import_check_sees_an_import():
         "    from .cli import main\n"
     )
     assert _cli_imports(tree) == [1, 2, 3, 4, 5, 10]
+
+
+# kernels._fit's bound is the one place that picks object arrays of Python ints
+_ARRAY_BUILDERS = {"array", "asarray", "astype"}
+
+
+def _object_dtypes(tree: ast.Module) -> list[int]:
+    """The lines that pass ``object`` as a dtype: a ``dtype=object`` keyword,
+    or a positional ``object`` to ``np.array``, ``np.asarray`` or ``.astype``."""
+    def is_object(node):
+        return isinstance(node, ast.Name) and node.id == "object"
+
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        builder = isinstance(node.func, ast.Attribute) and node.func.attr in _ARRAY_BUILDERS
+        if any(k.arg == "dtype" and is_object(k.value) for k in node.keywords) or (
+            builder and any(map(is_object, node.args))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_names_object_as_a_dtype(path):
+    assert _object_dtypes(ast.parse(path.read_text())) == []
+
+
+def test_object_dtype_check_sees_each_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "np.array(x, dtype=object)\n"
+        "np.asarray(x, object)\n"
+        "x.astype(object)\n"
+        "np.zeros(3, dtype=object)\n"
+        "np.asarray(x, dtype=dtype)\n"
+        "isinstance(x, object)\n"
+        "object.__setattr__(x, 'y', 1)\n"
+        "dtype = np.int64 if small else object\n"
+    )
+    assert _object_dtypes(tree) == [2, 3, 4, 5]
