@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__, verify
 from .basic import (
@@ -220,6 +221,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = SweepGrid.from_json(args.grid)
+    # as simulate opens --out before its first draw, an --out that cannot be
+    # a directory fails before the grid is evaluated
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_sweep(grid, bin_width=args.bin_width, jobs=args.jobs)
     paths = write_outputs(result, args.out)
     skips = ", ".join(f"{k}={v}" for k, v in sorted(result.skip_counts.items())) or "none"

@@ -334,6 +334,12 @@ class _Scratch:
         self.wide = np.empty(_CHUNK, dtype=bool)
 
 
+def _first_success(n_period, delta_b, delta_n) -> int:
+    """The least transmission L whose success delivers: a delivery needs a
+    source completion before tau_L, so L >= 0 and delta_n + L*N' - 1 >= delta_b."""
+    return max(0, -((delta_n - 1 - delta_b) // n_period))
+
+
 def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
     """``sim_extended``'s reads as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
 
@@ -353,9 +359,7 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
     # slots[i] = i*A', the slot of read k0 + i less that of read k0
     slots = np.arange(min(_CHUNK, cycles) + 1, dtype=np.int64)
     slots *= a_period
-    # a delivery needs a success L with a source completion before tau_L:
-    # L >= 0 and delta_n + L*N' - 1 >= delta_b
-    first = max(0, -((delta_n - 1 - delta_b) // n_period))
+    first = _first_success(n_period, delta_b, delta_n)
     carry = -1  # L of the previous block's last read
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)

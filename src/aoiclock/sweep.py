@@ -13,29 +13,26 @@ histograms, and a quantile summary.
 The factor tuples are cut into blocks of ``_BLOCK`` consecutive tuples
 whatever the number of processes is, so a sweep's plan follows from its grid
 alone; the bundled grid is one block.  Every sweep runs its blocks through
-one ``Pool`` of one process per block and per core at most, the calling
-process included: it evaluates every processes-th block itself, and the
-forked workers, none at one process, evaluate the rest, each a fixed share
-that it sends back through a pipe of its own.  A block classifies its
-tuples with array gcds, evaluates the kept ones and returns compact
-columns: a skip code per tuple, and a ``_Rows`` of a bin index, float error
-and bound verdict per config, which stays in those columns from
-classification to fold.  A grid whose b passes the exact expectation's term
-cap is refused when it is read, so every kept config evaluates.
-Evaluation runs the block's configs as integer arrays.  The hyperperiod sums
-of a decomposition depend on the (delta_b, delta_n) pair alone, so each
-(decomposition, pair, r) sum is one row of a single floor-sum pass over the
-block, shared by every p; the geometric sum over r, each config's exact
-relative error num / den, its bin (floor division) and its bound verdict
-follow as columns, and num / den is turned into a float by correctly
-rounded division.  Each stage runs in int64 where a bound from the column
-maxima proves that its values fit, and otherwise the same expressions run
-on Python ints; no ``Fraction`` is built.  The caller joins the blocks in
-enumeration order and folds them with numpy: each config's position in the
-grid gives its slices, and every mean is a left-to-right float sum in
-enumeration order, taken by ``np.add.accumulate``.  So output files are
-bit-identical for any number of worker processes, and on every Python
-version.
+one ``Pool`` of at most one process per block and per core, the calling
+process included.  A block classifies its tuples with array gcds, evaluates
+the kept ones and returns compact columns: a skip code per tuple, and a
+``_Rows`` of a bin index, float error and bound verdict per config, which
+stays in those columns from classification to the result.  A grid whose b
+passes the exact expectation's term cap is refused when it is read, so every
+kept config evaluates.  Evaluation runs the block's configs as integer
+arrays.  The hyperperiod sums of a decomposition depend on the (delta_b,
+delta_n) pair alone, so each (decomposition, pair, r) sum is one row of a
+single floor-sum pass over the block, shared by every p; the geometric sum
+over r, each config's exact relative error num / den, its bin (floor
+division) and its bound verdict follow as columns, and num / den is turned
+into a float by correctly rounded division.  Each stage runs in int64 where
+a bound from the column maxima proves that its values fit, and otherwise the
+same expressions run on Python ints; no ``Fraction`` is built.  The caller
+joins the blocks in enumeration order and folds them with numpy: each
+config's position in the grid gives its slices, and every mean is a
+left-to-right float sum in enumeration order, taken by
+``np.add.accumulate``.  So output files are bit-identical for any number of
+worker processes, and on every Python version.
 """
 
 from __future__ import annotations
@@ -195,6 +192,12 @@ class SweepGrid:
                 f"grid field b: value {values['b'][-1]} is over the cap of {_MAX_TERMS} on the "
                 f"exact expectation's terms"
             )
+        # each sliced value names an ASCII file, and NAME_MAX is 255 bytes
+        for f, vals in values.items():
+            for i in _slice_positions(len(vals)):
+                if len(name := _slice_file(f, vals[i])) > 255:
+                    raise ValueError(f"grid field {f}: a slice file name of {len(name)} bytes is "
+                                     f"over the 255-byte limit on file names")
         return cls(**{f: tuple(v) for f, v in values.items()})
 
     @classmethod
@@ -207,10 +210,7 @@ class SweepGrid:
         return cls.from_dict(raw)
 
     def n_candidates(self) -> int:
-        out = 1
-        for f in PARAMETERS:
-            out *= len(getattr(self, f))
-        return out
+        return math.prod(len(getattr(self, f)) for f in PARAMETERS)
 
 
 # Factor tuples per block, whatever --jobs is, so a sweep's plan follows
@@ -346,15 +346,18 @@ class SliceStat:
     n_skipped: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's counts, histograms and slices; ``float_errors`` is the read-only
+    float64 column of every config's error, in enumeration order."""
+
     bin_width: Fraction
     n_candidates: int
     n_configs: int
     skip_counts: dict[str, int]
     bound_violations: int
     global_hist: Histogram
-    float_errors: list[float]
+    float_errors: np.ndarray
     slices: tuple[SliceStat, ...]
 
     @property
@@ -660,12 +663,8 @@ def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
 
 def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int) -> tuple[np.ndarray, _Rows]:
     """The skip codes and the ``_Rows`` of the whole grid, the blocks' joined
-    in enumeration order.
-
-    The blocks are ``_BLOCK`` consecutive factor tuples whatever ``jobs``
-    is, and run through one ``Pool`` of ``jobs`` processes, the caller
-    included, cut to one per core and one per block.  The blocks are freed
-    on return, before ``run_sweep`` folds the columns.
+    in enumeration order; ``jobs`` processes, the caller included, cut to one
+    per core and one per block, evaluate the blocks, which are freed on return.
     """
     n_tuples = math.prod(len(getattr(grid, f)) for f in _FACTORS)
     payloads = [(grid, lo, lo + _BLOCK, bin_width) for lo in range(0, n_tuples, _BLOCK)]
@@ -720,6 +719,7 @@ def run_sweep(
     # the position of each config: every combo of a kept tuple
     position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
     slices = _slices(grid, position, rows.bins, rows.errs, bin_width)
+    rows.errs.flags.writeable = False
     return SweepResult(
         bin_width=bin_width,
         n_candidates=grid.n_candidates(),
@@ -727,7 +727,7 @@ def run_sweep(
         skip_counts=skip_counts,
         bound_violations=int(np.count_nonzero(~rows.oks)),
         global_hist=_histogram(rows.bins, bin_width),
-        float_errors=rows.errs.tolist(),
+        float_errors=rows.errs,
         slices=slices,
     )
 
@@ -739,8 +739,8 @@ def _hist_csv(hist: Histogram, path: Path) -> None:
             fh.write(f"{left!r},{right!r},{count}\n")
 
 
-def _slug(value: str) -> str:
-    return value.replace("/", "-")
+def _slice_file(parameter: str, value) -> str:
+    return f"slice_{parameter}_{str(value).replace('/', '-')}.csv"
 
 
 def write_outputs(result: SweepResult, out_dir) -> list[Path]:
@@ -750,7 +750,7 @@ def write_outputs(result: SweepResult, out_dir) -> list[Path]:
     written = [out / "global.csv"]
     _hist_csv(result.global_hist, written[0])
     for sl in result.slices:
-        path = out / f"slice_{sl.parameter}_{_slug(sl.value)}.csv"
+        path = out / _slice_file(sl.parameter, sl.value)
         _hist_csv(sl.histogram, path)
         written.append(path)
     summary = out / "summary.csv"

@@ -27,7 +27,8 @@ _MAX_VERIFY_READS = 2 * 10**6
 def checks(cfg: SystemConfig, basic: bool, l_max: int, cycles: int, seed: int | None):
     """``cfg``'s checks in print order, families up to ``l_max`` failures and
     ``cycles`` reads simulated under ``seed`` (0 if None) among them; every
-    guard of the sequences, the simulation and its seed raises here first."""
+    guard of the sequences, the simulation and its seed raises here first, as
+    does an extended run of at most k_min reads, of which none can be checked."""
     d = cfg.d
     if d.period > _MAX_VERIFY_READS:
         raise ConfigError(
@@ -38,7 +39,22 @@ def checks(cfg: SystemConfig, basic: bool, l_max: int, cycles: int, seed: int | 
     kernels.check_sequence_args(*shape, l_max, 1, d.period)
     stream = stream_basic(d, cycles) if basic else stream_extended(cfg, cycles, RngSpec(seed or 0))
     kernels.check_sequence_args(*shape, 0, 0, cycles)
+    if not basic and cycles <= (k_min := _first_read(cfg)):
+        raise ConfigError(
+            f"{cycles} reads are all warm-up: no read before k_min = {k_min} can see a "
+            f"delivery, so the trace checks would compare none; run more than {k_min} cycles"
+        )
     return _verify_basic(d, stream, shape) if basic else _verify_extended(cfg, l_max, stream, shape)
+
+
+def _first_read(cfg: SystemConfig) -> int:
+    """k_min, the first read of the extended model that can see a delivery:
+    read k sees the transmissions j <= (k*A' - 1 - delta_n) // N', and the
+    first that delivers is ``kernels._first_success``; at p = 1 the warm-up
+    of a run of more than k_min reads is k_min."""
+    d = cfg.d
+    first = kernels._first_success(d.n_period, cfg.delta_b, cfg.delta_n)
+    return -(-(first * d.n_period + cfg.delta_n + 1) // d.a_period)
 
 
 def _check_family(name: str, dist, seq, where: str = ""):

@@ -947,6 +947,27 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: seed must fit in uint64\n"
 
+    # k_min = ceil((first*N' + delta_n + 1)/A'), first = max(0, ceil((delta_b + 1 - delta_n)/N'))
+    SMALL = ["--a-period", "3", "--b-period", "4", "--n-period", "5", "--delta-b", "100000"]
+
+    @pytest.mark.parametrize("argv, cycles, k_min", [
+        ([*SMALL, "--p", "1/2", "--seed", "3"], ["--cycles", "10"], 33336),
+        (SMALL, [], 33336),
+        ([*FIG, "--p", "1/2", "--seed", "3", "--delta-n", "50"], ["--cycles", "2"], 2),
+    ], ids=["lossy", "default-cycles", "at-k-min"])
+    def test_run_with_no_checkable_read_refused_before_any_draw(self, capsys, monkeypatch,
+                                                                 argv, cycles, k_min):
+        draws = []
+        misses = aoiclock.kernels._misses
+        monkeypatch.setattr(aoiclock.kernels, "_misses", lambda *a: draws.append(a) or misses(*a))
+        code, out, err = run(capsys, "verify", "--model", "extended", *argv, *cycles)
+        assert (code, out, draws) == (2, "", [])
+        assert f"no read before k_min = {k_min} can see a delivery" in err
+        code, out, _ = run(capsys, "verify", "--model", "extended", *argv,
+                           "--cycles", str(k_min + 1))
+        assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+        assert draws
+
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.verify, "_MAX_VERIFY_READS", 35)
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
@@ -1045,6 +1066,41 @@ class TestSweep:
             "error: grid field b: value 100001 is over the cap of 100000 on the exact "
             "expectation's terms\n"
         )
+        assert not out_dir.exists()
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def evaluate(*args):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(aoiclock.sweep, "_evaluate", evaluate)
+
+    def test_out_that_cannot_be_a_directory_fails_before_evaluation(self, capsys, tmp_path,
+                                                                     no_evaluation):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"A": "2..5", "B": "2..5", "N": "2..5"}')
+        out_file = tmp_path / "out"
+        out_file.write_text("kept")
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(out_file) in err
+        assert out_file.read_text() == "kept"
+
+    # each slice file is named slice_<field>_<value>.csv, "/" written "-"
+    @pytest.mark.parametrize("raw, field, length", [
+        ('{"A": [1, 1e300]}', "A", 313),
+        ('{"p": ["1/1%s1"]}' % ("0" * 298), "p", 314),
+    ], ids=["int-field", "p"])
+    def test_overlong_slice_file_name_exits_2(self, capsys, tmp_path, no_evaluation,
+                                              raw, field, length):
+        grid = tmp_path / "grid.json"
+        grid.write_text(raw)
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", (
+            f"error: grid field {field}: a slice file name of {length} bytes is over the "
+            f"255-byte limit on file names\n"
+        ))
         assert not out_dir.exists()
 
     def test_missing_grid_file_exits_1(self, capsys, tmp_path):

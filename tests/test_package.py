@@ -2,8 +2,9 @@
 than the pinned list; no module imports a name it leaves unused, no private
 helper is left that the package never reads, no public name is left that
 neither the package nor the benchmark reads; no module sets the
-interpreter's int<->str digit limit, none but cli imports cli, and none
-names ``object`` as a dtype."""
+interpreter's int<->str digit limit, none but cli imports cli, none
+names ``object`` as a dtype, and every module parses at the Python floor that
+pyproject.toml declares."""
 
 import ast
 import importlib
@@ -303,3 +304,20 @@ def test_object_dtype_check_sees_each_form():
         "dtype = np.int64 if small else object\n"
     )
     assert _object_dtypes(tree) == [2, 3, 4, 5]
+
+
+# tier-1 runs on one interpreter, newer than the floor that pyproject.toml
+# declares; ast's feature_version flags the syntax the floor lacks
+PYPROJECT = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT, re.M).groups()))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_sources_parse_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), filename=path.name, feature_version=FLOOR)
+
+
+def test_floor_check_sees_newer_syntax():
+    assert FLOOR == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)

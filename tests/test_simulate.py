@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aoiclock import kernels, simulate
+from aoiclock import kernels, simulate, verify
 from aoiclock.basic import decompose, distribution_basic
 from aoiclock.extended import SystemConfig, distribution_conditional
 from aoiclock.simulate import (
@@ -291,6 +291,15 @@ _LOSSY = st.builds(
 # A trace whose first delivery is at slot 50001: 50,001 warm-up rows, over
 # four blocks, then defined rows.
 _LONG_WARMUP = SystemConfig(decompose(1, 1, 1), delta_n=50000)
+
+
+# verify refuses a run of at most k_min reads, since every read of it is warm-up
+@given(_LOSSY, st.integers(1, 40))
+def test_warmup_is_k_min_at_p1_and_never_shorter(cfg, extra):
+    k_min = verify._first_read(cfg)
+    lossless = SystemConfig(cfg.d, cfg.delta_b, cfg.delta_n)
+    assert simulate_extended(lossless, k_min + extra, RngSpec(3)).warmup_cycles == k_min
+    assert simulate_extended(cfg, k_min + extra, RngSpec(3)).warmup_cycles >= k_min
 
 
 class TestTraceCsvOracle:

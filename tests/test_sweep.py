@@ -167,6 +167,19 @@ class TestGridParsing:
         )
         assert SweepGrid.from_dict({"b": [1, cap]}).b == (1, cap)
 
+    def test_overlong_slice_file_name_rejected(self):
+        # slice_A_<243 digits>.csv is 255 bytes, NAME_MAX on most file systems
+        assert SweepGrid.from_dict({"A": [1, 10**242]}).A == (1, 10**242)
+        with pytest.raises(ValueError) as exc:
+            SweepGrid.from_dict({"A": [1, 10**243]})
+        assert str(exc.value) == (
+            "grid field A: a slice file name of 256 bytes is over the 255-byte limit on file names"
+        )
+        # only sliced values name files: of five, the first, middle and last
+        unsliced = Fraction(15 * 10**298 + 1, 10**300)
+        grid = SweepGrid.from_dict({"p": ["1/10", str(unsliced), "1/5", "1/2", "1"]})
+        assert grid.p[1] == unsliced
+
     def test_delta_zero_allowed(self):
         assert SweepGrid.from_dict({"delta_n": "0..2"}).delta_n == (0, 1, 2)
 
@@ -517,6 +530,12 @@ class TestRunSweep:
         assert sum(result.global_hist.counts.values()) == result.n_configs
         assert len(result.float_errors) == result.n_configs
 
+    def test_errors_are_the_read_only_float64_column(self, result):
+        errs = result.float_errors
+        assert (type(errs), errs.dtype, errs.flags.writeable) == (np.ndarray, np.float64, False)
+        with pytest.raises(ValueError, match="read-only"):
+            errs[0] = 0.0
+
     def test_no_bound_violations(self, result):
         assert result.bound_violations == 0
 
@@ -537,7 +556,8 @@ class TestRunSweep:
 
     def test_parallel_jobs_identical(self, grid, result, tmp_path):
         r3 = run_sweep(grid, jobs=3)
-        assert r3.float_errors == result.float_errors
+        # bits, which == is not: it equates -0.0 with 0.0
+        assert r3.float_errors.tobytes() == result.float_errors.tobytes()
         assert r3.global_hist == result.global_hist
         assert r3.skip_counts == result.skip_counts
         # empty slices hold NaN quantiles, so compare the printed form
@@ -708,7 +728,7 @@ class TestWorkers:
         with alarm(10):
             assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: boom\n"
-        assert not out.exists()
+        assert list(out.iterdir()) == []  # --out is made before the run, and nothing written
 
     def test_parent_error_kills_the_workers(self, monkeypatch):
         def boom(p):
