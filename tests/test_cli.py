@@ -47,6 +47,9 @@ ANALYZE_DIGESTS = json.loads((GOLDEN / "analyze_sha256.json").read_text())
 # help, version and usage errors of main, each argv's exit code and output
 # at an 80-column terminal, recorded before the parser was built per subcommand
 USAGE = json.loads((GOLDEN / "cli_usage.json").read_text())
+# verify's stdout and exit code for each argv, recorded before the run's
+# defaults and its warm-up rule moved from cli into verify
+VERIFY_STDOUT = json.loads((GOLDEN / "verify_stdout.json").read_text())
 # uniform families (starts, step, count): starts and step past 2^63, counts
 # past 2^31
 _FAMILIES = st.tuples(
@@ -647,6 +650,12 @@ def _age(cfg, k, l):
 
 
 class TestVerify:
+    @pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
+    def test_stdout_matches_golden(self, capsys, name):
+        # every PASS line, its order and the closing line are pinned byte for byte
+        case = VERIFY_STDOUT[name]
+        assert run(capsys, *case["argv"])[:2] == (case["code"], case["stdout"])
+
     def test_basic_reference_passes(self, capsys):
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
         assert code == 0
