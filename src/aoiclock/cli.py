@@ -203,12 +203,9 @@ def cmd_verify(args) -> int:
         raise ConfigError("--l-max must be >= 0")
     if args.cycles is not None and args.cycles < 1:
         raise ConfigError("--cycles must be >= 1")
-    cfg = _config_from_args(args)
-    basic = args.model == "basic"
-    cycles = args.cycles or 3 * cfg.d.period + (1 if basic else 50)
-    l_max = 0 if basic else 3 if args.l_max is None else args.l_max
     failures = []
-    for name, ok, detail in verify.checks(cfg, basic, l_max, cycles, args.seed):
+    for name, ok, detail in verify.checks(_config_from_args(args), args.model == "basic",
+                                          args.l_max, args.cycles, args.seed):
         print(f"check {name}: PASS" if ok else f"check {name}: FAIL ({detail()})")
         if not ok:
             failures.append(name)

@@ -24,37 +24,45 @@ from .simulate import RngSpec, stream_basic, stream_extended
 _MAX_VERIFY_READS = 2 * 10**6
 
 
-def checks(cfg: SystemConfig, basic: bool, l_max: int, cycles: int, seed: int | None):
-    """``cfg``'s checks in print order, families up to ``l_max`` failures and
-    ``cycles`` reads simulated under ``seed`` (0 if None) among them; every
-    guard of the sequences, the simulation and its seed raises here first, as
-    does an extended run of at most k_min reads, of which none can be checked."""
+def _default_cycles(d) -> int:
+    """The reads verify simulates unless told: 3 hyperperiods, plus 50."""
+    return 3 * d.period + 50
+
+
+def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
+    """``cfg``'s checks in print order: families up to ``l_max`` failures (3,
+    or 0 in the basic model, if None), and ``cycles`` reads (``_default_cycles``
+    if None) simulated under ``seed`` (0 if None), compared from k_min unless
+    draws decide the warm-up.  Every guard of the sequences, the simulation
+    and its seed raises here first, as does a run of at most k_min reads."""
     d = cfg.d
     if d.period > _MAX_VERIFY_READS:
         raise ConfigError(
             f"hyperperiod of {d.period} reads is over verify's cap of {_MAX_VERIFY_READS}: "
             f"verify expands whole hyperperiods, in memory that grows with them"
         )
+    l_max = (0 if basic else 3) if l_max is None else l_max
+    cycles = _default_cycles(d) if cycles is None else cycles
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     kernels.check_sequence_args(*shape, l_max, 1, d.period)
     stream = stream_basic(d, cycles) if basic else stream_extended(cfg, cycles, RngSpec(seed or 0))
     kernels.check_sequence_args(*shape, 0, 0, cycles)
-    if not basic and cycles <= (k_min := _first_read(cfg)):
+    if cycles <= (k_min := _first_read(cfg, basic)):
         raise ConfigError(
             f"{cycles} reads are all warm-up: no read before k_min = {k_min} can see a "
             f"delivery, so the trace checks would compare none; run more than {k_min} cycles"
         )
-    return _verify_basic(d, stream, shape) if basic else _verify_extended(cfg, l_max, stream, shape)
+    deadline = k_min if basic or cfg.p == 1 else cycles
+    return (_verify_basic(d, stream, shape, deadline) if basic
+            else _verify_extended(cfg, l_max, stream, shape, deadline))
 
 
-def _first_read(cfg: SystemConfig) -> int:
-    """k_min, the first read of the extended model that can see a delivery:
-    read k sees the transmissions j <= (k*A' - 1 - delta_n) // N', and the
-    first that delivers is ``kernels._first_success``; at p = 1 the warm-up
-    of a run of more than k_min reads is k_min."""
-    d = cfg.d
-    first = kernels._first_success(d.n_period, cfg.delta_b, cfg.delta_n)
-    return -(-(first * d.n_period + cfg.delta_n + 1) // d.a_period)
+def _first_read(cfg: SystemConfig, basic: bool) -> int:
+    """k_min, the first read that can see a delivery: 0 in the basic model; in
+    the extended one, the first that sees transmission ``_first_success``,
+    since read k sees j <= (k*A' - 1 - delta_n) // N'.  At p = 1 it is the warm-up."""
+    d, first = cfg.d, kernels._first_success(cfg.d.n_period, cfg.delta_b, cfg.delta_n)
+    return 0 if basic else -(-(first * d.n_period + cfg.delta_n + 1) // d.a_period)
 
 
 def _check_family(name: str, dist, seq, where: str = ""):
@@ -68,19 +76,18 @@ def _check_family(name: str, dist, seq, where: str = ""):
                                         f"closed={c} direct={v}")
 
 
-def _check_trace(checks, stream, shape, skip_warmup: bool = True):
+def _check_trace(checks, stream, shape, deadline: int):
     """One pass of ``stream`` checked by each ``(name, formula, detail)`` of
     ``checks``, yielded in order at its end: ``formula(k0, fails)`` is the
-    closed form's reads k0, k0 + 1, ... at their failure counts.  The warm-up
-    is skipped unless ``skip_warmup`` is false.  A check stops at its first
-    read that differs and formats ``detail`` with its ``k``, ``l``, ``sim``
-    and ``model``; the stream stops once all have.  Each block with a read
-    to check passes the sequence kernels' guard for ``shape`` first."""
+    closed form's reads k0, k0 + 1, ... at their failure counts, compared
+    from read min(``deadline``, warm-up) on.  A check stops at its first read
+    that differs and formats ``detail`` with its ``k``, ``l``, ``sim`` and
+    ``model``; the stream stops once all have.  Each block with a read to
+    check passes the sequence kernels' guard for ``shape`` first."""
     found = {}  # name -> the detail of its first mismatch
     for k0, ages, fails in stream.blocks():
-        # the stream's warm-up is final once a block holds a defined read,
-        # and the run's length before then, so every block of it is skipped
-        cut = min(len(ages), max(0, stream.warmup_cycles - k0)) if skip_warmup else 0
+        # warmup_cycles is the run's length until the block that ends the warm-up
+        cut = min(len(ages), max(0, min(deadline, stream.warmup_cycles) - k0))
         k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
         if not len(ages):
             continue
@@ -109,7 +116,7 @@ def _check_band(band, exact: Fraction):
         f"exact={_text(exact)} band=[{_text(band.low)}, {_text(band.high)}]")
 
 
-def _verify_basic(d, stream, shape):
+def _verify_basic(d, stream, shape, deadline):
     seq = sequence_basic(d, 1, d.period)
     yield _check_family("progression_family_multiset", distribution_basic(d), seq)
 
@@ -117,26 +124,22 @@ def _verify_basic(d, stream, shape):
     yield _check_mean(exact, Fraction(kernels.exact_sum(seq), d.period))
     yield _check_band(expected_approx_basic(d), exact)
 
-    peak = int(seq.max())
-    bound = max_bound_basic(d)
+    peak, bound = int(seq.max()), max_bound_basic(d)
     yield "max_bound", peak <= bound, lambda: f"observed={peak} bound={bound}"
 
-    # the lossless model delivers at slot 0, so every read is compared: a
-    # read the simulator marks undefined is a mismatch, not a warm-up
     check = ("simulator_matches_formula",
              lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
              "first mismatch at k={k}: simulated={sim} formula={model}")
-    yield from _check_trace([check], stream, shape, skip_warmup=False)
+    yield from _check_trace([check], stream, shape, deadline)
 
 
-def _verify_extended(cfg: SystemConfig, l_max: int, stream, shape):
+def _verify_extended(cfg: SystemConfig, l_max: int, stream, shape, deadline):
     """The extended checks.  ``closed_form_mean`` compares each conditional
     hyperperiod age sum S(l), l <= ``l_max``, from which the exact mean is
     built, with the exact sum of the reads its family check compared, and
     names the first l that differs; S(r) for l_max < r < b, which the exact
     mean also reads, stays unchecked."""
-    period = cfg.d.period
-    direct = []
+    period, direct = cfg.d.period, []
     for l in range(l_max + 1):
         seq = sequence_conditional(cfg, l, 1, period)
         yield _check_family(f"progression_family_multiset_l{l}", distribution_conditional(cfg, l),
@@ -157,4 +160,4 @@ def _verify_extended(cfg: SystemConfig, l_max: int, stream, shape):
         checks.append(("lossless_trace_matches_formula",
                        lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
                        "first mismatch at k={k}"))
-    yield from _check_trace(checks, stream, shape)
+    yield from _check_trace(checks, stream, shape, deadline)

@@ -730,9 +730,8 @@ class TestVerify:
         assert "(l=1, first mismatch at sorted position" in out
 
     def test_corrupted_trace_fails_bridge_at_first_mismatch(self, capsys, monkeypatch):
-        # verify's default run: 3 hyperperiods of 35 reads plus 50
         cfg = aoiclock.extended.SystemConfig(decompose(34, 7, 10), 2, 5, Fraction(1, 2))
-        trace = simulate_extended(cfg, 3 * 35 + 50, RngSpec(3))
+        trace = simulate_extended(cfg, aoiclock.verify._default_cycles(cfg.d), RngSpec(3))
         k = trace.warmup_cycles + 4
         l = int(trace.fails[k])
         want = _age(cfg, k, l)
@@ -849,7 +848,7 @@ class TestVerify:
     def test_extended_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
         cfg = aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45, Fraction(1, 5))
-        trace = simulate_extended(cfg, 3 * 72 + 50, RngSpec(9))
+        trace = simulate_extended(cfg, aoiclock.verify._default_cycles(cfg.d), RngSpec(9))
         assert trace.warmup_cycles == 86
         k = 86 + 21
         l = int(trace.fails[k])
@@ -865,7 +864,8 @@ class TestVerify:
     def test_lossless_mismatch_in_a_later_block_named_by_its_k(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.kernels, "_CHUNK", 8)
         cfg = aoiclock.extended.SystemConfig(decompose(1, 9, 8), 60, 45)
-        assert simulate_extended(cfg, 3 * 72 + 50, RngSpec(9)).warmup_cycles == 62
+        cycles = aoiclock.verify._default_cycles(cfg.d)
+        assert simulate_extended(cfg, cycles, RngSpec(9)).warmup_cycles == 62
         want = _age(cfg, 75, 0)
         _corrupt(monkeypatch, "stream_extended", 75)
         code, out, _ = run(capsys, "verify", "--model", "extended", *self.LATE)

@@ -96,6 +96,10 @@ ROWS = [
     pytest.param(_warmup_one_read_late, SystemConfig(LATE, 60, 45, Fraction(1, 5)), "extended", 9,
                  None, {"failure_counts_match_draws"}, marks=_unseen(ITEM_4),
                  id="warmup-one-read-late"),
+    # at p = 1 the config fixes the warm-up at k_min = 62, so read 62 must be defined
+    pytest.param(_warmup_one_read_late, SystemConfig(LATE, 60, 45), "extended", 9, None,
+                 {"trace_bridge_identity", "lossless_trace_matches_formula"},
+                 id="warmup-one-read-late-lossless"),
     pytest.param(_period_sums_plus_one, SystemConfig(FIG), "basic", None, None,
                  {"closed_form_mean"}, id="period-sums-plus-one-basic"),
     pytest.param(_period_sums_plus_one, SystemConfig(FIG), "extended", None, None,
@@ -103,22 +107,16 @@ ROWS = [
 ]
 
 
-def _cycles(cfg, model, cycles) -> int:
-    """``cycles``, or verify's default: 3 hyperperiods of reads plus 1 or 50."""
-    return cycles or 3 * cfg.d.period + (1 if model == "basic" else 50)
-
-
 def _failed(cfg, model, seed, cycles) -> dict:
     """Each failing check of ``verify.checks`` on the config, as name -> detail,
-    at cmd_verify's defaults: l up to 3, and ``_cycles``."""
-    basic = model == "basic"
-    checks = verify.checks(cfg, basic, 0 if basic else 3, _cycles(cfg, model, cycles), seed)
+    at verify's defaults where ``cycles`` is None."""
+    checks = verify.checks(cfg, model == "basic", cycles=cycles, seed=seed)
     return {name: detail() for name, ok, detail in checks if not ok}
 
 
 def _outputs(cfg, model, seed, cycles):
     """What the checks compare: the simulated reads, the warm-up and the exact mean."""
-    cycles = _cycles(cfg, model, cycles)
+    cycles = cycles or verify._default_cycles(cfg.d)
     if model == "basic":
         stream, mean = stream_basic(cfg.d, cycles), expected_exact_basic(cfg.d)
     else:
@@ -153,6 +151,15 @@ def test_details_name_the_first_mismatch(monkeypatch):
     _period_sums_plus_one(monkeypatch)
     assert _failed(SystemConfig(FIG), "basic", None, None)["closed_form_mean"] == (
         "closed=246/35 direct=7")
+
+
+def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):
+    # reads from k_min = 62 on are compared whatever warm-up the simulator reports
+    _warmup_one_read_late(monkeypatch)
+    assert _failed(SystemConfig(LATE, 60, 45), "extended", 9, None) == {
+        "trace_bridge_identity": "k=62 l=-1: simulated=-1 formula=2",
+        "lossless_trace_matches_formula": "first mismatch at k=62",
+    }
 
 
 def test_extended_mean_detail_names_the_first_l_that_differs(monkeypatch):

@@ -296,7 +296,7 @@ _LONG_WARMUP = SystemConfig(decompose(1, 1, 1), delta_n=50000)
 # verify refuses a run of at most k_min reads, since every read of it is warm-up
 @given(_LOSSY, st.integers(1, 40))
 def test_warmup_is_k_min_at_p1_and_never_shorter(cfg, extra):
-    k_min = verify._first_read(cfg)
+    k_min = verify._first_read(cfg, False)
     lossless = SystemConfig(cfg.d, cfg.delta_b, cfg.delta_n)
     assert simulate_extended(lossless, k_min + extra, RngSpec(3)).warmup_cycles == k_min
     assert simulate_extended(cfg, k_min + extra, RngSpec(3)).warmup_cycles >= k_min
