@@ -68,10 +68,15 @@ class RngSpec:
 
 
 def bernoulli_threshold(p: Fraction) -> int:
-    """round(p * 2^53), the success threshold for 53-bit uniform draws."""
+    """round(p * 2^53), the success threshold for 53-bit uniform draws; a p
+    below 2^-54, whose threshold is 0, would run as p = 0 and is refused."""
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {_fraction_text(p)}")
-    return (p.numerator * (1 << 53) + p.denominator // 2) // p.denominator
+    threshold = (p.numerator * (1 << 53) + p.denominator // 2) // p.denominator
+    if not threshold:
+        raise ValueError(f"p = {_fraction_text(p)} is below 2^-54: round(p * 2^53) = 0, so "
+                         f"the simulator's 53-bit draws would never succeed")
+    return threshold
 
 
 @dataclass

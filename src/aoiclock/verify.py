@@ -11,8 +11,8 @@ import numpy as np
 from . import kernels
 from .basic import ConfigError, distribution_basic, expected_approx_basic, expected_exact_basic
 from .basic import max_bound_basic, sequence_basic
-from .extended import SystemConfig, _text, distribution_conditional, expected_approx_extended
-from .extended import expected_exact_extended, sequence_conditional
+from .extended import SystemConfig, _check_terms, _text, distribution_conditional
+from .extended import expected_approx_extended, expected_exact_extended, sequence_conditional
 from .simulate import RngSpec, stream_basic, stream_extended
 
 # verify's family checks expand and sort whole hyperperiods, about 32 bytes
@@ -33,8 +33,9 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
     """``cfg``'s checks in print order: families up to ``l_max`` failures (3,
     or 0 in the basic model, if None), and ``cycles`` reads (``_default_cycles``
     if None) simulated under ``seed`` (0 if None), compared from k_min unless
-    draws decide the warm-up.  Every guard of the sequences, the simulation
-    and its seed raises here first, as does a run of at most k_min reads."""
+    draws decide the warm-up.  Every guard of the sequences, the simulation,
+    its seed and the exact mean raises here first, as does a run of at most
+    k_min reads."""
     d = cfg.d
     if d.period > _MAX_VERIFY_READS:
         raise ConfigError(
@@ -47,6 +48,8 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
     kernels.check_sequence_args(*shape, l_max, 1, d.period)
     stream = stream_basic(d, cycles) if basic else stream_extended(cfg, cycles, RngSpec(seed or 0))
     kernels.check_sequence_args(*shape, 0, 0, cycles)
+    if not basic:
+        _check_terms(d)
     if cycles <= (k_min := _first_read(cfg, basic)):
         raise ConfigError(
             f"{cycles} reads are all warm-up: no read before k_min = {k_min} can see a "
@@ -82,15 +85,17 @@ def _check_trace(checks, stream, shape, deadline: int):
     closed form's reads k0, k0 + 1, ... at their failure counts, compared
     from read min(``deadline``, warm-up) on.  A check stops at its first read
     that differs and formats ``detail`` with its ``k``, ``l``, ``sim`` and
-    ``model``; the stream stops once all have.  Each block with a read to
-    check passes the sequence kernels' guard for ``shape`` first."""
-    found = {}  # name -> the detail of its first mismatch
+    ``model``; the stream stops once all have, and a run with no read to
+    compare fails them all.  Each block with a read to check passes the
+    sequence kernels' guard for ``shape`` first."""
+    found, compared = {}, 0  # name -> the detail of its first mismatch; reads compared
     for k0, ages, fails in stream.blocks():
         # warmup_cycles is the run's length until the block that ends the warm-up
         cut = min(len(ages), max(0, min(deadline, stream.warmup_cycles) - k0))
         k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
         if not len(ages):
             continue
+        compared += len(ages)
         kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
         for name, formula, detail in checks:
             if name in found:
@@ -102,6 +107,8 @@ def _check_trace(checks, stream, shape, deadline: int):
                 found[name] = detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i])
         if len(found) == len(checks):
             break
+    if not compared:
+        found = {name: f"0 of {stream.cycles} reads compared (all warm-up)" for name, _, _ in checks}
     for name, _, _ in checks:
         yield name, name not in found, lambda name=name: found[name]
 

@@ -977,6 +977,41 @@ class TestVerify:
         assert (code, out.splitlines()[-1]) == (0, "all checks passed")
         assert draws
 
+    def test_term_cap_refused_before_any_check(self, capsys, monkeypatch):
+        # b = gcd(300009, 500015) = 100003, one prime over the exact mean's cap
+        real, calls = aoiclock.verify.sequence_conditional, []
+        monkeypatch.setattr(aoiclock.verify, "sequence_conditional",
+                            lambda *args: calls.append(args) or real(*args))
+        code, out, err = run(capsys, "verify", "--model", "extended", "--a-period", "300009",
+                             "--b-period", "500015", "--n-period", "7", "--p", "1/2", "--seed", "1")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: b = gcd(a_period, b_period) = 100003 is over the cap of "
+                              "100000: ")
+
+    def test_run_that_never_delivers_fails(self, capsys):
+        # `simulate` on the same flags reports warmup=2000 (no delivery seen)
+        code, out, _ = run(capsys, "verify", "--model", "extended", "--a-period", "3",
+                           "--b-period", "4", "--n-period", "5", "--p", "1/1000000", "--seed", "1",
+                           "--cycles", "2000")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "check trace_bridge_identity: FAIL (0 of 2000 reads compared (all warm-up))",
+            "1 check(s) failed: trace_bridge_identity",
+        ]
+
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--out", "-"]],
+                             ids=lambda c: c[0])
+    def test_p_that_would_run_as_zero_refused_before_any_draw(self, capsys, monkeypatch,
+                                                              command):
+        draws = []
+        monkeypatch.setattr(aoiclock.kernels, "_misses", lambda *args: draws.append(args))
+        code, out, err = run(capsys, *command, "--model", "extended", "--a-period", "3",
+                             "--b-period", "4", "--n-period", "5",
+                             "--p", "1/100000000000000000000", "--seed", "1", "--cycles", "2000")
+        assert (code, out, draws) == (2, "", [])
+        assert err == ("error: p = 1/100000000000000000000 is below 2^-54: round(p * 2^53) = 0, "
+                       "so the simulator's 53-bit draws would never succeed\n")
+
     def test_cap_admits_its_own_value(self, capsys, monkeypatch):
         monkeypatch.setattr(aoiclock.verify, "_MAX_VERIFY_READS", 35)
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")

@@ -35,6 +35,14 @@ def _misses_always_hit(monkeypatch):
     monkeypatch.setattr(kernels, "_misses", hit)
 
 
+def _misses_always_miss(monkeypatch):
+    # the simulator runs p = 0: no draw succeeds, so every read is warm-up
+    def miss(seed, threshold, counters, out, tmp):
+        return np.full(len(counters), -1, np.int64)
+
+    monkeypatch.setattr(kernels, "_misses", miss)
+
+
 def _carry_dropped(monkeypatch):
     # kernels' max(x, y) returns x: a block's first read forgets the last
     # success of the block before.  It also pins _scan's step width to 1,
@@ -89,6 +97,8 @@ ROWS = [
                  {"failure_counts_match_draws"}, marks=_unseen(ITEM_4), id="scan-noop"),
     pytest.param(_misses_always_hit, SystemConfig(FIG, p=Fraction(1, 5)), "extended", 1, None,
                  {"failure_counts_match_draws"}, marks=_unseen(ITEM_4), id="misses-always-hit"),
+    pytest.param(_misses_always_miss, SystemConfig(FIG, p=Fraction(1, 2)), "extended", 1, None,
+                 {"trace_bridge_identity"}, id="misses-always-miss"),
     pytest.param(_carry_dropped, SystemConfig(FIG, 2, 5, Fraction(1, 2)), "extended", 1, 5000,
                  {"trace_bridge_identity"}, id="carry-dropped"),
     pytest.param(_basic_one_slot_late, SystemConfig(FIG), "basic", None, None,
@@ -151,6 +161,13 @@ def test_details_name_the_first_mismatch(monkeypatch):
     _period_sums_plus_one(monkeypatch)
     assert _failed(SystemConfig(FIG), "basic", None, None)["closed_form_mean"] == (
         "closed=246/35 direct=7")
+
+
+def test_run_with_no_compared_read_says_so(monkeypatch):
+    _misses_always_miss(monkeypatch)
+    assert _failed(SystemConfig(FIG, p=Fraction(1, 2)), "extended", 1, None) == {
+        "trace_bridge_identity": "0 of 155 reads compared (all warm-up)",
+    }
 
 
 def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):

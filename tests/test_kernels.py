@@ -473,6 +473,9 @@ class TestGuards:
             kernels.check_sequence_args(2**40, 1, 1, 0, 0, 0, 2**22, 1)
         kernels.check_sequence_args(34, 7, 10, 0, 0, 0, 0, 100)
 
+    def test_sequence_args_admit_an_empty_count(self):
+        kernels.check_sequence_args(34, 7, 10, 0, 0, 0, 0, 0)
+
     def test_simulate_args(self):
         with pytest.raises(ValueError):
             kernels.check_simulate_args(1, 1, 0, 0, 0, 10)
@@ -482,3 +485,9 @@ class TestGuards:
             kernels.check_simulate_args(1, 1, 1, 0, -1, 10)
         with pytest.raises(OverflowError):
             kernels.check_simulate_args(2**40, 1, 1, 0, 0, 2**23)
+
+    def test_simulate_args_count_the_source_period(self):
+        # the last slot, cycles*A' + delta_b + delta_n, plus B' + N' must stay below 2^62
+        kernels.check_simulate_args(1, 2**61, 1, 0, 0, 2**61 - 2)
+        with pytest.raises(OverflowError):
+            kernels.check_simulate_args(1, 2**61, 1, 0, 0, 2**61 - 1)

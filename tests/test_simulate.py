@@ -48,6 +48,22 @@ class TestBernoulliThreshold:
         assert bernoulli_threshold(Fraction(1, 3)) == 3002399751580331
         assert bernoulli_threshold(Fraction(1, 2**54)) == 1
 
+    @pytest.mark.parametrize("p", [Fraction(1, 2**54 + 1), Fraction(1, 10**20)],
+                             ids=["just-below", "1e-20"])
+    def test_rejects_a_p_that_would_run_as_zero(self, p):
+        with pytest.raises(ValueError, match=r"is below 2\^-54: round\(p \* 2\^53\) = 0"):
+            bernoulli_threshold(p)
+
+    @pytest.mark.parametrize("make", [simulate_extended, stream_extended],
+                             ids=["simulate_extended", "stream_extended"])
+    def test_streams_refuse_it_before_any_draw(self, monkeypatch, make):
+        draws = []
+        monkeypatch.setattr(kernels, "_misses", lambda *args: draws.append(args))
+        cfg = SystemConfig(REFERENCE, p=Fraction(1, 10**20))
+        with pytest.raises(ValueError, match=r"p = 1/100000000000000000000 is below 2\^-54"):
+            make(cfg, 10, RngSpec(1))
+        assert draws == []
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bernoulli_threshold(Fraction(0))
