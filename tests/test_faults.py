@@ -163,13 +163,6 @@ def test_details_name_the_first_mismatch(monkeypatch):
         "closed=246/35 direct=7")
 
 
-def test_run_with_no_compared_read_says_so(monkeypatch):
-    _misses_always_miss(monkeypatch)
-    assert _failed(SystemConfig(FIG, p=Fraction(1, 2)), "extended", 1, None) == {
-        "trace_bridge_identity": "0 of 155 reads compared (all warm-up)",
-    }
-
-
 def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):
     # reads from k_min = 62 on are compared whatever warm-up the simulator reports
     _warmup_one_read_late(monkeypatch)
