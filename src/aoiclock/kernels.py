@@ -20,8 +20,9 @@ for one config's Python ints and for a sweep's columns alike.
 The simulators draw Bernoulli variates from a counter-based splitmix64
 generator: the variate for transmission slot index m depends only on
 (seed, m).  The extended simulator reads the stream at random: each read
-owns the transmissions since the previous read, and a backward scan of that
-window stops at its newest success, so a read costs min(A'/N', ~1/p) draws.
+owns the transmissions since the previous read, and a backward scan from the
+newest stops at the first success, or after ceil(A'/N') transmissions, the
+most a window holds, so a read costs min(ceil(A'/N'), ~1/p) draws.
 
 Both simulators run as generators of ``(k0, ages, fails)`` blocks of
 ``_CHUNK`` reads, in one sequential pass.  The extended one carries the
@@ -327,11 +328,10 @@ class _Scratch:
     """The extended simulator's chunk-sized working buffers, reused by every block."""
 
     def __init__(self):
-        self.j = np.empty(_CHUNK + 1, dtype=np.int64)
+        self.j = np.empty(_CHUNK, dtype=np.int64)
         self.m = np.empty(_CHUNK, dtype=np.int64)
         self.out = np.empty(_CHUNK, dtype=np.uint64)
         self.tmp = np.empty(_CHUNK, dtype=np.uint64)
-        self.wide = np.empty(_CHUNK, dtype=bool)
 
 
 def _first_success(n_period, delta_b, delta_n) -> int:
@@ -349,37 +349,36 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
     # Window scan.  Transmission m leaves at tau_m = delta_n + m*N'; read k
     # at t = k*A' sees those with tau_m <= t - 1, the last being j_k.  Read k
     # owns the window (j_{k-1}, j_k], and the newest success L_k <= j_k is
-    # the running max of the windows' newest successes.  Only the draws that
-    # decide a read are made: min(A'/N', ~1/p) of them.  Then
+    # the running max of the windows' newest successes.  A window holds at
+    # most ceil(A'/N') transmissions, and its scan stops at the first success
+    # or after that many, so a read costs min(ceil(A'/N'), ~1/p) draws.  Then
     # age = t - buf(L_k), where buf is the newest source completion before
     # tau_L, and fails = j_k - L_k.
     threshold = int(threshold)
     ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
     s = _Scratch()
     # slots[i] = i*A', the slot of read k0 + i less that of read k0
-    slots = np.arange(min(_CHUNK, cycles) + 1, dtype=np.int64)
+    slots = np.arange(min(_CHUNK, cycles), dtype=np.int64)
     slots *= a_period
+    span = -(-a_period // n_period) - 1  # draws a window makes after its first
     first = _first_success(n_period, delta_b, delta_n)
     carry = -1  # L of the previous block's last read
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)
         age, last = ages[:n], fails[:n]
-        # j for reads k0-1 .. k0+n-1; j < 0 before the first transmission
-        j = np.add(slots[: n + 1], (k0 - 1) * a_period - 1 - delta_n, out=s.j[: n + 1])
+        # j for reads k0 .. k0+n-1; j < 0 before the first transmission
+        j = np.add(slots[:n], k0 * a_period - 1 - delta_n, out=s.j[:n])
         j //= n_period
-        lo, hi = j[:-1], j[1:]
-        # every window's first draw is at its newest transmission j_k.
-        # A hit on an empty window, or at a negative j_k, is a success
-        # <= lo, which the running max absorbs
-        miss = _misses(seed, threshold, hi, s.out[:n], s.tmp[:n])
-        np.bitwise_or(hi, miss, out=last)
-        # a window holds at most ceil(A'/N') transmissions
-        if a_period > n_period:
-            rest = np.subtract(hi, lo, out=s.m[:n])
-            rest &= miss
-            idx = np.flatnonzero(np.greater(rest, 1, out=s.wide[:n]))
-            if len(idx):
-                _scan(s, seed, threshold, last, idx, hi[idx] - 1, lo[idx])
+        # every window's first draw is at its newest transmission j_k.  A draw
+        # before a window's start (an empty or short window, or j < 0) is
+        # harmless: a hit there is a success <= j_{k-1}, which the running
+        # max already holds, or a negative index
+        miss = _misses(seed, threshold, j, s.out[:n], s.tmp[:n])
+        np.bitwise_or(j, miss, out=last)
+        if span:
+            # flatnonzero is about three times faster on bool than on int64
+            idx = np.flatnonzero(miss < 0)
+            _scan(s, seed, threshold, last, idx, j[idx] - 1, span)
         last[0] = max(last[0], carry)
         np.maximum.accumulate(last, out=last)
         carry = int(last[-1])
@@ -394,7 +393,7 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
         age_ok *= b_period
         t = np.add(slots[cut:n], k0 * a_period - delta_b, out=s.m[cut:n])
         np.subtract(t, age_ok, out=age_ok)
-        np.subtract(hi[cut:], ok, out=ok)
+        np.subtract(j[cut:], ok, out=ok)
         last[:cut] = -1
         yield k0, age, last
 
@@ -404,20 +403,20 @@ def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed
     return tuple(_join(sim_extended_blocks(*args), cycles))
 
 
-def _scan(s, seed, threshold, found, idx, top, lo):
-    """Newest success in (lo, top] of each still-open window idx, into found.
+def _scan(s, seed, threshold, found, idx, top, span):
+    """Newest success in [top - span + 1, top] of each window idx, into found.
 
-    All windows are scanned backwards at once, ``width`` indices of each per
-    step; a window closes at its first success or at its start, so it costs
-    about min(top - lo, 2/p) draws.  A hit before a window's start is a
-    success the previous window already holds, or a negative index.
+    The windows are those whose first draw, at top + 1, missed.  All are
+    scanned backwards at once, ``width`` indices of each per step; a window
+    closes at its first success or after ``span`` draws, so it costs about
+    min(span + 1, 2/p) draws in all.  A hit before a window's start is a
+    success the previous windows already hold, or a negative index.
     """
-    span = int((top - lo).max())
     width = 1
     while len(idx):
         # the width doubles from the first draw's 1, so a long failure run
         # takes few steps, and a step draws at most _CHUNK variates
-        width = max(1, min(span, 2 * width, _CHUNK // len(idx)))
+        width = min(span, 2 * width, _CHUNK // len(idx))
         span -= width
         size = len(idx) * width
         # column c holds index top - c of every window, then -1 where it missed
@@ -426,9 +425,9 @@ def _scan(s, seed, threshold, found, idx, top, lo):
         # an open window's found is -1, as is the max where every draw missed
         new = found[idx] = m.max(axis=0)
         if span <= 0:
-            break  # every window is scanned to its start
-        sel = np.flatnonzero((new < 0) & (top - width > lo))
-        idx, top, lo = idx[sel], top[sel] - width, lo[sel]
+            break  # every window has made its ceil(A'/N') draws
+        sel = np.flatnonzero(new < 0)
+        idx, top = idx[sel], top[sel] - width
 
 
 # the benchmark times each kernel by name through this registry

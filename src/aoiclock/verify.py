@@ -84,10 +84,10 @@ def _check_trace(checks, stream, shape, deadline: int):
     ``checks``, yielded in order at its end: ``formula(k0, fails)`` is the
     closed form's reads k0, k0 + 1, ... at their failure counts, compared
     from read min(``deadline``, warm-up) on.  A check stops at its first read
-    that differs and formats ``detail`` with its ``k``, ``l``, ``sim`` and
-    ``model``; the stream stops once all have, and a run with no read to
-    compare fails them all.  Each block with a read to check passes the
-    sequence kernels' guard for ``shape`` first."""
+    that differs or is undefined (age < 0), and formats ``detail`` with its
+    ``k``, ``l``, ``sim`` and ``model``; the stream stops once all have, and
+    a run with no read to compare fails them all.  Each block with a read to
+    check passes the sequence kernels' guard for ``shape`` first."""
     found, compared = {}, 0  # name -> the detail of its first mismatch; reads compared
     for k0, ages, fails in stream.blocks():
         # warmup_cycles is the run's length until the block that ends the warm-up
@@ -97,11 +97,13 @@ def _check_trace(checks, stream, shape, deadline: int):
             continue
         compared += len(ages)
         kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
+        # a compared read must be defined: the formula at l = -1 can give -1 too
+        undefined = ages < 0
         for name, formula, detail in checks:
             if name in found:
                 continue
             want = formula(k0, fails)
-            bad = np.flatnonzero(ages != want)
+            bad = np.flatnonzero((ages != want) | undefined)
             if len(bad):
                 i = bad[0]
                 found[name] = detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i])

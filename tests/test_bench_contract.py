@@ -133,6 +133,22 @@ def test_traced_simulate_records_the_trace_it_writes(layers, capsys, tmp_path):
     assert values["simulate.write_trace_csv.bytes"] == out.stat().st_size > 0
 
 
+def test_mini_traced_passes_reach_every_layer(layers, tmp_path):
+    # a traced benchmark run fills the layers its own workload misses from
+    # one mini traced pass of each other workload, so together the four must
+    # pass their checks and reach every per-layer metric
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    tracer = layers.Tracer()
+    for name, workload in workloads.WORKLOADS.items():
+        res, _ = workload(1, tmp_path, mini=True).run_traced(0, tracer)
+        assert (res.failed, res.problems) == (0, []), name
+    assert set(layers.layer_values(tracer)) == {name for name, _, _ in layers.LAYER_METRICS}
+
+
 def _package_reads(path: Path) -> set[tuple[str, str]]:
     """Each ``(module, name)`` a bench file reads as ``<module>.<name>``, where
     ``<module>`` is ``aoiclock`` or a submodule imported from it."""

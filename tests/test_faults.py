@@ -45,8 +45,8 @@ def _misses_always_miss(monkeypatch):
 
 def _carry_dropped(monkeypatch):
     # kernels' max(x, y) returns x: a block's first read forgets the last
-    # success of the block before.  It also pins _scan's step width to 1,
-    # which changes no result, and at shifts (2, 5) leaves `first` at 0
+    # success of the block before.  At shifts (2, 5) it also leaves `first`
+    # at 0, its true value
     monkeypatch.setattr(kernels, "max", lambda x, y: x, raising=False)
     monkeypatch.setattr(kernels, "_CHUNK", 64)
 
@@ -169,6 +169,16 @@ def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):
     assert _failed(SystemConfig(LATE, 60, 45), "extended", 9, None) == {
         "trace_bridge_identity": "k=62 l=-1: simulated=-1 formula=2",
         "lossless_trace_matches_formula": "first mismatch at k=62",
+    }
+
+
+def test_undefined_read_past_the_deadline_fails_at_k_min(monkeypatch):
+    # at l = -1 the formula gives -1, as the undefined read does; the bridge
+    # still names read k_min = 1, as the lossless check does
+    _misses_always_miss(monkeypatch)
+    assert _failed(SystemConfig(FIG), "extended", 1, None) == {
+        "trace_bridge_identity": "k=1 l=-1: simulated=-1 formula=-1",
+        "lossless_trace_matches_formula": "first mismatch at k=1",
     }
 
 

@@ -197,6 +197,18 @@ class TestRowSums:
     @example([((34, 7, 10), (0, 0, 0))], 1)
     @example([((20, 28, 35), (3, 5, 2))], 2)  # a = 7 split over four passes
     @example([((5 * (10**18 + 9), 14, 21 * (10**18 + 9)), (2**62, 1, 2))], 3)
+    # rows whose columns fit int64 but whose true intermediates pass 2^63, so
+    # that each bound must choose Python ints.  Lane bound: t = i*A' at
+    # A' = 2^62 + 1, alone and with either shift near A'; N*r_ab at a = 1;
+    # sums over a = 9973 lanes where a*n dominates, and over a = 20011 where
+    # a*b does.  Assembly bound: a*N*a*b*B*(B - 1)/2 at B = 2^40 + 1
+    @example([((2**62 + 1, 6, 3), (0, 0, 0))], 1)
+    @example([((2**62 + 1, 6, 3), (2**62 + 3, 0, 0))], 1)
+    @example([((2**62 + 1, 6, 3), (0, 2**62 + 1, 0))], 1)
+    @example([((10**12 + 39, 10**12 + 39, 10**9 + 7), (1, 0, 0))], 1)
+    @example([((100003, 19946, 3154554533797), (0, 0, 0))], 4)
+    @example([((10**11 + 3, 20011 * (10**11 + 3), 20011), (0, 0, 0))], 4)
+    @example([((1, 2**40 + 1, 3), (0, 0, 0))], 1)
     def test_rows_equal_period_sums(self, rows, lanes):
         ds = [decompose(*t) for t, _ in rows]
         cols = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, *shifts)
@@ -338,6 +350,43 @@ class TestNumpyExtendedChunks:
         assert (ages[1:] >= 0).all() and ages[0] == -1
         mean = ages[1:].mean()
         assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
+
+
+def _spy_draws(monkeypatch) -> list:
+    """A list to which every ``_misses`` call appends the number of variates it draws."""
+    real, calls = kernels._misses, []
+
+    def spy(seed, threshold, counters, out, tmp):
+        calls.append(len(counters))
+        return real(seed, threshold, counters, out, tmp)
+
+    monkeypatch.setattr(kernels, "_misses", spy)
+    return calls
+
+
+class TestScanDraws:
+    """A read's scan stops at its first success or after ceil(A'/N') draws."""
+
+    # where N' divides A', every window holds exactly A'/N' transmissions, so
+    # a scan ends at its window's start; the totals were counted on a scan
+    # that tracked each window's start
+    @pytest.mark.parametrize("t, draws", [((13, 12, 1), 509_704), ((3, 14, 1), 244_414)])
+    def test_draws_where_every_window_is_full(self, monkeypatch, t, draws):
+        calls = _spy_draws(monkeypatch)
+        kernels.sim_extended(*t, 0, 0, bernoulli_threshold(Fraction(1, 5)), 7, 10**5)
+        assert sum(calls) == draws
+
+    def test_no_read_draws_more_than_its_bound(self, monkeypatch):
+        # A'/N' = 1.75: windows of one and of two transmissions; in blocks of
+        # one read, each block's draws are that read's
+        monkeypatch.setattr(kernels, "_CHUNK", 1)
+        calls = _spy_draws(monkeypatch)
+        per_read = []
+        for _ in kernels.sim_extended_blocks(7, 5, 4, 0, 0, bernoulli_threshold(Fraction(1, 5)),
+                                             7, 2000):
+            per_read.append(sum(calls))
+            calls.clear()
+        assert (min(per_read), max(per_read)) == (1, 2)
 
 
 _PERIODS = st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(1, 12))
