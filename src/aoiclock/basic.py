@@ -203,7 +203,7 @@ class AoiDistribution:
         return out
 
 
-def _start(d: PeriodDecomposition, i, j, shifts=(0, 0, 0)):
+def _start(d: PeriodDecomposition, i, j, shifts):
     """Start of progression (i, j) of the family for the shift triple (s_b, s_n, base).
 
     base + r_ab + ceil((r_an - r_ab + j*a*n) / (a*b)) * a*b, the ceiling
@@ -222,9 +222,9 @@ def _family(d: PeriodDecomposition, shifts=(0, 0, 0)) -> AoiDistribution:
     """The a*N progressions <_start(d, i, j, shifts), a*b, B> of one hyperperiod
     of ages, i-major, from one array evaluation of ``_start``."""
     ab = d.a * d.b
-    # no intermediate of _start is larger in magnitude; past int64 the
-    # arithmetic runs on Python ints
-    bound = d.a * d.a_period + sum(map(abs, shifts)) + 2 * ab + d.a * d.n + d.n_period
+    # no intermediate of _start is larger in magnitude, since a*b <= a*A' and a
+    # start is below base + N' + a*b; past int64 the arithmetic runs on Python ints
+    bound = d.a * d.a_period + sum(map(abs, shifts)) + d.n_period
     i, j = kernels._fit(bound, np.arange(d.a)[:, None], np.arange(d.N))
     return AoiDistribution(_start(d, i, j, shifts).ravel(), ab, d.B)
 

@@ -53,8 +53,8 @@ __all__ = [
 # each), a geometric sum by binary splitting and Fraction's gcd over a
 # denominator of about b*log2(v) bits; the gcd grows as b^2 and with log(v).
 # At b = 10^5, periods (3b, 7b, 11), a whole `analyze --model extended` call,
-# start-up included, took 0.4 s at p = 1/2 and 4.1 s at p = 1/30000 (medians,
-# 2-core Xeon host), most of the latter in the gcd.
+# start-up included, took 0.35 s at p = 1/2 and 3.5 s at p = 1/30000 (medians of
+# three fresh processes, 2-core Xeon host), most of the latter in the gcd.
 _MAX_TERMS = 10**5
 # max_bound_prob doubles its logarithms' precision up to this many digits; a
 # near tie with 10^3-bit terms took 0.08 s to its refusal on the same host
@@ -158,7 +158,7 @@ def _check_terms(d: PeriodDecomposition) -> None:
         raise ValueError(
             f"b = gcd(a_period, b_period) = {d.b} is over the cap of {_MAX_TERMS}: the exact "
             f"expectation needs b conditional hyperperiod sums and big-integer work that "
-            f"grows as b^2 (analyze takes about 0.4 s at b = {_MAX_TERMS} and p = 1/2, 4.1 s at "
+            f"grows as b^2 (analyze takes about 0.35 s at b = {_MAX_TERMS} and p = 1/2, 3.5 s at "
             f"p = 1/30000)"
         )
 

@@ -155,8 +155,8 @@ def _row_sums(a_period, ab, an, big_n, a, big_b, s_b, s_n, base):
     N*r_ab + a*b*floor_sum(N, a*b, a*n, r_an - r_ab + a*b - 1), r_ab =
     (i*A' - s_b) mod a*b and r_an = (i*A' - s_n) mod a*n, go through
     ``floor_sums`` ``_LANES`` at a time, in int64 where the bound below is
-    under 2^63 and in Python ints otherwise; their sums over i < a are
-    assembled into whole sums under a bound of their own.
+    under 2^63, else in Python ints; i = -a..-1 stands for i + a, as a*A' is 0
+    mod a*b and a*n, and the sums are assembled under a bound of their own.
     """
     args = np.broadcast_arrays(a_period, ab, an, big_n, a, big_b, s_b, s_n, base)
     a_period, ab, an, big_n, a, big_b, s_b, s_n, base = args
@@ -168,10 +168,10 @@ def _row_sums(a_period, ab, an, big_n, a, big_b, s_b, s_n, base):
     a = a.astype(np.int64)
     out = np.zeros(len(a), dtype=ab.dtype)
     ends = np.cumsum(a)
-    for lo in range(0, int(ends[-1]) if len(ends) else 0, _LANES):
+    for lo in range(0, int(a.sum()), _LANES):
         lane = np.arange(lo, min(lo + _LANES, int(ends[-1])))
         row = np.searchsorted(ends, lane, side="right")
-        i = (lane - ends[row] + a[row]).astype(ab.dtype)
+        i = (lane - ends[row]).astype(ab.dtype)
         t, m = i * a_period[row], ab[row]
         r_ab = (t - s_b[row]) % m
         r_an = (t - s_n[row]) % an[row]

@@ -296,8 +296,8 @@ def _config_error(m2k, ab, n_period, u, w, acc, den0):
     M/2 + K + w*N'/u, and its w*N'/u cancels against E's:
     (E - center) / E = num / (2P) with
     num = 2P - den0*(u*(M + 2K) + 2w*N').  The a priori bound is
-    a*b*u / (u*(M - a*b + 2K) + 2w*N'), whose denominator is positive since
-    K >= 2.
+    a*b*u / (u*(M - a*b + 2K) + 2w*N'); as a*b <= M and K >= 2, both its
+    terms lie in (0, u*(M + 2K) + 2w*N'].
     """
     wn2 = 2 * w * n_period
     den = 2 * (w * n_period * den0 + u * u * acc)
@@ -410,7 +410,7 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np
     parts = []
     lo = 0
     while lo < len(unit_b):
-        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + _ROWS)))
+        hi = int(np.searchsorted(first, first[lo] + _ROWS))
         units = np.repeat(np.arange(lo, hi), unit_b[lo:hi])
         k, j = units // n_pairs, units % n_pairs
         r = np.arange(len(units)) + first[lo] - first[units]
@@ -470,12 +470,12 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     m2k = max_bound + 2 * _freshness_offset(n, dn)
 
     bn, bd = bin_width.numerator, bin_width.denominator
-    big_u, big_w, big_n_period, big_ab = max(us), max(ws), _max_abs(c.n_period), _max_abs(c.ab)
+    big_u, big_w, big_n_period = max(us), max(ws), _max_abs(c.n_period)
     den_b = 2 * (big_w * big_n_period * _max_abs(den0) + big_u**2 * _max_abs(acc))
-    lin = big_u * (_max_abs(m2k) + big_ab) + 2 * big_w * big_n_period
+    lin = big_u * _max_abs(m2k) + 2 * big_w * big_n_period
     num_b = den_b + _max_abs(den0) * lin
-    bound = max(num_b * lin, big_ab * big_u * den_b, num_b * bd, den_b * bn)
-    if max(num_b, den_b) > 2**53:  # an int64 num or den would round on its way to a float
+    bound = max(num_b * lin, num_b * bd, den_b * bn)
+    if num_b > 2**53:  # an int64 num or den (den_b <= num_b) would round on its way to a float
         bound = 2**63
     num, den, ok = _config_error(*_fit(
         bound, m2k, c.ab[k], c.n_period[k], u_col[h], w_col[h], acc, den0

@@ -106,7 +106,8 @@ def _check_trace(checks, stream, shape, deadline: int):
             bad = np.flatnonzero((ages != want) | undefined)
             if len(bad):
                 i = bad[0]
-                found[name] = detail.format(k=k0 + i, l=fails[i], sim=ages[i], model=want[i])
+                sim = "undefined" if undefined[i] else ages[i]
+                found[name] = detail.format(k=k0 + i, l=fails[i], sim=sim, model=want[i])
         if len(found) == len(checks):
             break
     if not compared:

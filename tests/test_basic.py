@@ -154,6 +154,16 @@ class TestSequenceBasic:
         b = sequence_basic(REFERENCE, 1 + 3 * p, p)
         assert (a == b).all()
 
+    def test_last_reads_the_slot_guard_admits(self):
+        # at (1, 7, 10) the guard's top is k0 + count + 2*N' + 2 with no
+        # shift or failure: reads up to 2^62 - 24 are admitted, and one more
+        # is refused
+        d = decompose(1, 7, 10)
+        k0 = 2**62 - 26
+        assert sequence_basic(d, k0, 3).tolist() == [age_ref(d, k) for k in range(k0, k0 + 3)]
+        with pytest.raises(OverflowError):
+            sequence_basic(d, k0, 4)
+
 
 class TestProgressionFamily:
     def test_reference_offsets(self):
@@ -192,7 +202,11 @@ class TestProgressionFamily:
     @given(triple_strategy(60), st.tuples(*[st.integers(0, 40)] * 3))
     # a*a_period past 2^63 (a = 2), then shifts past it
     @example((2**62 + 1, 10, 6), (0, 0, 0))
+    # i*a_period = 2^63 + 2 at i = 2 (a = 3): a wrapped one gives another r_ab
+    @example((2**62 + 1, 15, 6), (0, 0, 0))
     @example((7, 10, 6), (2**63, 2**64 + 3, 2**65))
+    # a start of base + r_an + j*a*n = 2^63 through N' = 2*(2^62 - 1) alone
+    @example((2**62 - 1, 5, 2**63 - 2), (0, 1, 3))
     def test_starts_match_scalar_oracle(self, t, shifts):
         d = decompose(*t)
         want = [start_ref(d, i, j, shifts) for i in range(d.a) for j in range(d.N)]
@@ -335,6 +349,13 @@ class TestBandAndBounds:
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError, match="half_width"):
             basic.BandedValue(Fraction(1), Fraction(-1, 2))
+
+    def test_zero_half_width_is_a_point(self):
+        # an exact value is the band of width 0 around it
+        band = basic.BandedValue(Fraction(7, 3), Fraction(0))
+        assert band.low == band.high == Fraction(7, 3)
+        assert band.contains(Fraction(7, 3))
+        assert not band.contains(Fraction(7, 3) + Fraction(1, 10**9))
 
     def test_all_units_band(self):
         band = expected_approx_basic(decompose(1, 1, 1))

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context
@@ -256,6 +257,17 @@ class TestExpectedExact:
         with pytest.raises(ValueError, match="grows as b\\^2"):
             expected_exact_extended(cfg)
 
+    def test_cap_admits_its_own_b(self, monkeypatch):
+        # b = 10^5, the cap itself, reaches the sums, where a stand-in stops it
+        def kernel_called(*args):
+            raise LookupError("kernel called")
+
+        monkeypatch.setattr(extended.kernels, "period_sums_conditional", kernel_called)
+        cfg = SystemConfig(decompose(3 * 10**5, 7 * 10**5, 11), p="1/2")
+        assert cfg.d.b == extended._MAX_TERMS
+        with pytest.raises(LookupError, match="kernel called"):
+            expected_exact_extended(cfg)
+
     @given(cfg_strategy(12, 10))
     @example(SystemConfig(decompose(12, 9, 5), delta_b=2, delta_n=7))  # b = 3
     def test_conditional_mean_periodic_in_b(self, cfg):
@@ -370,6 +382,9 @@ class TestMaxBound:
         monkeypatch.setattr(extended, "_ln_bounds", spy)
         assert max_bound_prob(cfg, sigma) == max_bound_prob_ref(cfg, sigma) == 18 + 10 * 10
         assert len(set(precs)) >= 2
+        # a cap of exactly the last precision still admits it
+        monkeypatch.setattr(extended, "_MAX_LOG_DIGITS", precs[-1])
+        assert max_bound_prob(cfg, sigma) == 18 + 10 * 10
 
     def test_near_tie_past_the_cap_refused(self):
         # 1 - sigma differs from (1-p)^10 in its 3,000th digit
@@ -487,6 +502,29 @@ class TestFractionText:
         (Fraction(-1, 10**1000), "-1.00e-1000"),
         (Fraction(10**1000, 3), "3.33e+999"),
         (Fraction(-(10**1000)), "-1.00e+1000"),
+        # a term of exactly 10^100 is past it, and 0.4 is not near 1
+        (Fraction(10**100, 3), "3.33e+99"),
+        (Fraction(1, 10**100), "1.00e-100"),
+        (Fraction(2 * 10**100 + 1, 5 * 10**100), "4.00e-01"),
     ])
     def test_any_fraction(self, default_digit_limit, x, want):
         assert extended._fraction_text(x) == want
+
+
+class TestPastDigitLimit:
+    def test_a_term_of_the_limit_converts(self, default_digit_limit):
+        assert extended._past_digit_limit("9" * 4300) is None
+        assert extended._past_digit_limit("9" * 4301) == (
+            "a term of 4301 digits is past the interpreter's limit of 4300 digits for "
+            "int<->str conversion")
+
+    def test_no_limit_passes_every_term(self, monkeypatch):
+        # the limit switched off (0), and an interpreter without one
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert extended._past_digit_limit("9" * 5000) is None
+        finally:
+            sys.set_int_max_str_digits(limit)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert extended._past_digit_limit("12345") is None

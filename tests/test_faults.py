@@ -167,17 +167,18 @@ def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):
     # reads from k_min = 62 on are compared whatever warm-up the simulator reports
     _warmup_one_read_late(monkeypatch)
     assert _failed(SystemConfig(LATE, 60, 45), "extended", 9, None) == {
-        "trace_bridge_identity": "k=62 l=-1: simulated=-1 formula=2",
+        "trace_bridge_identity": "k=62 l=-1: simulated=undefined formula=2",
         "lossless_trace_matches_formula": "first mismatch at k=62",
     }
 
 
 def test_undefined_read_past_the_deadline_fails_at_k_min(monkeypatch):
-    # at l = -1 the formula gives -1, as the undefined read does; the bridge
-    # still names read k_min = 1, as the lossless check does
+    # at l = -1 the formula gives -1, the undefined read's age; the bridge
+    # still names read k_min = 1, as the lossless check does, and says that
+    # the read is undefined rather than printing two equal numbers
     _misses_always_miss(monkeypatch)
     assert _failed(SystemConfig(FIG), "extended", 1, None) == {
-        "trace_bridge_identity": "k=1 l=-1: simulated=-1 formula=-1",
+        "trace_bridge_identity": "k=1 l=-1: simulated=undefined formula=-1",
         "lossless_trace_matches_formula": "first mismatch at k=1",
     }
 

@@ -209,6 +209,9 @@ class TestRowSums:
     @example([((100003, 19946, 3154554533797), (0, 0, 0))], 4)
     @example([((10**11 + 3, 20011 * (10**11 + 3), 20011), (0, 0, 0))], 4)
     @example([((1, 2**40 + 1, 3), (0, 0, 0))], 1)
+    # six rows of a = 3 at A' = 2^63 // 34 + 2: |i| <= a keeps i*A' in int64,
+    # where i counted across rows would pass 2^63 inside the sixth row
+    @example([((2**63 // 34 + 2, 6, 3), (0, 0, 0))] * 6, 1)
     def test_rows_equal_period_sums(self, rows, lanes):
         ds = [decompose(*t) for t, _ in rows]
         cols = [(d.a_period, d.a * d.b, d.a * d.n, d.N, d.a, d.B, *shifts)
@@ -301,6 +304,20 @@ class TestSimulatorKernels:
                     ref_ages, ref_fails = naive_extended(*t, db, dn, thr, 12345, 400)
                     assert list(ages) == ref_ages, (t, db, dn, p)
                     assert list(fails) == ref_fails, (t, db, dn, p)
+
+    def test_a_draw_at_the_threshold_misses(self):
+        # a draw hits when its top 53 bits are below the threshold.  At
+        # (1, 9, 8), reads 9..16 see transmission 1 alone, the first that can
+        # deliver: a threshold equal to its bits leaves them undefined, and
+        # one above delivers to them
+        t, seed = (1, 9, 8), 12345
+        bits = splitmix64_ref(seed, 1) >> 11
+        ages = []
+        for thr in (bits, bits + 1):
+            got = kernels.sim_extended(*t, 0, 0, thr, seed, 20)
+            assert [x.tolist() for x in got] == list(naive_extended(*t, 0, 0, thr, seed, 20))
+            ages.append(got[0][9:17].tolist())
+        assert ages[0] == [-1] * 8 and min(ages[1]) >= 0
 
 
 class TestNumpyExtendedChunks:
@@ -540,3 +557,15 @@ class TestGuards:
         kernels.check_simulate_args(1, 2**61, 1, 0, 0, 2**61 - 2)
         with pytest.raises(OverflowError):
             kernels.check_simulate_args(1, 2**61, 1, 0, 0, 2**61 - 1)
+
+    @pytest.mark.parametrize("shifts", [(2**62 - 61, 0), (0, 2**62 - 61), (2**61, 2**61 - 61)])
+    def test_simulate_args_count_the_shifts(self, shifts):
+        # at (1, 7, 3) the last slot of 50 reads, 50 + delta_b + delta_n, plus
+        # B' + N' is 2^62 - 1: a 51st read is refused.  The admitted run is
+        # the slot-by-slot replay's, every read before any delivery
+        kernels.check_simulate_args(1, 7, 3, *shifts, 50)
+        with pytest.raises(OverflowError, match="slot numbers"):
+            kernels.check_simulate_args(1, 7, 3, *shifts, 51)
+        args = (1, 7, 3, *shifts, 10**15, 1, 50)
+        ages, fails = kernels.sim_extended(*args)
+        assert (ages.tolist(), fails.tolist()) == naive_extended(*args) == ([-1] * 50,) * 2

@@ -274,6 +274,11 @@ class TestEnumeration:
     # kept tuples whose periods pass 2^63: A*b*n = (2^61 - 1)*5*7
     @example({"A": [2**61 - 1], "B": [1, 2], "N": [3], "a": [1], "b": [5], "n": [1, 7]},
              0, None, sweep._BLOCK)
+    # ... and where B*b*a alone, or N*n*a alone, passes 2^63
+    @example({"A": [1, 3], "B": [2**61 - 1], "N": [1], "a": [1, 7], "b": [5], "n": [1]},
+             0, None, sweep._BLOCK)
+    @example({"A": [1, 3], "B": [1], "N": [2**61 - 1], "a": [1, 7], "b": [1], "n": [5]},
+             0, None, sweep._BLOCK)
     # factors past 2^63 themselves, in kept tuples and in each skip reason
     @example({"A": [3, 2**64 + 1], "B": [1, 2**64], "N": [1, 2, 7], "a": [1, 2**64 + 1],
               "b": [1, 2], "n": [1, 5]}, 3, None, 7)
@@ -374,6 +379,37 @@ class TestEvalChunk:
     @example([decompose(47, 47, 2)], [(0, 0, Fraction(1, 2))], Fraction(1, 100))
     # each t_r fits int64, but the Horner sum over b = 30 terms of 2^r t_r does not
     @example([decompose(30, 3000090, 1)], [(0, 0, Fraction(1, 2))], Fraction(1, 100))
+    # s_b = delta_b + 2 + r*N' passes 2^63 - 1 by 1 to 3 (b = 3, N' = 1), so
+    # the shift stage must choose Python ints; a*b = 3 does not divide 2^64,
+    # so a wrapped s_b would give another r_ab
+    @example([decompose(6, 9, 1)], [(2**63 - 2, 0, Fraction(1, 2)), (2**63 - 2, 0, Fraction(1))],
+             Fraction(1, 100))
+    # ... and through (b - 1)*N' = 20 on a shift of 2^63 - 12
+    @example([decompose(6, 9, 10)], [(2**63 - 12, 0, Fraction(1, 2))], Fraction(1, 100))
+    # s_n = delta_n + 1 = 2^63, and a*n = 3 does not divide 2^64
+    @example([decompose(3, 2, 3)], [(0, 2**63 - 1, Fraction(1, 2)), (0, 2**63 - 1, Fraction(1))],
+             Fraction(1, 100))
+    # b = 33 terms at p = 1/3: the geometric stage's partial sums pass 2^63
+    @example([decompose(33, 594, 1)], [(0, 0, Fraction(1, 3))], Fraction(1, 100))
+    # M + 2K = 2n + 4 passes 2^63 at n = 2^62 - 1, with delta_n = 0 and = n
+    @example([decompose(2**62 - 1, 2, 2**62 - 1)], [(0, 0, Fraction(1)), (0, 0, Fraction(1, 2))],
+             Fraction(1, 100))
+    @example([decompose(2**62 - 1, 2, 2**62 - 1)], [(0, 2**62 - 1, Fraction(1))], Fraction(1, 100))
+    # relative errors below -1: |num| passes 2^53 while den stays below it
+    @example([decompose(48, 48, 1)], [(9, 0, Fraction(1, 2))], Fraction(1, 100))
+    @example([decompose(49, 49, 1)], [(42, 0, Fraction(1, 2))], Fraction(1, 100))
+    # num and den below 2^53, but |num|*(u*(M + 2K - a*b) + 2w*N') past 2^63:
+    # through u near 2^14 and 2^15, and through 2w*N' at p = 3/4097
+    @example([decompose(9, 88, 1512)], [(1, 40, Fraction(16383, 16384))], Fraction(1, 100))
+    @example([decompose(14, 495, 3465)], [(38, 19, Fraction(32768, 32769))], Fraction(1, 100))
+    @example([decompose(6, 89447, 186672)], [(811, 3, Fraction(3, 4097))], Fraction(1, 100))
+    # every bin fits int64, but num*bd, the bin's numerator, does not
+    @example([decompose(34, 7, 10), decompose(12, 9, 5)],
+             [(0, 0, Fraction(1, 3)), (3, 5, Fraction(1, 3))], Fraction(1, 10**17))
+    # ... nor den*bn, its denominator, at p = 1/3 and at p = 1
+    @example([decompose(34, 7, 10), decompose(12, 9, 5)],
+             [(0, 0, Fraction(1, 3)), (3, 5, Fraction(1, 3))], Fraction(10**15, 3))
+    @example([decompose(34, 7, 10)], [(0, 0, Fraction(1))], Fraction(10**17, 3))
     def test_rows_equal_fraction_oracle(self, decomps, combos, bin_width):
         payload = (decomps, combos, bin_width)
 
