@@ -217,9 +217,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # a bad flag fails before --out is made, and, as simulate opens --out
+    # before its first draw, an --out that cannot be a directory fails
+    # before the grid is evaluated
+    if args.bin_width <= 0:
+        raise ConfigError("--bin-width must be > 0")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     grid = SweepGrid.from_json(args.grid)
-    # as simulate opens --out before its first draw, an --out that cannot be
-    # a directory fails before the grid is evaluated
     Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_sweep(grid, bin_width=args.bin_width, jobs=args.jobs)
     paths = write_outputs(result, args.out)

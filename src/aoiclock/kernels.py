@@ -1,6 +1,6 @@
-"""Kernels: vectorized numpy age sequences and simulators, and exact hyperperiod sums.
+"""Kernels: vectorized numpy age sequences, the simulator, and exact hyperperiod sums.
 
-The sequence kernels and the simulators work in int64.  Callers go through
+The sequence kernels and the simulator work in int64.  Callers go through
 the ``check_*`` guards, which reject inputs whose intermediate values could
 leave the int64 range; the kernels themselves assume the guards have run.
 The package's exact integer arrays follow one rule, kept here: a stage runs
@@ -17,21 +17,25 @@ shift triple) rows at once through ``floor_sums``, as arrays under that
 rule.  ``geometric_sum`` weighs such sums by the geometric failure count,
 for one config's Python ints and for a sweep's columns alike.
 
-The simulators draw Bernoulli variates from a counter-based splitmix64
-generator: the variate for transmission slot index m depends only on
-(seed, m).  The extended simulator reads the stream at random: each read
-owns the transmissions since the previous read, and a backward scan from the
-newest stops at the first success, or after ceil(A'/N') transmissions, the
-most a window holds, so a read costs min(ceil(A'/N'), ~1/p) draws.
+One simulator kernel, ``sim_blocks``, runs both models; the basic one is
+the extended one with no shifts, no hand-over slot and p = 1.  It keeps its
+own event arithmetic and takes nothing from the age formula (``_shifts``,
+``_seq``), so a fault in one cannot move the other with it.  It draws
+Bernoulli variates from a counter-based splitmix64 generator: the variate
+for transmission slot index m depends only on (seed, m).  It reads the
+stream at random: each read owns the transmissions since the previous read,
+and a backward scan from the newest stops at the first success, or after
+ceil(A'/N') transmissions, the most a window holds, so a read costs
+min(ceil(A'/N'), ~1/p) draws, and none at p = 1, where every draw hits.
 
-Both simulators run as generators of ``(k0, ages, fails)`` blocks of
-``_CHUNK`` reads, in one sequential pass.  The extended one carries the
-running max of the newest success from each block to the next.  A window's
-newest success depends only on (seed, window), and a running max is the
-same wherever its input is cut, so a trace never depends on the chunking.
-Every block reuses one chunk-sized pair of buffers, so a run of any length
-streams in O(chunk) memory however many transmissions fall between reads.
-``sim_basic`` and ``sim_extended`` ``_join`` the blocks into whole-run arrays.
+The kernel yields ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads, in one
+sequential pass, and carries the running max of the newest success from
+each block to the next.  A window's newest success depends only on (seed,
+window), and a running max is the same wherever its input is cut, so a
+trace never depends on the chunking.  Every block reuses one chunk-sized
+pair of buffers, so a run of any length streams in O(chunk) memory however
+many transmissions fall between reads.  ``sim_basic`` and ``sim_extended``
+``_join`` the blocks into whole-run arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # inside int64.
 _SLOT_LIMIT = 1 << 62
 
-# The simulators handle reads in blocks of _CHUNK.  The size bounds their
+# The success threshold at p = 1: every 53-bit draw falls below it.
+_SURE = 1 << 53
+
+# The simulator handles reads in blocks of _CHUNK.  The size bounds its
 # working memory; it never changes a trace.
 _CHUNK = 1 << 15
 
@@ -256,29 +263,6 @@ def exact_sum(x):
     return sum(x.tolist())
 
 
-def sim_basic_blocks(a_period, b_period, n_period, cycles):
-    """``sim_basic``'s ages as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
-
-    fails is all zeros.  Every block reuses one chunk-sized buffer, which the
-    next block overwrites.
-    """
-    ages = np.empty(min(_CHUNK, cycles), dtype=np.int64)
-    zeros = np.zeros(min(_CHUNK, cycles), dtype=np.int64)
-    t = np.empty(min(_CHUNK, cycles), dtype=np.int64)
-    for k0 in range(0, cycles, _CHUNK):
-        n = min(_CHUNK, cycles - k0)
-        age = ages[:n]
-        # delivery at a link slot is usable the same slot; the freshest update
-        # at that slot is the newest source completion not after it
-        np.multiply(np.arange(k0, k0 + n, dtype=np.int64), a_period, out=t[:n])
-        np.floor_divide(t[:n], n_period, out=age)
-        age *= n_period
-        age //= b_period
-        age *= b_period
-        np.subtract(t[:n], age, out=age)
-        yield k0, age, zeros[:n]
-
-
 def _join(blocks, cycles):
     """Each column of a run's ``(k0, *columns)`` blocks, copied into one whole-run array."""
     whole = []
@@ -290,7 +274,7 @@ def _join(blocks, cycles):
 
 
 def sim_basic(a_period, b_period, n_period, cycles):
-    blocks = sim_basic_blocks(a_period, b_period, n_period, cycles)
+    blocks = sim_blocks(a_period, b_period, n_period, 0, 0, 0, _SURE, 0, cycles)
     return _join(((k0, age) for k0, age, _ in blocks), cycles)[0]
 
 
@@ -325,7 +309,7 @@ def _misses(seed, threshold, counters, out, tmp):
 
 
 class _Scratch:
-    """The extended simulator's chunk-sized working buffers, reused by every block."""
+    """The simulator's chunk-sized working buffers, reused by every block."""
 
     def __init__(self):
         self.j = np.empty(_CHUNK, dtype=np.int64)
@@ -334,26 +318,24 @@ class _Scratch:
         self.tmp = np.empty(_CHUNK, dtype=np.uint64)
 
 
-def _first_success(n_period, delta_b, delta_n) -> int:
-    """The least transmission L whose success delivers: a delivery needs a
-    source completion before tau_L, so L >= 0 and delta_n + L*N' - 1 >= delta_b."""
-    return max(0, -((delta_n - 1 - delta_b) // n_period))
+def _first_success(n_period, delta_b, delta_n, delay) -> int:
+    """The least transmission L whose success delivers: a delivery needs a source
+    completion ``delay`` slots before tau_L, so L >= 0 and delta_n + L*N' - delay >= delta_b."""
+    return max(0, -((delta_n - delay - delta_b) // n_period))
 
 
-def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
-    """``sim_extended``'s reads as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads.
-
-    Every block reuses one chunk-sized pair of buffers, which the next block
-    overwrites.
-    """
+def sim_blocks(a_period, b_period, n_period, delta_b, delta_n, delay, threshold, seed, cycles):
+    """Either model's reads as ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads, in
+    buffers the next block overwrites.  ``delay`` is a hand-over's lag in slots: 1
+    in the buffered model, 0 in the basic one, with no shifts and threshold ``_SURE``."""
     # Window scan.  Transmission m leaves at tau_m = delta_n + m*N'; read k
-    # at t = k*A' sees those with tau_m <= t - 1, the last being j_k.  Read k
-    # owns the window (j_{k-1}, j_k], and the newest success L_k <= j_k is
-    # the running max of the windows' newest successes.  A window holds at
+    # at t = k*A' sees those with tau_m <= t - delay, the last being j_k.
+    # Read k owns the window (j_{k-1}, j_k], and the newest success L_k <= j_k
+    # is the running max of the windows' newest successes.  A window holds at
     # most ceil(A'/N') transmissions, and its scan stops at the first success
     # or after that many, so a read costs min(ceil(A'/N'), ~1/p) draws.  Then
-    # age = t - buf(L_k), where buf is the newest source completion before
-    # tau_L, and fails = j_k - L_k.
+    # age = t - buf(L_k), where buf is the newest source completion at or
+    # before tau_L - delay, and fails = j_k - L_k.
     threshold = int(threshold)
     ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
     s = _Scratch()
@@ -361,34 +343,37 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
     slots = np.arange(min(_CHUNK, cycles), dtype=np.int64)
     slots *= a_period
     span = -(-a_period // n_period) - 1  # draws a window makes after its first
-    first = _first_success(n_period, delta_b, delta_n)
+    first = _first_success(n_period, delta_b, delta_n, delay)
     carry = -1  # L of the previous block's last read
+    sure = threshold >= _SURE
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)
         age, last = ages[:n], fails[:n]
-        # j for reads k0 .. k0+n-1; j < 0 before the first transmission
-        j = np.add(slots[:n], k0 * a_period - 1 - delta_n, out=s.j[:n])
+        # j for reads k0 .. k0+n-1; j < 0 before the first transmission.  At
+        # p = 1 every draw hits and j never decreases, so j, in L's buffer, is L
+        j = np.add(slots[:n], k0 * a_period - delay - delta_n, out=last if sure else s.j[:n])
         j //= n_period
-        # every window's first draw is at its newest transmission j_k.  A draw
-        # before a window's start (an empty or short window, or j < 0) is
-        # harmless: a hit there is a success <= j_{k-1}, which the running
-        # max already holds, or a negative index
-        miss = _misses(seed, threshold, j, s.out[:n], s.tmp[:n])
-        np.bitwise_or(j, miss, out=last)
-        if span:
-            # flatnonzero is about three times faster on bool than on int64
-            idx = np.flatnonzero(miss < 0)
-            _scan(s, seed, threshold, last, idx, j[idx] - 1, span)
-        last[0] = max(last[0], carry)
-        np.maximum.accumulate(last, out=last)
-        carry = int(last[-1])
+        if not sure:
+            # every window's first draw is at its newest transmission j_k.  A
+            # draw before a window's start (an empty or short window, or
+            # j < 0) is harmless: a hit there is a success <= j_{k-1}, which
+            # the running max already holds, or a negative index
+            miss = _misses(seed, threshold, j, s.out[:n], s.tmp[:n])
+            np.bitwise_or(j, miss, out=last)
+            if span:
+                # flatnonzero is about three times faster on bool than on int64
+                idx = np.flatnonzero(miss < 0)
+                _scan(s, seed, threshold, last, idx, j[idx] - 1, span)
+            last[0] = max(last[0], carry)
+            np.maximum.accumulate(last, out=last)
+            carry = int(last[-1])
         # L never decreases, so the reads without a delivery are a prefix
         cut = int(np.searchsorted(last, first))
         age[:cut] = -1
         ok, age_ok = last[cut:], age[cut:]
-        # age holds tau_L - 1 - delta_b >= 0, then buf - delta_b, then t - buf
+        # age holds tau_L - delay - delta_b >= 0, then buf - delta_b, then t - buf
         np.multiply(ok, n_period, out=age_ok)
-        age_ok += delta_n - 1 - delta_b
+        age_ok += delta_n - delay - delta_b
         age_ok //= b_period
         age_ok *= b_period
         t = np.add(slots[cut:n], k0 * a_period - delta_b, out=s.m[cut:n])
@@ -399,8 +384,8 @@ def sim_extended_blocks(a_period, b_period, n_period, delta_b, delta_n, threshol
 
 
 def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles):
-    args = (a_period, b_period, n_period, delta_b, delta_n, threshold, seed, cycles)
-    return tuple(_join(sim_extended_blocks(*args), cycles))
+    args = (a_period, b_period, n_period, delta_b, delta_n, 1, threshold, seed, cycles)
+    return tuple(_join(sim_blocks(*args), cycles))
 
 
 def _scan(s, seed, threshold, found, idx, top, span):

@@ -1,23 +1,24 @@
-"""Slot-exact simulators and trace handling.
+"""Slot-exact simulation of both models and trace handling.
 
-The simulators replay the event semantics directly (no closed forms): agents
-act on their own periodic schedules, the link forwards the freshest buffered
-update, and in the lossy model each transmission succeeds independently with
-probability p.  Traces record, per read cycle, the observed age and the
-number of transmission slots since the last success; reads before the first
-delivery have no age and are marked undefined (the warm-up prefix).
+One simulator kernel replays the event semantics directly (no closed
+forms): agents act on their own periodic schedules, the link forwards the
+freshest buffered update, and each transmission succeeds independently with
+probability p.  The basic model runs it with no phase shifts, hand-overs
+that take no slot and p = 1, where it makes no draw at all.  Traces record,
+per read cycle, the observed age and the number of transmission slots since
+the last success; reads before the first delivery have no age and are
+marked undefined (the warm-up prefix).
 
 Randomness is counter-based: the Bernoulli variate for transmission slot
-index m is splitmix64(seed, m), whether or not a simulator evaluates it, so
-a trace is a pure function of (config, cycles, seed), and a run of n reads
-is the first n reads of any longer run.  The extended simulator evaluates
-only the draws that decide a read, however many transmissions fall between
-reads (see ``kernels``).  A success is declared when the top 53 bits of the
-mix fall below round(p * 2^53); the quantization error on p is at most
-2^-54.
+index m is splitmix64(seed, m), whether or not the simulator evaluates it,
+so a trace is a pure function of (config, cycles, seed), and a run of n
+reads is the first n reads of any longer run.  The simulator evaluates only
+the draws that decide a read, however many transmissions fall between reads
+(see ``kernels``).  A success is declared when the top 53 bits of the mix
+fall below round(p * 2^53); the quantization error on p is at most 2^-54.
 
 ``stream_basic`` and ``stream_extended`` return a ``TraceStream``, which
-yields the reads in the kernels' chunk-sized blocks and keeps the summary
+yields the reads in the kernel's chunk-sized blocks and keeps the summary
 as they go by, so that ``write_trace_csv`` writes a run of any length in
 memory O(chunk).  ``simulate_extended`` returns the whole lossy run as a
 ``Trace``, in memory O(cycles).
@@ -141,7 +142,7 @@ class TraceStream:
 
 
 def _extended_args(cfg: SystemConfig, cycles: int, rng: RngSpec) -> tuple:
-    """The extended simulator kernels' arguments, once their guard has passed."""
+    """``kernels.sim_extended``'s arguments, once their guard has passed."""
     d = cfg.d
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     kernels.check_simulate_args(*shape, cycles)
@@ -155,21 +156,23 @@ def simulate_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> Trace:
 
 def stream_basic(d: PeriodDecomposition, cycles: int) -> TraceStream:
     """Replay the lossless instantaneous model for the given read count."""
-    shape = (d.a_period, d.b_period, d.n_period)
-    kernels.check_simulate_args(*shape, 0, 0, cycles)
-    return TraceStream(d.a_period, cycles, kernels.sim_basic_blocks(*shape, cycles))
+    shape = (d.a_period, d.b_period, d.n_period, 0, 0)
+    kernels.check_simulate_args(*shape, cycles)
+    blocks = kernels.sim_blocks(*shape, 0, kernels._SURE, 0, cycles)
+    return TraceStream(d.a_period, cycles, blocks)
 
 
 def stream_extended(cfg: SystemConfig, cycles: int, rng: RngSpec) -> TraceStream:
     """``simulate_extended``'s reads as a ``TraceStream``."""
-    blocks = kernels.sim_extended_blocks(*_extended_args(cfg, cycles, rng))
+    *shape, threshold, seed, _ = _extended_args(cfg, cycles, rng)
+    blocks = kernels.sim_blocks(*shape, 1, threshold, seed, cycles)
     return TraceStream(cfg.d.a_period, cycles, blocks)
 
 
 def write_trace_csv(trace: TraceStream, dest) -> None:
     """Write the stream as CSV with header ``k,t,age,l``.
 
-    The stream is one the simulators make: warm-up reads, written with their
+    The stream is one the simulator makes: warm-up reads, written with their
     slot and empty age and l, then defined reads, at int64 slots
     k * a_period.  Anything else raises ValueError: a period or slot past
     int64 before a byte is written, a negative value after the warm-up when

@@ -61,11 +61,12 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
 
 
 def _first_read(cfg: SystemConfig, basic: bool) -> int:
-    """k_min, the first read that can see a delivery: 0 in the basic model; in
-    the extended one, the first that sees transmission ``_first_success``,
-    since read k sees j <= (k*A' - 1 - delta_n) // N'.  At p = 1 it is the warm-up."""
-    d, first = cfg.d, kernels._first_success(cfg.d.n_period, cfg.delta_b, cfg.delta_n)
-    return 0 if basic else -(-(first * d.n_period + cfg.delta_n + 1) // d.a_period)
+    """k_min, the first read that can see a delivery: the first that sees transmission
+    ``_first_success``, as read k sees j <= (k*A' - delay - delta_n) // N'; the basic
+    model has no shifts and no hand-over slot.  At p = 1 it is the warm-up."""
+    delta_b, delta_n, delay = (0, 0, 0) if basic else (cfg.delta_b, cfg.delta_n, 1)
+    first = kernels._first_success(cfg.d.n_period, delta_b, delta_n, delay)
+    return -(-(first * cfg.d.n_period + delta_n + delay) // cfg.d.a_period)
 
 
 def _check_family(name: str, dist, seq, where: str = ""):

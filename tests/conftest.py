@@ -131,7 +131,7 @@ def naive_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, se
     """Slot-by-slot replay of the buffered lossy model with python ints.
 
     Returns (ages, fails) lists with -1 marking warm-up, matching the
-    kernel simulators' conventions.
+    simulator kernel's conventions.
     """
     ages = []
     fails = []

@@ -966,16 +966,23 @@ class TestVerify:
     ], ids=["lossy", "default-cycles", "at-k-min"])
     def test_run_with_no_checkable_read_refused_before_any_draw(self, capsys, monkeypatch,
                                                                  argv, cycles, k_min):
-        draws = []
-        misses = aoiclock.kernels._misses
-        monkeypatch.setattr(aoiclock.kernels, "_misses", lambda *a: draws.append(a) or misses(*a))
+        # the simulator kernel draws only as its blocks are asked for, and
+        # at p = 1 it makes no draw at all, so the spy counts blocks
+        blocks, real = [], aoiclock.kernels.sim_blocks
+
+        def spy(*args):
+            for block in real(*args):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(aoiclock.kernels, "sim_blocks", spy)
         code, out, err = run(capsys, "verify", "--model", "extended", *argv, *cycles)
-        assert (code, out, draws) == (2, "", [])
+        assert (code, out, blocks) == (2, "", [])
         assert f"no read before k_min = {k_min} can see a delivery" in err
         code, out, _ = run(capsys, "verify", "--model", "extended", *argv,
                            "--cycles", str(k_min + 1))
         assert (code, out.splitlines()[-1]) == (0, "all checks passed")
-        assert draws
+        assert blocks
 
     def test_term_cap_refused_before_any_check(self, capsys, monkeypatch):
         # b = gcd(300009, 500015) = 100003, one prime over the exact mean's cap
@@ -1064,6 +1071,18 @@ class TestSweep:
         grid.write_text(raw)
         out_dir = tmp_path / "o"
         code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--bin-width", "0"], "--bin-width must be > 0"),
+    ], ids=["jobs", "bin-width"])
+    def test_bad_flag_exits_2_before_out_is_made(self, capsys, tmp_path, flag, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"A": "2..5", "B": "2..5", "N": "2..5"}')
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, "sweep", "--grid", str(grid), "--out", str(out_dir), *flag)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 

@@ -53,13 +53,35 @@ def _carry_dropped(monkeypatch):
 
 def _basic_one_slot_late(monkeypatch):
     # the lossless simulator reads at slot k*A' + 1 instead of k*A'
-    def late(a_period, b_period, n_period, cycles):
-        for k0, ages, fails in real(a_period, b_period, n_period, cycles):
+    def late(*args):
+        a_period, b_period, n_period = args[:3]
+        for k0, ages, fails in real(*args):
             t = np.arange(k0, k0 + len(ages), dtype=np.int64) * a_period + 1
             yield k0, t - t // n_period * n_period // b_period * b_period, fails
 
-    real = kernels.sim_basic_blocks
-    monkeypatch.setattr(kernels, "sim_basic_blocks", late)
+    real = kernels.sim_blocks
+    monkeypatch.setattr(kernels, "sim_blocks", late)
+
+
+def _handover(delay):
+    """The fault that runs the simulator's hand-overs with ``delay`` slots,
+    whichever model asks: 1 is the buffered model's, 0 the instantaneous one's."""
+    def fault(monkeypatch):
+        real = kernels.sim_blocks
+        monkeypatch.setattr(kernels, "sim_blocks", lambda *args: real(*args[:5], delay, *args[6:]))
+
+    return fault
+
+
+def _never_delivers(monkeypatch):
+    # the simulator marks every read undefined, whatever p
+    def undefined(*args):
+        for k0, ages, fails in real(*args):
+            ages[:] = fails[:] = -1
+            yield k0, ages, fails
+
+    real = kernels.sim_blocks
+    monkeypatch.setattr(kernels, "sim_blocks", undefined)
 
 
 def _warmup_one_read_late(monkeypatch):
@@ -73,8 +95,8 @@ def _warmup_one_read_late(monkeypatch):
                 seen = True
             yield k0, ages, fails
 
-    real = kernels.sim_extended_blocks
-    monkeypatch.setattr(kernels, "sim_extended_blocks", late)
+    real = kernels.sim_blocks
+    monkeypatch.setattr(kernels, "sim_blocks", late)
 
 
 def _period_sums_plus_one(monkeypatch):
@@ -103,6 +125,10 @@ ROWS = [
                  {"trace_bridge_identity"}, id="carry-dropped"),
     pytest.param(_basic_one_slot_late, SystemConfig(FIG), "basic", None, None,
                  {"simulator_matches_formula"}, id="basic-one-slot-late"),
+    pytest.param(_handover(1), SystemConfig(FIG), "basic", None, None,
+                 {"simulator_matches_formula"}, id="basic-buffered-handover"),
+    pytest.param(_handover(0), SystemConfig(FIG, 2, 5, Fraction(1, 2)), "extended", 1, None,
+                 {"trace_bridge_identity"}, id="extended-instant-handover"),
     pytest.param(_warmup_one_read_late, SystemConfig(LATE, 60, 45, Fraction(1, 5)), "extended", 9,
                  None, {"failure_counts_match_draws"}, marks=_unseen(ITEM_4),
                  id="warmup-one-read-late"),
@@ -163,6 +189,20 @@ def test_details_name_the_first_mismatch(monkeypatch):
         "closed=246/35 direct=7")
 
 
+def test_handover_details_name_the_first_mismatch(monkeypatch):
+    # with a slot per hand-over, basic read 0 sees no transmission yet; with
+    # none, each buffered hand-over sees one slot more
+    with monkeypatch.context() as m:
+        _handover(1)(m)
+        assert _failed(SystemConfig(FIG), "basic", None, None) == {
+            "simulator_matches_formula": "first mismatch at k=0: simulated=undefined formula=0",
+        }
+    _handover(0)(monkeypatch)
+    assert _failed(SystemConfig(FIG, 2, 5, Fraction(1, 2)), "extended", 1, None) == {
+        "trace_bridge_identity": "k=11 l=2: simulated=29 formula=36",
+    }
+
+
 def test_lossless_warmup_past_k_min_fails_at_k_min(monkeypatch):
     # reads from k_min = 62 on are compared whatever warm-up the simulator reports
     _warmup_one_read_late(monkeypatch)
@@ -176,7 +216,7 @@ def test_undefined_read_past_the_deadline_fails_at_k_min(monkeypatch):
     # at l = -1 the formula gives -1, the undefined read's age; the bridge
     # still names read k_min = 1, as the lossless check does, and says that
     # the read is undefined rather than printing two equal numbers
-    _misses_always_miss(monkeypatch)
+    _never_delivers(monkeypatch)
     assert _failed(SystemConfig(FIG), "extended", 1, None) == {
         "trace_bridge_identity": "k=1 l=-1: simulated=undefined formula=-1",
         "lossless_trace_matches_formula": "first mismatch at k=1",

@@ -340,7 +340,7 @@ class TestNumpyExtendedChunks:
             for db, dn in [(0, 0), (3, 5), (60, 45)]:
                 for p in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
                     thr = bernoulli_threshold(p)
-                    gens = [kernels.sim_extended_blocks(*t, db, dn, thr, s, cycles) for s in seeds]
+                    gens = [kernels.sim_blocks(*t, db, dn, 1, thr, s, cycles) for s in seeds]
                     got = [([], []) for _ in seeds]
                     # every run takes its next block before any block is read
                     for blocks in zip(*gens):
@@ -399,11 +399,26 @@ class TestScanDraws:
         monkeypatch.setattr(kernels, "_CHUNK", 1)
         calls = _spy_draws(monkeypatch)
         per_read = []
-        for _ in kernels.sim_extended_blocks(7, 5, 4, 0, 0, bernoulli_threshold(Fraction(1, 5)),
-                                             7, 2000):
+        for _ in kernels.sim_blocks(7, 5, 4, 0, 0, 1, bernoulli_threshold(Fraction(1, 5)), 7,
+                                    2000):
             per_read.append(sum(calls))
             calls.clear()
         assert (min(per_read), max(per_read)) == (1, 2)
+
+    @pytest.mark.parametrize("chunk", [1, 5, kernels._CHUNK])
+    def test_p1_makes_no_draw(self, monkeypatch, chunk):
+        # every draw would hit, so each read's newest success is its newest
+        # transmission, in the buffered model and in the instantaneous one
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        calls = _spy_draws(monkeypatch)
+        for t in TestNumpyExtendedChunks.CASES:
+            for db, dn in [(0, 0), (3, 5), (60, 45)]:
+                _, ages, fails = _joined(kernels.sim_blocks(*t, db, dn, 1, kernels._SURE, 7, 103))
+                ref_ages, ref_fails = naive_extended(*t, db, dn, kernels._SURE, 7, 103)
+                assert (ages.tolist(), fails.tolist()) == (ref_ages, ref_fails), (t, db, dn)
+            _, ages, fails = _joined(kernels.sim_blocks(*t, 0, 0, 0, kernels._SURE, 7, 103))
+            assert ages.tolist() == naive_basic_ages(*t, 103) and not fails.any(), t
+        assert calls == []
 
 
 _PERIODS = st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(1, 12))
@@ -425,10 +440,11 @@ class TestSimulatorBlocks:
     @example((1, 9, 8), 60, 45, Fraction(1, 5), 9, 300, 5)  # a warm-up over several blocks
     @example((13, 7, 1), 0, 0, Fraction(1, 10), 1, 64, 64)  # one block, exactly full
     def test_extended_blocks_join_to_the_trace(self, t, db, dn, p, seed, cycles, chunk):
-        args = (*t, db, dn, bernoulli_threshold(p), np.uint64(seed), cycles)
-        ages, fails = kernels.sim_extended(*args)
+        thr, seed = bernoulli_threshold(p), np.uint64(seed)
+        ages, fails = kernels.sim_extended(*t, db, dn, thr, seed, cycles)
         with mock.patch.object(kernels, "_CHUNK", chunk):
-            starts, got_ages, got_fails = _joined(kernels.sim_extended_blocks(*args))
+            starts, got_ages, got_fails = _joined(kernels.sim_blocks(*t, db, dn, 1, thr, seed,
+                                                                     cycles))
         assert starts == list(range(0, cycles, chunk))
         assert (got_ages == ages).all() and (got_fails == fails).all()
 
@@ -436,7 +452,8 @@ class TestSimulatorBlocks:
     def test_basic_blocks_join_to_the_trace(self, t, cycles, chunk):
         ages = kernels.sim_basic(*t, cycles)
         with mock.patch.object(kernels, "_CHUNK", chunk):
-            starts, got_ages, got_fails = _joined(kernels.sim_basic_blocks(*t, cycles))
+            starts, got_ages, got_fails = _joined(kernels.sim_blocks(*t, 0, 0, 0, kernels._SURE,
+                                                                     0, cycles))
         assert starts == list(range(0, cycles, chunk))
         assert (got_ages == ages).all() and not got_fails.any()
 

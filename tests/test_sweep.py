@@ -328,6 +328,29 @@ class TestRelativeError:
         )
         assert run_sweep(grid).global_hist.counts == {0: 1}
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_config_error_verdict_on_both_sides_of_the_bound(self, dtype):
+        # m2k and ab range free of any config, so the band theorem does not
+        # hold and the verdict is false on some rows; each row's verdict is
+        # |num/den| <= ab*u / (u*(m2k - ab) + 2w*N'), as Fractions
+        cols = np.array([
+            row for row in product(range(2, 13), range(1, 12), (1, 2, 3), (1, 2, 3), (0, 1, 2),
+                                   (1, 3, 5), (1, 2, 4))
+            if row[1] < row[0]
+        ]).T
+        m2k, ab, n_period, u, w, acc, den0 = (c.astype(dtype) for c in cols)
+        num, den, ok = sweep._config_error(m2k, ab, n_period, u, w, acc, den0)
+        sides = []
+        for row in zip(*cols.tolist(), num.tolist(), den.tolist()):
+            m2k_, ab_, n_, u_, w_, acc_, den0_, num_, den_ = row
+            assert num_ == den_ - den0_ * (u_ * m2k_ + 2 * w_ * n_)
+            assert den_ == 2 * (w_ * n_ * den0_ + u_ * u_ * acc_) > 0
+            error = abs(Fraction(num_, den_))
+            bound = Fraction(ab_ * u_, u_ * (m2k_ - ab_) + 2 * w_ * n_)
+            sides.append((error > bound) - (error < bound))
+        assert ok.tolist() == [side <= 0 for side in sides]
+        assert {-1, 0, 1} <= set(sides)
+
 
 # factor tuples (A, B, N, a, b, n) a sweep keeps, with b up to 8: the
 # pairwise coprimality test of TestEnumeration, periods not all equal
