@@ -32,9 +32,9 @@ The kernel yields ``(k0, ages, fails)`` blocks of ``_CHUNK`` reads, in one
 sequential pass, and carries the running max of the newest success from
 each block to the next.  A window's newest success depends only on (seed,
 window), and a running max is the same wherever its input is cut, so a
-trace never depends on the chunking.  Every block reuses one chunk-sized
-pair of buffers, so a run of any length streams in O(chunk) memory however
-many transmissions fall between reads.  ``sim_basic`` and ``sim_extended``
+trace never depends on the chunking.  Every block reuses buffers of at most
+a chunk, so a run of any length streams in O(chunk) memory however many
+transmissions fall between reads.  ``sim_basic`` and ``sim_extended``
 ``_join`` the blocks into whole-run arrays.
 """
 
@@ -308,16 +308,6 @@ def _misses(seed, threshold, counters, out, tmp):
     return miss
 
 
-class _Scratch:
-    """The simulator's chunk-sized working buffers, reused by every block."""
-
-    def __init__(self):
-        self.j = np.empty(_CHUNK, dtype=np.int64)
-        self.m = np.empty(_CHUNK, dtype=np.int64)
-        self.out = np.empty(_CHUNK, dtype=np.uint64)
-        self.tmp = np.empty(_CHUNK, dtype=np.uint64)
-
-
 def _first_success(n_period, delta_b, delta_n, delay) -> int:
     """The least transmission L whose success delivers: a delivery needs a source
     completion ``delay`` slots before tau_L, so L >= 0 and delta_n + L*N' - delay >= delta_b."""
@@ -337,33 +327,41 @@ def sim_blocks(a_period, b_period, n_period, delta_b, delta_n, delay, threshold,
     # age = t - buf(L_k), where buf is the newest source completion at or
     # before tau_L - delay, and fails = j_k - L_k.
     threshold = int(threshold)
-    ages, fails = np.empty((2, min(_CHUNK, cycles)), dtype=np.int64)
-    s = _Scratch()
+    reads = min(_CHUNK, cycles)
+    ages, fails = np.empty((2, reads), dtype=np.int64)
     # slots[i] = i*A', the slot of read k0 + i less that of read k0
-    slots = np.arange(min(_CHUNK, cycles), dtype=np.int64)
+    slots = np.arange(reads, dtype=np.int64)
     slots *= a_period
     span = -(-a_period // n_period) - 1  # draws a window makes after its first
     first = _first_success(n_period, delta_b, delta_n, delay)
     carry = -1  # L of the previous block's last read
     sure = threshold >= _SURE
+    # working buffers, reused by every block: m holds the reads' slots, and a
+    # scan step's draw indices, at most _CHUNK and span per window; at p = 1
+    # no draw is made, and j is computed in L's buffer
+    size = reads if sure else max(reads, min(_CHUNK, reads * span))
+    m = np.empty(size, dtype=np.int64)
+    if not sure:
+        j_buf = np.empty(reads, dtype=np.int64)
+        out, tmp = np.empty((2, size), dtype=np.uint64)
     for k0 in range(0, cycles, _CHUNK):
         n = min(_CHUNK, cycles - k0)
         age, last = ages[:n], fails[:n]
         # j for reads k0 .. k0+n-1; j < 0 before the first transmission.  At
         # p = 1 every draw hits and j never decreases, so j, in L's buffer, is L
-        j = np.add(slots[:n], k0 * a_period - delay - delta_n, out=last if sure else s.j[:n])
+        j = np.add(slots[:n], k0 * a_period - delay - delta_n, out=last if sure else j_buf[:n])
         j //= n_period
         if not sure:
             # every window's first draw is at its newest transmission j_k.  A
             # draw before a window's start (an empty or short window, or
             # j < 0) is harmless: a hit there is a success <= j_{k-1}, which
             # the running max already holds, or a negative index
-            miss = _misses(seed, threshold, j, s.out[:n], s.tmp[:n])
+            miss = _misses(seed, threshold, j, out[:n], tmp[:n])
             np.bitwise_or(j, miss, out=last)
             if span:
                 # flatnonzero is about three times faster on bool than on int64
                 idx = np.flatnonzero(miss < 0)
-                _scan(s, seed, threshold, last, idx, j[idx] - 1, span)
+                _scan(seed, threshold, last, idx, j[idx] - 1, span, m, out, tmp)
             last[0] = max(last[0], carry)
             np.maximum.accumulate(last, out=last)
             carry = int(last[-1])
@@ -376,7 +374,7 @@ def sim_blocks(a_period, b_period, n_period, delta_b, delta_n, delay, threshold,
         age_ok += delta_n - delay - delta_b
         age_ok //= b_period
         age_ok *= b_period
-        t = np.add(slots[cut:n], k0 * a_period - delta_b, out=s.m[cut:n])
+        t = np.add(slots[cut:n], k0 * a_period - delta_b, out=m[cut:n])
         np.subtract(t, age_ok, out=age_ok)
         np.subtract(j[cut:], ok, out=ok)
         last[:cut] = -1
@@ -388,14 +386,16 @@ def sim_extended(a_period, b_period, n_period, delta_b, delta_n, threshold, seed
     return tuple(_join(sim_blocks(*args), cycles))
 
 
-def _scan(s, seed, threshold, found, idx, top, span):
+def _scan(seed, threshold, found, idx, top, span, m, out, tmp):
     """Newest success in [top - span + 1, top] of each window idx, into found.
 
     The windows are those whose first draw, at top + 1, missed.  All are
     scanned backwards at once, ``width`` indices of each per step; a window
     closes at its first success or after ``span`` draws, so it costs about
     min(span + 1, 2/p) draws in all.  A hit before a window's start is a
-    success the previous windows already hold, or a negative index.
+    success the previous windows already hold, or a negative index.  A step
+    works in the first len(idx)*width entries of the buffers ``m`` (int64),
+    ``out`` and ``tmp`` (uint64).
     """
     width = 1
     while len(idx):
@@ -405,10 +405,10 @@ def _scan(s, seed, threshold, found, idx, top, span):
         span -= width
         size = len(idx) * width
         # column c holds index top - c of every window, then -1 where it missed
-        m = np.subtract(top, np.arange(width)[:, None], out=s.m[:size].reshape(width, -1))
-        s.m[:size] |= _misses(seed, threshold, s.m[:size], s.out[:size], s.tmp[:size])
+        draws = np.subtract(top, np.arange(width)[:, None], out=m[:size].reshape(width, -1))
+        m[:size] |= _misses(seed, threshold, m[:size], out[:size], tmp[:size])
         # an open window's found is -1, as is the max where every draw missed
-        new = found[idx] = m.max(axis=0)
+        new = found[idx] = draws.max(axis=0)
         if span <= 0:
             break  # every window has made its ceil(A'/N') draws
         sel = np.flatnonzero(new < 0)

@@ -85,9 +85,10 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), 1.5-1.9 s with
-# --jobs 2 on a 2-core Xeon host and 2.1-3.2 s with --jobs 1, at 58.7-58.9 MB
-# peak RSS in the calling process at either (six runs of each).
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), a median 1.05 s
+# (0.92-1.37 s) with --jobs 2 on a 2-core Xeon host and 1.51 s (1.41-1.57 s)
+# with --jobs 1, at 58.0-58.6 MB peak RSS in the calling process at either
+# (eight alternating pairs of fresh processes).
 _MAX_CANDIDATES = 10**6
 
 
@@ -183,7 +184,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 2-3 s and 60 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 1-1.5 s and 58 MB at the cap)"
             )
         # a kept tuple's decomposition has the tuple's b, so no config whose
         # exact expectation refuses its b reaches evaluation
@@ -216,12 +217,11 @@ class SweepGrid:
 # Factor tuples per block, whatever --jobs is, so a sweep's plan follows
 # from its grid alone; a block is classified in one array pass.  A block must
 # cost more than a worker's start-up.  On a 2-core Xeon host, a block of 8192
-# tuples of the 10^6-candidate grid evaluates in about 21 ms, and the bundled
-# grid's 5,832 tuples, one block, in 13 ms; forking, feeding and reaping one
-# worker costs about 3 ms.  The bundled sweep at --jobs 2 took a median of
-# 17.3 ms in one block against 19.4 ms in blocks of 4096 and 21.0 ms in
-# blocks of 2048.  The 10^6-candidate grid at --jobs 2 ran alike in blocks of
-# 4096 and 8192: 1.6-1.9 s, and 58.6-60 MB in the calling process.
+# tuples of the 10^6-candidate grid evaluates in about 11 ms (the median
+# block), and the bundled grid's 5,832 tuples, one block, in 9 ms; forking,
+# feeding and reaping one worker costs about 3 ms.  The bundled sweep at
+# --jobs 2 ran faster in one block than in blocks of 4096 or 2048, and the
+# 10^6-candidate grid ran alike in blocks of 4096 and 8192.
 _BLOCK = 8192
 
 
@@ -636,8 +636,8 @@ def _run_block(payload) -> tuple[np.ndarray, _Rows]:
 
 
 def _slice_positions(n_values: int) -> list[int]:
-    """The sliced values of a field: all of up to three, else first, middle and last."""
-    return list(range(n_values)) if n_values <= 3 else [0, n_values // 2, n_values - 1]
+    """The sliced values of a field: first, middle and last, so all of up to three."""
+    return sorted({0, n_values // 2, n_values - 1})
 
 
 def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:

@@ -73,10 +73,9 @@ def _check_family(name: str, dist, seq, where: str = ""):
     """The closed-form family and the directly evaluated reads as multisets,
     compared as sorted arrays; the detail names the first position that differs."""
     closed, direct = dist.to_sorted_array(), np.sort(seq)
-    bad = np.flatnonzero(closed != direct)
-    i = bad[0] if len(bad) else 0
+    i = int(np.argmax(closed != direct))  # the first mismatch, or 0 where none is
     c, v = closed[i], direct[i]  # the detail keeps these, not the arrays, past the next check
-    return name, not len(bad), lambda: (f"{where}first mismatch at sorted position {i}: "
+    return name, bool(c == v), lambda: (f"{where}first mismatch at sorted position {i}: "
                                         f"closed={c} direct={v}")
 
 
@@ -89,14 +88,14 @@ def _check_trace(checks, stream, shape, deadline: int):
     ``k``, ``l``, ``sim`` and ``model``; the stream stops once all have, and
     a run with no read to compare fails them all.  Each block with a read to
     check passes the sequence kernels' guard for ``shape`` first."""
-    found, compared = {}, 0  # name -> the detail of its first mismatch; reads compared
+    found, compared = {}, False  # name -> the detail of its first mismatch; any read compared
     for k0, ages, fails in stream.blocks():
         # warmup_cycles is the run's length until the block that ends the warm-up
         cut = min(len(ages), max(0, min(deadline, stream.warmup_cycles) - k0))
         k0, ages, fails = k0 + cut, ages[cut:], fails[cut:]
         if not len(ages):
             continue
-        compared += len(ages)
+        compared = True
         kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
         # a compared read must be defined: the formula at l = -1 can give -1 too
         undefined = ages < 0

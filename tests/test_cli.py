@@ -700,6 +700,21 @@ class TestVerify:
         ]
         assert len(calls) == 1
 
+    def test_default_seed_is_zero(self, capsys, monkeypatch):
+        # a passing run prints the same lines under any seed, so the spy
+        # reads the seed the stream gets
+        real, seeds = aoiclock.verify.stream_extended, []
+
+        def spy(cfg, cycles, rng):
+            seeds.append(rng)
+            return real(cfg, cycles, rng)
+
+        monkeypatch.setattr(aoiclock.verify, "stream_extended", spy)
+        lossy = ["verify", *FIG, "--model", "extended", "--p", "1/2"]
+        runs = [run(capsys, *lossy), run(capsys, *lossy, "--seed", "0")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert seeds == [RngSpec(0), RngSpec(0)]
+
     def test_corrupted_offsets_surface_counterexample(self, capsys, monkeypatch):
         real = aoiclock.basic._start
         monkeypatch.setattr(
@@ -709,9 +724,9 @@ class TestVerify:
         )
         code, out, _ = run(capsys, "verify", *FIG, "--model", "basic")
         assert code == 1
-        assert "check progression_family_multiset: FAIL" in out
-        assert "first mismatch at sorted position" in out
-        assert "closed=" in out and "direct=" in out
+        # the family's least age, 0, moved to 1: sorted, the arrays differ from position 0
+        assert ("check progression_family_multiset: FAIL (first mismatch at sorted position 0: "
+                "closed=1 direct=0)") in out.splitlines()
         assert "1 check(s) failed" in out
 
     def test_corrupted_extended_offsets_fail(self, capsys, monkeypatch):
@@ -984,6 +999,31 @@ class TestVerify:
         assert (code, out.splitlines()[-1]) == (0, "all checks passed")
         assert blocks
 
+    # The sequence kernels' guard admits top = (k0 + count)*A' + delta_b +
+    # delta_n + (l + 2)*N' + 2 below 2^62.  (14924550221447857, 7, 44) has 308
+    # reads a hyperperiod, so its family reads 1..308 at l = 0 make top
+    # 2^62 - 1; (21449702411290176, 11, 30) has 55, and its default run of
+    # 3*55 + 50 = 215 reads, k = 0..214 at l = 0, makes top 2^62 - 2.
+    FAMILY_EDGE = ["--a-period", "14924550221447857", "--b-period", "7", "--n-period", "44",
+                   "--cycles", "2"]
+    RUN_EDGE = ["--a-period", "21449702411290176", "--b-period", "11", "--n-period", "30"]
+
+    # One past each edge, by l or delta_b, the guard refuses; the basic model
+    # has neither flag, and one more read passes the simulator's own guard.
+    @pytest.mark.parametrize("argv, past, refusal", [
+        (["--model", "basic", *FAMILY_EDGE], [], None),
+        (["--model", "extended", *FAMILY_EDGE, "--l-max", "0"], ["--l-max", "1"],
+         "inputs too large for 64-bit kernels"),
+        (["--model", "basic", *RUN_EDGE], ["--cycles", "216"], "slot numbers would overflow int64"),
+        (["--model", "extended", *RUN_EDGE], ["--delta-b", "2"],
+         "inputs too large for 64-bit kernels"),
+    ], ids=["basic-family", "extended-family", "basic-run", "extended-run"])
+    def test_passes_at_the_sequence_guards_edge(self, capsys, argv, past, refusal):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+        if refusal:
+            assert run(capsys, "verify", *argv, *past) == (2, "", f"error: {refusal}\n")
+
     def test_term_cap_refused_before_any_check(self, capsys, monkeypatch):
         # b = gcd(300009, 500015) = 100003, one prime over the exact mean's cap
         real, calls = aoiclock.verify.sequence_conditional, []
@@ -1043,6 +1083,26 @@ class TestSweep:
         assert (out_dir / "summary.csv").exists()
         assert "bound_violations=0" in out
         assert "candidates=128" in out
+
+    def test_defaults_are_one_process_and_bins_of_a_hundredth(self, capsys, monkeypatch,
+                                                               tmp_path):
+        # 64 factor tuples in blocks of 8, on two cores: only --jobs forks
+        def refuse():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(aoiclock.sweep, "_BLOCK", 8)
+        monkeypatch.setattr(aoiclock.sweep, "_CORES", 2)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"A": "2..5", "B": "2..5", "N": "2..5", "p": ["1", "1/2"]}')
+        given = tmp_path / "given"
+        code, _, _ = run(capsys, "sweep", "--grid", str(grid), "--out", str(given),
+                         "--bin-width", "1/100", "--jobs", "1")
+        assert code == 0
+        monkeypatch.setattr(os, "fork", refuse)
+        code, _, _ = run(capsys, "sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
+        assert code == 0
+        for f in given.iterdir():
+            assert (tmp_path / "o" / f.name).read_bytes() == f.read_bytes(), f.name
 
     def test_empty_grid_exits_2(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"

@@ -368,6 +368,33 @@ class TestNumpyExtendedChunks:
         mean = ages[1:].mean()
         assert abs(mean - float(expected_exact_extended(cfg).value)) < 0.1, mean
 
+    # (periods, p or None for the basic model, reads); (10007, 5, 3) fills a
+    # chunk-sized scan buffer from ten reads
+    RUNS = [((34, 7, 10), None, 1), ((34, 7, 10), None, 1000), ((13, 5, 1), Fraction(1), 1000),
+            ((13, 5, 1), Fraction(1, 5), 1), ((13, 5, 1), Fraction(1, 5), 1000),
+            ((3, 5, 2), Fraction(1, 2), 1000), ((10007, 5, 3), Fraction(1, 2), 10)]
+
+    @pytest.mark.parametrize("t, p, cycles", RUNS)
+    def test_buffers_sized_by_the_run(self, t, p, cycles):
+        # bound stated before measuring, in int64 entries: the two whole-run
+        # columns, 12 per read R of a block (its columns, slots and
+        # temporaries), 4 per entry of a scan step's buffers, which hold R
+        # entries at p = 1, else R*(ceil(A'/N') - 1) up to a chunk, or R if
+        # more; 8 KB for the Python objects
+        reads = min(kernels._CHUNK, cycles)
+        span = -(-t[0] // t[2]) - 1
+        size = reads if p in (None, 1) else max(reads, min(kernels._CHUNK, reads * span))
+        tracemalloc.start()
+        try:
+            if p is None:
+                kernels.sim_basic(*t, cycles)
+            else:
+                kernels.sim_extended(*t, 0, 0, bernoulli_threshold(p), 7, cycles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * cycles + 12 * reads + 4 * size) + 8192, peak
+
 
 def _spy_draws(monkeypatch) -> list:
     """A list to which every ``_misses`` call appends the number of variates it draws."""

@@ -65,9 +65,10 @@ class TestBernoulliThreshold:
         assert draws == []
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        # p = 0 is named as out of range, not as a p below 2^-54
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 0$"):
             bernoulli_threshold(Fraction(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 2$"):
             bernoulli_threshold(Fraction(2))
 
 
@@ -417,8 +418,9 @@ class TestTraceCsvOracle:
         assert_same_text(_csv(stream_of(trace)), naive_trace_csv(trace))
 
     def test_negative_value_in_a_defined_row_rejected(self):
-        trace = Trace(1, np.array([0, 5], dtype=np.int64), np.array([0, -2], dtype=np.int64))
-        with pytest.raises(ValueError, match="must be >= 0, got -2"):
+        # the message names the row by its k, not by its slot k*A'
+        trace = Trace(3, np.array([0, 5], dtype=np.int64), np.array([0, -2], dtype=np.int64))
+        with pytest.raises(ValueError, match="must be >= 0, got -2 at k=1$"):
             _csv(stream_of(trace))
 
     @pytest.mark.parametrize("a_period", [2**40 + 1, 10**12 + 1, 2**50 + 3])

@@ -65,12 +65,15 @@ BUNDLED_GRID = files("aoiclock") / "grids" / "default.json"
 
 class TestGridParsing:
     def test_scalars_lists_and_ranges(self):
+        # a one-value range is "lo..lo", or a step past hi - lo
         g = SweepGrid.from_dict(
-            {"A": 3, "B": [5, 2, 5], "N": "2..8:3", "p": ["1", "1/2"]}
+            {"A": 3, "B": [5, 2, 5], "N": "2..8:3", "delta_b": "4..4", "delta_n": "3..4:2",
+             "p": ["1", "1/2"]}
         )
         assert g.A == (3,)
         assert g.B == (2, 5)
         assert g.N == (2, 5, 8)
+        assert (g.delta_b, g.delta_n) == ((4,), (3,))
         assert g.p == (Fraction(1, 2), Fraction(1))
 
     def test_defaults(self):
@@ -701,6 +704,29 @@ class TestProcesses:
         assert asked == processes
         assert TestRunSweepOracle.fields(got) == TestRunSweepOracle.fields(want)
 
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_workers_equal_jobs_1(self, monkeypatch, jobs):
+        # SMALL_GRID's 1,296 factor tuples in 14 blocks of 97: jobs - 1
+        # workers, each with blocks of its own
+        pids = _spy_forks(monkeypatch)
+        monkeypatch.setattr(sweep, "_CORES", 4)
+        monkeypatch.setattr(sweep, "_BLOCK", 97)
+        grid = SweepGrid.from_dict(SMALL_GRID)
+        want = run_sweep(grid, jobs=1)
+        assert pids == []
+        got = run_sweep(grid, jobs=jobs)
+        assert len(pids) == jobs - 1
+        assert TestRunSweepOracle.fields(got) == TestRunSweepOracle.fields(want)
+
+    @pytest.mark.parametrize("affinity, cpus, cores", [(False, None, 1), (False, 5, 5),
+                                                       (True, 5, 3)])
+    def test_cores_without_an_affinity_mask(self, affinity, cpus, cores):
+        # where os.sched_getaffinity is missing, os.cpu_count() or 1
+        code = _CORES_WITHOUT.format(affinity=affinity, cpus=cpus)
+        run = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                             capture_output=True, timeout=60)
+        assert run.stdout == f"{cores}\n".encode()
+
     def test_bundled_grid_forks_nothing(self, monkeypatch, tmp_path):
         # its 5,832 factor tuples are one block, which the caller evaluates
         # at any jobs
@@ -716,11 +742,9 @@ class TestProcesses:
 
     def test_without_fork_every_sweep_runs_inline(self, tmp_path):
         out = tmp_path / "out"
-        src = str(Path(sweep.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run(
             [sys.executable, "-c", _WITHOUT_FORK, str(BUNDLED_GRID), str(out)],
-            env=env, check=True, capture_output=True, timeout=60,
+            env=_child_env(), check=True, capture_output=True, timeout=60,
         )
         assert run.stderr == b"1\n"
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
@@ -737,6 +761,40 @@ del os.fork
 from aoiclock import cli, sweep
 print(sweep._CORES, file=sys.stderr)
 sys.exit(cli.main(["sweep", "--grid", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"]))
+"""
+
+
+def _child_env() -> dict:
+    """This environment, with the package first on a child's PYTHONPATH."""
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _spy_forks(monkeypatch) -> list:
+    """A list to which every os.fork appends the child's pid, in the parent."""
+    pids, real = [], os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+# Prints sweep._CORES where os.cpu_count() gives {cpus}, and the affinity
+# mask, if kept, holds three cores.
+_CORES_WITHOUT = """
+import os
+os.cpu_count = lambda: {cpus}
+if {affinity}:
+    os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+else:
+    del os.sched_getaffinity
+from aoiclock import sweep
+print(sweep._CORES)
 """
 
 
@@ -776,6 +834,33 @@ class TestWorkers:
         self.split(monkeypatch, sweep._run_block, lambda p: os._exit(3))
         with alarm(10), pytest.raises(ChildProcessError, match=r"\(exit status 3\)$"):
             run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=2)
+
+    def test_unpicklable_result_ends_the_worker_with_status_1(self, monkeypatch):
+        # pickling fails outside the error pipe, so the worker exits 1 unsent
+        self.split(monkeypatch, sweep._run_block, lambda p: lambda: None)
+        with alarm(10), pytest.raises(ChildProcessError, match=r"\(exit status 1\)$"):
+            run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=2)
+
+    def test_dead_second_worker_named_with_its_status(self, monkeypatch):
+        # the second of two workers closes its pipe, then dies: the parent
+        # reads EOF on that pipe at once, and waits for the worker's status
+        pids, serve = _spy_forks(monkeypatch), sweep._serve
+
+        def dies_late(fn, items, fd):
+            if items[0][1] == 2 * sweep._BLOCK:  # the second worker's first block
+                os.close(fd)
+                time.sleep(0.5)
+                os._exit(3)
+            serve(fn, items, fd)
+
+        monkeypatch.setattr(sweep, "_serve", dies_late)
+        monkeypatch.setattr(sweep, "_CORES", 3)
+        monkeypatch.setattr(sweep, "_BLOCK", 256)
+        with alarm(10), pytest.raises(ChildProcessError) as err:
+            run_sweep(SweepGrid.from_dict(SMALL_GRID), jobs=3)
+        assert len(pids) == 2
+        assert str(err.value) == (f"sweep worker {pids[1]} ended without sending a result "
+                                  f"(exit status 3)")
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, capsys, tmp_path):
         def boom(p):
