@@ -238,7 +238,8 @@ def cmd_sweep(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on first use and then shared by
-    every ``main`` call of the process, so callers must not change it.
+    every ``main`` call of the process, so callers must not change it.  Its
+    ``commands`` maps each subcommand's name to that subcommand's parser.
 
     Sharing is safe: parsing does not mutate it, its defaults are immutable,
     and help is laid out for ``COLUMNS`` when printed, not when built.
@@ -279,11 +280,35 @@ def build_parser() -> argparse.ArgumentParser:
                     help="processes that evaluate the grid, this one included; at most one "
                          "per CPU core and per block of factor tuples (default 1)")
     sw.set_defaults(func=cmd_sweep)
+    parser.commands = subs.choices
     return parser
 
 
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, with an argv that names a command
+    parsed once, by that command's parser.
+
+    The top-level parser hands such an argv's later tokens to the command's
+    parser unchanged, after scanning each for its own options: of those scans
+    only a "--=..." token's can fail (it could mean --help or --version), so
+    an argv holding one keeps the full parse, as does one that names no
+    command.  Tokens the command's parser leaves are refused as the
+    top-level parser refuses them.
+    """
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None or any(token.startswith("--=") for token in argv):
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:

@@ -35,7 +35,8 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
     if None) simulated under ``seed`` (0 if None), compared from k_min unless
     draws decide the warm-up.  Every guard of the sequences, the simulation,
     its seed and the exact mean raises here first, as does a run of at most
-    k_min reads."""
+    k_min reads.  The trace's guard runs once, at the most failures a compared
+    read can have (``_max_fails``)."""
     d = cfg.d
     if d.period > _MAX_VERIFY_READS:
         raise ConfigError(
@@ -47,7 +48,7 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
     shape = (d.a_period, d.b_period, d.n_period, cfg.delta_b, cfg.delta_n)
     kernels.check_sequence_args(*shape, l_max, 1, d.period)
     stream = stream_basic(d, cycles) if basic else stream_extended(cfg, cycles, RngSpec(seed or 0))
-    kernels.check_sequence_args(*shape, 0, 0, cycles)
+    kernels.check_sequence_args(*shape, _max_fails(cfg, basic, cycles), 0, cycles)
     if not basic:
         _check_terms(d)
     if cycles <= (k_min := _first_read(cfg, basic)):
@@ -58,6 +59,17 @@ def checks(cfg: SystemConfig, basic: bool, l_max=None, cycles=None, seed=None):
     deadline = k_min if basic or cfg.p == 1 else cycles
     return (_verify_basic(d, stream, shape, deadline) if basic
             else _verify_extended(cfg, l_max, stream, shape, deadline))
+
+
+def _max_fails(cfg: SystemConfig, basic: bool, cycles: int) -> int:
+    """The most failures a defined read of a ``cycles``-read run can have: 0 in
+    the basic model and at p = 1, else j of the last read less ``_first_success``,
+    as a defined read k sees L_k >= that first success and fails = j_k - L_k."""
+    if basic or cfg.p == 1:
+        return 0
+    d = cfg.d
+    last = ((cycles - 1) * d.a_period - 1 - cfg.delta_n) // d.n_period
+    return max(0, last - kernels._first_success(d.n_period, cfg.delta_b, cfg.delta_n, 1))
 
 
 def _first_read(cfg: SystemConfig, basic: bool) -> int:
@@ -79,15 +91,14 @@ def _check_family(name: str, dist, seq, where: str = ""):
                                         f"closed={c} direct={v}")
 
 
-def _check_trace(checks, stream, shape, deadline: int):
+def _check_trace(checks, stream, deadline: int):
     """One pass of ``stream`` checked by each ``(name, formula, detail)`` of
     ``checks``, yielded in order at its end: ``formula(k0, fails)`` is the
     closed form's reads k0, k0 + 1, ... at their failure counts, compared
     from read min(``deadline``, warm-up) on.  A check stops at its first read
     that differs or is undefined (age < 0), and formats ``detail`` with its
     ``k``, ``l``, ``sim`` and ``model``; the stream stops once all have, and
-    a run with no read to compare fails them all.  Each block with a read to
-    check passes the sequence kernels' guard for ``shape`` first."""
+    a run with no read to compare fails them all."""
     found, compared = {}, False  # name -> the detail of its first mismatch; any read compared
     for k0, ages, fails in stream.blocks():
         # warmup_cycles is the run's length until the block that ends the warm-up
@@ -96,7 +107,6 @@ def _check_trace(checks, stream, shape, deadline: int):
         if not len(ages):
             continue
         compared = True
-        kernels.check_sequence_args(*shape, int(fails.max(initial=0)), k0, len(fails))
         # a compared read must be defined: the formula at l = -1 can give -1 too
         undefined = ages < 0
         for name, formula, detail in checks:
@@ -140,7 +150,7 @@ def _verify_basic(d, stream, shape, deadline):
     check = ("simulator_matches_formula",
              lambda k0, fails: kernels.seq_basic(*shape[:3], k0, len(fails)),
              "first mismatch at k={k}: simulated={sim} formula={model}")
-    yield from _check_trace([check], stream, shape, deadline)
+    yield from _check_trace([check], stream, deadline)
 
 
 def _verify_extended(cfg: SystemConfig, l_max: int, stream, shape, deadline):
@@ -170,4 +180,4 @@ def _verify_extended(cfg: SystemConfig, l_max: int, stream, shape, deadline):
         checks.append(("lossless_trace_matches_formula",
                        lambda k0, fails: kernels.seq_conditional(*shape, 0, k0, len(fails)),
                        "first mismatch at k={k}"))
-    yield from _check_trace(checks, stream, shape, deadline)
+    yield from _check_trace(checks, stream, deadline)

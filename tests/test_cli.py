@@ -1024,6 +1024,37 @@ class TestVerify:
         if refusal:
             assert run(capsys, "verify", *argv, *past) == (2, "", f"error: {refusal}\n")
 
+    def test_lossy_run_past_its_failure_bound_prints_no_check(self, capsys):
+        # RUN_EDGE's default run at p < 1: its last read's j, about 214*A'/30,
+        # is the guard's failure count, so top is about 2^63
+        assert run(capsys, "verify", "--model", "extended", *self.RUN_EDGE, "--p", "1/2",
+                   "--seed", "1") == (2, "", "error: inputs too large for 64-bit kernels\n")
+
+    # A lossy run is guarded at l = its last read's j less the first success
+    # (verify._max_fails).  At A' = 3N', N' = 7711849529142789, 100 reads
+    # and delta_n = 41, j of read 99 is 296, so top = 598*N' + delta_b + 43:
+    # 2^62 - 1 at delta_b = 38.  One more delta_b leaves the first success
+    # at 0 and makes top 2^62; one more read makes the last j 299.
+    LOSSY_EDGE = ["--model", "extended", "--a-period", "23135548587428367", "--b-period", "11",
+                  "--n-period", "7711849529142789", "--delta-n", "41", "--p", "1/2",
+                  "--seed", "1"]
+
+    @pytest.mark.parametrize("past", [["--delta-b", "39", "--cycles", "100"],
+                                      ["--delta-b", "38", "--cycles", "101"]],
+                             ids=["delta-b", "cycles"])
+    def test_lossy_run_passes_at_its_failure_bounds_edge(self, capsys, monkeypatch, past):
+        real, draws = aoiclock.kernels._misses, []
+        monkeypatch.setattr(aoiclock.kernels, "_misses",
+                            lambda *args: draws.append(len(args[2])) or real(*args))
+        code, out, _ = run(capsys, "verify", *self.LOSSY_EDGE, "--delta-b", "38",
+                           "--cycles", "100")
+        assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+        assert draws
+        draws.clear()
+        assert run(capsys, "verify", *self.LOSSY_EDGE, *past) == (
+            2, "", "error: inputs too large for 64-bit kernels\n")
+        assert draws == []
+
     def test_term_cap_refused_before_any_check(self, capsys, monkeypatch):
         # b = gcd(300009, 500015) = 100003, one prime over the exact mean's cap
         real, calls = aoiclock.verify.sequence_conditional, []
@@ -1350,6 +1381,66 @@ class TestParser:
         assert run_usage(capsys, None) == (0, (GOLDEN / "analyze_basic.json").read_text(), "")
 
 
+COMMANDS = ("analyze", "simulate", "verify", "sweep")
+# argvs of main: help, version, usage errors, abbreviations, "=" values,
+# negative values, a trailing "--", and a "--=" token, which the top-level
+# parser refuses as ambiguous
+_DISPATCH = [
+    *(case["argv"] for case in USAGE.values()),
+    ["analyze", "--version"],
+    ["verify", "-h"],
+    ["analyze", "--a-per", "34", "--b-period", "7", "--n-period", "10"],
+    ["analyze", *FIG, "--model", "extended", "--p=1/2"],
+    ["analyze", *FIG, "--model", "extended", "--delta-b", "-1"],
+    ["analyze", *FIG, "--"],
+    [],
+    ["analyze", *FIG, "--=1"],
+]
+
+
+def _names_command(argv):
+    return bool(argv) and argv[0] in COMMANDS and "--=1" not in argv
+
+
+class TestDispatch:
+    """An argv that names a command is parsed by that command's parser alone,
+    and reads as it does through the top-level parser."""
+
+    def test_commands_are_the_subparsers(self):
+        assert tuple(aoiclock.cli.build_parser().commands) == COMMANDS
+
+    @pytest.mark.parametrize("argv", _DISPATCH, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_reads_as_the_top_level_parse(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_usage(capsys, list(argv))
+        monkeypatch.setattr(aoiclock.cli, "_parse_args",
+                            lambda argv: aoiclock.cli.build_parser().parse_args(argv))
+        assert got == run_usage(capsys, list(argv))
+
+    def test_namespace_is_the_top_level_parse(self, capsys):
+        def parsed(parse, argv):
+            try:
+                return vars(parse(list(argv)))
+            except SystemExit as exc:
+                return exc.code
+
+        full = aoiclock.cli.build_parser().parse_args
+        for argv in _DISPATCH:
+            assert parsed(aoiclock.cli._parse_args, argv) == parsed(full, argv), argv
+        capsys.readouterr()
+
+    def test_top_level_parser_parses_only_what_names_no_command(self, capsys, monkeypatch):
+        parser, calls = aoiclock.cli.build_parser(), []
+        real = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *args: calls.append(args) or real(*args))
+        for argv in _DISPATCH:
+            calls.clear()
+            run_usage(capsys, list(argv))
+            assert len(calls) == (0 if _names_command(argv) else 1), argv
+        assert sum(map(_names_command, _DISPATCH)) > len(_DISPATCH) // 2
+
+
 @pytest.fixture
 def fresh_parser():
     """No parser built before the test, and none left behind by it."""
@@ -1364,6 +1455,7 @@ _SHARED_SEQUENCE = [
     ["analyze", *FIG, "--model", "extended", "--p", "1/2", "--sigma", "99/100"],
     ["analyze", *FIG, "--model", "extended", "--p", "1/2"],
     ["analyze", *FIG, "--p", "zero"],
+    ["verify", *FIG, "--model", "basic", "--sigma", "1/2"],
     ["--version"],
     ["simulate", *FIG, "--cycles", "5", "--out", "-"],
     ["verify", *FIG, "--model", "basic"],
@@ -1398,7 +1490,7 @@ class TestSharedParser:
         with_sigma, without_sigma = (json.loads(out) for _, out, _ in shared[:2])
         assert with_sigma["sigma"] == "99/100" and "max_bound_prob" in with_sigma
         assert "sigma" not in without_sigma and "max_bound_prob" not in without_sigma
-        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+        assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0]
 
     def test_help_is_laid_out_when_printed(self, capsys, monkeypatch):
         # built under a wide terminal, the parser still prints the golden

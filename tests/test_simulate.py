@@ -319,6 +319,26 @@ def test_warmup_is_k_min_at_p1_and_never_shorter(cfg, extra):
     assert simulate_extended(cfg, k_min + extra, RngSpec(3)).warmup_cycles >= k_min
 
 
+# verify guards a lossy run once, at its last read's j less the first
+# success: read k sees transmissions j <= j_k = (k*A' - 1 - delta_n) // N',
+# and a defined read's newest success is at least the first one
+@given(st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)).filter(
+           lambda t: gcd(*t) == 1),
+       st.integers(0, 60), st.integers(0, 60), st.sampled_from(["1/2", "1/3", "1/10"]),
+       st.integers(0, 2**64 - 1), st.integers(1, 8), st.integers(9, 300))
+def test_defined_reads_fail_at_most_j_less_the_first_success(t, db, dn, p, seed, chunk,
+                                                            cycles):
+    cfg = SystemConfig(decompose(*t), db, dn, p)
+    a, n = cfg.d.a_period, cfg.d.n_period
+    first = next(m for m in range(db + 2) if dn + m * n - 1 >= db)
+    with mock.patch.object(kernels, "_CHUNK", chunk):
+        tr = whole_trace(stream_extended(cfg, cycles, RngSpec(seed)))
+    j = (np.arange(cycles) * a - 1 - dn) // n
+    defined = tr.ages >= 0
+    assert (tr.fails[defined] <= j[defined] - first).all()
+    assert verify._max_fails(cfg, False, cycles) == max(0, int(j[-1]) - first)
+
+
 class TestTraceCsvOracle:
     """``write_trace_csv`` against the row-by-row oracle, byte for byte."""
 
