@@ -391,14 +391,21 @@ def _scan(seed, threshold, found, idx, top, span, m, out, tmp):
 
     The windows are those whose first draw, at top + 1, missed.  All are
     scanned backwards at once, ``width`` indices of each per step; a window
-    closes at its first success or after ``span`` draws, so it costs about
-    min(span + 1, 2/p) draws in all.  A hit before a window's start is a
-    success the previous windows already hold, or a negative index.  A step
+    closes at its first success, after ``span`` draws, or once its next index
+    is below 0, so it costs about min(span + 1, 2/p) draws in all.  A hit
+    before a window's start is a success the previous windows already hold,
+    or a negative index, which delivers nothing.  A step
     works in the first len(idx)*width entries of the buffers ``m`` (int64),
     ``out`` and ``tmp`` (uint64).
     """
     width = 1
-    while len(idx):
+    while True:
+        # j never decreases and idx ascends, so top ascends: the windows whose
+        # next index is below 0 are a prefix
+        lo = int(np.searchsorted(top, 0))
+        idx, top = idx[lo:], top[lo:]
+        if not len(idx):
+            break
         # the width doubles from the first draw's 1, so a long failure run
         # takes few steps, and a step draws at most _CHUNK variates
         width = min(span, 2 * width, _CHUNK // len(idx))

@@ -20,17 +20,20 @@ the kept ones and returns compact columns: a skip code per tuple, and a
 stays in those columns from classification to the result.  A grid whose b
 passes the exact expectation's term cap is refused when it is read, so every
 kept config evaluates.  Evaluation runs the block's configs as integer
-arrays.  The hyperperiod sums of a decomposition depend on the (delta_b,
-delta_n) pair alone, so each (decomposition, pair, r) sum is one row of a
-single floor-sum pass over the block, shared by every p; the geometric sum
-over r, each config's exact relative error num / den, its bin (floor
-division) and its bound verdict follow as columns, and num / den is turned
-into a float by correctly rounded division.  Each stage runs in int64 where
-a bound from the column maxima proves that its values fit, and otherwise the
-same expressions run on Python ints; no ``Fraction`` is built.  The caller
-joins the blocks in enumeration order and folds them with numpy: each
-config's position in the grid gives its slices, and every mean is a
-left-to-right float sum in enumeration order, taken by
+arrays.  A config's hyperperiod sums see its shifts only through delta_b
+mod a*b and delta_n mod a*n, and so does its freshness offset, so the
+block's configs fall into classes (decomposition, delta_b mod a*b, delta_n
+mod a*n).  Each (class, r) sum is one row of a single floor-sum pass over
+the block, shared by every p; the geometric sum over r, the exact relative
+error num / den, its bin (floor division) and its bound verdict follow as
+columns per (class, p), num / den is turned into a float by correctly
+rounded division, and each config takes its class's row.  Each stage runs
+in int64 where a bound from the column maxima proves that its values fit,
+and otherwise the same expressions run on Python ints; no ``Fraction`` is
+built.  The caller joins the blocks in enumeration order and folds them
+with numpy, the configs as a (kept tuple x combo) matrix: a factor field's
+slice is a set of its rows and a combo field's a set of its columns, and
+every mean is a left-to-right float sum in enumeration order, taken by
 ``np.add.accumulate``.  So output files are bit-identical for any number of
 worker processes, and on every Python version.
 """
@@ -68,7 +71,8 @@ __all__ = [
 ]
 
 _FACTORS = ("A", "B", "N", "a", "b", "n")
-PARAMETERS = _FACTORS + ("delta_b", "delta_n", "p")
+_COMBO = ("delta_b", "delta_n", "p")
+PARAMETERS = _FACTORS + _COMBO
 _INT_FIELDS = PARAMETERS[:-1]
 
 _DEFAULTS = {
@@ -85,9 +89,9 @@ _DEFAULTS = {
 
 
 # The sweep lists every factor tuple and evaluates every kept config: at the
-# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), a median 1.05 s
-# (0.92-1.37 s) with --jobs 2 on a 2-core Xeon host and 1.51 s (1.41-1.57 s)
-# with --jobs 1, at 58.0-58.6 MB peak RSS in the calling process at either
+# cap, cofactors 1..100 and unit factors (2.8*10^5 configs), a median 1.23 s
+# (1.01-1.43 s) with --jobs 2 on a 2-core Xeon host and 1.69 s (1.55-2.47 s)
+# with --jobs 1, at 56.9-58.9 MB peak RSS in the calling process at either
 # (eight alternating pairs of fresh processes).
 _MAX_CANDIDATES = 10**6
 
@@ -184,7 +188,7 @@ class SweepGrid:
         if count > _MAX_CANDIDATES:
             raise ValueError(
                 f"grid has {count} candidates, over the cap of {_MAX_CANDIDATES}: the sweep lists "
-                f"every factor tuple and evaluates every config (about 1-1.5 s and 58 MB at the cap)"
+                f"every factor tuple and evaluates every config (about 1-1.7 s and 58 MB at the cap)"
             )
         # a kept tuple's decomposition has the tuple's b, so no config whose
         # exact expectation refuses its b reaches evaluation
@@ -392,7 +396,8 @@ _ROWS = 1 << 16
 
 def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np.ndarray]:
     """``expected_exact_extended``'s geometric sum acc and den0 = period*(v^b - w^b)
-    per (decomposition, shift pair) unit, k-major, and per p.
+    per unit, a decomposition's columns of ``c`` at the shifts ``delta_b`` and
+    ``delta_n``, and per p.
 
     The b hyperperiod sums of every unit are one ``kernels._row_sums`` pass,
     at most ``_ROWS`` rows at a time, at base 2: a sum holds its base only as
@@ -402,23 +407,20 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np
     sum give den0.
     """
     b = c.b.astype(np.int64)
-    n_pairs = len(delta_b)
-    unit_b = np.repeat(b, n_pairs)
-    first = np.cumsum(unit_b) - unit_b  # each unit's first row
+    first = np.cumsum(b) - b  # each unit's first row
     shift_bound = _max_abs(b) * _max_abs(c.n_period) + _max_abs(delta_b) + _max_abs(delta_n) + 3
     big_period, big_v = _max_abs(c.period), max(vs)
     parts = []
     lo = 0
-    while lo < len(unit_b):
+    while lo < len(b):
         hi = int(np.searchsorted(first, first[lo] + _ROWS))
-        units = np.repeat(np.arange(lo, hi), unit_b[lo:hi])
-        k, j = units // n_pairs, units % n_pairs
-        r = np.arange(len(units)) + first[lo] - first[units]
-        s_b, s_n, _ = kernels._shifts(*_fit(shift_bound, c.n_period[k], delta_b[j], delta_n[j], r))
+        k = np.repeat(np.arange(lo, hi), b[lo:hi])
+        r = np.arange(len(k)) + first[lo] - first[k]
+        s_b, s_n, _ = kernels._shifts(*_fit(shift_bound, c.n_period[k], delta_b[k], delta_n[k], r))
         factors = (x[k] for x in (c.a_period, c.ab, c.an, c.big_n, c.a, c.big_b))
         t = kernels._row_sums(*factors, s_b, s_n, 2)
-        for bv in set(unit_b[lo:hi].tolist()):
-            sel = lo + np.flatnonzero(unit_b[lo:hi] == bv)
+        for bv in set(b[lo:hi].tolist()):
+            sel = lo + np.flatnonzero(b[lo:hi] == bv)
             # acc = sum_r w^r v^(b-1-r) t_r, and no partial sum passes max|t| times
             # the largest sum_r w^r v^(b-1-r) = (v^b - w^b)/(v - w).  Powers at e =
             # min(b, 64) pick the same dtype: past 64, v >= 2 gives 2^64, v = 1 gives 1
@@ -427,12 +429,12 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np
             terms = t[(first[sel] - first[lo])[:, None] + np.arange(bv)]
             rows, v, w = _fit(_max_abs(t) * geometric + big_v**e, terms, vs, ws)
             x, vb, wb = kernels.geometric_sum(rows.T[:, :, None], v, w)
-            period, diff = _fit(big_period * big_v**e, c.period[sel // n_pairs, None], vb - wb)
+            period, diff = _fit(big_period * big_v**e, c.period[sel, None], vb - wb)
             parts.append((sel, x, period * diff))
         lo = hi
     # the parts in unit order
     sels, xs, den0s = zip(*parts)
-    where = np.argsort(np.concatenate(sels), kind="stable")
+    where = np.argsort(np.concatenate(sels))
     acc = np.concatenate([np.broadcast_to(x, d.shape) for x, d in zip(xs, den0s)])
     return acc[where], np.concatenate(den0s)[where]
 
@@ -440,10 +442,14 @@ def _accumulators(c: _Columns, delta_b, delta_n, vs, ws) -> tuple[np.ndarray, np
 def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     """Bin index, float error and bound verdict per (decomposition, combo), as arrays.
 
-    ``_config_error`` runs once, on columns: in int64 where a bound from the
-    column maxima proves that every intermediate fits and that num and den
-    are at most 2^53, so that num / den is the correctly rounded float; on
-    Python ints otherwise.
+    A config's hyperperiod sums, acc and den0 see its shifts only through
+    delta_b mod a*b and delta_n mod a*n, and its freshness offset K sees
+    delta_n mod n, which n | a*n keeps.  So each class (decomposition,
+    delta_b mod a*b, delta_n mod a*n) is evaluated once per p, and each
+    config takes its class's row.  ``_config_error`` runs once, on the
+    (class, p) columns: in int64 where a bound from the column maxima proves
+    that every intermediate fits and that num and den are at most 2^53, so
+    that num / den is the correctly rounded float; on Python ints otherwise.
     """
     # every constant, shift and p's numerator or complement is >= 0
     c = _Columns(*_fit(max(map(max, consts)), *zip(*consts)))
@@ -454,19 +460,20 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     ws = [v - u for u, v in zip(us, vs)]
     delta_b, delta_n = _fit(max(map(max, pairs)), *zip(*pairs))
     u_col, w_col = _fit(max(vs), us, ws)
-    acc, den0 = _accumulators(c, delta_b, delta_n, vs, ws)
 
-    # config (k, combo): its decomposition k, shift pair j and p h
-    pair_of = {pair: j for j, pair in enumerate(pairs)}
-    p_of = {p: h for h, p in enumerate(probs)}
-    k = np.repeat(np.arange(len(consts)), len(combos))
-    j = np.tile([pair_of[db, dn] for db, dn, _ in combos], len(consts))
-    h = np.tile([p_of[p] for _, _, p in combos], len(consts))
-    unit = k * len(pairs) + j
-    acc, den0 = acc[unit, h], den0[unit, h]
-    # M + 2K of the band center, M = B' + N' - n and K the freshness offset
-    bound = _max_abs(c.max_bound) + 2 * _max_abs(c.n) + 2 * _max_abs(delta_n) + 8
-    max_bound, n, dn = _fit(bound, c.max_bound[k], c.n[k], delta_n[j])
+    # the class of (decomposition k, shift pair j), numbered k-major by the
+    # reduced shifts, of which k has at most a*b*a*n pairs
+    spread = _max_abs(c.ab) * _max_abs(c.an)
+    k, an, db, dn = _fit(len(consts) * spread, np.arange(len(consts))[:, None], c.an[:, None],
+                         delta_b % c.ab[:, None], delta_n % c.an[:, None])
+    _, unit, cls = np.unique((k * spread + db * an + dn).ravel(), return_index=True,
+                             return_inverse=True)
+    c = _Columns(*(x[unit // len(pairs)] for x in c))
+    db, dn = db.ravel()[unit], dn.ravel()[unit]
+    acc, den0 = _accumulators(c, db, dn, vs, ws)
+    # M + 2K of the band center, M = B' + N' - n and K the freshness offset;
+    # the reduced delta_n and n are at most a*n
+    max_bound, n, dn = _fit(_max_abs(c.max_bound) + 2 * _max_abs(c.an) + 8, c.max_bound, c.n, dn)
     m2k = max_bound + 2 * _freshness_offset(n, dn)
 
     bn, bd = bin_width.numerator, bin_width.denominator
@@ -474,14 +481,22 @@ def _error_columns(consts: list[tuple], combos, bin_width: Fraction):
     den_b = 2 * (big_w * big_n_period * _max_abs(den0) + big_u**2 * _max_abs(acc))
     lin = big_u * _max_abs(m2k) + 2 * big_w * big_n_period
     num_b = den_b + _max_abs(den0) * lin
-    bound = max(num_b * lin, num_b * bd, den_b * bn)
+    # at p = 1 alone, w = 0 keeps N' out of num_b*lin
+    bound = max(num_b * lin, num_b * bd, den_b * bn, big_n_period)
     if num_b > 2**53:  # an int64 num or den (den_b <= num_b) would round on its way to a float
         bound = 2**63
     num, den, ok = _config_error(*_fit(
-        bound, m2k, c.ab[k], c.n_period[k], u_col[h], w_col[h], acc, den0
+        bound, m2k[:, None], c.ab[:, None], c.n_period[:, None], u_col, w_col, acc, den0
     ))
     # int true division rounds correctly, as Fraction.__float__ does
-    return (num * bd) // (den * bn), (num / den).astype(np.float64), ok.astype(bool)
+    columns = (num * bd) // (den * bn), (num / den).astype(np.float64), ok.astype(bool)
+
+    # config (k, combo): its class, of its decomposition and shift pair, and its p
+    pair_of = {pair: j for j, pair in enumerate(pairs)}
+    p_of = {p: h for h, p in enumerate(probs)}
+    cls = cls.reshape(len(consts), len(pairs))[:, [pair_of[db, dn] for db, dn, _ in combos]]
+    h = [p_of[p] for _, _, p in combos]
+    return tuple(x[cls, h].ravel() for x in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,18 +655,20 @@ def _slice_positions(n_values: int) -> list[int]:
     return sorted({0, n_values // 2, n_values - 1})
 
 
-def _histogram(bins: np.ndarray, bin_width: Fraction) -> Histogram:
-    idx, counts = np.unique(bins, return_counts=True)
-    return Histogram(bin_width, dict(zip(idx.tolist(), counts.tolist())))
+def _histogram(idx: np.ndarray, counts: np.ndarray, bin_width: Fraction) -> Histogram:
+    """The histogram of the bins ``idx[i]`` whose ``counts[i]`` is nonzero; counts
+    may stop short of idx, after its last nonzero entry."""
+    held = np.flatnonzero(counts)
+    return Histogram(bin_width, dict(zip(idx[held].tolist(), counts[held].tolist())))
 
 
-def _slice_stat(parameter, value, bins, errs, holding, bin_width) -> SliceStat:
+def _slice_stat(parameter, value, histogram, errs, holding) -> SliceStat:
     n = len(errs)
     srt = np.sort(errs)
     return SliceStat(
         parameter=parameter,
         value=str(value),
-        histogram=_histogram(bins, bin_width),
+        histogram=histogram,
         mean=_sum(errs) / n if n else float("nan"),
         q01=_nearest_rank(srt, 0.01) if n else float("nan"),
         q50=_nearest_rank(srt, 0.50) if n else float("nan"),
@@ -674,24 +691,33 @@ def _evaluate(grid: SweepGrid, bin_width: Fraction, jobs: int) -> tuple[np.ndarr
     return np.concatenate(codes), _Rows(*columns)
 
 
-def _slices(grid: SweepGrid, position, bins, errs, bin_width) -> tuple[SliceStat, ...]:
-    """The stats of each sliced value of each field.
+def _slices(grid: SweepGrid, kept, rows: _Rows, bin_width) -> tuple[Histogram, tuple]:
+    """The global histogram, and the stats of each sliced value of each field.
 
-    ``position`` is each config's index in the enumeration of all candidates,
-    a mixed radix number over PARAMETERS, which gives its value of every field.
+    The configs are a (kept tuple x combo) matrix in enumeration order.  A
+    factor field's slice is a set of its rows, picked by each kept tuple's
+    index ``kept``, and a combo field's slice a set of its columns; either,
+    read row by row, is in enumeration order.  The bins are numbered once,
+    and each slice's histogram counts those numbers.
     """
+    errs = rows.errs.reshape(len(kept), -1)
+    idx, number, counts = np.unique(rows.bins, return_inverse=True, return_counts=True)
+    number = number.reshape(errs.shape)
     n_candidates = grid.n_candidates()
     slices = []
-    stride = n_candidates
-    for f in PARAMETERS:
-        values = getattr(grid, f)
-        stride //= len(values)
-        column = position // stride % len(values)
-        holding = n_candidates // len(values)  # candidates per value of f
-        for i in _slice_positions(len(values)):
-            mask = column == i
-            slices.append(_slice_stat(f, values[i], bins[mask], errs[mask], holding, bin_width))
-    return tuple(slices)
+    for axis, fields, position in ((0, _FACTORS, kept), (1, _COMBO, np.arange(errs.shape[1]))):
+        stride = math.prod(len(getattr(grid, f)) for f in fields)
+        for f in fields:
+            values = getattr(grid, f)
+            stride //= len(values)
+            column = position // stride % len(values)
+            for i in _slice_positions(len(values)):
+                sel = column == i
+                held = np.bincount(np.compress(sel, number, axis).ravel())
+                slices.append(_slice_stat(f, values[i], _histogram(idx, held, bin_width),
+                                          np.compress(sel, errs, axis).ravel(),
+                                          n_candidates // len(values)))
+    return _histogram(idx, counts, bin_width), tuple(slices)
 
 
 def run_sweep(
@@ -716,9 +742,7 @@ def run_sweep(
     if not len(kept):
         raise EmptyGridError("no grid candidate passes the factor constraints")
 
-    # the position of each config: every combo of a kept tuple
-    position = (kept[:, None] * n_combos + np.arange(n_combos)).ravel()
-    slices = _slices(grid, position, rows.bins, rows.errs, bin_width)
+    global_hist, slices = _slices(grid, kept, rows, bin_width)
     rows.errs.flags.writeable = False
     return SweepResult(
         bin_width=bin_width,
@@ -726,17 +750,15 @@ def run_sweep(
         n_configs=len(rows.errs),
         skip_counts=skip_counts,
         bound_violations=int(np.count_nonzero(~rows.oks)),
-        global_hist=_histogram(rows.bins, bin_width),
+        global_hist=global_hist,
         float_errors=rows.errs,
         slices=slices,
     )
 
 
-def _hist_csv(hist: Histogram, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in hist.to_rows():
-            fh.write(f"{left!r},{right!r},{count}\n")
+def _hist_csv(hist: Histogram) -> bytes:
+    rows = "".join(f"{left!r},{right!r},{count}\n" for left, right, count in hist.to_rows())
+    return f"bin_left,bin_right,count\n{rows}".encode()
 
 
 def _slice_file(parameter: str, value) -> str:
@@ -744,22 +766,20 @@ def _slice_file(parameter: str, value) -> str:
 
 
 def write_outputs(result: SweepResult, out_dir) -> list[Path]:
-    """Write global.csv, slice_*.csv and summary.csv; returns written paths."""
+    """Write global.csv, slice_*.csv and summary.csv, each in one write; returns
+    written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [out / "global.csv"]
-    _hist_csv(result.global_hist, written[0])
-    for sl in result.slices:
-        path = out / _slice_file(sl.parameter, sl.value)
-        _hist_csv(sl.histogram, path)
-        written.append(path)
-    summary = out / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        fh.write("parameter,fixed_value,mean,q01,q50,q99,n_configs,n_skipped\n")
-        for sl in result.slices:
-            fh.write(
-                f"{sl.parameter},{sl.value},{sl.mean!r},{sl.q01!r},{sl.q50!r},"
-                f"{sl.q99!r},{sl.n_configs},{sl.n_skipped}\n"
-            )
-    written.append(summary)
-    return written
+    files = [(out / "global.csv", _hist_csv(result.global_hist))]
+    files += [(out / _slice_file(sl.parameter, sl.value), _hist_csv(sl.histogram))
+              for sl in result.slices]
+    summary = "".join(
+        f"{sl.parameter},{sl.value},{sl.mean!r},{sl.q01!r},{sl.q50!r},"
+        f"{sl.q99!r},{sl.n_configs},{sl.n_skipped}\n"
+        for sl in result.slices
+    )
+    header = "parameter,fixed_value,mean,q01,q50,q99,n_configs,n_skipped\n"
+    files.append((out / "summary.csv", (header + summary).encode()))
+    for path, data in files:
+        path.write_bytes(data)
+    return [path for path, _ in files]

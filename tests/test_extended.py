@@ -285,6 +285,33 @@ class TestExpectedExact:
             )
 
 
+class TestShiftClasses:
+    """A sweep evaluates each (decomposition, delta_b mod a*b, delta_n mod a*n)
+    class once: the exact mean and K see the shifts only through those."""
+
+    @given(cfg_strategy(12, 10), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from(["1", "1/2", "1/3"]))
+    @example(SystemConfig(decompose(3, 2, 6)), 0, 1, "1/2")  # a = 2, n = 3
+    @example(SystemConfig(decompose(12, 9, 5), delta_b=2, delta_n=7), 3, 2, "1/3")  # b = 3
+    def test_mean_and_offset_see_the_shifts_mod_ab_and_an(self, cfg, i, j, p):
+        d = cfg.d
+        cfg = SystemConfig(d, cfg.delta_b, cfg.delta_n, p)
+        moved = SystemConfig(d, cfg.delta_b + i * d.a * d.b, cfg.delta_n + j * d.a * d.n, p)
+        assert expected_exact_extended(moved).value == expected_exact_extended(cfg).value
+        assert freshness_offset_K(moved) == freshness_offset_K(cfg)
+
+    @pytest.mark.parametrize("p", ["1", "1/2"])
+    def test_delta_n_mod_n_is_not_the_class(self, p):
+        # at (3, 2, 6), a = 2 and n = 3: delta_n = 0 and 3 agree mod n, so
+        # their K agree, but not mod a*n = 6, and their exact means differ
+        d = decompose(3, 2, 6)
+        assert (d.a, d.n) == (2, 3)
+        cfgs = [SystemConfig(d, 0, dn, p) for dn in (0, 3)]
+        assert freshness_offset_K(cfgs[0]) == freshness_offset_K(cfgs[1]) == 4
+        means = [expected_exact_extended(cfg).value for cfg in cfgs]
+        assert means[0] - means[1] == 1
+
+
 class TestRelErrorBound:
     def test_reference_value(self):
         assert rel_error_bound_extended(REF_CFG) == Fraction(1, 20)

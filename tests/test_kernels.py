@@ -396,12 +396,15 @@ class TestNumpyExtendedChunks:
         assert peak <= 8 * (2 * cycles + 12 * reads + 4 * size) + 8192, peak
 
 
-def _spy_draws(monkeypatch) -> list:
-    """A list to which every ``_misses`` call appends the number of variates it draws."""
+def _spy_draws(monkeypatch, limit=None) -> list:
+    """A list to which every ``_misses`` call appends the number of variates it
+    draws; a call that takes the total past ``limit`` raises instead."""
     real, calls = kernels._misses, []
 
     def spy(seed, threshold, counters, out, tmp):
         calls.append(len(counters))
+        if limit is not None and sum(calls) > limit:
+            raise AssertionError(f"over {limit} draws: {calls[:8]}")
         return real(seed, threshold, counters, out, tmp)
 
     monkeypatch.setattr(kernels, "_misses", spy)
@@ -431,6 +434,37 @@ class TestScanDraws:
             per_read.append(sum(calls))
             calls.clear()
         assert (min(per_read), max(per_read)) == (1, 2)
+
+    # (23174301600137625, 11, 30) at delta_n = 482: read 0 sees j = -17, and
+    # its window 7.7*10^14 more transmissions below 0.  (400, 11, 1) at
+    # delta_n = 399: read 1 sees j = 0, so a scan of its window would go on
+    # at index -1.  At seed 1 read 0's first draw misses, and so does read
+    # 1's at (400, 11, 1): each run makes its two first draws and no scan draw
+    @pytest.mark.parametrize("t, dn, j, missed, trace", [
+        ((23174301600137625, 11, 30), 482, [-17, 772476720004571], 0, ([-1, 14], [-1, 0])),
+        ((400, 11, 1), 399, [-400, 0], 1, ([-1, -1], [-1, -1])),
+    ])
+    def test_a_window_below_transmission_0_makes_no_scan_draw(self, monkeypatch, t, dn, j,
+                                                              missed, trace):
+        thr = bernoulli_threshold(Fraction(1, 2))
+        assert [(k * t[0] - 1 - dn) // t[2] for k in range(2)] == j
+        assert splitmix64_ref(1, j[missed] % 2**64) >> 11 >= thr
+        calls = _spy_draws(monkeypatch, limit=10**6)
+        ages, fails = kernels.sim_extended(*t, 0, dn, thr, 1, 2)
+        assert calls == [2]
+        assert (ages.tolist(), fails.tolist()) == trace
+
+    @given(st.tuples(st.integers(1, 60), st.integers(1, 12), st.integers(1, 12)),
+           st.integers(0, 60), st.integers(0, 400),
+           st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 10)]),
+           st.integers(0, 2**64 - 1), st.integers(1, 30))
+    # reads 0 and 1 see j = -483 and -83, and each window holds 400
+    # transmissions below 0; at seed 2 both first draws miss
+    @example((400, 11, 1), 0, 482, Fraction(1, 2), 2, 5)
+    def test_windows_below_transmission_0_equal_the_replay(self, t, db, dn, p, seed, cycles):
+        thr = bernoulli_threshold(p)
+        ages, fails = kernels.sim_extended(*t, db, dn, thr, seed, cycles)
+        assert (ages.tolist(), fails.tolist()) == naive_extended(*t, db, dn, thr, seed, cycles)
 
     @pytest.mark.parametrize("chunk", [1, 5, kernels._CHUNK])
     def test_p1_makes_no_draw(self, monkeypatch, chunk):

@@ -391,6 +391,24 @@ def geometric_dtypes(monkeypatch):
     return dtypes
 
 
+def _spy_rows(monkeypatch) -> list:
+    """A list to which every ``kernels._row_sums`` pass appends its row count."""
+    rows, real = [], kernels._row_sums
+
+    def counted(*args):
+        rows.append(np.broadcast(*args).size)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_row_sums", counted)
+    return rows
+
+
+def _class_rows(d, grid) -> int:
+    """The floor-sum rows of decomposition ``d``: b per class of its shift pairs."""
+    ab, an = d.a * d.b, d.a * d.n
+    return d.b * len({(db % ab, dn % an) for db in grid.delta_b for dn in grid.delta_n})
+
+
 class TestEvalChunk:
     """The integer evaluation against the per-config Fraction oracle."""
 
@@ -412,9 +430,31 @@ class TestEvalChunk:
              Fraction(1, 100))
     # ... and through (b - 1)*N' = 20 on a shift of 2^63 - 12
     @example([decompose(6, 9, 10)], [(2**63 - 12, 0, Fraction(1, 2))], Fraction(1, 100))
+    # the shifts are reduced mod a*b and a*n first, so s_b passes 2^63 - 1
+    # through (b - 1)*N' = 2^63 + 2 (b = 3, N' = 2^62 + 1)
+    @example([decompose(3, 6, 2**62 + 1)], [(0, 0, Fraction(1, 2)), (2, 0, Fraction(1))],
+             Fraction(1, 100))
+    # at (6, 9, 10), a*b = 3 and a*n = 2: pairs that agree mod a*b but not mod
+    # a*n, and the reverse, fall into other classes; (0, 0), (3, 2) and
+    # (6, 4) into one, its rows taken by configs of both p
+    @example([decompose(6, 9, 10)],
+             [(0, 0, Fraction(1, 2)), (3, 1, Fraction(1, 2)), (1, 0, Fraction(1, 3)),
+              (2, 2, Fraction(1, 3)), (3, 2, Fraction(1, 3)), (6, 4, Fraction(1, 2))],
+             Fraction(1, 100))
     # s_n = delta_n + 1 = 2^63, and a*n = 3 does not divide 2^64
     @example([decompose(3, 2, 3)], [(0, 2**63 - 1, Fraction(1, 2)), (0, 2**63 - 1, Fraction(1))],
              Fraction(1, 100))
+    # b = 1 and N' = 2^63 + 1 at a = 9: the shift stage's bound N' + delta_b
+    # + delta_n + 3 keeps the N' column off int64, by its 3 at zero shifts
+    # and by its delta_b at delta_b = 8
+    @example([decompose(2, 9, 2**63 + 1)], [(0, 0, Fraction(1, 2))], Fraction(1, 100))
+    @example([decompose(2, 9, 2**63 + 1)], [(8, 0, Fraction(1, 2))], Fraction(1, 100))
+    # ... and at n = N' = 2^63 + 1, by its delta_n = n - 1; at p = 1 alone
+    # (w = 0) and K = 2, the error stage's bound holds N' only as itself
+    @example([decompose(2**63 + 1, 2, 2**63 + 1)], [(0, 2**63, Fraction(1))], Fraction(1, 100))
+    # b = 2 at p = (2^40 - 1)/2^40: v^2 - w^2 passes 2^63 while max|t|*(v + w)
+    # does not, so the v^b term of the geometric stage's bound picks Python ints
+    @example([decompose(6, 4, 5)], [(0, 0, Fraction(2**40 - 1, 2**40))], Fraction(1, 100))
     # b = 33 terms at p = 1/3: the geometric stage's partial sums pass 2^63
     @example([decompose(33, 594, 1)], [(0, 0, Fraction(1, 3))], Fraction(1, 100))
     # M + 2K = 2n + 4 passes 2^63 at n = 2^62 - 1, with delta_n = 0 and = n
@@ -445,28 +485,65 @@ class TestEvalChunk:
         assert bits(rows_of(sweep._eval_chunk(payload))) == bits(eval_chunk_ref(payload))
 
     def test_sums_shared_across_p(self, monkeypatch):
-        # each (decomposition, shift pair, r < b) hyperperiod sum is one row
-        # of the floor-sum pass, computed once and shared by every p
-        rows = []
-        real = kernels._row_sums
-
-        def counted(*args):
-            rows.append(np.broadcast(*args).size)
-            return real(*args)
-
-        monkeypatch.setattr(kernels, "_row_sums", counted)
+        # each (decomposition, delta_b mod a*b, delta_n mod a*n, r < b)
+        # hyperperiod sum is one row of the floor-sum pass, computed once and
+        # shared by every p and by every shift pair of its class
+        rows = _spy_rows(monkeypatch)
         grid = SweepGrid.from_json(BUNDLED_GRID)
         decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
         out = sweep._eval_chunk((decomps[:2], sweep._combos(grid), Fraction(1, 100)))
-        # 3 x 3 shift pairs, each serving the grid's 3 values of p
+        # 3 x 3 shift pairs, each serving the grid's 3 values of p; at (a, b, n)
+        # = (1, 1, 1) they fall into one class, at (1, 1, 2) into two
         assert len(out) == 2 * 27
-        assert rows == [9 * (decomps[0].b + decomps[1].b)]
-        # once per sum through a whole sweep, however it is cut into blocks
+        assert [(d.a, d.b, d.n) for d in decomps[:2]] == [(1, 1, 1), (1, 1, 2)]
+        assert rows == [3] == [sum(_class_rows(d, grid) for d in decomps[:2])]
+        # once per class through a whole sweep, however it is cut into blocks:
+        # 3,250 rows, where one per (decomposition, pair, r) would be 6,084
+        assert sum(_class_rows(d, grid) for d in decomps) == 3_250
+        assert 9 * sum(d.b for d in decomps) == 6_084
         for block in (sweep._BLOCK, 1, 7):
             monkeypatch.setattr(sweep, "_BLOCK", block)
             rows.clear()
             assert run_sweep(grid).n_configs == 27 * len(decomps)
-            assert sum(rows) == 9 * sum(d.b for d in decomps)
+            assert sum(rows) == 3_250
+
+    def test_unit_factors_make_one_class_per_decomposition(self, monkeypatch):
+        # at a = b = n = 1 every shift is 0 mod a*b and mod a*n, so the 441
+        # shift pairs of each decomposition share its b rows
+        rows = _spy_rows(monkeypatch)
+        grid = SweepGrid.from_dict({"A": "2..9", "B": "2..9", "N": "2..9",
+                                    "delta_b": "0..20", "delta_n": "0..20", "p": ["1/2", "1"]})
+        decomps = [d for _, d, _ in sweep._iter_candidates(grid) if d is not None]
+        assert run_sweep(grid).n_configs == 441 * 2 * len(decomps)
+        assert sum(rows) == sum(d.b for d in decomps) == len(decomps) > 0
+
+    # crafted accumulators at (34, 7, 10), den0 = 1: M + 2K = 21 and N' = 10, so
+    # den = 2*(10*w + u^2*acc) and num = den - (21*u + 20*w), odd and past
+    # 2^53, and their float64s divide to another last bit than num / den
+    @pytest.mark.parametrize("p, acc", [
+        (Fraction(1, 2), 3 * 2**51 + 1),  # num_b = den + 41, below 2^54
+        (Fraction(3, 4), 2**53 // 18 + 10),  # only u^2*acc, not 2u*acc, passes 2^53
+    ])
+    def test_ratio_past_2_53_is_correctly_rounded(self, monkeypatch, p, acc):
+        u, w = p.numerator, p.denominator - p.numerator
+        den = 2 * (10 * w + u * u * acc)
+        num = den - (21 * u + 20 * w)
+        assert num % 2 and num > 2**53
+        assert np.float64(num) / np.float64(den) != float(Fraction(num, den))
+        monkeypatch.setattr(sweep, "_accumulators",
+                            lambda *args: (np.array([[acc]]), np.array([[1]])))
+        rows = sweep._eval_chunk(([decompose(34, 7, 10)], [(0, 0, p)], Fraction(1, 100)))
+        assert rows.errs.tolist() == [float(Fraction(num, den))]
+        assert rows.bins.tolist() == [num * 100 // den]
+
+    def test_geometric_stage_bound_is_the_weighted_sum(self, monkeypatch, geometric_dtypes):
+        # b = 2 rows t_0 = t_1 = T at p = 1/2: acc = 2T + T passes 2^63 while
+        # 2T + 4 does not, so max|t|*(v^2 - w^2)/(v - w) picks Python ints
+        big = 2**63 // 3 + 1
+        monkeypatch.setattr(kernels, "_row_sums", lambda *args: np.array([big, big]))
+        rows = sweep._eval_chunk(([decompose(6, 4, 5)], [(0, 0, Fraction(1, 2))], Fraction(1)))
+        assert geometric_dtypes == [(np.dtype(object),) * 3]
+        assert len(rows) == 1
 
     @pytest.mark.parametrize("rows, lanes", [(1, 3), (7, 1 << 16), (40, 5)])
     def test_rows_do_not_depend_on_pass_sizes(self, monkeypatch, rows, lanes):
@@ -629,6 +706,11 @@ class TestRunSweep:
         f3 = write_outputs(r3, d3)
         for a, b in zip(f1, f3):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_bin_width_is_read_as_a_fraction(self, grid, result):
+        r = run_sweep(grid, bin_width="1/100")
+        assert type(r.bin_width) is Fraction
+        assert repr(r.slices) == repr(result.slices) and r.global_hist == result.global_hist
 
     def test_bad_args(self, grid):
         with pytest.raises(ValueError):
@@ -1033,6 +1115,12 @@ class TestWriteOutputs:
         assert [f.name for f in f1] == [f.name for f in f2]
         for a, b in zip(f1, f2):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_makes_missing_parents(self, tmp_path):
+        result = run_sweep(SweepGrid.from_dict(FIG_GRID))
+        files = write_outputs(result, tmp_path / "a" / "b")
+        assert [f.parent for f in files] == [tmp_path / "a" / "b"] * len(files)
+        assert all(f.is_file() for f in files)
 
 
 class TestSmallGridGolden:
